@@ -7,12 +7,15 @@ global state.
 """
 
 import csv
+import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, Optional
 
 import numpy as np
+from scipy.special import expit
 
-from .special import log_bessel_i0
+from .special import _log_i0
 
 __all__ = [
     "TWO_PI",
@@ -30,6 +33,7 @@ __all__ = [
 TWO_PI = 2.0 * np.pi
 
 _NEG_INF = float("-inf")
+_LOG_TWO_PI = float(np.log(TWO_PI))
 
 
 class Family(str, Enum):
@@ -50,15 +54,29 @@ def wrap_angle(x):
     return float(out) if np.ndim(x) == 0 else out
 
 
-def _validate_concentration(family, value):
-    if not np.isfinite(value):
-        raise ValueError("concentration must be finite")
-    if family is Family.VON_MISES and value < 0.0:
-        raise ValueError("von Mises concentration must satisfy kappa >= 0")
-    if family is Family.CARDIOID and not (0.0 <= value < 0.5):
-        raise ValueError("cardioid concentration must satisfy 0 <= ell < 0.5")
-    if family is Family.WRAPPED_CAUCHY and not (0.0 <= value < 1.0):
-        raise ValueError("wrapped Cauchy concentration must satisfy 0 <= rho < 1")
+@dataclass(frozen=True)
+class FamilyKernel:
+    """Everything the package needs to know about one family.
+
+    ``FAMILIES`` holds one per family; every module reads these records
+    instead of branching on the family. The concentration fields are
+    None for the circular uniform, which has no concentration.
+    """
+
+    label: str                             # name used in messages
+    log_density: Callable                  # (angles in [0, 2*pi), mu, conc) -> log density
+    draw: Callable                         # (rng, mu, conc > 0, n) -> angles in [0, 2*pi)
+    loglik: Optional[Callable] = None      # angles in [0, 2*pi) -> ((mu, conc) -> log-likelihood)
+    support: Optional[tuple] = None        # open interval the concentration moves in
+    rule: str = ""                         # the closed support, as messages print it
+    initial: float = math.nan              # default initial concentration of a chain
+    to_theta: Optional[Callable] = None    # concentration -> unconstrained scale
+    to_conc: Optional[Callable] = None     # unconstrained scale -> concentration
+    log_jac: Optional[Callable] = None     # log |d conc / d theta| at (theta, conc)
+    q: Optional[Callable] = None           # user-scale transform Q(conc)
+    threshold: Optional[Callable] = None   # the concentration at which Q crosses U
+    q_increasing: bool = False             # whether Q grows with the concentration
+    u_range: str = ""                      # the thresholds U that Q reaches
 
 
 @dataclass(frozen=True)
@@ -73,8 +91,14 @@ class DistributionSpec:
         family = Family(self.family)
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "mu", wrap_angle(float(self.mu)))
-        conc = 0.0 if family is Family.UNIFORM else float(self.concentration)
-        _validate_concentration(family, conc)
+        kern = FAMILIES[family]
+        conc = 0.0
+        if kern.support is not None:
+            conc = float(self.concentration)
+            if not np.isfinite(conc):
+                raise ValueError("concentration must be finite")
+            if not kern.support[0] <= conc < kern.support[1]:
+                raise ValueError(f"{kern.label} concentration must satisfy {kern.rule}")
         object.__setattr__(self, "concentration", conc)
 
 
@@ -116,24 +140,8 @@ class Dataset:
 
 def log_pdf(spec, x):
     """Log density of ``spec`` at angle(s) ``x`` (any finite real)."""
-    xw = wrap_angle(x)
-    arr = np.asarray(xw, dtype=float)
-    fam = spec.family
-    if fam is Family.UNIFORM:
-        out = np.full_like(arr, -np.log(TWO_PI))
-    elif fam is Family.VON_MISES:
-        kappa = spec.concentration
-        out = kappa * np.cos(arr - spec.mu) - np.log(TWO_PI) - log_bessel_i0(kappa)
-    elif fam is Family.CARDIOID:
-        core = 2.0 * spec.concentration * np.cos(arr - spec.mu)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(core > -1.0, np.log1p(np.maximum(core, -1.0)), _NEG_INF) - np.log(TWO_PI)
-    elif fam is Family.WRAPPED_CAUCHY:
-        rho = spec.concentration
-        denom = 1.0 + rho * rho - 2.0 * rho * np.cos(arr - spec.mu)
-        out = np.log1p(-rho * rho) - np.log(TWO_PI) - np.log(denom)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown family {fam}")
+    arr = np.asarray(wrap_angle(x), dtype=float)
+    out = FAMILIES[spec.family].log_density(arr, spec.mu, spec.concentration)
     return float(out) if np.ndim(x) == 0 else out
 
 
@@ -141,6 +149,53 @@ def pdf(spec, x):
     """Density of ``spec`` at angle(s) ``x``."""
     out = np.exp(log_pdf(spec, x))
     return float(out) if np.ndim(x) == 0 else out
+
+
+def _uniform_log_density(x, mu, conc):
+    return np.full_like(x, -_LOG_TWO_PI)
+
+
+def _vm_log_density(x, mu, kappa):
+    return kappa * np.cos(x - mu) - _LOG_TWO_PI - _log_i0(kappa)
+
+
+def _cardioid_log_density(x, mu, ell):
+    core = 2.0 * ell * np.cos(x - mu)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(core > -1.0, np.log1p(np.maximum(core, -1.0)), _NEG_INF) - _LOG_TWO_PI
+
+
+def _wc_log_density(x, mu, rho):
+    denom = 1.0 + rho * rho - 2.0 * rho * np.cos(x - mu)
+    return np.log1p(-rho * rho) - _LOG_TWO_PI - np.log(denom)
+
+
+def _vm_loglik(angles):
+    # sufficient statistics, and log I0 of the last kappa kept
+    n = angles.size
+    c_sum = float(np.sum(np.cos(angles)))
+    s_sum = float(np.sum(np.sin(angles)))
+    memo = [math.nan, 0.0]
+
+    def loglik(mu, kappa):
+        if kappa != memo[0]:
+            memo[0] = kappa
+            memo[1] = float(_log_i0(kappa))
+        trig = c_sum * math.cos(mu) + s_sum * math.sin(mu)
+        return kappa * trig - n * (_LOG_TWO_PI + memo[1])
+
+    return loglik
+
+
+def _summed_loglik(log_density):
+    def build(angles):
+        return lambda mu, conc: float(np.sum(log_density(angles, mu, conc)))
+
+    return build
+
+
+def _sample_uniform(rng, mu, conc, n):
+    return TWO_PI * rng.random(n)
 
 
 def _sample_von_mises(rng, mu, kappa, n):
@@ -187,6 +242,43 @@ def _sample_cardioid(rng, mu, ell, n):
     return wrap_angle(0.5 * (lo + hi))
 
 
+def _sample_wc(rng, mu, rho, n):
+    return wrap_angle(mu - np.log(rho) * rng.standard_cauchy(n))
+
+
+FAMILIES = {
+    Family.UNIFORM: FamilyKernel("circular uniform", _uniform_log_density, _sample_uniform),
+    Family.VON_MISES: FamilyKernel(
+        "von Mises", _vm_log_density, _sample_von_mises, _vm_loglik,
+        support=(0.0, math.inf), rule="kappa >= 0", initial=1.0,
+        to_theta=math.log,
+        to_conc=lambda t: math.exp(t) if t < 709.0 else math.inf,
+        log_jac=lambda t, c: math.log(c),
+        q=lambda x: TWO_PI / (1.0 + x), threshold=lambda U: TWO_PI / U - 1.0,
+        q_increasing=False, u_range="(0, 2*pi]",
+    ),
+    Family.CARDIOID: FamilyKernel(
+        "cardioid", _cardioid_log_density, _sample_cardioid,
+        _summed_loglik(_cardioid_log_density),
+        support=(0.0, 0.5), rule="0 <= ell < 0.5", initial=0.25,
+        to_theta=lambda c: math.log(2.0 * c) - math.log1p(-2.0 * c),
+        to_conc=lambda t: 0.5 * float(expit(t)),
+        log_jac=lambda t, c: math.log(2.0 * c) + math.log1p(-2.0 * c) - math.log(2.0),
+        q=lambda x: 2.0 * x, threshold=lambda U: U / 2.0,
+        q_increasing=True, u_range="(0, 1)",
+    ),
+    Family.WRAPPED_CAUCHY: FamilyKernel(
+        "wrapped Cauchy", _wc_log_density, _sample_wc, _summed_loglik(_wc_log_density),
+        support=(0.0, 1.0), rule="0 <= rho < 1", initial=0.5,
+        to_theta=lambda c: math.log(c) - math.log1p(-c),
+        to_conc=lambda t: float(expit(t)),
+        log_jac=lambda t, c: math.log(c) + math.log1p(-c),
+        q=lambda x: TWO_PI * (1.0 - x), threshold=lambda U: 1.0 - U / TWO_PI,
+        q_increasing=False, u_range="(0, 2*pi]",
+    ),
+}
+
+
 def sample(spec, n, seed):
     """Draw ``n`` independent angles from ``spec``.
 
@@ -199,20 +291,9 @@ def sample(spec, n, seed):
     if n < 1:
         raise ValueError("n must be a positive integer")
     rng = np.random.default_rng(seed)
-    fam = spec.family
-    conc = spec.concentration
-    if fam is Family.UNIFORM or conc == 0.0:
-        angles = TWO_PI * rng.random(n)
-    elif fam is Family.VON_MISES:
-        angles = _sample_von_mises(rng, spec.mu, conc, n)
-    elif fam is Family.CARDIOID:
-        angles = _sample_cardioid(rng, spec.mu, conc, n)
-    elif fam is Family.WRAPPED_CAUCHY:
-        gamma = -np.log(conc)
-        angles = wrap_angle(spec.mu + gamma * rng.standard_cauchy(n))
-    else:  # pragma: no cover
-        raise ValueError(f"unknown family {fam}")
-    return Dataset(angles, label=f"{fam.value}-sample")
+    draw = FAMILIES[spec.family].draw if spec.concentration != 0.0 else _sample_uniform
+    angles = draw(rng, spec.mu, spec.concentration, n)
+    return Dataset(angles, label=f"{spec.family.value}-sample")
 
 
 def circular_mean(angles):

@@ -10,18 +10,21 @@ parameter range: near the base model the raw formulas subtract nearly
 equal quantities, so series or rearranged forms take over there.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from enum import Enum
+from typing import Callable, Optional
 
 import numpy as np
 
 from .distributions import TWO_PI, Family, pdf
 from .special import (
     _RATIO_TAIL_SWITCH,
-    bessel_ratio,
-    bessel_ratio_deriv,
-    log_bessel_i0,
-    one_minus_bessel_ratio,
+    _log_i0,
+    _one_minus_ratio,
+    _ratio,
+    _ratio_deriv,
+    _ratio_deriv_tail_x2,
 )
 
 __all__ = [
@@ -44,8 +47,6 @@ _VM_RADICAND_SMALL = 2.0e-2
 _VM_RADICAND_LARGE = 1.0e4
 # cardioid log1p(s) - s + s^2/2 switches to its power series below this s
 _CARD_L3_SERIES = 0.3
-# floating-point noise floor clamped to zero before sqrt
-_RADICAND_NOISE = 1.0e-14
 
 SQRT_LOG2 = float(np.sqrt(np.log(2.0)))
 SQRT_1M_LOG2 = float(np.sqrt(1.0 - np.log(2.0)))
@@ -64,7 +65,12 @@ class Direction(str, Enum):
 
 @dataclass(frozen=True)
 class DistanceProfile:
-    """The monotone map between a concentration parameter and its distance."""
+    """The monotone map between a concentration parameter and its distance.
+
+    Beyond the seven public fields, each record carries its pair's
+    unchecked array kernels (the public functions below check inputs
+    once, then call them) and two facts about the pair's PC prior.
+    """
 
     family: Family
     base: BaseModel
@@ -73,25 +79,13 @@ class DistanceProfile:
     direction: Direction
     support_lo: float
     support_hi: float
-
-
-_PROFILES = {
-    (Family.VON_MISES, BaseModel.UNIFORM): DistanceProfile(
-        Family.VON_MISES, BaseModel.UNIFORM, 0.0, np.inf, Direction.INCREASING, 0.0, np.inf
-    ),
-    (Family.VON_MISES, BaseModel.POINT_MASS): DistanceProfile(
-        Family.VON_MISES, BaseModel.POINT_MASS, 0.0, 1.0, Direction.DECREASING, 0.0, np.inf
-    ),
-    (Family.CARDIOID, BaseModel.UNIFORM): DistanceProfile(
-        Family.CARDIOID, BaseModel.UNIFORM, 0.0, SQRT_1M_LOG2, Direction.INCREASING, 0.0, 0.5
-    ),
-    (Family.CARDIOID, BaseModel.CARDIOID_CURVE): DistanceProfile(
-        Family.CARDIOID, BaseModel.CARDIOID_CURVE, 0.0, SQRT_LOG2, Direction.DECREASING, 0.0, 0.5
-    ),
-    (Family.WRAPPED_CAUCHY, BaseModel.UNIFORM): DistanceProfile(
-        Family.WRAPPED_CAUCHY, BaseModel.UNIFORM, 0.0, np.inf, Direction.INCREASING, 0.0, 1.0
-    ),
-}
+    dist: Callable = field(repr=False, compare=False)       # param -> d
+    deriv: Callable = field(repr=False, compare=False)      # (param, d) -> |d'|
+    inverse: Callable = field(repr=False, compare=False)    # d (1-d array) -> param
+    # largest invertible parameter, for the pairs whose d is unbounded
+    max_param: Optional[float] = field(default=None, repr=False, compare=False)
+    # the printed closed-form prior omits the truncation normalizer
+    paper_unnormalized: bool = field(default=False, repr=False, compare=False)
 
 
 def supported_pairs():
@@ -109,15 +103,16 @@ def profile_for(family, base):
         ) from None
 
 
-def _check_param(profile, arr):
-    hi_ok = arr <= profile.support_hi if np.isfinite(profile.support_hi) else np.isfinite(arr)
-    lo_ok = arr >= profile.support_lo
-    strict_hi = arr < profile.support_hi if np.isfinite(profile.support_hi) else hi_ok
-    if not np.all(lo_ok & strict_hi):
+def _checked_param(profile, param):
+    arr = np.asarray(param, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("parameter must be finite")
+    if not np.all((arr >= profile.support_lo) & (arr < profile.support_hi)):
         raise ValueError(
             f"parameter outside the {profile.family.value} support "
             f"[{profile.support_lo}, {profile.support_hi})"
         )
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -135,16 +130,14 @@ def kld_vm(kappa, kappa0):
         raise ValueError("kappa and kappa0 must be finite")
     if np.any(k < 0.0) or np.any(k0 < 0.0):
         raise ValueError("kappa and kappa0 must be nonnegative")
-    out = np.maximum(log_bessel_i0(k0) - log_bessel_i0(k) + (k - k0) * bessel_ratio(k), 0.0)
+    out = np.maximum(_log_i0(k0) - _log_i0(k) + (k - k0) * _ratio(k), 0.0)
     return float(out) if np.ndim(kappa) == 0 and np.ndim(kappa0) == 0 else out
 
 
 def _half_sqrt_terms(ell):
-    # s = sqrt(1 - 4 ell^2) without cancellation: (1-2l)(1+2l) = 2 eps w
+    # s = sqrt(1 - 4 ell^2) without cancellation: (1-2l)(1+2l) = 2 eps (1+2l)
     eps = 0.5 - ell
-    w = 1.0 + 2.0 * ell
-    s = np.sqrt(2.0 * eps * w)
-    return s, eps, w
+    return np.sqrt(2.0 * eps * (1.0 + 2.0 * ell)), eps
 
 
 def kld_cardioid(ell, ell0):
@@ -159,8 +152,8 @@ def kld_cardioid(ell, ell0):
         raise ValueError("ell0 must be positive; use the uniform-base distance for ell0 = 0")
     if np.any((l < 0.0) | (l >= 0.5)) or np.any((l0 < 0.0) | (l0 >= 0.5)):
         raise ValueError("ell must lie in [0, 0.5) and ell0 in (0, 0.5)")
-    s, _, _ = _half_sqrt_terms(l)
-    s0, _, _ = _half_sqrt_terms(l0)
+    s, _ = _half_sqrt_terms(l)
+    s0, _ = _half_sqrt_terms(l0)
     # 1 - s = 4 l^2 / (1 + s) keeps the small-ell cancellation out
     term = 4.0 * l * (l / (1.0 + s) - l0 / (1.0 + s0))
     out = np.maximum(term + np.log((1.0 + s) / (1.0 + s0)), 0.0)
@@ -202,7 +195,8 @@ def kld_numeric(p_spec, q_spec, nodes=20001):
 
 
 # ---------------------------------------------------------------------------
-# distances
+# distance kernels, one set per (family, base) pair; arguments are float
+# arrays already checked against the support or the distance range
 
 
 def _vm_uniform_radicand(k):
@@ -213,7 +207,7 @@ def _vm_uniform_radicand(k):
     q = 0.25 * k[small] ** 2
     out[small] = q * (1.0 - 0.75 * q + (5.0 / 9.0) * q * q)
     km = k[mid]
-    out[mid] = km * bessel_ratio(km) - log_bessel_i0(km)
+    out[mid] = km * _ratio(km) - _log_i0(km)
     kl = k[large]
     inv = 1.0 / kl
     out[large] = (
@@ -229,10 +223,9 @@ def _vm_uniform_radicand_deriv(k):
     # large k so the product does not underflow before the multiply
     out = np.empty_like(k)
     head = k < _RATIO_TAIL_SWITCH
-    out[head] = k[head] * bessel_ratio_deriv(k[head])
+    out[head] = k[head] * _ratio_deriv(k[head])
     kt = k[~head]
-    inv = 1.0 / kt
-    out[~head] = (0.5 + inv * (0.25 + inv * 0.375)) / kt
+    out[~head] = _ratio_deriv_tail_x2(kt) / kt
     return out
 
 
@@ -257,75 +250,6 @@ def _card_l3(s):
     return out
 
 
-def _card_uniform_radicand(l):
-    s, _, _ = _half_sqrt_terms(l)
-    u = 4.0 * l * l / (1.0 + s)
-    return u + np.log1p(-0.5 * u)
-
-
-def _card_curve_radicand(l):
-    s, eps, _ = _half_sqrt_terms(l)
-    return 2.0 * eps * eps + _card_l3(s)
-
-
-def _distance_arr(profile, arr):
-    fam, base = profile.family, profile.base
-    if fam is Family.VON_MISES and base is BaseModel.UNIFORM:
-        return np.sqrt(np.maximum(_vm_uniform_radicand(arr), 0.0))
-    if fam is Family.VON_MISES and base is BaseModel.POINT_MASS:
-        return np.sqrt(one_minus_bessel_ratio(arr))
-    if fam is Family.CARDIOID and base is BaseModel.UNIFORM:
-        return np.sqrt(np.maximum(_card_uniform_radicand(arr), 0.0))
-    if fam is Family.CARDIOID and base is BaseModel.CARDIOID_CURVE:
-        return np.sqrt(np.maximum(_card_curve_radicand(arr), 0.0))
-    # wrapped Cauchy, uniform base
-    return np.sqrt(-_log1m_rho_sq(arr))
-
-
-def distance(profile, param):
-    """Distance d(param) = sqrt(KLD against the profile's base model)."""
-    arr = np.asarray(param, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("parameter must be finite")
-    _check_param(profile, arr)
-    out = _distance_arr(profile, arr)
-    return float(out) if np.ndim(param) == 0 else out
-
-
-def _deriv_given_d(profile, arr, d):
-    """|d'| when the distances for ``arr`` are already in hand."""
-    fam, base = profile.family, profile.base
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if fam is Family.VON_MISES and base is BaseModel.UNIFORM:
-            out = np.where(
-                arr > 0.0,
-                _vm_uniform_radicand_deriv(arr) / np.where(d > 0.0, 2.0 * d, 1.0),
-                0.5,
-            )
-        elif fam is Family.VON_MISES and base is BaseModel.POINT_MASS:
-            out = np.where(arr > 0.0, bessel_ratio_deriv(arr) / (2.0 * d), 0.25)
-        elif fam is Family.CARDIOID and base is BaseModel.UNIFORM:
-            s, _, _ = _half_sqrt_terms(arr)
-            out = np.where(arr > 0.0, 2.0 * arr / ((1.0 + s) * np.where(d > 0.0, d, 1.0)), 1.0)
-        elif fam is Family.CARDIOID and base is BaseModel.CARDIOID_CURVE:
-            s, eps, _ = _half_sqrt_terms(arr)
-            out = (s + 2.0 * eps) / ((1.0 + s) * d)
-        else:
-            one_m = (1.0 - arr) * (1.0 + arr)
-            out = np.where(arr > 0.0, arr / (one_m * np.where(d > 0.0, d, 1.0)), 1.0)
-    return out
-
-
-def distance_deriv(profile, param):
-    """|d d(param) / d param|, with exact limits at the support edge."""
-    arr = np.asarray(param, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("parameter must be finite")
-    _check_param(profile, arr)
-    out = _deriv_given_d(profile, arr, _distance_arr(profile, arr))
-    return float(out) if np.ndim(param) == 0 else out
-
-
 def _bisect_increasing(fn, lo, hi, target, iters):
     lo = np.broadcast_to(np.asarray(lo, float), target.shape).copy()
     hi = np.broadcast_to(np.asarray(hi, float), target.shape).copy()
@@ -337,8 +261,136 @@ def _bisect_increasing(fn, lo, hi, target, iters):
     return 0.5 * (lo + hi)
 
 
+# bisection window in log kappa; its top is the largest invertible kappa
 _LOG_KAPPA_LO = -700.0
 _LOG_KAPPA_HI = 709.0
+_KAPPA_MAX = math.exp(_LOG_KAPPA_HI)
+_ELL_MAX = float(np.nextafter(0.5, 0.0))
+_RHO_MAX = float(np.nextafter(1.0, 0.0))
+
+
+def _vm_uniform_d(k):
+    return np.sqrt(np.maximum(_vm_uniform_radicand(k), 0.0))
+
+
+def _vm_uniform_deriv(k, d):
+    return np.where(k > 0.0, _vm_uniform_radicand_deriv(k) / np.where(d > 0.0, 2.0 * d, 1.0), 0.5)
+
+
+def _vm_uniform_inverse(d):
+    if np.any(d > _vm_uniform_d(np.asarray([_KAPPA_MAX]))[0]):
+        raise ValueError("distance not attainable within floating-point kappa range")
+    t = _bisect_increasing(
+        lambda lt: _vm_uniform_d(np.exp(lt)), _LOG_KAPPA_LO, _LOG_KAPPA_HI, d, 90
+    )
+    return np.where(d == 0.0, 0.0, np.exp(t))
+
+
+def _vm_pointmass_d(k):
+    return np.sqrt(_one_minus_ratio(k))
+
+
+def _vm_pointmass_deriv(k, d):
+    return np.where(k > 0.0, _ratio_deriv(k) / (2.0 * d), 0.25)
+
+
+def _vm_pointmass_inverse(d):
+    if np.any(d == 0.0):
+        raise ValueError("d = 0 is not attained for the point-mass base")
+    # distance decreases in kappa; bisect on its negation
+    t = _bisect_increasing(
+        lambda lt: -_vm_pointmass_d(np.exp(lt)), _LOG_KAPPA_LO, _LOG_KAPPA_HI, -d, 90
+    )
+    return np.where(d == 1.0, 0.0, np.exp(t))
+
+
+def _card_uniform_d(l):
+    s, _ = _half_sqrt_terms(l)
+    u = 4.0 * l * l / (1.0 + s)
+    return np.sqrt(np.maximum(u + np.log1p(-0.5 * u), 0.0))
+
+
+def _card_uniform_deriv(l, d):
+    s, _ = _half_sqrt_terms(l)
+    return np.where(l > 0.0, 2.0 * l / ((1.0 + s) * np.where(d > 0.0, d, 1.0)), 1.0)
+
+
+def _card_uniform_inverse(d):
+    if np.any(d >= SQRT_1M_LOG2):
+        raise ValueError("d_max is approached only as ell -> 0.5; not attained")
+    ell = _bisect_increasing(_card_uniform_d, 0.0, _ELL_MAX, d, 80)
+    return np.where(d == 0.0, 0.0, ell)
+
+
+def _card_curve_d(l):
+    s, eps = _half_sqrt_terms(l)
+    return np.sqrt(np.maximum(2.0 * eps * eps + _card_l3(s), 0.0))
+
+
+def _card_curve_deriv(l, d):
+    s, eps = _half_sqrt_terms(l)
+    return (s + 2.0 * eps) / ((1.0 + s) * d)
+
+
+def _card_curve_inverse(d):
+    # decreasing; d = 0 reports the open boundary just below 0.5
+    ell = _bisect_increasing(lambda m: -_card_curve_d(m), 0.0, _ELL_MAX, -d, 80)
+    return np.where(d == 0.0, _ELL_MAX, np.where(d == SQRT_LOG2, 0.0, ell))
+
+
+def _wc_d(rho):
+    return np.sqrt(-_log1m_rho_sq(rho))
+
+
+def _wc_deriv(rho, d):
+    one_m = (1.0 - rho) * (1.0 + rho)
+    return np.where(rho > 0.0, rho / (one_m * np.where(d > 0.0, d, 1.0)), 1.0)
+
+
+def _wc_inverse(d):
+    # closed form; saturates at the largest rho below 1
+    return np.minimum(np.sqrt(-np.expm1(-d * d)), _RHO_MAX)
+
+
+_PROFILES = {
+    (Family.VON_MISES, BaseModel.UNIFORM): DistanceProfile(
+        Family.VON_MISES, BaseModel.UNIFORM, 0.0, np.inf, Direction.INCREASING, 0.0, np.inf,
+        _vm_uniform_d, _vm_uniform_deriv, _vm_uniform_inverse, max_param=_KAPPA_MAX,
+    ),
+    (Family.VON_MISES, BaseModel.POINT_MASS): DistanceProfile(
+        Family.VON_MISES, BaseModel.POINT_MASS, 0.0, 1.0, Direction.DECREASING, 0.0, np.inf,
+        _vm_pointmass_d, _vm_pointmass_deriv, _vm_pointmass_inverse, paper_unnormalized=True,
+    ),
+    (Family.CARDIOID, BaseModel.UNIFORM): DistanceProfile(
+        Family.CARDIOID, BaseModel.UNIFORM, 0.0, SQRT_1M_LOG2, Direction.INCREASING, 0.0, 0.5,
+        _card_uniform_d, _card_uniform_deriv, _card_uniform_inverse,
+    ),
+    (Family.CARDIOID, BaseModel.CARDIOID_CURVE): DistanceProfile(
+        Family.CARDIOID, BaseModel.CARDIOID_CURVE, 0.0, SQRT_LOG2, Direction.DECREASING, 0.0, 0.5,
+        _card_curve_d, _card_curve_deriv, _card_curve_inverse, paper_unnormalized=True,
+    ),
+    (Family.WRAPPED_CAUCHY, BaseModel.UNIFORM): DistanceProfile(
+        Family.WRAPPED_CAUCHY, BaseModel.UNIFORM, 0.0, np.inf, Direction.INCREASING, 0.0, 1.0,
+        _wc_d, _wc_deriv, _wc_inverse, max_param=_RHO_MAX,
+    ),
+}
+
+
+# ---------------------------------------------------------------------------
+# public distance functions: check the input once, then call the kernels
+
+
+def distance(profile, param):
+    """Distance d(param) = sqrt(KLD against the profile's base model)."""
+    out = profile.dist(_checked_param(profile, param))
+    return float(out) if np.ndim(param) == 0 else out
+
+
+def distance_deriv(profile, param):
+    """|d d(param) / d param|, with exact limits at the support edge."""
+    arr = _checked_param(profile, param)
+    out = profile.deriv(arr, profile.dist(arr))
+    return float(out) if np.ndim(param) == 0 else out
 
 
 def inverse_distance(profile, d):
@@ -356,39 +408,5 @@ def inverse_distance(profile, d):
         raise ValueError(
             f"distance outside [{profile.d_min}, {profile.d_max}] for this profile"
         )
-    fam, base = profile.family, profile.base
-    work = np.atleast_1d(arr).astype(float)
-
-    if fam is Family.WRAPPED_CAUCHY:
-        out = np.sqrt(-np.expm1(-work * work))
-        out = np.minimum(out, np.nextafter(1.0, 0.0))
-    elif fam is Family.VON_MISES and base is BaseModel.UNIFORM:
-        hi_d = _distance_arr(profile, np.asarray([np.exp(_LOG_KAPPA_HI)]))[0]
-        if np.any(work > hi_d):
-            raise ValueError("distance not attainable within floating-point kappa range")
-        t = _bisect_increasing(
-            lambda lt: _distance_arr(profile, np.exp(lt)), _LOG_KAPPA_LO, _LOG_KAPPA_HI, work, 90
-        )
-        out = np.where(work == 0.0, 0.0, np.exp(t))
-    elif fam is Family.VON_MISES and base is BaseModel.POINT_MASS:
-        # distance decreases in kappa; bisect on its negation
-        t = _bisect_increasing(
-            lambda lt: -_distance_arr(profile, np.exp(lt)), _LOG_KAPPA_LO, _LOG_KAPPA_HI, -work, 90
-        )
-        out = np.where(work == 1.0, 0.0, np.exp(t))
-        if np.any(work == 0.0):
-            raise ValueError("d = 0 is not attained for the point-mass base")
-    elif fam is Family.CARDIOID and base is BaseModel.UNIFORM:
-        if np.any(work >= profile.d_max):
-            raise ValueError("d_max is approached only as ell -> 0.5; not attained")
-        ell = _bisect_increasing(
-            lambda m: _distance_arr(profile, m), 0.0, np.nextafter(0.5, 0.0), work, 80
-        )
-        out = np.where(work == 0.0, 0.0, ell)
-    else:  # cardioid, curve base: decreasing, d = 0 reports the open boundary
-        ell = _bisect_increasing(
-            lambda m: -_distance_arr(profile, m), 0.0, np.nextafter(0.5, 0.0), -work, 80
-        )
-        out = np.where(work == profile.d_max, 0.0, ell)
-        out = np.where(work == 0.0, np.nextafter(0.5, 0.0), out)
+    out = profile.inverse(np.atleast_1d(arr))
     return float(out[0]) if np.ndim(d) == 0 else out.reshape(arr.shape)

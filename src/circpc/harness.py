@@ -18,9 +18,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .distributions import TWO_PI, Dataset, DistributionSpec, Family, circular_mean, sample
+from .distributions import FAMILIES, TWO_PI, Dataset, DistributionSpec, Family, circular_mean, sample
 from .divergence import BaseModel
-from .inference import _CONC_OPEN_SUPPORT, InitializationError, McmcConfig, ModelSpec, run_mcmc, summarize
+from .inference import InitializationError, McmcConfig, ModelSpec, run_mcmc, summarize
 from .pc_priors import PcPrior, TailSpec, calibrate_lambda, calibrate_lambda_paper
 from .reference_priors import Beta, GammaOneB, H2, H3, ScaledBetaHalf, UniformHalf
 
@@ -34,7 +34,6 @@ __all__ = [
     "desk_study_config",
     "full_study_config",
     "tail_from_data",
-    "cli_main",
 ]
 
 _PC_BASES = {
@@ -130,7 +129,7 @@ class SimStudyConfig:
         specs = tuple(self.prior_specs)
         if not truths or not sizes or not specs:
             raise ValueError("grids must be non-empty")
-        lo, hi = _CONC_OPEN_SUPPORT[fam]
+        lo, hi = FAMILIES[fam].support
         for t in truths:
             if not lo <= t < hi:
                 raise ValueError(f"true concentration {t} outside the {fam.value} support")
@@ -304,9 +303,3 @@ def tail_from_data(data: Dataset, U: float, *, center: str = "mean") -> TailFrom
     alpha = float(np.count_nonzero(dist > U / 2.0)) / n
     alpha = min(max(alpha, 0.5 / n), 1.0 - 0.5 / n)
     return TailFromData(U=float(U), alpha=alpha)
-
-
-def cli_main(argv=None):
-    from .cli import main
-
-    return main(argv)

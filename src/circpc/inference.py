@@ -18,21 +18,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import expit
 
-from .distributions import (
-    TWO_PI,
-    Dataset,
-    DistributionSpec,
-    Family,
-    circular_mean,
-    log_pdf,
-    wrap_angle,
-)
-from .divergence import _deriv_given_d, _distance_arr
+from .distributions import FAMILIES, TWO_PI, Dataset, Family, circular_mean, wrap_angle
 from .pc_priors import PcPrior, _normalizer
 from .reference_priors import VonMisesConjugate, ref_pdf
-from .special import log_bessel_i0
 
 __all__ = [
     "InitializationError",
@@ -47,19 +36,6 @@ __all__ = [
 ]
 
 _LOG_TWO_PI = math.log(TWO_PI)
-
-# open intervals the concentration may move in, per family
-_CONC_OPEN_SUPPORT = {
-    Family.VON_MISES: (0.0, math.inf),
-    Family.CARDIOID: (0.0, 0.5),
-    Family.WRAPPED_CAUCHY: (0.0, 1.0),
-}
-
-_DEFAULT_INITIAL_CONC = {
-    Family.VON_MISES: 1.0,
-    Family.CARDIOID: 0.25,
-    Family.WRAPPED_CAUCHY: 0.5,
-}
 
 
 class InitializationError(RuntimeError):
@@ -81,7 +57,7 @@ class ModelSpec:
         prior = self.concentration_prior
         if isinstance(prior, VonMisesConjugate):
             raise ValueError("the joint conjugate prior is evaluation-only here")
-        lo, hi = _CONC_OPEN_SUPPORT[fam]
+        lo, hi = FAMILIES[fam].support
         if isinstance(prior, PcPrior):
             if prior.family is not fam:
                 raise ValueError("concentration prior is for a different family")
@@ -167,30 +143,6 @@ class PosteriorSummary:
         }
 
 
-def _loglik_fn(family, angles):
-    """Log-likelihood closure; von Mises collapses to sufficient stats."""
-    n = angles.size
-    if family is Family.VON_MISES:
-        c_sum = float(np.sum(np.cos(angles)))
-        s_sum = float(np.sum(np.sin(angles)))
-        memo = [math.nan, 0.0]  # last concentration and its log I0
-
-        def loglik(mu, conc):
-            if conc != memo[0]:
-                memo[0] = conc
-                memo[1] = float(log_bessel_i0(conc))
-            trig = c_sum * math.cos(mu) + s_sum * math.sin(mu)
-            return conc * trig - n * (_LOG_TWO_PI + memo[1])
-
-        return loglik
-
-    def loglik(mu, conc):
-        spec = DistributionSpec(family, mu=mu, concentration=conc)
-        return float(np.sum(log_pdf(spec, angles)))
-
-    return loglik
-
-
 def _log_conc_prior_fn(prior):
     """Scalar log prior density; -inf where the density vanishes.
 
@@ -200,14 +152,14 @@ def _log_conc_prior_fn(prior):
     this way at extreme distances).
     """
     if isinstance(prior, PcPrior):
-        prof = prior.profile
+        dist, deriv = prior.profile.dist, prior.profile.deriv
         lam = prior.lam
         log_lam_norm = math.log(lam) - math.log(_normalizer(prior))
 
         def log_prior(x):
             arr = np.asarray(x, dtype=float)
-            d = _distance_arr(prof, arr)
-            g = float(_deriv_given_d(prof, arr, d))
+            d = dist(arr)
+            g = float(deriv(arr, d))
             if g <= 0.0 or not math.isfinite(g):
                 return -math.inf
             return log_lam_norm - lam * float(d) + math.log(g)
@@ -223,27 +175,6 @@ def _log_conc_prior_fn(prior):
     return log_prior
 
 
-def _transforms(family):
-    """(to_unconstrained, to_concentration, log_jacobian of the inverse map)."""
-    if family is Family.VON_MISES:
-        return (
-            lambda c: math.log(c),
-            lambda t: math.exp(t) if t < 709.0 else math.inf,
-            lambda t, c: math.log(c),
-        )
-    if family is Family.CARDIOID:
-        return (
-            lambda c: math.log(2.0 * c) - math.log1p(-2.0 * c),
-            lambda t: 0.5 * float(expit(t)),
-            lambda t, c: math.log(2.0 * c) + math.log1p(-2.0 * c) - math.log(2.0),
-        )
-    return (
-        lambda c: math.log(c) - math.log1p(-c),
-        lambda t: float(expit(t)),
-        lambda t, c: math.log(c) + math.log1p(-c),
-    )
-
-
 def log_posterior(model: ModelSpec, data: Dataset, mu, conc) -> float:
     """Unnormalized log posterior density at (mu, conc).
 
@@ -253,10 +184,10 @@ def log_posterior(model: ModelSpec, data: Dataset, mu, conc) -> float:
     if len(data) == 0:
         raise ValueError("dataset must contain at least one angle")
     conc = float(conc)
-    lo, hi = _CONC_OPEN_SUPPORT[model.family]
+    lo, hi = FAMILIES[model.family].support
     if not lo <= conc < hi:
         raise ValueError("concentration outside the family support")
-    loglik = _loglik_fn(model.family, data.angles)
+    loglik = FAMILIES[model.family].loglik(data.angles)
     log_prior = _log_conc_prior_fn(model.concentration_prior)
     lp = log_prior(conc)
     if lp == -math.inf:
@@ -271,23 +202,23 @@ def run_mcmc(model: ModelSpec, data: Dataset, config: McmcConfig, *, trace_steps
     burn-in (Robbins-Monro on the log step toward target_acceptance).
     """
     angles = data.angles
-    fam = model.family
-    loglik = _loglik_fn(fam, angles)
+    kern = FAMILIES[model.family]
+    loglik = kern.loglik(angles)
     log_prior = _log_conc_prior_fn(model.concentration_prior)
-    to_theta, to_conc, log_jac = _transforms(fam)
-    lo, hi = _CONC_OPEN_SUPPORT[fam]
+    to_conc, log_jac = kern.to_conc, kern.log_jac
+    lo, hi = kern.support
 
     mu = float(wrap_angle(config.initial_mu)) if config.initial_mu is not None \
         else float(circular_mean(angles))
     conc = float(config.initial_concentration) if config.initial_concentration is not None \
-        else _DEFAULT_INITIAL_CONC[fam]
+        else kern.initial
     if not lo < conc < hi:
         raise InitializationError("initial concentration outside the open support")
     cur_lik = loglik(mu, conc)
     cur_pri = log_prior(conc)
     if not np.isfinite(cur_lik + cur_pri):
         raise InitializationError("initial state has zero posterior density")
-    theta = to_theta(conc)
+    theta = kern.to_theta(conc)
     cur_jac = log_jac(theta, conc)
 
     rng = np.random.default_rng(config.seed)

@@ -31,26 +31,18 @@ from enum import Enum
 import numpy as np
 from scipy.optimize import brentq
 
-from .distributions import TWO_PI, Family
+from .distributions import FAMILIES, Family
 from .divergence import (
     BaseModel,
     Direction,
     DistanceProfile,
-    _deriv_given_d,
     distance,
-    distance_deriv,
     inverse_distance,
     profile_for,
 )
 
 _BRACKET = (1.0e-8, 1.0e6)
 _BRACKET_WIDE = (1.0e-12, 1.0e9)
-# largest invertible parameter for the unbounded-d pairs; the von Mises
-# cap matches the log-kappa bisection window of inverse_distance
-_MAX_PARAM = {
-    (Family.VON_MISES, BaseModel.UNIFORM): math.exp(709.0),
-    (Family.WRAPPED_CAUCHY, BaseModel.UNIFORM): np.nextafter(1.0, 0.0),
-}
 
 
 class InfeasibleTailError(ValueError):
@@ -91,13 +83,6 @@ def _coerce_normalization(value):
     return _NORMALIZATION_ALIASES[key]
 
 
-# pairs whose printed closed forms omit the truncation normalizer
-_UNNORMALIZED_PAPER_PAIRS = {
-    (Family.VON_MISES, BaseModel.POINT_MASS),
-    (Family.CARDIOID, BaseModel.CARDIOID_CURVE),
-}
-
-
 @dataclass(frozen=True)
 class PcPrior:
     """A calibrated complexity-penalizing prior for one concentration axis.
@@ -128,9 +113,7 @@ class PcPrior:
     @property
     def is_normalized(self) -> bool:
         """True when the CDF runs from 0 to 1 over the support."""
-        if self.normalization is Normalization.TRUNCATED:
-            return True
-        return (self.family, self.base) not in _UNNORMALIZED_PAPER_PAIRS
+        return self.normalization is Normalization.TRUNCATED or not self.profile.paper_unnormalized
 
     def to_record(self) -> dict:
         return {
@@ -168,48 +151,29 @@ class TailSpec:
         object.__setattr__(self, "alpha", a)
 
     def validate_for(self, family) -> None:
-        fam = Family(family)
-        if fam is Family.CARDIOID:
-            if not self.U < 1.0:
-                raise ValueError("cardioid tail threshold U must lie in (0, 1)")
-        elif self.U > TWO_PI:
-            raise ValueError("tail threshold U must lie in (0, 2*pi]")
+        kern = _q_kernel(family)
+        lo, hi = kern.support
+        if not lo <= kern.threshold(self.U) < hi:
+            raise ValueError(f"{kern.label} tail threshold U must lie in {kern.u_range}")
+
+
+def _q_kernel(family):
+    kern = FAMILIES[Family(family)]
+    if kern.q is None:
+        raise ValueError("no Q transform for the uniform family")
+    return kern
 
 
 def q_transform(family, param):
     """User-scale transform Q whose tail P(Q > U) = alpha calibrates lambda."""
-    fam = Family(family)
-    arr = np.asarray(param, dtype=float)
-    if fam is Family.VON_MISES:
-        out = TWO_PI / (1.0 + arr)
-    elif fam is Family.CARDIOID:
-        out = 2.0 * arr
-    elif fam is Family.WRAPPED_CAUCHY:
-        out = TWO_PI * (1.0 - arr)
-    else:
-        raise ValueError("no Q transform for the uniform family")
+    out = _q_kernel(family).q(np.asarray(param, dtype=float))
     return float(out) if np.ndim(param) == 0 else out
-
-
-def _threshold_param(family, U):
-    """Parameter value at which Q(param) crosses U."""
-    fam = Family(family)
-    if fam is Family.VON_MISES:
-        return TWO_PI / U - 1.0
-    if fam is Family.CARDIOID:
-        return U / 2.0
-    return 1.0 - U / TWO_PI
 
 
 def _normalizer(prior: PcPrior) -> float:
     """Mass of lambda*exp(-lambda*d) over the prior's distance range."""
-    if (
-        prior.normalization is Normalization.PAPER_EXACT
-        and (prior.family, prior.base) in _UNNORMALIZED_PAPER_PAIRS
-    ):
-        return 1.0
     d_max = prior.profile.d_max
-    if math.isinf(d_max):
+    if not prior.is_normalized or math.isinf(d_max):
         return 1.0
     return -math.expm1(-prior.lam * d_max)
 
@@ -219,8 +183,7 @@ def pc_pdf(prior: PcPrior, param):
     prof = prior.profile
     arr = np.asarray(param, dtype=float)
     d = np.asarray(distance(prof, arr))
-    g = _deriv_given_d(prof, arr, d)
-    out = prior.lam * np.exp(-prior.lam * d) * g / _normalizer(prior)
+    out = prior.lam * np.exp(-prior.lam * d) * prof.deriv(arr, d) / _normalizer(prior)
     return float(out) if np.ndim(param) == 0 else out
 
 
@@ -234,19 +197,13 @@ def pc_cdf(prior: PcPrior, param):
     """
     prof = prior.profile
     d = np.asarray(distance(prof, param))
-    e = np.exp(-prior.lam * d)
-    paper_raw = (
-        prior.normalization is Normalization.PAPER_EXACT
-        and (prior.family, prior.base) in _UNNORMALIZED_PAPER_PAIRS
-    )
     if prof.direction is Direction.INCREASING:
-        z = _normalizer(prior)
-        out = -np.expm1(-prior.lam * d) / z
-    elif paper_raw:
-        out = e
+        out = -np.expm1(-prior.lam * d) / _normalizer(prior)
+    elif not prior.is_normalized:
+        out = np.exp(-prior.lam * d)
     else:
         e_max = math.exp(-prior.lam * prof.d_max)
-        out = (e - e_max) / (1.0 - e_max)
+        out = (np.exp(-prior.lam * d) - e_max) / (1.0 - e_max)
     out = np.clip(out, 0.0, 1.0)
     return float(out) if np.ndim(param) == 0 else out
 
@@ -283,7 +240,7 @@ def pc_quantile(prior: PcPrior, p):
     if not np.all((arr > 0.0) & (arr < 1.0)):
         raise ValueError("quantile level must lie strictly between 0 and 1")
     d = _quantile_distance(prior, arr)
-    cap = _MAX_PARAM.get((prior.family, prior.base))
+    cap = prior.profile.max_param
     if cap is not None and np.any(np.asarray(d) > distance(prior.profile, cap)):
         raise ValueError(
             "quantile level maps beyond the largest representable parameter "
@@ -308,7 +265,7 @@ def pc_sample(prior: PcPrior, n, seed):
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     u = rng.random(n)
     d = _quantile_distance(prior, u)
-    cap = _MAX_PARAM.get((prior.family, prior.base))
+    cap = prior.profile.max_param
     if cap is not None:
         d = np.minimum(d, distance(prior.profile, cap))
     return np.asarray(inverse_distance(prior.profile, d))
@@ -317,10 +274,9 @@ def pc_sample(prior: PcPrior, n, seed):
 def tail_probability(prior: PcPrior, tail: TailSpec) -> float:
     """P(Q(param) > U) under the prior's CDF."""
     tail.validate_for(prior.family)
-    crossing = _threshold_param(prior.family, tail.U)
-    if prior.family is Family.CARDIOID:
-        return float(1.0 - pc_cdf(prior, crossing))
-    return float(pc_cdf(prior, crossing))
+    kern = FAMILIES[prior.family]
+    below = float(pc_cdf(prior, kern.threshold(tail.U)))
+    return 1.0 - below if kern.q_increasing else below
 
 
 def attainable_alpha_range(family, base, U):
@@ -328,28 +284,21 @@ def attainable_alpha_range(family, base, U):
 
     The tail probability is monotone in lambda; the interval endpoints
     are its lambda -> 0 and lambda -> infinity limits and are not
-    attained.
+    attained. As lambda grows the prior piles up at d = 0: when the
+    tail side contains d = 0 (Q and d run in opposite directions) alpha
+    rises from d*/d_max toward 1, otherwise it falls from 1 - d*/d_max
+    toward 0, where d* is the distance at the crossing Q = U.
     """
     prof = profile_for(family, base)
-    fam = Family(family)
-    TailSpec(U=U, alpha=0.5).validate_for(fam)
-    crossing = _threshold_param(fam, U)
+    kern = FAMILIES[prof.family]
+    TailSpec(U=U, alpha=0.5).validate_for(prof.family)
+    crossing = kern.threshold(U)
     if crossing <= prof.support_lo:
         return (0.0, 0.0)  # tail event has probability 0 for every lambda
-    d_star = distance(prof, crossing)
-    d_max = prof.d_max
-    if prof.direction is Direction.INCREASING:
-        if math.isinf(d_max):
-            return (0.0, 1.0)
-        if fam is Family.CARDIOID:
-            # P(param > crossing) falls from 1 - d*/d_max toward 0
-            return (0.0, 1.0 - d_star / d_max)
-        return (0.0, 1.0)
-    if fam is Family.CARDIOID:
-        # cardioid/curve: P(param > crossing) rises from d*/d_max toward 1
-        return (d_star / d_max, 1.0)
-    # vm/pointmass: P(param < crossing) falls from 1 - d* toward 0
-    return (0.0, 1.0 - d_star)
+    ratio = distance(prof, crossing) / prof.d_max  # 0 when d is unbounded
+    if kern.q_increasing == (prof.direction is Direction.DECREASING):
+        return (ratio, 1.0)
+    return (0.0, 1.0 - ratio)
 
 
 def _check_feasible(family, base, tail: TailSpec):
@@ -370,8 +319,7 @@ def calibrate_lambda(family, base, tail: TailSpec) -> float:
     once to [1e-12, 1e9] if the root is not bracketed.
     """
     fam, bas = Family(family), BaseModel(base)
-    tail.validate_for(fam)
-    _check_feasible(fam, bas, tail)
+    _check_feasible(fam, bas, tail)  # validates the pair and U as well
 
     def residual(lam):
         prior = PcPrior(fam, bas, lam)
@@ -391,41 +339,32 @@ def calibrate_lambda(family, base, tail: TailSpec) -> float:
 def calibrate_lambda_paper(family, base, tail: TailSpec) -> float:
     """Literature closed forms for lambda, exposed for cross-checking.
 
-    vm/uniform, cardioid/uniform, and wc/uniform agree with the
-    truncated-CDF calibration.  cardioid/curve matches the printed
-    (unnormalized) CDF instead.  The printed vm/pointmass expression
-    -log(1-alpha)/d is returned as published even though it is
+    Four pairs print lambda = -log(1 - alpha) / d(xi_U), with xi_U the
+    parameter where Q crosses U; the printed wrapped Cauchy radicand
+    -log(U/pi - U^2/(4 pi^2)) is d(rho_U)^2 written out.  vm/uniform and
+    wc/uniform agree with the truncated-CDF calibration, cardioid/curve
+    matches the printed (unnormalized) CDF 1 - exp(-lambda*d) instead,
+    and vm/pointmass is returned as published even though it is
     consistent with neither CDF: the printed CDF F = exp(-lambda*d)
-    would give -log(alpha)/d.  Prefer ``calibrate_lambda``.
+    would give -log(alpha)/d.  cardioid/uniform solves its printed
+    equation, which has lambda on both sides, by a damped fixed point.
+    Prefer ``calibrate_lambda``.
     """
-    fam, bas = Family(family), BaseModel(base)
-    tail.validate_for(fam)
-    prof = profile_for(fam, bas)
-    crossing = _threshold_param(fam, tail.U)
+    prof = profile_for(family, base)
+    tail.validate_for(prof.family)
+    if not prof.paper_unnormalized:
+        _check_feasible(prof.family, prof.base, tail)
     alpha = tail.alpha
+    d_star = distance(prof, FAMILIES[prof.family].threshold(tail.U))
+    lam = -math.log1p(-alpha) / d_star
+    if prof.paper_unnormalized or math.isinf(prof.d_max):
+        return lam
 
-    if fam is Family.VON_MISES and bas is BaseModel.POINT_MASS:
-        return -math.log1p(-alpha) / distance(prof, crossing)
-
-    if fam is Family.CARDIOID and bas is BaseModel.CARDIOID_CURVE:
-        # printed CDF: 1 - exp(-lambda*d(U/2)) = alpha
-        return -math.log1p(-alpha) / distance(prof, crossing)
-
-    _check_feasible(fam, bas, tail)
-    if fam is Family.VON_MISES:
-        return -math.log1p(-alpha) / distance(prof, crossing)
-    if fam is Family.WRAPPED_CAUCHY:
-        radicand = -math.log(tail.U / math.pi - tail.U**2 / (4.0 * math.pi**2))
-        return -math.log1p(-alpha) / math.sqrt(radicand)
-
-    # cardioid/uniform: lambda appears on both sides; damped fixed point
-    d_star = distance(prof, crossing)
     d_max = prof.d_max
 
     def step(lam):
         return -math.log(alpha + (1.0 - alpha) * math.exp(-lam * d_max)) / d_star
 
-    lam = -math.log1p(-alpha) / d_star
     for _ in range(200):
         nxt = 0.5 * (lam + step(lam))
         if abs(nxt - lam) <= 1e-12 * max(1.0, abs(nxt)):

@@ -217,9 +217,8 @@ def _param_density(prior) -> Callable:
 def distance_scale_pdf(prior, profile: DistanceProfile, d):
     """Density of the prior pushed onto the distance scale.
 
-    Evaluates pi(xi(d)) * |d xi / d d| with xi(d) from inverse_distance
-    and the Jacobian by central finite difference (step 1e-6*max(1, d)),
-    falling back to a one-sided difference against a range endpoint.
+    Evaluates pi(xi(d)) / |d'(xi(d))| with xi(d) from inverse_distance
+    and the analytic derivative of the profile's distance map.
     """
     pdf = _param_density(prior)
     arr = np.asarray(d, dtype=float)
@@ -227,15 +226,8 @@ def distance_scale_pdf(prior, profile: DistanceProfile, d):
         raise ValueError("distance must be finite")
     if np.any(arr < 0.0) or np.any(arr > profile.d_max):
         raise ValueError("distance outside the profile's range")
-    h = 1e-6 * np.maximum(1.0, np.abs(arr))
-    d_plus = np.where(arr + h > profile.d_max, arr, arr + h)
-    # keep the backward node strictly above 0: d=0 may be an open endpoint
-    d_minus = np.where(arr - h <= 0.0, arr, arr - h)
-    xi = inverse_distance(profile, arr)
-    xi_plus = inverse_distance(profile, d_plus)
-    xi_minus = inverse_distance(profile, d_minus)
-    jac = np.abs(xi_plus - xi_minus) / (d_plus - d_minus)
-    out = pdf(np.asarray(xi)) * jac
+    xi = np.asarray(inverse_distance(profile, arr))
+    out = pdf(xi) / profile.deriv(xi, profile.dist(xi))
     return float(out) if np.ndim(d) == 0 else out
 
 
@@ -282,8 +274,8 @@ def overfit_audit(prior, profile: DistanceProfile, *, grid_points=1000, d_cap=4.
     hi = min(profile.d_max, d_cap)
     if math.isfinite(profile.d_max):
         hi = hi * (1.0 - 1e-5)  # keep clear of diverging endpoint curvature
-    # start where the finite-difference step is small relative to d, or the
-    # Jacobian of a steep inverse map (kappa ~ 1/d^2 near 0) turns to noise
+    # start just off d = 0, which the point-mass and curve bases reach
+    # only as the parameter runs to its open end
     grid = np.linspace(1e-3, hi, int(grid_points))
     vals = np.asarray(pdf_d(grid), dtype=float)
     increases = vals[1:] > vals[:-1] * (1.0 + 1e-9) + 1e-300

@@ -10,6 +10,7 @@ from circpc.divergence import (
     SQRT_LOG2,
     BaseModel,
     distance,
+    distance_deriv,
     profile_for,
 )
 from circpc.pc_priors import (
@@ -96,10 +97,17 @@ class TestPdf:
         assert pc_pdf(p, 0.5) == pytest.approx(0.7269660745306541, rel=1e-13)
 
     def test_vectorized_matches_scalar(self):
-        p = PcPrior(Family.CARDIOID, BaseModel.UNIFORM, 2.0)
-        xs = interior_points((Family.CARDIOID, BaseModel.UNIFORM), 9)
-        vec = pc_pdf(p, xs)
-        assert vec == pytest.approx([pc_pdf(p, float(x)) for x in xs], rel=1e-14)
+        # scalars run through the same array kernels, so the bits agree
+        for pair in PAIRS:
+            prof = profile_for(*pair)
+            p = PcPrior(pair[0], pair[1], 2.0)
+            xs = interior_points(pair, 9)
+            for fn in (
+                lambda x: distance(prof, x),
+                lambda x: distance_deriv(prof, x),
+                lambda x: pc_pdf(p, x),
+            ):
+                assert np.array_equal(fn(xs), [fn(float(x)) for x in xs]), pair
 
     def test_nonnegative_everywhere(self):
         for pair in PAIRS:

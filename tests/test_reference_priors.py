@@ -116,12 +116,13 @@ class TestDistanceScale:
 
     def test_pc_prior_is_exponential_on_distance_scale(self):
         lam = 1.3
-        prior = PcPrior(Family.VON_MISES, BaseModel.POINT_MASS, lam)
-        z = 1.0 - math.exp(-lam * VM_PM.d_max)
-        ds = np.linspace(0.05, 0.95, 60)
-        got = distance_scale_pdf(prior, VM_PM, ds)
-        want = lam * np.exp(-lam * ds) / z
-        assert got == pytest.approx(want, rel=1e-4)
+        for prof in (VM_UNI, VM_PM, CARD_UNI, CARD_CURVE, WC_UNI):
+            prior = PcPrior(prof.family, prof.base, lam)
+            z = 1.0 if math.isinf(prof.d_max) else 1.0 - math.exp(-lam * prof.d_max)
+            ds = np.linspace(0.05, 0.95 * min(prof.d_max, 3.0), 60)
+            got = distance_scale_pdf(prior, prof, ds)
+            want = lam * np.exp(-lam * ds) / z
+            assert got == pytest.approx(want, rel=1e-9), prof
 
     def test_rejects_out_of_range_distance(self):
         with pytest.raises(ValueError):

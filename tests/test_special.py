@@ -165,6 +165,14 @@ class TestRatioDeriv:
         assert bessel_ratio_deriv(1e150) == pytest.approx(0.5e-300, rel=1e-6)
         assert bessel_ratio_deriv(1e160) > 0.0
 
+    def test_tail_series_against_high_precision(self):
+        # mpmath at 40 digits: 1 - r/x - r^2 with r = I1(x)/I0(x)
+        for x, want in ((1000.0, 5.002503757832876e-07), (2000.0, 1.2503127346194584e-07)):
+            assert bessel_ratio_deriv(x) == pytest.approx(want, rel=1e-11, abs=0)
+
     def test_continuity_at_branch_switch(self):
-        lo, hi = 999.9999999, 1000.0000001
-        assert bessel_ratio_deriv(lo) == pytest.approx(bessel_ratio_deriv(hi), rel=1e-9)
+        # adjacent floats on either side of the switch, so the gap is the
+        # two branches' disagreement and not the slope of r'; the direct
+        # form's own cancellation error there is ~6e-11
+        lo, hi = float(np.nextafter(1000.0, 0.0)), 1000.0
+        assert bessel_ratio_deriv(lo) == pytest.approx(bessel_ratio_deriv(hi), rel=2e-10, abs=0)
