@@ -16,14 +16,17 @@ from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.special import expit
 
 from .distributions import TWO_PI, Family, pdf
 from .special import (
     _RATIO_TAIL_SWITCH,
+    _TINY,
     _log_i0,
     _one_minus_ratio,
     _ratio,
     _ratio_deriv,
+    _ratio_deriv_head,
     _ratio_deriv_tail_x2,
 )
 
@@ -50,6 +53,7 @@ _CARD_L3_SERIES = 0.3
 
 SQRT_LOG2 = float(np.sqrt(np.log(2.0)))
 SQRT_1M_LOG2 = float(np.sqrt(1.0 - np.log(2.0)))
+_LOG_TWO_PI = math.log(TWO_PI)
 
 
 class BaseModel(str, Enum):
@@ -195,78 +199,155 @@ def kld_numeric(p_spec, q_spec, nodes=20001):
 
 
 # ---------------------------------------------------------------------------
-# distance kernels, one set per (family, base) pair; arguments are float
-# arrays already checked against the support or the distance range
+# distance kernels, one set per (family, base) pair. ``dist`` and ``deriv``
+# take floats, numpy scalars or float arrays already checked against the
+# support; each is one branch-free path (every branch is evaluated
+# everywhere, on its argument clamped wherever the branch would otherwise
+# overflow or divide by zero; np.where keeps the right one). ``inverse``
+# takes a 1-d array already checked against the distance range.
 
 
 def _vm_uniform_radicand(k):
-    out = np.empty_like(k)
-    small = k < _VM_RADICAND_SMALL
-    large = k >= _VM_RADICAND_LARGE
-    mid = ~small & ~large
-    q = 0.25 * k[small] ** 2
-    out[small] = q * (1.0 - 0.75 * q + (5.0 / 9.0) * q * q)
-    km = k[mid]
-    out[mid] = km * _ratio(km) - _log_i0(km)
-    kl = k[large]
+    # series below _VM_RADICAND_SMALL, k r(k) - log I0(k) up to
+    # _VM_RADICAND_LARGE, asymptotic series above
+    q = 0.25 * np.minimum(k, _VM_RADICAND_SMALL) ** 2
+    small = q * (1.0 - 0.75 * q + (5.0 / 9.0) * q * q)
+    mid = k * _ratio(k) - _log_i0(k)
+    kl = np.maximum(k, _VM_RADICAND_LARGE)
     inv = 1.0 / kl
-    out[large] = (
-        0.5 * (np.log(TWO_PI) + np.log(kl))
+    large = (
+        0.5 * (_LOG_TWO_PI + np.log(kl))
         - 0.5
         - inv * (0.25 + inv * (3.0 / 16.0 + inv * (25.0 / 96.0)))
     )
-    return out
+    return np.where(k < _VM_RADICAND_SMALL, small, np.where(k < _VM_RADICAND_LARGE, mid, large))
 
 
-def _vm_uniform_radicand_deriv(k):
-    # d/dk [k r(k) - log I0(k)] = k r'(k); fold the k into the series for
-    # large k so the product does not underflow before the multiply
-    out = np.empty_like(k)
-    head = k < _RATIO_TAIL_SWITCH
-    out[head] = k[head] * _ratio_deriv(k[head])
-    kt = k[~head]
-    out[~head] = _ratio_deriv_tail_x2(kt) / kt
-    return out
+def _k_ratio_deriv(k):
+    # k r'(k), which is d/dk [k r(k) - log I0(k)]; fold the k into the
+    # series for large k so the product does not underflow before the
+    # multiply. At k = 0 the value is unused (the callers take the limit).
+    kh = np.maximum(k, _TINY)
+    kt = np.maximum(k, _RATIO_TAIL_SWITCH)
+    return np.where(
+        k < _RATIO_TAIL_SWITCH, kh * _ratio_deriv_head(kh), _ratio_deriv_tail_x2(kt) / kt
+    )
+
+
+# log1p(s) - s + s^2/2 = sum_{j>=3} (-1)^(j+1) s^j / j; Horner coefficients
+# of s^3 * (1/3 - s/4 + ... - s^27/30), highest power first. 28 terms are
+# good to 5e-16 relative on [0, _CARD_L3_SERIES), for every element alone.
+_CARD_L3_COEFS = tuple((1.0 if j % 2 else -1.0) / j for j in range(30, 2, -1))
 
 
 def _card_l3(s):
-    # log1p(s) - s + s^2/2 = s^3/3 - s^4/4 + ..., computed by series
-    # below s = 0.3 where the direct form cancels
-    out = np.empty_like(s)
-    direct = s >= _CARD_L3_SERIES
-    sd = s[direct]
-    out[direct] = np.log1p(sd) - sd + 0.5 * sd * sd
-    ss = s[~direct]
-    acc = np.zeros_like(ss)
-    term = ss * ss * ss
-    sign = 1.0
-    for k in range(3, 40):
-        acc += sign * term / k
-        term = term * ss
-        sign = -sign
-        if np.all(term < 1.0e-20):
-            break
-    out[~direct] = acc
-    return out
+    # the direct form cancels below _CARD_L3_SERIES; a fixed series there.
+    # Both are finite on all of s in [0, 1], so neither needs a clamp
+    p = 0.0
+    for c in _CARD_L3_COEFS:
+        p = c + s * p
+    return np.where(s < _CARD_L3_SERIES, s * s * s * p, np.log1p(s) - s + 0.5 * s * s)
 
 
-def _bisect_increasing(fn, lo, hi, target, iters):
-    lo = np.broadcast_to(np.asarray(lo, float), target.shape).copy()
-    hi = np.broadcast_to(np.asarray(hi, float), target.shape).copy()
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        below = fn(mid) < target
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
-
-
-# bisection window in log kappa; its top is the largest invertible kappa
+# Newton window in log kappa; its top is the largest invertible kappa
 _LOG_KAPPA_LO = -700.0
 _LOG_KAPPA_HI = 709.0
 _KAPPA_MAX = math.exp(_LOG_KAPPA_HI)
 _ELL_MAX = float(np.nextafter(0.5, 0.0))
 _RHO_MAX = float(np.nextafter(1.0, 0.0))
+# Newton window in t = logit(2 ell) = log(ell / (0.5 - ell)); its ends
+# map to the smallest positive ell and to _ELL_MAX
+_LOGIT_LO = math.log(_TINY)
+_LOGIT_HI = math.log(_ELL_MAX / (0.5 - _ELL_MAX))
+
+# A Newton step this small (in log kappa or logit(2 ell)) is taken and
+# ends the search: the error left after it is ~ its square. Steps of the
+# d-noise (~1e-12 in d) stay far below it, so the noise cannot stall the
+# search; a bracket this narrow ends it too.
+_NEWTON_TOL = 2.0 ** -26
+# bisections alone end the widest window (log kappa, 1409 wide) in 37
+# steps; the cap only bounds inputs whose d is not smooth in floats
+_NEWTON_MAX_STEPS = 100
+# elements per block of _solve_increasing
+_NEWTON_BLOCK = 4096
+
+
+def _solve_increasing(g, target, t, lo, hi):
+    """Safeguarded Newton for g(t) = target, g increasing on [lo, hi].
+
+    ``g(t)`` returns the value and the slope; ``t`` is the start. Every
+    element keeps its own bracket; a Newton step that would leave it, or
+    that does not halve the step before it, becomes a bisection. Each
+    element stops on its own, so its bits do not depend on the rest of
+    the array, and long inputs are solved in blocks: that keeps the
+    temporaries of the branch-free kernels cache-sized.
+    """
+    out = np.empty_like(target)
+    for s in range(0, target.size, _NEWTON_BLOCK):
+        block = slice(s, s + _NEWTON_BLOCK)
+        out[block] = _solve_block(g, target[block], t[block], lo, hi)
+    return out
+
+
+def _solve_block(g, target, t, lo, hi):
+    out = np.empty_like(target)
+    idx = np.arange(target.size)
+    t = np.minimum(np.maximum(t, lo), hi)
+    lo = np.full_like(target, lo)
+    hi = np.full_like(target, hi)
+    last = hi - lo
+    for _ in range(_NEWTON_MAX_STEPS):
+        val, slope = g(t)
+        f = val - target
+        lo = np.where(f < 0.0, t, lo)
+        hi = np.where(f > 0.0, t, hi)
+        # the Newton point lies strictly inside the bracket and at most half
+        # the last step away; a zero slope never passes, so never divides
+        newton = (
+            ((t - hi) * slope < f)
+            & (f < (t - lo) * slope)
+            & (np.abs(2.0 * f) <= last * slope)
+        )
+        step = f / np.where(newton, slope, 1.0)
+        t_new = np.where(newton, t - step, 0.5 * (lo + hi))
+        done = (f == 0.0) | np.where(newton, np.abs(step) <= _NEWTON_TOL, hi - lo <= _NEWTON_TOL)
+        t_new = np.where(f == 0.0, t, t_new)
+        out[idx[done]] = t_new[done]
+        keep = ~done
+        if not keep.any():
+            return out
+        last = np.abs(t_new - t)[keep]
+        idx, t, lo, hi, target = idx[keep], t_new[keep], lo[keep], hi[keep], target[keep]
+    out[idx] = t
+    return out
+
+
+def _in_log_kappa(dist, slope, sign):
+    """g(t) for the solver: the signed distance at kappa = e^t and its
+    slope kappa |d'(kappa)| in t, given by ``slope(kappa, d)``."""
+
+    def g(t):
+        k = np.exp(t)
+        d = dist(k)
+        return sign * d, slope(k, d)
+
+    return g
+
+
+def _in_logit_ell(dist, deriv, sign):
+    """g(t) for the solver: the signed distance at ell = expit(t) / 2 and its slope in t."""
+
+    def g(t):
+        ell = np.minimum(0.5 * expit(t), _ELL_MAX)
+        d = dist(ell)
+        return sign * d, 2.0 * ell * (0.5 - ell) * deriv(ell, d)
+
+    return g
+
+
+def _logit_2ell(ell, eps):
+    # t = log(ell / (0.5 - ell)) from ell and eps = 0.5 - ell, each > 0
+    return np.log(np.maximum(ell, _TINY)) - np.log(np.maximum(eps, _TINY))
 
 
 def _vm_uniform_d(k):
@@ -274,15 +355,23 @@ def _vm_uniform_d(k):
 
 
 def _vm_uniform_deriv(k, d):
-    return np.where(k > 0.0, _vm_uniform_radicand_deriv(k) / np.where(d > 0.0, 2.0 * d, 1.0), 0.5)
+    # adding (d == 0) keeps the division finite where d is 0
+    return np.where(k > 0.0, _k_ratio_deriv(k) / (2.0 * d + (d == 0.0)), 0.5)
 
 
 def _vm_uniform_inverse(d):
-    if np.any(d > _vm_uniform_d(np.asarray([_KAPPA_MAX]))[0]):
+    if np.any(d > _VM_UNIFORM_D_MAX):
         raise ValueError("distance not attainable within floating-point kappa range")
-    t = _bisect_increasing(
-        lambda lt: _vm_uniform_d(np.exp(lt)), _LOG_KAPPA_LO, _LOG_KAPPA_HI, d, 90
+    # start: d^2 = q (1 - 3q/4 + ...) with q = kappa^2 / 4 below, and
+    # d^2 = log(2 pi kappa) / 2 - 1/2 + ... above
+    d2 = d * d
+    t0 = np.where(
+        d < 1.0,
+        np.log(2.0 * np.maximum(d, _TINY)) + 0.5 * np.log1p(0.75 * d2),
+        2.0 * d2 + 1.0 - _LOG_TWO_PI,
     )
+    g = _in_log_kappa(_vm_uniform_d, lambda k, d: k * _vm_uniform_deriv(k, d), 1.0)
+    t = _solve_increasing(g, d, t0, _LOG_KAPPA_LO, _LOG_KAPPA_HI)
     return np.where(d == 0.0, 0.0, np.exp(t))
 
 
@@ -297,10 +386,17 @@ def _vm_pointmass_deriv(k, d):
 def _vm_pointmass_inverse(d):
     if np.any(d == 0.0):
         raise ValueError("d = 0 is not attained for the point-mass base")
-    # distance decreases in kappa; bisect on its negation
-    t = _bisect_increasing(
-        lambda lt: -_vm_pointmass_d(np.exp(lt)), _LOG_KAPPA_LO, _LOG_KAPPA_HI, -d, 90
+    # start: d^2 = 1 - r(kappa), with r ~ kappa/2 below and
+    # 1 - r ~ 1/(2 kappa) above; distance decreases, so solve for -d
+    d2 = d * d
+    t0 = np.where(
+        d2 > 0.5,
+        math.log(2.0) + np.log(np.maximum((1.0 - d) * (1.0 + d), _TINY)),
+        -math.log(2.0) - 2.0 * np.log(d),
     )
+    # kappa |d'| = kappa r'(kappa) / (2d): |d'| itself underflows past kappa ~ 1e162
+    g = _in_log_kappa(_vm_pointmass_d, lambda k, d: _k_ratio_deriv(k) / (2.0 * d), -1.0)
+    t = _solve_increasing(g, -d, t0, _LOG_KAPPA_LO, _LOG_KAPPA_HI)
     return np.where(d == 1.0, 0.0, np.exp(t))
 
 
@@ -312,13 +408,23 @@ def _card_uniform_d(l):
 
 def _card_uniform_deriv(l, d):
     s, _ = _half_sqrt_terms(l)
-    return np.where(l > 0.0, 2.0 * l / ((1.0 + s) * np.where(d > 0.0, d, 1.0)), 1.0)
+    return np.where(l > 0.0, 2.0 * l / ((1.0 + s) * (d + (d == 0.0))), 1.0)
 
 
 def _card_uniform_inverse(d):
     if np.any(d >= SQRT_1M_LOG2):
         raise ValueError("d_max is approached only as ell -> 0.5; not attained")
-    ell = _bisect_increasing(_card_uniform_d, 0.0, _ELL_MAX, d, 80)
+    # start: ell ~ d below; d^2 ~ d_max^2 - s^2/2 with s^2 = 1 - 4 ell^2 above
+    s2 = np.minimum(2.0 * (SQRT_1M_LOG2 - d) * (SQRT_1M_LOG2 + d), 1.0)
+    eps_top = 0.5 * s2 / (1.0 + np.sqrt(1.0 - s2))
+    t0 = np.where(
+        d < 0.4,
+        _logit_2ell(d, 0.5 - d),
+        _logit_2ell(0.5 - eps_top, eps_top),
+    )
+    g = _in_logit_ell(_card_uniform_d, _card_uniform_deriv, 1.0)
+    t = _solve_increasing(g, d, t0, _LOGIT_LO, _LOGIT_HI)
+    ell = np.minimum(0.5 * expit(t), _ELL_MAX)
     return np.where(d == 0.0, 0.0, ell)
 
 
@@ -333,8 +439,19 @@ def _card_curve_deriv(l, d):
 
 
 def _card_curve_inverse(d):
-    # decreasing; d = 0 reports the open boundary just below 0.5
-    ell = _bisect_increasing(lambda m: -_card_curve_d(m), 0.0, _ELL_MAX, -d, 80)
+    # start: d^2 ~ 8 eps^(3/2) / 3 near ell = 0.5, d ~ SQRT_LOG2 - ell / SQRT_LOG2
+    # near ell = 0; distance decreases, so solve for -d. d = 0 reports the
+    # open boundary just below 0.5
+    eps_top = np.cbrt(0.375 * d * d) ** 2
+    ell_low = (SQRT_LOG2 - d) * SQRT_LOG2
+    t0 = np.where(
+        d < 0.5,
+        _logit_2ell(0.5 - eps_top, eps_top),
+        _logit_2ell(ell_low, 0.5 - ell_low),
+    )
+    g = _in_logit_ell(_card_curve_d, _card_curve_deriv, -1.0)
+    t = _solve_increasing(g, -d, t0, _LOGIT_LO, _LOGIT_HI)
+    ell = np.minimum(0.5 * expit(t), _ELL_MAX)
     return np.where(d == 0.0, _ELL_MAX, np.where(d == SQRT_LOG2, 0.0, ell))
 
 
@@ -344,12 +461,15 @@ def _wc_d(rho):
 
 def _wc_deriv(rho, d):
     one_m = (1.0 - rho) * (1.0 + rho)
-    return np.where(rho > 0.0, rho / (one_m * np.where(d > 0.0, d, 1.0)), 1.0)
+    return np.where(rho > 0.0, rho / (one_m * (d + (d == 0.0))), 1.0)
 
 
 def _wc_inverse(d):
     # closed form; saturates at the largest rho below 1
     return np.minimum(np.sqrt(-np.expm1(-d * d)), _RHO_MAX)
+
+
+_VM_UNIFORM_D_MAX = float(_vm_uniform_d(_KAPPA_MAX))
 
 
 _PROFILES = {
@@ -396,8 +516,10 @@ def distance_deriv(profile, param):
 def inverse_distance(profile, d):
     """The parameter whose distance equals ``d``.
 
-    Vectorized. Wrapped Cauchy inverts in closed form; the others
-    bisect the monotone distance map (in log kappa for von Mises).
+    Vectorized. Wrapped Cauchy inverts in closed form; the others run
+    safeguarded Newton on the monotone distance map, in log kappa for
+    von Mises and in logit(2 ell) for the cardioid, from the small- and
+    large-parameter series.
     Distances outside the attainable range raise; for the cardioid
     curve base, d = 0 reports the open boundary just below 0.5.
     """

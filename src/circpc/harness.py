@@ -11,6 +11,7 @@ scheduled across workers.
 from __future__ import annotations
 
 import csv
+import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -23,6 +24,8 @@ from .divergence import BaseModel
 from .inference import InitializationError, McmcConfig, ModelSpec, run_mcmc, summarize
 from .pc_priors import PcPrior, TailSpec, calibrate_lambda, calibrate_lambda_paper
 from .reference_priors import Beta, GammaOneB, H2, H3, ScaledBetaHalf, UniformHalf
+
+_LOG = logging.getLogger(__name__)
 
 __all__ = [
     "PriorSpec",
@@ -166,7 +169,13 @@ class SimStudyResult:
 
 
 def _run_cell(task):
-    """All replicates of one cell; must stay top-level for process pools."""
+    """All replicates of one cell; must stay top-level for process pools.
+
+    A replicate whose chain cannot start, or whose fit raises anything
+    else, counts as failed; the others still run, so one bad replicate
+    never takes the study down. Unexpected errors are logged at WARNING
+    with the cell, the replicate, its seeds and the traceback.
+    """
     family, prior, mu_true, truth, n, replicates, base_seed, mcmc = task
     means = []
     failed = 0
@@ -174,11 +183,19 @@ def _run_cell(task):
         data = sample(DistributionSpec(family, mu_true, truth), n, seed=base_seed + r)
         cfg = replace(mcmc, seed=base_seed + 10 ** 6 + r)
         try:
-            chain = run_mcmc(ModelSpec(family, prior), data, cfg)
+            mean = summarize(run_mcmc(ModelSpec(family, prior), data, cfg)).concentration_mean
         except InitializationError:
             failed += 1
             continue
-        means.append(summarize(chain).concentration_mean)
+        except Exception:
+            failed += 1
+            _LOG.warning(
+                "replicate %d of cell (prior=%r, truth=%r, N=%d) failed; "
+                "data seed %d, chain seed %d",
+                r, prior, truth, n, base_seed + r, cfg.seed, exc_info=True,
+            )
+            continue
+        means.append(mean)
     return means, failed
 
 

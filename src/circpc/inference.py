@@ -21,7 +21,7 @@ import numpy as np
 
 from .distributions import FAMILIES, TWO_PI, Dataset, Family, circular_mean, wrap_angle
 from .pc_priors import PcPrior, _normalizer
-from .reference_priors import VonMisesConjugate, ref_pdf
+from .reference_priors import VonMisesConjugate
 
 __all__ = [
     "InitializationError",
@@ -146,10 +146,13 @@ class PosteriorSummary:
 def _log_conc_prior_fn(prior):
     """Scalar log prior density; -inf where the density vanishes.
 
-    Callers guarantee the argument lies in the family support, so the
-    PC branch can skip the input checks of the public density and work
-    on the log scale directly (the exponential never over/underflows
-    this way at extreme distances).
+    Callers guarantee the argument lies in the family support (ModelSpec
+    matched the prior's support to the family's, and the sampler tests
+    lo < conc < hi), so both branches skip the input checks of the
+    public densities. The PC branch works on the log scale directly (the
+    exponential never over/underflows this way at extreme distances) and
+    hands the kernels a numpy scalar, which they take without building
+    arrays.
     """
     if isinstance(prior, PcPrior):
         dist, deriv = prior.profile.dist, prior.profile.deriv
@@ -157,18 +160,20 @@ def _log_conc_prior_fn(prior):
         log_lam_norm = math.log(lam) - math.log(_normalizer(prior))
 
         def log_prior(x):
-            arr = np.asarray(x, dtype=float)
-            d = dist(arr)
-            g = float(deriv(arr, d))
+            x = np.float64(x)
+            d = dist(x)
+            g = float(deriv(x, d))
             if g <= 0.0 or not math.isfinite(g):
                 return -math.inf
             return log_lam_norm - lam * float(d) + math.log(g)
 
         return log_prior
 
+    pdf = prior.pdf
+
     def log_prior(x):
-        v = ref_pdf(prior, x)
-        if not np.isfinite(v) or v <= 0.0:
+        v = float(pdf(x))
+        if not math.isfinite(v) or v <= 0.0:
             return -math.inf
         return math.log(v)
 

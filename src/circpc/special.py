@@ -29,9 +29,16 @@ def _maybe_scalar(x, out):
     return float(out) if np.ndim(x) == 0 else out
 
 
-# Unchecked kernels: arguments are float arrays (0-d included), already
-# known to be finite and nonnegative. The public functions below check
-# once and call these; so do the distance kernels inside the sampler.
+# Unchecked kernels: arguments are floats, numpy scalars or float arrays,
+# already known to be finite and nonnegative. The public functions below
+# check once and call these; so do the distance kernels inside the
+# sampler. Each kernel is one branch-free path: every branch is evaluated
+# everywhere, on its argument clamped wherever the branch would otherwise
+# overflow or divide by zero, and np.where keeps the right one.
+
+# smallest positive float: clamps 0 out of a division without moving any
+# positive argument
+_TINY = 5e-324
 
 
 def _log_i0(arr):
@@ -42,14 +49,11 @@ def _ratio(arr):
     return _sp.i1e(arr) / _sp.i0e(arr)
 
 
-def _one_minus_ratio(arr):
-    out = np.empty_like(arr)
-    tail = arr >= _RATIO_TAIL_SWITCH
-    head = ~tail
-    out[head] = 1.0 - _ratio(arr[head])
-    inv = 1.0 / arr[tail]
-    out[tail] = inv * (0.5 + inv * (0.125 + inv * (0.125 + inv * (25.0 / 128.0))))
-    return out
+def _one_minus_ratio(x):
+    head = 1.0 - _ratio(x)
+    inv = 1.0 / np.maximum(x, _RATIO_TAIL_SWITCH)
+    tail = inv * (0.5 + inv * (0.125 + inv * (0.125 + inv * (25.0 / 128.0))))
+    return np.where(x < _RATIO_TAIL_SWITCH, head, tail)
 
 
 def _ratio_deriv_tail_x2(x):
@@ -58,20 +62,22 @@ def _ratio_deriv_tail_x2(x):
     return 0.5 + inv * (0.25 + inv * (0.375 + inv * (25.0 / 32.0)))
 
 
-def _ratio_deriv(arr):
-    out = np.empty_like(arr)
-    zero = arr == 0.0
-    tail = arr >= _RATIO_TAIL_SWITCH
-    mid = ~zero & ~tail
-    out[zero] = 0.5
-    xm = arr[mid]
-    r = _ratio(xm)
+def _ratio_deriv_head(x):
+    """r'(x) = u(2 - u) - r/x with u = 1 - r, for 0 < x < _RATIO_TAIL_SWITCH.
+
+    Finite (never raising) for every x > 0, so it needs no upper clamp.
+    """
+    r = _ratio(x)
     u = 1.0 - r
-    out[mid] = u * (2.0 - u) - r / xm
-    xt = arr[tail]
+    return u * (2.0 - u) - r / x
+
+
+def _ratio_deriv(x):
+    head = _ratio_deriv_head(np.maximum(x, _TINY))
+    xt = np.maximum(x, _RATIO_TAIL_SWITCH)
     # two divisions, not a square: keeps gradual underflow honest at huge x
-    out[tail] = _ratio_deriv_tail_x2(xt) / xt / xt
-    return out
+    tail = _ratio_deriv_tail_x2(xt) / xt / xt
+    return np.where(x < _RATIO_TAIL_SWITCH, np.where(x > 0.0, head, 0.5), tail)
 
 
 def bessel_i(order, x, scaled=False):

@@ -6,6 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from circpc.distributions import DistributionSpec, Family
 from circpc.divergence import (
+    _CARD_L3_SERIES,
+    _ELL_MAX,
+    _KAPPA_MAX,
+    _RHO_MAX,
+    _VM_RADICAND_LARGE,
+    _VM_RADICAND_SMALL,
+    _card_l3,
     SQRT_1M_LOG2,
     SQRT_LOG2,
     BaseModel,
@@ -20,7 +27,7 @@ from circpc.divergence import (
     profile_for,
     supported_pairs,
 )
-from circpc.special import log_bessel_i0
+from circpc.special import _RATIO_TAIL_SWITCH, log_bessel_i0
 
 VM_UNI = profile_for(Family.VON_MISES, BaseModel.UNIFORM)
 VM_PM = profile_for(Family.VON_MISES, BaseModel.POINT_MASS)
@@ -29,6 +36,49 @@ CARD_CURVE = profile_for(Family.CARDIOID, BaseModel.CARDIOID_CURVE)
 WC_UNI = profile_for(Family.WRAPPED_CAUCHY, BaseModel.UNIFORM)
 
 ALL_PROFILES = (VM_UNI, VM_PM, CARD_UNI, CARD_CURVE, WC_UNI)
+
+
+# the largest parameter of each family the kernels are asked about: e^709
+# (the top of the inverse's window) and the largest float below the
+# open support end
+TOP_PARAM = {Family.VON_MISES: _KAPPA_MAX, Family.CARDIOID: _ELL_MAX, Family.WRAPPED_CAUCHY: _RHO_MAX}
+
+
+def neighbours(x, lo, hi, k=3):
+    """x and its k float neighbours on each side, kept inside [lo, hi]."""
+    out = [x]
+    down = up = x
+    for _ in range(k):
+        down, up = np.nextafter(down, -np.inf), np.nextafter(up, np.inf)
+        out += [down, up]
+    return [float(v) for v in out if lo <= v <= hi]
+
+
+def _ell_at_s(s):
+    # the ell whose s = sqrt(1 - 4 ell^2) is s
+    return math.sqrt((1.0 - s) * (1.0 + s)) / 2.0
+
+
+# the parameters where each family's kernels switch form, or come close
+SWITCHES = {
+    Family.VON_MISES: (_VM_RADICAND_SMALL, _VM_RADICAND_LARGE, _RATIO_TAIL_SWITCH),
+    Family.CARDIOID: (_ell_at_s(_CARD_L3_SERIES),),
+    Family.WRAPPED_CAUCHY: (0.5,),
+}
+
+
+def kernel_grid(profile):
+    """Parameters straddling every branch switch and support end of a pair,
+    plus interior points."""
+    lo, hi = profile.support_lo, TOP_PARAM[profile.family]
+    edges = [lo, hi, 5e-324, 1e-300, 1e-160, 1e-8, 0.1, 0.3, *SWITCHES[profile.family]]
+    if profile.family is Family.VON_MISES:
+        edges += [3.0, 1e300]
+    return sorted({v for e in edges for v in neighbours(e, lo, hi)})
+
+
+def _bits(values):
+    return np.array([float(v) for v in values]).view(np.int64)
 
 
 def interior_grid(profile, n):
@@ -174,6 +224,41 @@ class TestDistance:
     def test_vm_uniform_nonnegative(self, k):
         assert distance(VM_UNI, k) >= 0.0
 
+    @pytest.mark.parametrize("profile", ALL_PROFILES, ids=lambda p: f"{p.family.value}-{p.base.value}")
+    def test_scalar_and_array_calls_agree(self, profile):
+        # the record kernels take Python floats, numpy scalars, 0-d arrays
+        # and arrays through one code path: every form gives the same bits,
+        # and no branch raises anywhere on the grid (underflow to a
+        # subnormal or to zero is the right answer at the huge-kappa end)
+        grid = kernel_grid(profile)
+        with np.errstate(all="raise", under="ignore"):
+            arr = np.array(grid)
+            d_arr = profile.dist(arr)
+            g_arr = profile.deriv(arr, d_arr)
+            for form in (float, np.float64, lambda x: np.asarray(x, dtype=float)):
+                xs = [form(x) for x in grid]
+                ds = [profile.dist(x) for x in xs]
+                gs = [profile.deriv(x, d) for x, d in zip(xs, ds)]
+                assert np.array_equal(_bits(ds), _bits(d_arr))
+                assert np.array_equal(_bits(gs), _bits(g_arr))
+        assert np.all(np.isfinite(d_arr)) and np.all(np.isfinite(g_arr))
+
+
+class TestCardL3:
+    def test_series_against_high_precision(self):
+        # log1p(s) - s + s^2/2 at 50 digits; each element is good to 1e-15
+        # relative alone and keeps its bits inside any batch
+        mp = pytest.importorskip("mpmath")
+        s = np.array([1e-300, 1e-7, 1e-5, 1e-3, 0.01, 0.1, 0.2, 0.29,
+                      float(np.nextafter(_CARD_L3_SERIES, 0.0))])
+        with mp.workdps(50):
+            want = [float(mp.log1p(mp.mpf(v)) - mp.mpf(v) + mp.mpf(v) ** 2 / 2) for v in s]
+        batch = _card_l3(s)
+        for i, v in enumerate(s):
+            alone = _card_l3(np.array([v]))[0]
+            assert alone == batch[i]
+            assert alone == pytest.approx(want[i], rel=1e-15, abs=0)
+
 
 class TestDistanceDeriv:
     def test_boundary_limits(self):
@@ -242,6 +327,47 @@ class TestInverseDistance:
             inverse_distance(CARD_UNI, SQRT_1M_LOG2 * 1.001)
         with pytest.raises(ValueError):
             inverse_distance(WC_UNI, -0.01)
+
+    @pytest.mark.parametrize("profile", ALL_PROFILES, ids=lambda p: f"{p.family.value}-{p.base.value}")
+    def test_against_bisection_oracle(self, profile):
+        # the exact float crossing of d(x) = target, found by bisection over
+        # the ordered bit patterns of [0, largest parameter]; the inverse
+        # must match it to 1e-10 relative, or to the parameter interval
+        # that d cannot tell apart within 4 ulps where that is wider.
+        # Distances run from 1e-150 up: below, d(x) ~ x squares x into
+        # the subnormals and is not accurate itself.
+        top = TOP_PARAM[profile.family]
+        increasing = profile.direction is Direction.INCREASING
+
+        def crossing(target):
+            lo = np.zeros(target.shape, np.int64)
+            hi = np.full(target.shape, np.float64(top)).view(np.int64)
+            for _ in range(64):
+                mid = lo + (hi - lo) // 2
+                v = profile.dist(mid.view(np.float64))
+                below = v < target if increasing else v > target
+                lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+            return hi.view(np.float64)
+
+        d_top = float(profile.dist(top))
+        d_end = float(profile.dist(0.0))
+        d_lo, d_hi = min(d_top, d_end), max(d_top, d_end)
+        switches = [float(profile.dist(x)) for x in SWITCHES[profile.family]]
+        rng = np.random.default_rng(3)
+        ds = np.array(sorted(
+            {v for x in [d_lo, d_hi, 1e-150, 1e-12, *switches]
+             for v in neighbours(x, max(d_lo, 1e-150), d_hi)}
+            | set(rng.uniform(d_lo, d_hi, 200))
+        ))
+        # the cardioid's d_max is not attained, though d(_ELL_MAX) rounds to it
+        ds = ds[(ds != d_end) & (ds < profile.d_max)]
+        got = np.asarray(inverse_distance(profile, ds))
+        want = crossing(ds)
+        band = np.abs(crossing(ds * (1.0 + 2.0 ** -50)) - crossing(ds * (1.0 - 2.0 ** -50)))
+        err = np.abs(got - want)
+        assert np.all(err <= np.maximum(1e-10 * want, band)), ds[np.argmax(err / np.maximum(1e-10 * want, band))]
+        # the exact ends, which the inverse reports without searching
+        assert inverse_distance(profile, d_end) == 0.0
 
     @given(st.floats(min_value=1e-4, max_value=0.55))
     @settings(max_examples=40, deadline=None)

@@ -1,9 +1,11 @@
 import io
+import logging
 import math
 
 import numpy as np
 import pytest
 
+import circpc.harness as harness
 from circpc.distributions import TWO_PI, Dataset, DistributionSpec, Family, sample
 from circpc.harness import (
     PriorSpec,
@@ -180,6 +182,37 @@ class TestRunSimStudy:
         assert row[6] == 2
         assert math.isnan(row[4])
         assert row[5] == 0.0
+
+    def test_unexpected_replicate_error_counted_and_logged(self, monkeypatch, caplog):
+        # the second fit of the study raises something other than an
+        # initialization failure: its cell counts it, every other
+        # replicate and cell still runs, and the log names it
+        real = harness.run_mcmc
+        calls = []
+
+        def flaky(model, data, config, **kwargs):
+            calls.append(config.seed)
+            if len(calls) == 2:
+                raise FloatingPointError("overflow in a kernel")
+            return real(model, data, config, **kwargs)
+
+        monkeypatch.setattr(harness, "run_mcmc", flaky)
+        cfg = tiny_config()
+        with caplog.at_level(logging.WARNING, logger="circpc.harness"):
+            result = run_sim_study(cfg)
+        assert len(calls) == 4
+        (gamma_row, pc_row) = result.rows
+        assert gamma_row[6] == 1 and pc_row[6] == 0
+        assert math.isfinite(gamma_row[4]) and gamma_row[5] == 0.0
+        # a rerun is clean (the patched fit raises only once)
+        assert pc_row == run_sim_study(cfg).rows[1]
+        (record,) = caplog.records
+        assert record.levelno == logging.WARNING and record.name == "circpc.harness"
+        message = record.getMessage()
+        assert "replicate 1 " in message and "truth=1.0" in message and "N=40" in message
+        assert f"data seed {cfg.base_seed + 1}" in message
+        assert f"chain seed {cfg.base_seed + 10 ** 6 + 1}" in message
+        assert record.exc_info[0] is FloatingPointError
 
     def test_infeasible_pc_alpha_raises_upfront(self):
         cfg = tiny_config(

@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from circpc.special import (
+    _RATIO_TAIL_SWITCH,
+    _one_minus_ratio,
+    _ratio_deriv,
     bessel_i,
     bessel_ratio,
     bessel_ratio_deriv,
@@ -176,3 +179,21 @@ class TestRatioDeriv:
         # form's own cancellation error there is ~6e-11
         lo, hi = float(np.nextafter(1000.0, 0.0)), 1000.0
         assert bessel_ratio_deriv(lo) == pytest.approx(bessel_ratio_deriv(hi), rel=2e-10, abs=0)
+
+
+class TestKernelForms:
+    @pytest.mark.parametrize("kernel", (_ratio_deriv, _one_minus_ratio))
+    def test_scalar_and_array_calls_agree(self, kernel):
+        # one code path for Python floats, numpy scalars, 0-d arrays and
+        # arrays: the same bits everywhere, and no branch raises on a grid
+        # straddling the tail switch and both ends (underflow to zero is
+        # the right answer of r' at e^709)
+        below, above = (float(v) for v in np.nextafter(_RATIO_TAIL_SWITCH, [0.0, np.inf]))
+        grid = [0.0, 5e-324, 1e-300, 1e-8, 0.5, 3.0, below, _RATIO_TAIL_SWITCH, above,
+                1e6, 1e300, math.exp(709.0)]
+        with np.errstate(all="raise", under="ignore"):
+            want = kernel(np.array(grid))
+            for form in (float, np.float64, lambda x: np.asarray(x, dtype=float)):
+                got = np.array([float(kernel(form(x))) for x in grid])
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.all(np.isfinite(want))
