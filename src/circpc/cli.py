@@ -206,6 +206,8 @@ def _cmd_fit(args):
         "lambda": lam,
         "alpha": alpha,
         "acceptance_rates": chain.acceptance_rates,
+        "out_of_support": chain.out_of_support,
+        "us_per_iter": 1e6 * chain.wall_s / cfg.iterations,
         "chain_csv": chain_path,
     })
     _emit_json(payload, args.out)

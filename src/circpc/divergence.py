@@ -24,6 +24,7 @@ from .special import (
     _TINY,
     _log_i0,
     _one_minus_ratio,
+    _piecewise,
     _ratio,
     _ratio_deriv,
     _ratio_deriv_head,
@@ -50,6 +51,10 @@ _VM_RADICAND_SMALL = 2.0e-2
 _VM_RADICAND_LARGE = 1.0e4
 # cardioid log1p(s) - s + s^2/2 switches to its power series below this s
 _CARD_L3_SERIES = 0.3
+# below this parameter the distances to the uniform are linear to double
+# precision (d = kappa/2, ell, rho) and their squared forms would fall
+# into the subnormals; the same cut, as a distance, for the wc inverse
+_LINEAR_CUT = 1.0e-150
 
 SQRT_LOG2 = float(np.sqrt(np.log(2.0)))
 SQRT_1M_LOG2 = float(np.sqrt(1.0 - np.log(2.0)))
@@ -164,14 +169,15 @@ def kld_cardioid(ell, ell0):
     return float(out) if np.ndim(ell) == 0 and np.ndim(ell0) == 0 else out
 
 
+# log(1 - rho^2), stable across [0, 1); log1p takes rho <= 0.5
+_LOG1M_RHO_SQ = (
+    (float(np.nextafter(0.5, 1.0)),),
+    (lambda r: np.log1p(-(r * r)), lambda r: np.log((1.0 - r) * (1.0 + r))),
+)
+
+
 def _log1m_rho_sq(rho):
-    # log(1 - rho^2), stable across [0, 1)
-    out = np.where(
-        rho <= 0.5,
-        np.log1p(-np.minimum(rho, 0.5) ** 2),
-        np.log(np.maximum((1.0 - rho) * (1.0 + rho), np.finfo(float).tiny)),
-    )
-    return out
+    return _piecewise(rho, *_LOG1M_RHO_SQ)
 
 
 def kld_wc(rho):
@@ -201,37 +207,35 @@ def kld_numeric(p_spec, q_spec, nodes=20001):
 # ---------------------------------------------------------------------------
 # distance kernels, one set per (family, base) pair. ``dist`` and ``deriv``
 # take floats, numpy scalars or float arrays already checked against the
-# support; each is one branch-free path (every branch is evaluated
-# everywhere, on its argument clamped wherever the branch would otherwise
-# overflow or divide by zero; np.where keeps the right one). ``inverse``
-# takes a 1-d array already checked against the distance range.
+# support; kernels with several forms are tables for special._piecewise,
+# which runs only the live form on a scalar. ``inverse`` takes a 1-d array
+# already checked against the distance range.
 
 
-def _vm_uniform_radicand(k):
-    # series below _VM_RADICAND_SMALL, k r(k) - log I0(k) up to
-    # _VM_RADICAND_LARGE, asymptotic series above
-    q = 0.25 * np.minimum(k, _VM_RADICAND_SMALL) ** 2
-    small = q * (1.0 - 0.75 * q + (5.0 / 9.0) * q * q)
-    mid = k * _ratio(k) - _log_i0(k)
-    kl = np.maximum(k, _VM_RADICAND_LARGE)
-    inv = 1.0 / kl
-    large = (
-        0.5 * (_LOG_TWO_PI + np.log(kl))
-        - 0.5
-        - inv * (0.25 + inv * (3.0 / 16.0 + inv * (25.0 / 96.0)))
-    )
-    return np.where(k < _VM_RADICAND_SMALL, small, np.where(k < _VM_RADICAND_LARGE, mid, large))
+def _half(x, *_):
+    return 0.5
+
+
+def _one(x, *_):
+    return 1.0
+
+
+def _same(x):
+    return x
+
+
+# k r'(k), which is d/dk [k r(k) - log I0(k)], for k > 0; the tail folds
+# the k into the series so the product does not underflow before the multiply
+def _k_ratio_deriv_head(k):
+    return k * _ratio_deriv_head(k)
+
+
+def _k_ratio_deriv_tail(k):
+    return _ratio_deriv_tail_x2(k) / k
 
 
 def _k_ratio_deriv(k):
-    # k r'(k), which is d/dk [k r(k) - log I0(k)]; fold the k into the
-    # series for large k so the product does not underflow before the
-    # multiply. At k = 0 the value is unused (the callers take the limit).
-    kh = np.maximum(k, _TINY)
-    kt = np.maximum(k, _RATIO_TAIL_SWITCH)
-    return np.where(
-        k < _RATIO_TAIL_SWITCH, kh * _ratio_deriv_head(kh), _ratio_deriv_tail_x2(kt) / kt
-    )
+    return _piecewise(k, (_RATIO_TAIL_SWITCH,), (_k_ratio_deriv_head, _k_ratio_deriv_tail))
 
 
 # log1p(s) - s + s^2/2 = sum_{j>=3} (-1)^(j+1) s^j / j; Horner coefficients
@@ -240,13 +244,19 @@ def _k_ratio_deriv(k):
 _CARD_L3_COEFS = tuple((1.0 if j % 2 else -1.0) / j for j in range(30, 2, -1))
 
 
-def _card_l3(s):
-    # the direct form cancels below _CARD_L3_SERIES; a fixed series there.
-    # Both are finite on all of s in [0, 1], so neither needs a clamp
+def _card_l3_series(s):
     p = 0.0
     for c in _CARD_L3_COEFS:
         p = c + s * p
-    return np.where(s < _CARD_L3_SERIES, s * s * s * p, np.log1p(s) - s + 0.5 * s * s)
+    return s * s * s * p
+
+
+# the direct form cancels below _CARD_L3_SERIES; a fixed series there
+_CARD_L3 = ((_CARD_L3_SERIES,), (_card_l3_series, lambda s: np.log1p(s) - s + 0.5 * s * s))
+
+
+def _card_l3(s):
+    return _piecewise(s, *_CARD_L3)
 
 
 # Newton window in log kappa; its top is the largest invertible kappa
@@ -350,29 +360,70 @@ def _logit_2ell(ell, eps):
     return np.log(np.maximum(ell, _TINY)) - np.log(np.maximum(eps, _TINY))
 
 
+def _vm_uniform_small(k):
+    q = 0.25 * (k * k)
+    return np.sqrt(q * (1.0 - 0.75 * q + (5.0 / 9.0) * q * q))
+
+
+def _vm_uniform_mid(k):
+    return np.sqrt(k * _ratio(k) - _log_i0(k))
+
+
+def _vm_uniform_large(k):
+    inv = 1.0 / k
+    return np.sqrt(
+        0.5 * (_LOG_TWO_PI + np.log(k))
+        - 0.5
+        - inv * (0.25 + inv * (3.0 / 16.0 + inv * (25.0 / 96.0)))
+    )
+
+
+# d = sqrt(k r(k) - log I0(k)): linear, then its series below
+# _VM_RADICAND_SMALL, the direct form up to _VM_RADICAND_LARGE, and the
+# asymptotic series above
+_VM_UNIFORM_D = (
+    (_LINEAR_CUT, _VM_RADICAND_SMALL, _VM_RADICAND_LARGE),
+    (lambda k: 0.5 * k, _vm_uniform_small, _vm_uniform_mid, _vm_uniform_large),
+)
+
+# |d'| = k r'(k) / (2d), given den = 2d, and 1/2 where d is linear
+_VM_UNIFORM_DERIV = (
+    (_LINEAR_CUT, _RATIO_TAIL_SWITCH),
+    (
+        _half,
+        lambda k, den: _k_ratio_deriv_head(k) / den,
+        lambda k, den: _k_ratio_deriv_tail(k) / den,
+    ),
+)
+
+
 def _vm_uniform_d(k):
-    return np.sqrt(np.maximum(_vm_uniform_radicand(k), 0.0))
+    return _piecewise(k, *_VM_UNIFORM_D)
 
 
 def _vm_uniform_deriv(k, d):
-    # adding (d == 0) keeps the division finite where d is 0
-    return np.where(k > 0.0, _k_ratio_deriv(k) / (2.0 * d + (d == 0.0)), 0.5)
+    # adding 1 where the linear form holds keeps an array's unused lanes finite
+    return _piecewise(k, *_VM_UNIFORM_DERIV, 2.0 * d + (k < _LINEAR_CUT))
 
 
-def _vm_uniform_inverse(d):
-    if np.any(d > _VM_UNIFORM_D_MAX):
-        raise ValueError("distance not attainable within floating-point kappa range")
+def _vm_uniform_search(d):
     # start: d^2 = q (1 - 3q/4 + ...) with q = kappa^2 / 4 below, and
     # d^2 = log(2 pi kappa) / 2 - 1/2 + ... above
     d2 = d * d
     t0 = np.where(
         d < 1.0,
-        np.log(2.0 * np.maximum(d, _TINY)) + 0.5 * np.log1p(0.75 * d2),
+        np.log(2.0 * d) + 0.5 * np.log1p(0.75 * d2),
         2.0 * d2 + 1.0 - _LOG_TWO_PI,
     )
     g = _in_log_kappa(_vm_uniform_d, lambda k, d: k * _vm_uniform_deriv(k, d), 1.0)
-    t = _solve_increasing(g, d, t0, _LOG_KAPPA_LO, _LOG_KAPPA_HI)
-    return np.where(d == 0.0, 0.0, np.exp(t))
+    return np.exp(_solve_increasing(g, d, t0, _LOG_KAPPA_LO, _LOG_KAPPA_HI))
+
+
+def _vm_uniform_inverse(d):
+    if np.any(d > _VM_UNIFORM_D_MAX):
+        raise ValueError("distance not attainable within floating-point kappa range")
+    # below d(_LINEAR_CUT) the linear form inverts exactly
+    return _piecewise(d, (0.5 * _LINEAR_CUT,), (lambda d: 2.0 * d, _vm_uniform_search))
 
 
 def _vm_pointmass_d(k):
@@ -380,7 +431,8 @@ def _vm_pointmass_d(k):
 
 
 def _vm_pointmass_deriv(k, d):
-    return np.where(k > 0.0, _ratio_deriv(k) / (2.0 * d), 0.25)
+    # d > 0 everywhere; at k = 0 this is r'(0) / 2 = 1/4
+    return _ratio_deriv(k) / (2.0 * d)
 
 
 def _vm_pointmass_inverse(d):
@@ -400,20 +452,27 @@ def _vm_pointmass_inverse(d):
     return np.where(d == 1.0, 0.0, np.exp(t))
 
 
-def _card_uniform_d(l):
+def _card_uniform_main(l):
     s, _ = _half_sqrt_terms(l)
     u = 4.0 * l * l / (1.0 + s)
-    return np.sqrt(np.maximum(u + np.log1p(-0.5 * u), 0.0))
+    return np.sqrt(u + np.log1p(-0.5 * u))
+
+
+def _card_uniform_d(l):
+    return _piecewise(l, (_LINEAR_CUT,), (_same, _card_uniform_main))
+
+
+def _card_uniform_deriv_main(l, den):
+    s, _ = _half_sqrt_terms(l)
+    return 2.0 * l / ((1.0 + s) * den)
 
 
 def _card_uniform_deriv(l, d):
-    s, _ = _half_sqrt_terms(l)
-    return np.where(l > 0.0, 2.0 * l / ((1.0 + s) * (d + (d == 0.0))), 1.0)
+    # adding 1 where the linear form holds keeps an array's unused lanes finite
+    return _piecewise(l, (_LINEAR_CUT,), (_one, _card_uniform_deriv_main), d + (l < _LINEAR_CUT))
 
 
-def _card_uniform_inverse(d):
-    if np.any(d >= SQRT_1M_LOG2):
-        raise ValueError("d_max is approached only as ell -> 0.5; not attained")
+def _card_uniform_search(d):
     # start: ell ~ d below; d^2 ~ d_max^2 - s^2/2 with s^2 = 1 - 4 ell^2 above
     s2 = np.minimum(2.0 * (SQRT_1M_LOG2 - d) * (SQRT_1M_LOG2 + d), 1.0)
     eps_top = 0.5 * s2 / (1.0 + np.sqrt(1.0 - s2))
@@ -424,13 +483,20 @@ def _card_uniform_inverse(d):
     )
     g = _in_logit_ell(_card_uniform_d, _card_uniform_deriv, 1.0)
     t = _solve_increasing(g, d, t0, _LOGIT_LO, _LOGIT_HI)
-    ell = np.minimum(0.5 * expit(t), _ELL_MAX)
-    return np.where(d == 0.0, 0.0, ell)
+    return np.minimum(0.5 * expit(t), _ELL_MAX)
+
+
+def _card_uniform_inverse(d):
+    # the linear form inverts exactly; d_max is approached only as
+    # ell -> 0.5, but d(_ELL_MAX) rounds to it, so it reports that open end
+    return _piecewise(
+        d, (_LINEAR_CUT, SQRT_1M_LOG2), (_same, _card_uniform_search, lambda d: _ELL_MAX)
+    )
 
 
 def _card_curve_d(l):
     s, eps = _half_sqrt_terms(l)
-    return np.sqrt(np.maximum(2.0 * eps * eps + _card_l3(s), 0.0))
+    return np.sqrt(2.0 * eps * eps + _card_l3(s))
 
 
 def _card_curve_deriv(l, d):
@@ -456,17 +522,27 @@ def _card_curve_inverse(d):
 
 
 def _wc_d(rho):
-    return np.sqrt(-_log1m_rho_sq(rho))
+    return _piecewise(rho, (_LINEAR_CUT,), (_same, lambda r: np.sqrt(-_log1m_rho_sq(r))))
+
+
+def _wc_deriv_main(rho, den):
+    return rho / ((1.0 - rho) * (1.0 + rho) * den)
 
 
 def _wc_deriv(rho, d):
-    one_m = (1.0 - rho) * (1.0 + rho)
-    return np.where(rho > 0.0, rho / (one_m * (d + (d == 0.0))), 1.0)
+    # adding 1 where the linear form holds keeps an array's unused lanes finite
+    return _piecewise(rho, (_LINEAR_CUT,), (_one, _wc_deriv_main), d + (rho < _LINEAR_CUT))
+
+
+# closed form; saturates at the largest rho below 1
+_WC_INVERSE = (
+    (_LINEAR_CUT,),
+    (_same, lambda d: np.minimum(np.sqrt(-np.expm1(-d * d)), _RHO_MAX)),
+)
 
 
 def _wc_inverse(d):
-    # closed form; saturates at the largest rho below 1
-    return np.minimum(np.sqrt(-np.expm1(-d * d)), _RHO_MAX)
+    return _piecewise(d, *_WC_INVERSE)
 
 
 _VM_UNIFORM_D_MAX = float(_vm_uniform_d(_KAPPA_MAX))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -103,6 +104,10 @@ class Chain:
     step_sizes: tuple                 # frozen (mu_step, concentration_step)
     first_iteration: int              # global index of the first kept draw
     step_trace: Optional[np.ndarray] = field(default=None, repr=False)
+    # concentration proposals, burn-in included, rejected because they
+    # left the open support (or the transform back overflowed)
+    out_of_support: int = 0
+    wall_s: Optional[float] = None    # wall time of the sampling loop
 
     def __len__(self):
         return self.draws.shape[0]
@@ -151,8 +156,8 @@ def _log_conc_prior_fn(prior):
     lo < conc < hi), so both branches skip the input checks of the
     public densities. The PC branch works on the log scale directly (the
     exponential never over/underflows this way at extreme distances) and
-    hands the kernels a numpy scalar, which they take without building
-    arrays.
+    hands the kernels the float itself, on which they run only the form
+    that holds it.
     """
     if isinstance(prior, PcPrior):
         dist, deriv = prior.profile.dist, prior.profile.deriv
@@ -160,7 +165,6 @@ def _log_conc_prior_fn(prior):
         log_lam_norm = math.log(lam) - math.log(_normalizer(prior))
 
         def log_prior(x):
-            x = np.float64(x)
             d = dist(x)
             g = float(deriv(x, d))
             if g <= 0.0 or not math.isfinite(g):
@@ -236,7 +240,9 @@ def run_mcmc(model: ModelSpec, data: Dataset, config: McmcConfig, *, trace_steps
     accepted = [0, 0]
     trace = np.empty((iters, 2)) if trace_steps else None
     target = config.target_acceptance
+    out_of_support = 0
 
+    start = time.perf_counter()
     for i in range(iters):
         gamma = (i + 1.0) ** -0.7 if i < burn else 0.0
 
@@ -263,6 +269,7 @@ def run_mcmc(model: ModelSpec, data: Dataset, config: McmcConfig, *, trace_steps
             a = 1.0 if log_a >= 0.0 else (math.exp(log_a) if log_a > -745.0 else 0.0)
         else:
             a = 0.0
+            out_of_support += 1
         if u_all[i, 1] < a:
             theta, conc = th_prop, conc_prop
             cur_lik, cur_pri, cur_jac = lik_prop, pri_prop, jac_prop
@@ -277,6 +284,7 @@ def run_mcmc(model: ModelSpec, data: Dataset, config: McmcConfig, *, trace_steps
         if i >= burn:
             kept[i - burn, 0] = mu
             kept[i - burn, 1] = conc
+    wall_s = time.perf_counter() - start
 
     n_kept = iters - burn
     return Chain(
@@ -288,6 +296,8 @@ def run_mcmc(model: ModelSpec, data: Dataset, config: McmcConfig, *, trace_steps
         step_sizes=(float(steps[0]), float(steps[1])),
         first_iteration=burn,
         step_trace=trace,
+        out_of_support=out_of_support,
+        wall_s=wall_s,
     )
 
 

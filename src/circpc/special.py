@@ -5,6 +5,8 @@ overflow-free log I_0, and the ratio I_1/I_0 that stays stable for
 large arguments.
 """
 
+from bisect import bisect_right
+
 import numpy as np
 from scipy import special as _sp
 
@@ -29,15 +31,48 @@ def _maybe_scalar(x, out):
     return float(out) if np.ndim(x) == 0 else out
 
 
+def _piecewise(x, cuts, branches, *args):
+    """Evaluate a function given piecewise, as ``branch(x, *args)``.
+
+    ``cuts`` increase and split the line into len(cuts) + 1 intervals;
+    branch i holds on [cuts[i-1], cuts[i]), the first one below cuts[0]
+    and the last one from cuts[-1] up. This is the one place where a
+    scalar call and an array call part ways:
+
+    - a scalar (Python float, numpy scalar or 0-d array) is placed among
+      the cuts by a bisection in Python and runs only the branch that
+      holds it;
+    - an array runs every branch from the one holding min(x) to the one
+      holding max(x), each on x clamped into the branch's own closed
+      interval, and np.where keeps the right one per element.
+
+    The clamp is the identity on a branch's interval, so both calls give
+    the same bits. Each branch must be finite, and raise nothing, on its
+    closed interval (``args`` are passed whole, unclamped).
+    """
+    if not (isinstance(x, np.ndarray) and x.ndim):
+        return branches[bisect_right(cuts, x)](x, *args)
+    # branches first..last hold min(x)..max(x); each runs on x clamped
+    # into its interval where x reaches past it
+    first, last = 0, len(cuts)
+    if x.size:
+        first, last = bisect_right(cuts, x.min()), bisect_right(cuts, x.max())
+    for i in range(last, first - 1, -1):
+        xi = np.minimum(x, cuts[i]) if i < last else x
+        if i > first:
+            xi = np.maximum(xi, cuts[i - 1])
+        val = branches[i](xi, *args)
+        out = val if i == last else np.where(x < cuts[i], val, out)
+    # a constant branch holding every element gives a scalar
+    return out if np.shape(out) == x.shape else np.full(x.shape, out)
+
+
 # Unchecked kernels: arguments are floats, numpy scalars or float arrays,
 # already known to be finite and nonnegative. The public functions below
 # check once and call these; so do the distance kernels inside the
-# sampler. Each kernel is one branch-free path: every branch is evaluated
-# everywhere, on its argument clamped wherever the branch would otherwise
-# overflow or divide by zero, and np.where keeps the right one.
+# sampler. Kernels with several forms evaluate them through _piecewise.
 
-# smallest positive float: clamps 0 out of a division without moving any
-# positive argument
+# smallest positive float: as a cut, [0, _TINY) holds only x = 0
 _TINY = 5e-324
 
 
@@ -49,11 +84,16 @@ def _ratio(arr):
     return _sp.i1e(arr) / _sp.i0e(arr)
 
 
+def _one_minus_ratio_tail(x):
+    inv = 1.0 / x
+    return inv * (0.5 + inv * (0.125 + inv * (0.125 + inv * (25.0 / 128.0))))
+
+
+_ONE_MINUS_RATIO = ((_RATIO_TAIL_SWITCH,), (lambda x: 1.0 - _ratio(x), _one_minus_ratio_tail))
+
+
 def _one_minus_ratio(x):
-    head = 1.0 - _ratio(x)
-    inv = 1.0 / np.maximum(x, _RATIO_TAIL_SWITCH)
-    tail = inv * (0.5 + inv * (0.125 + inv * (0.125 + inv * (25.0 / 128.0))))
-    return np.where(x < _RATIO_TAIL_SWITCH, head, tail)
+    return _piecewise(x, *_ONE_MINUS_RATIO)
 
 
 def _ratio_deriv_tail_x2(x):
@@ -63,21 +103,23 @@ def _ratio_deriv_tail_x2(x):
 
 
 def _ratio_deriv_head(x):
-    """r'(x) = u(2 - u) - r/x with u = 1 - r, for 0 < x < _RATIO_TAIL_SWITCH.
-
-    Finite (never raising) for every x > 0, so it needs no upper clamp.
-    """
+    """r'(x) = u(2 - u) - r/x with u = 1 - r, for 0 < x < _RATIO_TAIL_SWITCH."""
     r = _ratio(x)
     u = 1.0 - r
     return u * (2.0 - u) - r / x
 
 
-def _ratio_deriv(x):
-    head = _ratio_deriv_head(np.maximum(x, _TINY))
-    xt = np.maximum(x, _RATIO_TAIL_SWITCH)
+def _ratio_deriv_tail(x):
     # two divisions, not a square: keeps gradual underflow honest at huge x
-    tail = _ratio_deriv_tail_x2(xt) / xt / xt
-    return np.where(x < _RATIO_TAIL_SWITCH, np.where(x > 0.0, head, 0.5), tail)
+    return _ratio_deriv_tail_x2(x) / x / x
+
+
+# r'(0) = 1/2 is the analytic limit
+_RATIO_DERIV = ((_TINY, _RATIO_TAIL_SWITCH), (lambda x: 0.5, _ratio_deriv_head, _ratio_deriv_tail))
+
+
+def _ratio_deriv(x):
+    return _piecewise(x, *_RATIO_DERIV)
 
 
 def bessel_i(order, x, scaled=False):

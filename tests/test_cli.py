@@ -238,10 +238,14 @@ class TestFit:
             "prior",
             "lambda",
             "acceptance_rates",
+            "out_of_support",
+            "us_per_iter",
             "chain_csv",
         ):
             assert key in payload, key
         assert payload["n"] == 40
+        assert payload["out_of_support"] == 0
+        assert payload["us_per_iter"] > 0.0
         assert 0.3 <= payload["concentration_mean"] <= 6.0
         assert chain_path.exists()
         lines = chain_path.read_text().strip().split("\n")

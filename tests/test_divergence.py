@@ -81,6 +81,17 @@ def _bits(values):
     return np.array([float(v) for v in values]).view(np.int64)
 
 
+# the ways a kernel is called: Python float, numpy scalar and 0-d array
+# run only the live form; an array reaching both support ends runs every
+# form on a clamped argument (its first element is compared)
+SCALAR_FORMS = (float, np.float64, lambda x: np.asarray(x, dtype=float))
+
+
+def log_uniform(u, lo, hi):
+    """The point a fraction u of the way from lo to hi on the log scale."""
+    return min(math.exp(math.log(lo) + u * (math.log(hi) - math.log(lo))), hi)
+
+
 def interior_grid(profile, n):
     lo, hi = profile.support_lo, profile.support_hi
     if not math.isfinite(hi):
@@ -244,6 +255,26 @@ class TestDistance:
         assert np.all(np.isfinite(d_arr)) and np.all(np.isfinite(g_arr))
 
 
+    @pytest.mark.parametrize("profile", ALL_PROFILES, ids=lambda p: f"{p.family.value}-{p.base.value}")
+    @given(u=st.floats(min_value=0.0, max_value=1.0))
+    @settings(max_examples=150, deadline=None)
+    def test_scalar_path_matches_array_path_property(self, profile, u):
+        # a scalar runs only its own branch, an array every branch on a
+        # clamped argument; both must give the same bits, anywhere from
+        # 1e-300 to the largest parameter
+        top = TOP_PARAM[profile.family]
+        x = log_uniform(u, 1e-300, top)
+        ds, gs = [], []
+        with np.errstate(all="raise", under="ignore"):
+            for form in (*SCALAR_FORMS, lambda v: np.array([v, 0.0, top])):
+                v = form(x)
+                d = profile.dist(v)
+                ds.append(np.ravel(d)[0])
+                gs.append(np.ravel(profile.deriv(v, d))[0])
+        assert len(set(_bits(ds))) == 1, (x, ds)
+        assert len(set(_bits(gs))) == 1, (x, gs)
+
+
 class TestCardL3:
     def test_series_against_high_precision(self):
         # log1p(s) - s + s^2/2 at 50 digits; each element is good to 1e-15
@@ -334,8 +365,8 @@ class TestInverseDistance:
         # the ordered bit patterns of [0, largest parameter]; the inverse
         # must match it to 1e-10 relative, or to the parameter interval
         # that d cannot tell apart within 4 ulps where that is wider.
-        # Distances run from 1e-150 up: below, d(x) ~ x squares x into
-        # the subnormals and is not accurate itself.
+        # Distances run from 1e-300 up, through the linear forms that
+        # keep d exact where squaring the parameter would underflow.
         top = TOP_PARAM[profile.family]
         increasing = profile.direction is Direction.INCREASING
 
@@ -355,11 +386,12 @@ class TestInverseDistance:
         switches = [float(profile.dist(x)) for x in SWITCHES[profile.family]]
         rng = np.random.default_rng(3)
         ds = np.array(sorted(
-            {v for x in [d_lo, d_hi, 1e-150, 1e-12, *switches]
-             for v in neighbours(x, max(d_lo, 1e-150), d_hi)}
+            {v for x in [d_lo, d_hi, 1e-300, 1e-150, 1e-12, *switches]
+             for v in neighbours(x, max(d_lo, 1e-300), d_hi)}
             | set(rng.uniform(d_lo, d_hi, 200))
         ))
-        # the cardioid's d_max is not attained, though d(_ELL_MAX) rounds to it
+        # the cardioid's d_max is not attained; it stands for the open end,
+        # to which d(_ELL_MAX) rounds (see the support-edge round trip)
         ds = ds[(ds != d_end) & (ds < profile.d_max)]
         got = np.asarray(inverse_distance(profile, ds))
         want = crossing(ds)
@@ -368,6 +400,18 @@ class TestInverseDistance:
         assert np.all(err <= np.maximum(1e-10 * want, band)), ds[np.argmax(err / np.maximum(1e-10 * want, band))]
         # the exact ends, which the inverse reports without searching
         assert inverse_distance(profile, d_end) == 0.0
+
+    @pytest.mark.parametrize("profile", ALL_PROFILES, ids=lambda p: f"{p.family.value}-{p.base.value}")
+    def test_round_trip_at_support_edges(self, profile):
+        # 0 and the largest parameter (max_param, or the largest float below
+        # the open end) come back from their own distances; so do
+        # parameters deep inside the linear form of the uniform-base pairs
+        edges = [0.0, TOP_PARAM[profile.family]]
+        if profile.direction is Direction.INCREASING:
+            edges += [1e-300, 1e-310]
+        for x in edges:
+            back = inverse_distance(profile, distance(profile, x))
+            assert back == pytest.approx(x, rel=1e-12, abs=0), x
 
     @given(st.floats(min_value=1e-4, max_value=0.55))
     @settings(max_examples=40, deadline=None)

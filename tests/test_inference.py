@@ -214,6 +214,20 @@ class TestRunMcmc:
         assert np.all(chain.draws[:, 1] > 0.0)
 
 
+    def test_counts_out_of_support_proposals(self):
+        # started at the largest rho below 1, steps up round back to rho = 1
+        # and are rejected as outside the open support; from the default
+        # start no proposal leaves it
+        data = sample(DistributionSpec(Family.WRAPPED_CAUCHY, 1.0, 0.5), 50, seed=8)
+        model = ModelSpec(Family.WRAPPED_CAUCHY, PcPrior("wc", "uniform", 1.0))
+        edge = McmcConfig(iterations=2000, burn_in=1000, seed=1,
+                          initial_concentration=float(np.nextafter(1.0, 0.0)))
+        assert run_mcmc(model, data, edge).out_of_support > 0
+        chain = run_mcmc(model, data, McmcConfig(iterations=2000, burn_in=1000, seed=1))
+        assert chain.out_of_support == 0
+        assert chain.wall_s > 0.0
+
+
 class TestEffectiveSampleSize:
     def test_constant_chain_reports_full_length(self):
         assert effective_sample_size(np.full(500, 2.2)) == 500.0

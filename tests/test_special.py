@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from circpc.special import (
     _RATIO_TAIL_SWITCH,
@@ -197,3 +197,24 @@ class TestKernelForms:
                 got = np.array([float(kernel(form(x))) for x in grid])
                 assert np.array_equal(got.view(np.int64), want.view(np.int64))
         assert np.all(np.isfinite(want))
+
+    def test_array_inside_one_interval(self):
+        # an array runs only the branches its elements reach; a constant
+        # branch holding all of them still gives an array of their shape
+        assert np.array_equal(_ratio_deriv(np.zeros(3)), np.full(3, 0.5))
+        assert _ratio_deriv(np.empty(0)).shape == (0,)
+        x = np.array([2000.0, 3000.0])
+        assert np.array_equal(_ratio_deriv(x), [_ratio_deriv(float(v)) for v in x])
+
+    @pytest.mark.parametrize("kernel", (_ratio_deriv, _one_minus_ratio))
+    @given(t=st.floats(min_value=math.log(1e-300), max_value=709.0))
+    @settings(max_examples=200, deadline=None)
+    def test_scalar_path_matches_array_path_property(self, kernel, t):
+        # float, numpy scalar and 0-d array run only the live branch, an
+        # array reaching 0 and e^709 every branch on a clamped argument
+        x = math.exp(t)
+        forms = (float, np.float64, lambda v: np.asarray(v, dtype=float),
+                 lambda v: np.array([v, 0.0, math.exp(709.0)]))
+        with np.errstate(all="raise", under="ignore"):
+            got = [np.ravel(kernel(form(x)))[0] for form in forms]
+        assert len(set(np.array(got, dtype=float).view(np.int64))) == 1, (x, got)
