@@ -14,9 +14,11 @@ from dataclasses import replace
 
 import numpy as np
 
-from .distributions import Dataset, DistributionSpec, Family, sample
+from .distributions import FAMILIES, Dataset, DistributionSpec, Family, sample
 from .divergence import BaseModel, distance, distance_deriv, profile_for
 from .harness import (
+    _PC_BASES,
+    _REF_KINDS,
     PriorSpec,
     SimStudyConfig,
     build_concentration_prior,
@@ -38,8 +40,12 @@ from .pc_priors import (
 )
 from .reference_priors import distance_scale_pdf, overfit_audit, ref_pdf
 
-_REF_KIND_NAMES = ("gamma", "h2", "h3", "beta", "scaled-beta", "uniform-half")
-_PC_KIND_NAMES = ("pc-uniform", "pc-pointmass", "pc-curve")
+# command-line spellings of the harness's prior kinds and of the enums
+_REF_KIND_NAMES = tuple(kind.replace("_", "-") for kind in _REF_KINDS)
+_PC_KIND_NAMES = tuple(kind.replace("_", "-") for kind in _PC_BASES)
+_FAMILY_NAMES = [f.value for f in Family]
+_CONC_FAMILY_NAMES = [f.value for f in Family if FAMILIES[f].support is not None]
+_BASE_NAMES = [b.value for b in BaseModel]
 
 
 def _parse_grid(text):
@@ -266,8 +272,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pc-density", help="PC prior pdf/cdf over a parameter grid")
-    p.add_argument("--family", required=True, choices=["vm", "cardioid", "wc"])
-    p.add_argument("--base", required=True, choices=["uniform", "pointmass", "curve"])
+    p.add_argument("--family", required=True, choices=_CONC_FAMILY_NAMES)
+    p.add_argument("--base", required=True, choices=_BASE_NAMES)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--normalization", default="truncated", choices=["truncated", "paper"])
     p.add_argument("--grid", type=_parse_grid, required=True, metavar="LO:HI:N")
@@ -284,8 +290,8 @@ def build_parser():
     p.set_defaults(fn=_cmd_ref_density)
 
     p = sub.add_parser("distance", help="distance to the base model and its derivative")
-    p.add_argument("--family", required=True, choices=["vm", "cardioid", "wc"])
-    p.add_argument("--base", required=True, choices=["uniform", "pointmass", "curve"])
+    p.add_argument("--family", required=True, choices=_CONC_FAMILY_NAMES)
+    p.add_argument("--base", required=True, choices=_BASE_NAMES)
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--param", type=float)
     g.add_argument("--grid", type=_parse_grid, metavar="LO:HI:N")
@@ -303,8 +309,8 @@ def build_parser():
     p.set_defaults(fn=_cmd_audit)
 
     p = sub.add_parser("calibrate", help="solve the rate from a tail statement")
-    p.add_argument("--family", required=True, choices=["vm", "cardioid", "wc"])
-    p.add_argument("--base", default="uniform", choices=["uniform", "pointmass", "curve"])
+    p.add_argument("--family", required=True, choices=_CONC_FAMILY_NAMES)
+    p.add_argument("--base", default="uniform", choices=_BASE_NAMES)
     p.add_argument("--U", type=float, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--method", default="numeric", choices=["numeric", "paper"])
@@ -312,7 +318,7 @@ def build_parser():
     p.set_defaults(fn=_cmd_calibrate)
 
     p = sub.add_parser("sample", help="draw angles from a circular distribution")
-    p.add_argument("--family", required=True, choices=["uniform", "vm", "cardioid", "wc"])
+    p.add_argument("--family", required=True, choices=_FAMILY_NAMES)
     p.add_argument("--mu", type=float, default=0.0)
     p.add_argument("--concentration", type=float, default=0.0)
     p.add_argument("--n", type=int, required=True)
@@ -321,7 +327,7 @@ def build_parser():
     p.set_defaults(fn=_cmd_sample)
 
     p = sub.add_parser("fit", help="posterior for (mu, concentration) from an angle CSV")
-    p.add_argument("--family", required=True, choices=["vm", "cardioid", "wc"])
+    p.add_argument("--family", required=True, choices=_CONC_FAMILY_NAMES)
     p.add_argument("--data", required=True, help="CSV with an angle_rad column")
     p.add_argument("--prior", required=True, choices=_PC_KIND_NAMES + _REF_KIND_NAMES)
     p.add_argument("--hypers", type=float, nargs="*", default=[])
@@ -339,7 +345,7 @@ def build_parser():
     p.set_defaults(fn=_cmd_fit)
 
     p = sub.add_parser("simulate", help="run the simulation study")
-    p.add_argument("--family", default="vm", choices=["vm", "cardioid", "wc"])
+    p.add_argument("--family", default="vm", choices=_CONC_FAMILY_NAMES)
     p.add_argument("--full", action="store_true", help="full-scale grids (slow)")
     p.add_argument("--config", help="JSON study config overriding the defaults")
     p.add_argument("--seed", type=int, required=True, help="base seed for the study")

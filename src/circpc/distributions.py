@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import expit
 
-from .special import _log_i0
+from .special import _checked, _log_i0
 
 __all__ = [
     "TWO_PI",
@@ -32,7 +32,6 @@ __all__ = [
 
 TWO_PI = 2.0 * np.pi
 
-_NEG_INF = float("-inf")
 _LOG_TWO_PI = float(np.log(TWO_PI))
 
 
@@ -45,13 +44,11 @@ class Family(str, Enum):
 
 def wrap_angle(x):
     """Wrap finite angles into [0, 2*pi) with floored modulo."""
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("angle must be finite")
-    out = np.mod(arr, TWO_PI)
+    x = _checked(x, -math.inf, math.inf, "angle")
+    out = np.mod(x, TWO_PI)
     # mod of a tiny negative can round up to 2*pi itself
     out = np.where(out >= TWO_PI, 0.0, out)
-    return float(out) if np.ndim(x) == 0 else out
+    return float(out) if isinstance(x, float) else out
 
 
 @dataclass(frozen=True)
@@ -68,7 +65,6 @@ class FamilyKernel:
     draw: Callable                         # (rng, mu, conc > 0, n) -> angles in [0, 2*pi)
     loglik: Optional[Callable] = None      # angles in [0, 2*pi) -> ((mu, conc) -> log-likelihood)
     support: Optional[tuple] = None        # open interval the concentration moves in
-    rule: str = ""                         # the closed support, as messages print it
     initial: float = math.nan              # default initial concentration of a chain
     to_theta: Optional[Callable] = None    # concentration -> unconstrained scale
     to_conc: Optional[Callable] = None     # unconstrained scale -> concentration
@@ -94,11 +90,7 @@ class DistributionSpec:
         kern = FAMILIES[family]
         conc = 0.0
         if kern.support is not None:
-            conc = float(self.concentration)
-            if not np.isfinite(conc):
-                raise ValueError("concentration must be finite")
-            if not kern.support[0] <= conc < kern.support[1]:
-                raise ValueError(f"{kern.label} concentration must satisfy {kern.rule}")
+            conc = _checked(float(self.concentration), *kern.support, f"{kern.label} concentration")
         object.__setattr__(self, "concentration", conc)
 
 
@@ -140,9 +132,9 @@ class Dataset:
 
 def log_pdf(spec, x):
     """Log density of ``spec`` at angle(s) ``x`` (any finite real)."""
-    arr = np.asarray(wrap_angle(x), dtype=float)
-    out = FAMILIES[spec.family].log_density(arr, spec.mu, spec.concentration)
-    return float(out) if np.ndim(x) == 0 else out
+    x = wrap_angle(x)
+    out = FAMILIES[spec.family].log_density(x, spec.mu, spec.concentration)
+    return float(out) if isinstance(x, float) else out
 
 
 def pdf(spec, x):
@@ -160,9 +152,8 @@ def _vm_log_density(x, mu, kappa):
 
 
 def _cardioid_log_density(x, mu, ell):
-    core = 2.0 * ell * np.cos(x - mu)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(core > -1.0, np.log1p(np.maximum(core, -1.0)), _NEG_INF) - _LOG_TWO_PI
+    # ell < 0.5 on every path here, so 2 ell cos(x - mu) > -1
+    return np.log1p(2.0 * ell * np.cos(x - mu)) - _LOG_TWO_PI
 
 
 def _wc_log_density(x, mu, rho):
@@ -250,7 +241,7 @@ FAMILIES = {
     Family.UNIFORM: FamilyKernel("circular uniform", _uniform_log_density, _sample_uniform),
     Family.VON_MISES: FamilyKernel(
         "von Mises", _vm_log_density, _sample_von_mises, _vm_loglik,
-        support=(0.0, math.inf), rule="kappa >= 0", initial=1.0,
+        support=(0.0, math.inf), initial=1.0,
         to_theta=math.log,
         to_conc=lambda t: math.exp(t) if t < 709.0 else math.inf,
         log_jac=lambda t, c: math.log(c),
@@ -260,7 +251,7 @@ FAMILIES = {
     Family.CARDIOID: FamilyKernel(
         "cardioid", _cardioid_log_density, _sample_cardioid,
         _summed_loglik(_cardioid_log_density),
-        support=(0.0, 0.5), rule="0 <= ell < 0.5", initial=0.25,
+        support=(0.0, 0.5), initial=0.25,
         to_theta=lambda c: math.log(2.0 * c) - math.log1p(-2.0 * c),
         to_conc=lambda t: 0.5 * float(expit(t)),
         log_jac=lambda t, c: math.log(2.0 * c) + math.log1p(-2.0 * c) - math.log(2.0),
@@ -269,7 +260,7 @@ FAMILIES = {
     ),
     Family.WRAPPED_CAUCHY: FamilyKernel(
         "wrapped Cauchy", _wc_log_density, _sample_wc, _summed_loglik(_wc_log_density),
-        support=(0.0, 1.0), rule="0 <= rho < 1", initial=0.5,
+        support=(0.0, 1.0), initial=0.5,
         to_theta=lambda c: math.log(c) - math.log1p(-c),
         to_conc=lambda t: float(expit(t)),
         log_jac=lambda t, c: math.log(c) + math.log1p(-c),
@@ -298,11 +289,11 @@ def sample(spec, n, seed):
 
 def circular_mean(angles):
     """Mean direction atan2(sum sin, sum cos), wrapped to [0, 2*pi)."""
-    arr = np.asarray(angles, dtype=float)
+    arr = _checked(angles, -math.inf, math.inf, "angle")
     return wrap_angle(np.arctan2(np.sin(arr).sum(), np.cos(arr).sum()))
 
 
 def resultant_length(angles):
     """Mean resultant length of a sample of angles, in [0, 1]."""
-    arr = np.asarray(angles, dtype=float)
+    arr = _checked(angles, -math.inf, math.inf, "angle")
     return float(np.hypot(np.sin(arr).mean(), np.cos(arr).mean()))

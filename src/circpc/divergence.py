@@ -22,6 +22,7 @@ from .distributions import TWO_PI, Family, pdf
 from .special import (
     _RATIO_TAIL_SWITCH,
     _TINY,
+    _checked,
     _log_i0,
     _one_minus_ratio,
     _piecewise,
@@ -112,18 +113,6 @@ def profile_for(family, base):
         ) from None
 
 
-def _checked_param(profile, param):
-    arr = np.asarray(param, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("parameter must be finite")
-    if not np.all((arr >= profile.support_lo) & (arr < profile.support_hi)):
-        raise ValueError(
-            f"parameter outside the {profile.family.value} support "
-            f"[{profile.support_lo}, {profile.support_hi})"
-        )
-    return arr
-
-
 # ---------------------------------------------------------------------------
 # closed-form KLDs
 
@@ -133,14 +122,10 @@ def kld_vm(kappa, kappa0):
 
     log I0(k0) - log I0(k) + (k - k0) I1(k)/I0(k), clamped below at 0.
     """
-    k = np.asarray(kappa, dtype=float)
-    k0 = np.asarray(kappa0, dtype=float)
-    if not (np.all(np.isfinite(k)) and np.all(np.isfinite(k0))):
-        raise ValueError("kappa and kappa0 must be finite")
-    if np.any(k < 0.0) or np.any(k0 < 0.0):
-        raise ValueError("kappa and kappa0 must be nonnegative")
+    k = _checked(kappa, what="kappa")
+    k0 = _checked(kappa0, what="kappa0")
     out = np.maximum(_log_i0(k0) - _log_i0(k) + (k - k0) * _ratio(k), 0.0)
-    return float(out) if np.ndim(kappa) == 0 and np.ndim(kappa0) == 0 else out
+    return float(out) if isinstance(k, float) and isinstance(k0, float) else out
 
 
 def _half_sqrt_terms(ell):
@@ -155,18 +140,16 @@ def kld_cardioid(ell, ell0):
     ell0 = 0 is rejected: the divergence against the exact uniform is
     the squared uniform-base distance instead.
     """
-    l = np.asarray(ell, dtype=float)
-    l0 = np.asarray(ell0, dtype=float)
+    l = _checked(ell, 0.0, 0.5, "ell")
+    l0 = _checked(ell0, 0.0, 0.5, "ell0")
     if np.any(l0 == 0.0):
         raise ValueError("ell0 must be positive; use the uniform-base distance for ell0 = 0")
-    if np.any((l < 0.0) | (l >= 0.5)) or np.any((l0 < 0.0) | (l0 >= 0.5)):
-        raise ValueError("ell must lie in [0, 0.5) and ell0 in (0, 0.5)")
     s, _ = _half_sqrt_terms(l)
     s0, _ = _half_sqrt_terms(l0)
     # 1 - s = 4 l^2 / (1 + s) keeps the small-ell cancellation out
     term = 4.0 * l * (l / (1.0 + s) - l0 / (1.0 + s0))
     out = np.maximum(term + np.log((1.0 + s) / (1.0 + s0)), 0.0)
-    return float(out) if np.ndim(ell) == 0 and np.ndim(ell0) == 0 else out
+    return float(out) if isinstance(l, float) and isinstance(l0, float) else out
 
 
 # log(1 - rho^2), stable across [0, 1); log1p takes rho <= 0.5
@@ -182,11 +165,9 @@ def _log1m_rho_sq(rho):
 
 def kld_wc(rho):
     """KLD of wrapped Cauchy(rho) from the circular uniform: -log(1 - rho^2)."""
-    r = np.asarray(rho, dtype=float)
-    if np.any((r < 0.0) | (r >= 1.0)):
-        raise ValueError("rho must lie in [0, 1)")
+    r = _checked(rho, 0.0, 1.0, "rho")
     out = -_log1m_rho_sq(r)
-    return float(out) if np.ndim(rho) == 0 else out
+    return float(out) if isinstance(r, float) else out
 
 
 def kld_numeric(p_spec, q_spec, nodes=20001):
@@ -578,15 +559,16 @@ _PROFILES = {
 
 def distance(profile, param):
     """Distance d(param) = sqrt(KLD against the profile's base model)."""
-    out = profile.dist(_checked_param(profile, param))
-    return float(out) if np.ndim(param) == 0 else out
+    x = _checked(param, profile.support_lo, profile.support_hi, "parameter")
+    out = profile.dist(x)
+    return float(out) if isinstance(x, float) else out
 
 
 def distance_deriv(profile, param):
     """|d d(param) / d param|, with exact limits at the support edge."""
-    arr = _checked_param(profile, param)
-    out = profile.deriv(arr, profile.dist(arr))
-    return float(out) if np.ndim(param) == 0 else out
+    x = _checked(param, profile.support_lo, profile.support_hi, "parameter")
+    out = profile.deriv(x, profile.dist(x))
+    return float(out) if isinstance(x, float) else out
 
 
 def inverse_distance(profile, d):
@@ -599,12 +581,7 @@ def inverse_distance(profile, d):
     Distances outside the attainable range raise; for the cardioid
     curve base, d = 0 reports the open boundary just below 0.5.
     """
-    arr = np.asarray(d, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("distance must be finite")
-    if np.any(arr < profile.d_min) or np.any(arr > profile.d_max):
-        raise ValueError(
-            f"distance outside [{profile.d_min}, {profile.d_max}] for this profile"
-        )
-    out = profile.inverse(np.atleast_1d(arr))
-    return float(out[0]) if np.ndim(d) == 0 else out.reshape(arr.shape)
+    # d_max itself is attained (or reported as the open end), so the top is closed
+    x = _checked(d, profile.d_min, math.nextafter(profile.d_max, math.inf), "distance")
+    out = profile.inverse(np.atleast_1d(x))
+    return float(out[0]) if isinstance(x, float) else out.reshape(x.shape)

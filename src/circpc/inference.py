@@ -162,7 +162,8 @@ def _log_conc_prior_fn(prior):
     if isinstance(prior, PcPrior):
         dist, deriv = prior.profile.dist, prior.profile.deriv
         lam = prior.lam
-        log_lam_norm = math.log(lam) - math.log(_normalizer(prior))
+        z = _normalizer(lam, prior.profile, prior.is_normalized)
+        log_lam_norm = math.log(lam) - math.log(z)
 
         def log_prior(x):
             d = dist(x)

@@ -25,7 +25,7 @@ authoritative; the literature closed forms are exposed separately as
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -40,6 +40,7 @@ from .divergence import (
     inverse_distance,
     profile_for,
 )
+from .special import _TINY, _checked
 
 _BRACKET = (1.0e-8, 1.0e6)
 _BRACKET_WIDE = (1.0e-12, 1.0e9)
@@ -88,27 +89,21 @@ class PcPrior:
     """A calibrated complexity-penalizing prior for one concentration axis.
 
     ``lam`` is the rate on the distance scale (serialized under the key
-    "lambda").
+    "lambda"); ``profile`` is the pair's distance profile.
     """
 
     family: Family
     base: BaseModel
     lam: float
     normalization: Normalization = Normalization.TRUNCATED
+    profile: DistanceProfile = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "family", Family(self.family))
         object.__setattr__(self, "base", BaseModel(self.base))
         object.__setattr__(self, "normalization", _coerce_normalization(self.normalization))
-        lam = float(self.lam)
-        if not math.isfinite(lam) or lam <= 0.0:
-            raise ValueError("lambda must be a positive finite real")
-        object.__setattr__(self, "lam", lam)
-        profile_for(self.family, self.base)  # validates the pair
-
-    @property
-    def profile(self) -> DistanceProfile:
-        return profile_for(self.family, self.base)
+        object.__setattr__(self, "lam", _checked(float(self.lam), _TINY, math.inf, "lambda"))
+        object.__setattr__(self, "profile", profile_for(self.family, self.base))
 
     @property
     def is_normalized(self) -> bool:
@@ -141,20 +136,11 @@ class TailSpec:
     alpha: float
 
     def __post_init__(self):
-        u = float(self.U)
-        a = float(self.alpha)
-        if not math.isfinite(u) or u <= 0.0:
-            raise ValueError("U must be a positive finite real")
-        if not 0.0 < a < 1.0:
-            raise ValueError("alpha must lie strictly between 0 and 1")
-        object.__setattr__(self, "U", u)
-        object.__setattr__(self, "alpha", a)
+        object.__setattr__(self, "U", _checked(float(self.U), _TINY, math.inf, "U"))
+        object.__setattr__(self, "alpha", _checked(float(self.alpha), _TINY, 1.0, "alpha"))
 
     def validate_for(self, family) -> None:
-        kern = _q_kernel(family)
-        lo, hi = kern.support
-        if not lo <= kern.threshold(self.U) < hi:
-            raise ValueError(f"{kern.label} tail threshold U must lie in {kern.u_range}")
+        _crossing(family, self.U)
 
 
 def _q_kernel(family):
@@ -164,27 +150,63 @@ def _q_kernel(family):
     return kern
 
 
+def _crossing(family, U):
+    """Check the threshold U for ``family``; return the family's record
+    and xi_U, the concentration at which Q crosses U."""
+    kern = _q_kernel(family)
+    xi = kern.threshold(_checked(U, _TINY, math.inf, "U"))
+    lo, hi = kern.support
+    if not lo <= xi < hi:
+        raise ValueError(f"{kern.label} tail threshold U must lie in {kern.u_range}")
+    return kern, xi
+
+
 def q_transform(family, param):
-    """User-scale transform Q whose tail P(Q > U) = alpha calibrates lambda."""
-    out = _q_kernel(family).q(np.asarray(param, dtype=float))
-    return float(out) if np.ndim(param) == 0 else out
+    """User-scale transform Q whose tail P(Q > U) = alpha calibrates lambda.
+
+    Defined on the closed support: at its open end Q takes its limit.
+    """
+    kern = _q_kernel(family)
+    lo, hi = kern.support
+    x = _checked(param, lo, math.nextafter(hi, math.inf), f"{kern.label} concentration")
+    out = kern.q(x)
+    return float(out) if isinstance(x, float) else out
 
 
-def _normalizer(prior: PcPrior) -> float:
-    """Mass of lambda*exp(-lambda*d) over the prior's distance range."""
-    d_max = prior.profile.d_max
-    if not prior.is_normalized or math.isinf(d_max):
+def _normalizer(lam, prof: DistanceProfile, normalized) -> float:
+    """Mass of lambda*exp(-lambda*d) over the pair's distance range; 1
+    where the form is not normalized."""
+    if not normalized or math.isinf(prof.d_max):
         return 1.0
-    return -math.expm1(-prior.lam * d_max)
+    return -math.expm1(-lam * prof.d_max)
+
+
+def _cdf(lam, d, prof: DistanceProfile, normalized):
+    """The PC CDF at distance(s) d: pc_cdf and the calibration residual
+    both evaluate it, so each CDF formula is written once."""
+    if prof.direction is Direction.INCREASING:
+        out = -np.expm1(-lam * d) / _normalizer(lam, prof, normalized)
+    elif not normalized:
+        out = np.exp(-lam * d)
+    else:
+        e_max = math.exp(-lam * prof.d_max)
+        out = (np.exp(-lam * d) - e_max) / (1.0 - e_max)
+    return np.clip(out, 0.0, 1.0)
+
+
+def _tail(kern, cdf_at_crossing):
+    """P(Q > U) from the CDF at xi_U."""
+    return 1.0 - cdf_at_crossing if kern.q_increasing else cdf_at_crossing
 
 
 def pc_pdf(prior: PcPrior, param):
     """Prior density at param; exponential in the distance scale."""
     prof = prior.profile
-    arr = np.asarray(param, dtype=float)
-    d = np.asarray(distance(prof, arr))
-    out = prior.lam * np.exp(-prior.lam * d) * prof.deriv(arr, d) / _normalizer(prior)
-    return float(out) if np.ndim(param) == 0 else out
+    x = _checked(param, prof.support_lo, prof.support_hi, "parameter")
+    d = prof.dist(x)
+    z = _normalizer(prior.lam, prof, prior.is_normalized)
+    out = prior.lam * np.exp(-prior.lam * d) * prof.deriv(x, d) / z
+    return float(out) if isinstance(x, float) else out
 
 
 def pc_cdf(prior: PcPrior, param):
@@ -195,17 +217,9 @@ def pc_cdf(prior: PcPrior, param):
     which for vm/pointmass and cardioid/curve do not reach 0 at the
     support minimum.
     """
-    prof = prior.profile
-    d = np.asarray(distance(prof, param))
-    if prof.direction is Direction.INCREASING:
-        out = -np.expm1(-prior.lam * d) / _normalizer(prior)
-    elif not prior.is_normalized:
-        out = np.exp(-prior.lam * d)
-    else:
-        e_max = math.exp(-prior.lam * prof.d_max)
-        out = (np.exp(-prior.lam * d) - e_max) / (1.0 - e_max)
-    out = np.clip(out, 0.0, 1.0)
-    return float(out) if np.ndim(param) == 0 else out
+    d = distance(prior.profile, param)
+    out = _cdf(prior.lam, d, prior.profile, prior.is_normalized)
+    return float(out) if isinstance(d, float) else out
 
 
 def _quantile_distance(prior: PcPrior, p):
@@ -213,7 +227,7 @@ def _quantile_distance(prior: PcPrior, p):
     lam = prior.lam
     prof = prior.profile
     if prof.direction is Direction.INCREASING:
-        z = _normalizer(prior)
+        z = _normalizer(lam, prof, prior.is_normalized)
         return -np.log1p(-p * z) / lam
     e_max = math.exp(-lam * prof.d_max)
     return -np.log(p + (1.0 - p) * e_max) / lam
@@ -236,18 +250,15 @@ def pc_quantile(prior: PcPrior, p):
     that is reported as a ValueError rather than returned saturated.
     """
     _require_normalized(prior, "quantile")
-    arr = np.asarray(p, dtype=float)
-    if not np.all((arr > 0.0) & (arr < 1.0)):
-        raise ValueError("quantile level must lie strictly between 0 and 1")
-    d = _quantile_distance(prior, arr)
+    x = _checked(p, _TINY, 1.0, "quantile level")
+    d = _quantile_distance(prior, x)
     cap = prior.profile.max_param
-    if cap is not None and np.any(np.asarray(d) > distance(prior.profile, cap)):
+    if cap is not None and np.any(d > distance(prior.profile, cap)):
         raise ValueError(
             "quantile level maps beyond the largest representable parameter "
             f"(reachable up to p = {pc_cdf(prior, cap):.17g})"
         )
-    out = inverse_distance(prior.profile, d)
-    return float(out) if np.ndim(p) == 0 else np.asarray(out)
+    return inverse_distance(prior.profile, d)
 
 
 def pc_sample(prior: PcPrior, n, seed):
@@ -273,10 +284,21 @@ def pc_sample(prior: PcPrior, n, seed):
 
 def tail_probability(prior: PcPrior, tail: TailSpec) -> float:
     """P(Q(param) > U) under the prior's CDF."""
-    tail.validate_for(prior.family)
-    kern = FAMILIES[prior.family]
-    below = float(pc_cdf(prior, kern.threshold(tail.U)))
-    return 1.0 - below if kern.q_increasing else below
+    kern, xi = _crossing(prior.family, tail.U)
+    return _tail(kern, float(pc_cdf(prior, xi)))
+
+
+def _tail_setup(prof: DistanceProfile, U):
+    """Check U for the pair; return the family's record, d* = d(xi_U) at
+    the crossing Q = U, and the open interval of attainable alpha."""
+    kern, xi = _crossing(prof.family, U)
+    d_star = float(prof.dist(xi))
+    if xi <= prof.support_lo:
+        return kern, d_star, (0.0, 0.0)  # tail event has probability 0 for every lambda
+    ratio = d_star / prof.d_max  # 0 when d is unbounded
+    if kern.q_increasing == (prof.direction is Direction.DECREASING):
+        return kern, d_star, (ratio, 1.0)
+    return kern, d_star, (0.0, 1.0 - ratio)
 
 
 def attainable_alpha_range(family, base, U):
@@ -289,26 +311,17 @@ def attainable_alpha_range(family, base, U):
     rises from d*/d_max toward 1, otherwise it falls from 1 - d*/d_max
     toward 0, where d* is the distance at the crossing Q = U.
     """
-    prof = profile_for(family, base)
-    kern = FAMILIES[prof.family]
-    TailSpec(U=U, alpha=0.5).validate_for(prof.family)
-    crossing = kern.threshold(U)
-    if crossing <= prof.support_lo:
-        return (0.0, 0.0)  # tail event has probability 0 for every lambda
-    ratio = distance(prof, crossing) / prof.d_max  # 0 when d is unbounded
-    if kern.q_increasing == (prof.direction is Direction.DECREASING):
-        return (ratio, 1.0)
-    return (0.0, 1.0 - ratio)
+    return _tail_setup(profile_for(family, base), U)[2]
 
 
-def _check_feasible(family, base, tail: TailSpec):
-    lo, hi = attainable_alpha_range(family, base, tail.U)
+def _check_feasible(prof: DistanceProfile, tail: TailSpec, attainable):
+    lo, hi = attainable
     if not lo < tail.alpha < hi:
         raise InfeasibleTailError(
             f"alpha={tail.alpha:g} is not attainable for "
-            f"{Family(family).value}/{BaseModel(base).value} at U={tail.U:g}; "
+            f"{prof.family.value}/{prof.base.value} at U={tail.U:g}; "
             f"attainable alpha range is ({lo:.12g}, {hi:.12g})",
-            (lo, hi),
+            attainable,
         )
 
 
@@ -316,22 +329,22 @@ def calibrate_lambda(family, base, tail: TailSpec) -> float:
     """lambda such that P(Q(param) > U) = alpha under the truncated CDF.
 
     Solved by bracketing root search on lambda in [1e-8, 1e6], widened
-    once to [1e-12, 1e9] if the root is not bracketed.
+    once to [1e-12, 1e9] if the root is not bracketed. The pair, U and
+    alpha are checked once; each step evaluates the CDF at d* = d(xi_U).
     """
-    fam, bas = Family(family), BaseModel(base)
-    _check_feasible(fam, bas, tail)  # validates the pair and U as well
+    prof = profile_for(family, base)
+    kern, d_star, attainable = _tail_setup(prof, tail.U)
+    _check_feasible(prof, tail, attainable)
 
     def residual(lam):
-        prior = PcPrior(fam, bas, lam)
-        return tail_probability(prior, tail) - tail.alpha
+        return _tail(kern, float(_cdf(lam, d_star, prof, True))) - tail.alpha
 
     lo, hi = _BRACKET
     if residual(lo) * residual(hi) > 0.0:
         lo, hi = _BRACKET_WIDE
         if residual(lo) * residual(hi) > 0.0:
             raise InfeasibleTailError(
-                f"no lambda in [{lo:g}, {hi:g}] achieves alpha={tail.alpha:g}",
-                attainable_alpha_range(fam, bas, tail.U),
+                f"no lambda in [{lo:g}, {hi:g}] achieves alpha={tail.alpha:g}", attainable
             )
     return float(brentq(residual, lo, hi, xtol=1e-300, rtol=1e-12))
 
@@ -351,11 +364,10 @@ def calibrate_lambda_paper(family, base, tail: TailSpec) -> float:
     Prefer ``calibrate_lambda``.
     """
     prof = profile_for(family, base)
-    tail.validate_for(prof.family)
+    _, d_star, attainable = _tail_setup(prof, tail.U)
     if not prof.paper_unnormalized:
-        _check_feasible(prof.family, prof.base, tail)
+        _check_feasible(prof, tail, attainable)
     alpha = tail.alpha
-    d_star = distance(prof, FAMILIES[prof.family].threshold(tail.U))
     lam = -math.log1p(-alpha) / d_star
     if prof.paper_unnormalized or math.isinf(prof.d_max):
         return lam

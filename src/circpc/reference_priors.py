@@ -21,7 +21,7 @@ from scipy.special import betaln
 from .distributions import TWO_PI, wrap_angle
 from .divergence import DistanceProfile, inverse_distance
 from .pc_priors import PcPrior, pc_pdf
-from .special import log_bessel_i0
+from .special import _checked, _log_i0
 
 __all__ = [
     "GammaOneB",
@@ -164,12 +164,9 @@ class VonMisesConjugate:
         object.__setattr__(self, "mu0", float(wrap_angle(self.mu0)))
 
     def pdf(self, mu, kappa):
-        k = np.asarray(kappa, dtype=float)
-        if np.any(k < 0.0) or not np.all(np.isfinite(k)):
-            raise ValueError("kappa must be finite and nonnegative")
-        log_val = k * self.R0 * np.cos(np.asarray(mu, dtype=float) - self.mu0)
-        log_val = log_val - self.c * log_bessel_i0(k)
-        return np.exp(log_val)
+        k = _checked(kappa, what="kappa")
+        m = _checked(mu, -math.inf, math.inf, "mu")
+        return np.exp(k * self.R0 * np.cos(m - self.mu0) - self.c * _log_i0(k))
 
 
 ReferencePrior = Union[
@@ -190,17 +187,11 @@ def ref_pdf(prior, param):
     VonMisesConjugate is bivariate: pass param as a (mu, kappa) pair.
     """
     if isinstance(prior, VonMisesConjugate):
-        mu, kappa = param
-        out = prior.pdf(mu, kappa)
-        return float(out) if np.ndim(kappa) == 0 and np.ndim(mu) == 0 else out
-    arr = np.asarray(param, dtype=float)
-    lo, hi = prior.support
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("parameter must be finite")
-    if np.any(arr < lo) or np.any(arr >= hi):
-        raise ValueError(f"parameter outside the prior support [{lo}, {hi})")
-    out = prior.pdf(arr)
-    return float(out) if np.ndim(param) == 0 else out
+        out = prior.pdf(*param)
+        return float(out) if np.ndim(out) == 0 else out
+    x = _checked(param, *prior.support, "parameter")
+    out = prior.pdf(x)
+    return float(out) if isinstance(x, float) else out
 
 
 def _param_density(prior) -> Callable:
@@ -221,14 +212,9 @@ def distance_scale_pdf(prior, profile: DistanceProfile, d):
     and the analytic derivative of the profile's distance map.
     """
     pdf = _param_density(prior)
-    arr = np.asarray(d, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("distance must be finite")
-    if np.any(arr < 0.0) or np.any(arr > profile.d_max):
-        raise ValueError("distance outside the profile's range")
-    xi = np.asarray(inverse_distance(profile, arr))
+    xi = inverse_distance(profile, d)  # checks d
     out = pdf(xi) / profile.deriv(xi, profile.dist(xi))
-    return float(out) if np.ndim(d) == 0 else out
+    return float(out) if isinstance(xi, float) else out
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ overflow-free log I_0, and the ratio I_1/I_0 that stays stable for
 large arguments.
 """
 
+import math
 from bisect import bisect_right
 
 import numpy as np
@@ -18,17 +19,28 @@ __all__ = ["bessel_i", "log_bessel_i0", "bessel_ratio", "bessel_ratio_deriv"]
 _RATIO_TAIL_SWITCH = 1.0e3
 
 
-def _validated(x):
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("argument must be finite")
-    if np.any(arr < 0.0):
-        raise ValueError("argument must be nonnegative")
-    return arr
+def _checked(x, lo=0.0, hi=math.inf, what="argument"):
+    """The input check of every public numerical function.
 
-
-def _maybe_scalar(x, out):
-    return float(out) if np.ndim(x) == 0 else out
+    ``x`` must be finite and lie in [lo, hi). A scalar (Python number,
+    numpy scalar or 0-d array) comes back as a Python float, so the
+    kernels take _piecewise's scalar path and the caller tells a scalar
+    result by ``isinstance(x, float)``; anything else comes back as a
+    float array.
+    """
+    if isinstance(x, (float, int, np.generic)) or np.ndim(x) == 0:
+        v = float(x)
+        finite, inside = math.isfinite(v), lo <= v < hi
+    else:
+        v = np.asarray(x, dtype=float)
+        finite, inside = np.all(np.isfinite(v)), np.all((v >= lo) & (v < hi))
+    if not finite:
+        raise ValueError(f"{what} must be finite")
+    if not inside:
+        # a lower bound of _TINY, the smallest positive float, reads as open
+        left = "(0.0" if lo == _TINY else f"[{lo}"
+        raise ValueError(f"{what} must lie in {left}, {hi})")
+    return v
 
 
 def _piecewise(x, cuts, branches, *args):
@@ -122,6 +134,12 @@ def _ratio_deriv(x):
     return _piecewise(x, *_RATIO_DERIV)
 
 
+def _evaluate(kernel, x):
+    x = _checked(x)
+    out = kernel(x)
+    return float(out) if isinstance(x, float) else out
+
+
 def bessel_i(order, x, scaled=False):
     """Modified Bessel function of the first kind, order 0, 1 or 2.
 
@@ -141,7 +159,7 @@ def bessel_i(order, x, scaled=False):
     """
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
-    arr = _validated(x)
+    arr = _checked(x)
     if order == 0:
         val = _sp.i0e(arr)
     elif order == 1:
@@ -151,12 +169,12 @@ def bessel_i(order, x, scaled=False):
     if not scaled:
         with np.errstate(over="ignore"):
             val = val * np.exp(arr)
-    return _maybe_scalar(x, val)
+    return float(val) if isinstance(arr, float) else val
 
 
 def log_bessel_i0(x):
     """log I_0(x), computed without overflow for any finite x >= 0."""
-    return _maybe_scalar(x, _log_i0(_validated(x)))
+    return _evaluate(_log_i0, x)
 
 
 def bessel_ratio(x):
@@ -166,7 +184,7 @@ def bessel_ratio(x):
     exponentially scaled functions so large arguments neither overflow
     nor lose the ratio.
     """
-    return _maybe_scalar(x, _ratio(_validated(x)))
+    return _evaluate(_ratio, x)
 
 
 def one_minus_bessel_ratio(x):
@@ -175,7 +193,7 @@ def one_minus_bessel_ratio(x):
     For large x the direct subtraction loses everything (the ratio is
     1 - O(1/x)); an asymptotic tail series takes over there.
     """
-    return _maybe_scalar(x, _one_minus_ratio(_validated(x)))
+    return _evaluate(_one_minus_ratio, x)
 
 
 def bessel_ratio_deriv(x):
@@ -186,4 +204,4 @@ def bessel_ratio_deriv(x):
     asymptotic series of ``_ratio_deriv_tail_x2`` for large x where even
     that form cancels. r'(0) = 1/2 is the analytic limit.
     """
-    return _maybe_scalar(x, _ratio_deriv(_validated(x)))
+    return _evaluate(_ratio_deriv, x)

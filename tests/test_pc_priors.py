@@ -146,6 +146,29 @@ class TestCdf:
             cs = pc_cdf(p, interior_points(pair, 400))
             assert np.all(np.diff(cs) >= 0.0)
 
+    @given(
+        st.sampled_from(PAIRS),
+        st.sampled_from(tuple(Normalization)),
+        st.floats(min_value=1e-2, max_value=1e2),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_monotone_in_unit_interval_property(self, pair, normalization, lam, data):
+        p = PcPrior(pair[0], pair[1], lam, normalization)
+        hi = p.profile.support_hi
+        params = st.floats(
+            min_value=p.profile.support_lo,
+            max_value=hi if math.isfinite(hi) else None,
+            exclude_max=math.isfinite(hi),
+            allow_infinity=False,
+        )
+        a, b = sorted((data.draw(params), data.draw(params)))
+        lower, upper = pc_cdf(p, a), pc_cdf(p, b)
+        assert 0.0 <= lower <= 1.0 and 0.0 <= upper <= 1.0
+        # d is monotone only up to its rounding (~1e-12 at the branch
+        # switches), which moves the CDF by at most ~1e-10 here
+        assert upper >= lower - 1e-9
+
     def test_paper_exact_raw_forms(self):
         lam = 1.3
         pm = PcPrior(Family.VON_MISES, BaseModel.POINT_MASS, lam, "paper")
@@ -179,7 +202,7 @@ class TestQuantile:
 
     def test_levels_must_be_interior(self):
         p = PcPrior(Family.VON_MISES, BaseModel.UNIFORM, 1.0)
-        for bad in (0.0, 1.0, -0.2, 1.3):
+        for bad in (0.0, 1.0, -0.2, 1.3, math.nan):
             with pytest.raises(ValueError):
                 pc_quantile(p, bad)
 

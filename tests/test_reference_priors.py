@@ -85,6 +85,8 @@ class TestDensities:
         vc = VonMisesConjugate(1.0, 0.5, 0.0)
         with pytest.raises(ValueError):
             vc.pdf(0.0, -1.0)
+        with pytest.raises(ValueError):
+            vc.pdf(math.nan, 1.0)
 
     def test_ref_pdf_out_of_support_raises(self):
         with pytest.raises(ValueError):
