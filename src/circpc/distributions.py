@@ -189,10 +189,26 @@ def _sample_uniform(rng, mu, conc, n):
     return TWO_PI * rng.random(n)
 
 
+# below this kappa, tau - sqrt(2 tau) cancels in the envelope's rho, so rho
+# takes an equal form that does not cancel
+_VM_RHO_REARRANGED_BELOW = 1.0e-3
+# below this kappa, exp(kappa cos x) rounds to 1 for every x: the von Mises
+# density is the uniform one in floats, so the uniform is drawn (the
+# envelope's r ~ 1/kappa would overflow below ~5e-309)
+_VM_UNIFORM_BELOW = 2.0 ** -55
+
+
 def _sample_von_mises(rng, mu, kappa, n):
     # Best-Fisher rejection sampler, vectorized in batches.
+    if kappa < _VM_UNIFORM_BELOW:
+        return _sample_uniform(rng, mu, kappa, n)
     tau = 1.0 + np.sqrt(1.0 + 4.0 * kappa * kappa)
-    rho = (tau - np.sqrt(2.0 * tau)) / (2.0 * kappa)
+    if kappa < _VM_RHO_REARRANGED_BELOW:
+        # the same rho: tau - sqrt(2 tau) = tau (tau - 2) / (tau + sqrt(2 tau)),
+        # and tau (tau - 2) = 4 kappa^2
+        rho = 2.0 * kappa / (tau + np.sqrt(2.0 * tau))
+    else:
+        rho = (tau - np.sqrt(2.0 * tau)) / (2.0 * kappa)
     r = (1.0 + rho * rho) / (2.0 * rho)
     out = np.empty(n)
     filled = 0

@@ -22,12 +22,12 @@ from .distributions import TWO_PI, Family, pdf
 from .special import (
     _RATIO_TAIL_SWITCH,
     _TINY,
+    _bessel_i01e,
     _checked,
     _log_i0,
-    _one_minus_ratio,
+    _one_minus_ratio_tail,
     _piecewise,
     _ratio,
-    _ratio_deriv,
     _ratio_deriv_head,
     _ratio_deriv_tail_x2,
 )
@@ -77,9 +77,18 @@ class Direction(str, Enum):
 class DistanceProfile:
     """The monotone map between a concentration parameter and its distance.
 
-    Beyond the seven public fields, each record carries its pair's
-    unchecked array kernels (the public functions below check inputs
-    once, then call them) and two facts about the pair's PC prior.
+    Beyond the seven public fields, each record carries its pair's two
+    unchecked kernels (the public functions below check inputs once,
+    then call them) and two facts about the pair's PC prior:
+
+    - ``dist_deriv(param) -> (d, |d'|)``: the distance and the magnitude
+      of its slope, from one evaluation of each Bessel function per
+      element; ``dist`` is its first value;
+    - ``inverse(d) -> param`` on a 1-d array of attainable distances;
+    - ``max_param``: the largest invertible parameter, for the pairs
+      whose d is unbounded;
+    - ``paper_unnormalized``: the printed closed-form prior omits the
+      truncation normalizer.
     """
 
     family: Family
@@ -89,13 +98,14 @@ class DistanceProfile:
     direction: Direction
     support_lo: float
     support_hi: float
-    dist: Callable = field(repr=False, compare=False)       # param -> d
-    deriv: Callable = field(repr=False, compare=False)      # (param, d) -> |d'|
-    inverse: Callable = field(repr=False, compare=False)    # d (1-d array) -> param
-    # largest invertible parameter, for the pairs whose d is unbounded
+    dist_deriv: Callable = field(repr=False, compare=False)
+    inverse: Callable = field(repr=False, compare=False)
     max_param: Optional[float] = field(default=None, repr=False, compare=False)
-    # the printed closed-form prior omits the truncation normalizer
     paper_unnormalized: bool = field(default=False, repr=False, compare=False)
+
+    def dist(self, param):
+        """d alone: the first value of ``dist_deriv``."""
+        return self.dist_deriv(param)[0]
 
 
 def supported_pairs():
@@ -186,37 +196,23 @@ def kld_numeric(p_spec, q_spec, nodes=20001):
 
 
 # ---------------------------------------------------------------------------
-# distance kernels, one set per (family, base) pair. ``dist`` and ``deriv``
-# take floats, numpy scalars or float arrays already checked against the
-# support; kernels with several forms are tables for special._piecewise,
-# which runs only the live form on a scalar. ``inverse`` takes a 1-d array
-# already checked against the distance range.
-
-
-def _half(x, *_):
-    return 0.5
-
-
-def _one(x, *_):
-    return 1.0
+# distance kernels, one set per (family, base) pair. ``dist_deriv``
+# takes floats, numpy scalars or float arrays already checked against the
+# support and returns (d, |d'|); a kernel with several forms is a table
+# for special._piecewise whose forms each return both values, so an
+# element evaluates each Bessel function once, in the one form that holds
+# it. ``inverse`` takes a 1-d array already checked against the distance
+# range.
 
 
 def _same(x):
     return x
 
 
-# k r'(k), which is d/dk [k r(k) - log I0(k)], for k > 0; the tail folds
-# the k into the series so the product does not underflow before the multiply
-def _k_ratio_deriv_head(k):
-    return k * _ratio_deriv_head(k)
-
-
+# k r'(k), which is d/dk [k r(k) - log I0(k)], in the tail: the k is folded
+# into the series so the product does not underflow before the multiply
 def _k_ratio_deriv_tail(k):
     return _ratio_deriv_tail_x2(k) / k
-
-
-def _k_ratio_deriv(k):
-    return _piecewise(k, (_RATIO_TAIL_SWITCH,), (_k_ratio_deriv_head, _k_ratio_deriv_tail))
 
 
 # log1p(s) - s + s^2/2 = sum_{j>=3} (-1)^(j+1) s^j / j; Horner coefficients
@@ -313,25 +309,24 @@ def _solve_block(g, target, t, lo, hi):
     return out
 
 
-def _in_log_kappa(dist, slope, sign):
+def _in_log_kappa(dist_slope, sign):
     """g(t) for the solver: the signed distance at kappa = e^t and its
-    slope kappa |d'(kappa)| in t, given by ``slope(kappa, d)``."""
+    slope kappa |d'(kappa)| in t, both from ``dist_slope(kappa)``."""
 
     def g(t):
-        k = np.exp(t)
-        d = dist(k)
-        return sign * d, slope(k, d)
+        d, slope = dist_slope(np.exp(t))
+        return sign * d, slope
 
     return g
 
 
-def _in_logit_ell(dist, deriv, sign):
+def _in_logit_ell(dist_deriv, sign):
     """g(t) for the solver: the signed distance at ell = expit(t) / 2 and its slope in t."""
 
     def g(t):
         ell = np.minimum(0.5 * expit(t), _ELL_MAX)
-        d = dist(ell)
-        return sign * d, 2.0 * ell * (0.5 - ell) * deriv(ell, d)
+        d, slope = dist_deriv(ell)
+        return sign * d, 2.0 * ell * (0.5 - ell) * slope
 
     return g
 
@@ -341,50 +336,65 @@ def _logit_2ell(ell, eps):
     return np.log(np.maximum(ell, _TINY)) - np.log(np.maximum(eps, _TINY))
 
 
+# |d'| = k r'(k) / (2d) for d = sqrt(k r(k) - log I0(k)); every form
+# below returns (d, |d'|)
+
+
 def _vm_uniform_small(k):
     q = 0.25 * (k * k)
-    return np.sqrt(q * (1.0 - 0.75 * q + (5.0 / 9.0) * q * q))
+    d = np.sqrt(q * (1.0 - 0.75 * q + (5.0 / 9.0) * q * q))
+    return d, k * _ratio_deriv_head(k, _ratio(k)) / (2.0 * d)
+
+
+def _vm_uniform_direct(k):
+    # d and r = I1/I0 from one Bessel pass
+    i0, i1 = _bessel_i01e(k)
+    r = i1 / i0
+    return np.sqrt(k * r - (np.log(i0) + k)), r
 
 
 def _vm_uniform_mid(k):
-    return np.sqrt(k * _ratio(k) - _log_i0(k))
+    d, r = _vm_uniform_direct(k)
+    return d, k * _ratio_deriv_head(k, r) / (2.0 * d)
+
+
+def _vm_uniform_upper(k):
+    d, _ = _vm_uniform_direct(k)
+    return d, _k_ratio_deriv_tail(k) / (2.0 * d)
 
 
 def _vm_uniform_large(k):
     inv = 1.0 / k
-    return np.sqrt(
+    d = np.sqrt(
         0.5 * (_LOG_TWO_PI + np.log(k))
         - 0.5
         - inv * (0.25 + inv * (3.0 / 16.0 + inv * (25.0 / 96.0)))
     )
+    return d, _k_ratio_deriv_tail(k) / (2.0 * d)
 
 
-# d = sqrt(k r(k) - log I0(k)): linear, then its series below
-# _VM_RADICAND_SMALL, the direct form up to _VM_RADICAND_LARGE, and the
-# asymptotic series above
-_VM_UNIFORM_D = (
-    (_LINEAR_CUT, _VM_RADICAND_SMALL, _VM_RADICAND_LARGE),
-    (lambda k: 0.5 * k, _vm_uniform_small, _vm_uniform_mid, _vm_uniform_large),
-)
-
-# |d'| = k r'(k) / (2d), given den = 2d, and 1/2 where d is linear
-_VM_UNIFORM_DERIV = (
-    (_LINEAR_CUT, _RATIO_TAIL_SWITCH),
+# d is linear below _LINEAR_CUT, then its series below _VM_RADICAND_SMALL,
+# the direct form up to _VM_RADICAND_LARGE and the asymptotic series above;
+# r' takes its tail series from _RATIO_TAIL_SWITCH up
+_VM_UNIFORM = (
+    (_LINEAR_CUT, _VM_RADICAND_SMALL, _RATIO_TAIL_SWITCH, _VM_RADICAND_LARGE),
     (
-        _half,
-        lambda k, den: _k_ratio_deriv_head(k) / den,
-        lambda k, den: _k_ratio_deriv_tail(k) / den,
+        lambda k: (0.5 * k, 0.5),
+        _vm_uniform_small,
+        _vm_uniform_mid,
+        _vm_uniform_upper,
+        _vm_uniform_large,
     ),
 )
 
 
-def _vm_uniform_d(k):
-    return _piecewise(k, *_VM_UNIFORM_D)
+def _vm_uniform(k):
+    return _piecewise(k, *_VM_UNIFORM)
 
 
-def _vm_uniform_deriv(k, d):
-    # adding 1 where the linear form holds keeps an array's unused lanes finite
-    return _piecewise(k, *_VM_UNIFORM_DERIV, 2.0 * d + (k < _LINEAR_CUT))
+def _vm_uniform_log_slope(k):
+    d, slope = _vm_uniform(k)
+    return d, k * slope
 
 
 def _vm_uniform_search(d):
@@ -396,7 +406,7 @@ def _vm_uniform_search(d):
         np.log(2.0 * d) + 0.5 * np.log1p(0.75 * d2),
         2.0 * d2 + 1.0 - _LOG_TWO_PI,
     )
-    g = _in_log_kappa(_vm_uniform_d, lambda k, d: k * _vm_uniform_deriv(k, d), 1.0)
+    g = _in_log_kappa(_vm_uniform_log_slope, 1.0)
     return np.exp(_solve_increasing(g, d, t0, _LOG_KAPPA_LO, _LOG_KAPPA_HI))
 
 
@@ -407,13 +417,33 @@ def _vm_uniform_inverse(d):
     return _piecewise(d, (0.5 * _LINEAR_CUT,), (lambda d: 2.0 * d, _vm_uniform_search))
 
 
-def _vm_pointmass_d(k):
-    return np.sqrt(_one_minus_ratio(k))
+# d = sqrt(1 - r(k)) and its slope: |d'| = r'(k) / (2d), or with
+# log_slope the slope in log k, k r'(k) / (2d), which the inverse needs
+# because |d'| itself underflows past k ~ 1e162. At k = 0, d = 1 and
+# |d'| = r'(0) / 2 = 1/4.
 
 
-def _vm_pointmass_deriv(k, d):
-    # d > 0 everywhere; at k = 0 this is r'(0) / 2 = 1/4
-    return _ratio_deriv(k) / (2.0 * d)
+def _vm_pointmass_head(k, log_slope):
+    r = _ratio(k)
+    d = np.sqrt(1.0 - r)
+    slope = _ratio_deriv_head(k, r)
+    return d, (k * slope if log_slope else slope) / (2.0 * d)
+
+
+def _vm_pointmass_tail(k, log_slope):
+    d = np.sqrt(_one_minus_ratio_tail(k))
+    k_slope = _k_ratio_deriv_tail(k)
+    return d, (k_slope if log_slope else k_slope / k) / (2.0 * d)
+
+
+_VM_POINTMASS = (
+    (_TINY, _RATIO_TAIL_SWITCH),
+    (lambda k, log_slope: (1.0, 0.0 if log_slope else 0.25), _vm_pointmass_head, _vm_pointmass_tail),
+)
+
+
+def _vm_pointmass(k, log_slope=False):
+    return _piecewise(k, *_VM_POINTMASS, log_slope)
 
 
 def _vm_pointmass_inverse(d):
@@ -427,8 +457,7 @@ def _vm_pointmass_inverse(d):
         math.log(2.0) + np.log(np.maximum((1.0 - d) * (1.0 + d), _TINY)),
         -math.log(2.0) - 2.0 * np.log(d),
     )
-    # kappa |d'| = kappa r'(kappa) / (2d): |d'| itself underflows past kappa ~ 1e162
-    g = _in_log_kappa(_vm_pointmass_d, lambda k, d: _k_ratio_deriv(k) / (2.0 * d), -1.0)
+    g = _in_log_kappa(lambda k: _vm_pointmass(k, True), -1.0)
     t = _solve_increasing(g, -d, t0, _LOG_KAPPA_LO, _LOG_KAPPA_HI)
     return np.where(d == 1.0, 0.0, np.exp(t))
 
@@ -436,21 +465,12 @@ def _vm_pointmass_inverse(d):
 def _card_uniform_main(l):
     s, _ = _half_sqrt_terms(l)
     u = 4.0 * l * l / (1.0 + s)
-    return np.sqrt(u + np.log1p(-0.5 * u))
+    d = np.sqrt(u + np.log1p(-0.5 * u))
+    return d, 2.0 * l / ((1.0 + s) * d)
 
 
-def _card_uniform_d(l):
-    return _piecewise(l, (_LINEAR_CUT,), (_same, _card_uniform_main))
-
-
-def _card_uniform_deriv_main(l, den):
-    s, _ = _half_sqrt_terms(l)
-    return 2.0 * l / ((1.0 + s) * den)
-
-
-def _card_uniform_deriv(l, d):
-    # adding 1 where the linear form holds keeps an array's unused lanes finite
-    return _piecewise(l, (_LINEAR_CUT,), (_one, _card_uniform_deriv_main), d + (l < _LINEAR_CUT))
+def _card_uniform(l):
+    return _piecewise(l, (_LINEAR_CUT,), (lambda l: (l, 1.0), _card_uniform_main))
 
 
 def _card_uniform_search(d):
@@ -462,7 +482,7 @@ def _card_uniform_search(d):
         _logit_2ell(d, 0.5 - d),
         _logit_2ell(0.5 - eps_top, eps_top),
     )
-    g = _in_logit_ell(_card_uniform_d, _card_uniform_deriv, 1.0)
+    g = _in_logit_ell(_card_uniform, 1.0)
     t = _solve_increasing(g, d, t0, _LOGIT_LO, _LOGIT_HI)
     return np.minimum(0.5 * expit(t), _ELL_MAX)
 
@@ -475,14 +495,10 @@ def _card_uniform_inverse(d):
     )
 
 
-def _card_curve_d(l):
+def _card_curve(l):
     s, eps = _half_sqrt_terms(l)
-    return np.sqrt(2.0 * eps * eps + _card_l3(s))
-
-
-def _card_curve_deriv(l, d):
-    s, eps = _half_sqrt_terms(l)
-    return (s + 2.0 * eps) / ((1.0 + s) * d)
+    d = np.sqrt(2.0 * eps * eps + _card_l3(s))
+    return d, (s + 2.0 * eps) / ((1.0 + s) * d)
 
 
 def _card_curve_inverse(d):
@@ -496,23 +512,19 @@ def _card_curve_inverse(d):
         _logit_2ell(0.5 - eps_top, eps_top),
         _logit_2ell(ell_low, 0.5 - ell_low),
     )
-    g = _in_logit_ell(_card_curve_d, _card_curve_deriv, -1.0)
+    g = _in_logit_ell(_card_curve, -1.0)
     t = _solve_increasing(g, -d, t0, _LOGIT_LO, _LOGIT_HI)
     ell = np.minimum(0.5 * expit(t), _ELL_MAX)
     return np.where(d == 0.0, _ELL_MAX, np.where(d == SQRT_LOG2, 0.0, ell))
 
 
-def _wc_d(rho):
-    return _piecewise(rho, (_LINEAR_CUT,), (_same, lambda r: np.sqrt(-_log1m_rho_sq(r))))
+def _wc_main(rho):
+    d = np.sqrt(-_log1m_rho_sq(rho))
+    return d, rho / ((1.0 - rho) * (1.0 + rho) * d)
 
 
-def _wc_deriv_main(rho, den):
-    return rho / ((1.0 - rho) * (1.0 + rho) * den)
-
-
-def _wc_deriv(rho, d):
-    # adding 1 where the linear form holds keeps an array's unused lanes finite
-    return _piecewise(rho, (_LINEAR_CUT,), (_one, _wc_deriv_main), d + (rho < _LINEAR_CUT))
+def _wc(rho):
+    return _piecewise(rho, (_LINEAR_CUT,), (lambda r: (r, 1.0), _wc_main))
 
 
 # closed form; saturates at the largest rho below 1
@@ -526,29 +538,29 @@ def _wc_inverse(d):
     return _piecewise(d, *_WC_INVERSE)
 
 
-_VM_UNIFORM_D_MAX = float(_vm_uniform_d(_KAPPA_MAX))
+_VM_UNIFORM_D_MAX = float(_vm_uniform(_KAPPA_MAX)[0])
 
 
 _PROFILES = {
     (Family.VON_MISES, BaseModel.UNIFORM): DistanceProfile(
         Family.VON_MISES, BaseModel.UNIFORM, 0.0, np.inf, Direction.INCREASING, 0.0, np.inf,
-        _vm_uniform_d, _vm_uniform_deriv, _vm_uniform_inverse, max_param=_KAPPA_MAX,
+        _vm_uniform, _vm_uniform_inverse, max_param=_KAPPA_MAX,
     ),
     (Family.VON_MISES, BaseModel.POINT_MASS): DistanceProfile(
         Family.VON_MISES, BaseModel.POINT_MASS, 0.0, 1.0, Direction.DECREASING, 0.0, np.inf,
-        _vm_pointmass_d, _vm_pointmass_deriv, _vm_pointmass_inverse, paper_unnormalized=True,
+        _vm_pointmass, _vm_pointmass_inverse, paper_unnormalized=True,
     ),
     (Family.CARDIOID, BaseModel.UNIFORM): DistanceProfile(
         Family.CARDIOID, BaseModel.UNIFORM, 0.0, SQRT_1M_LOG2, Direction.INCREASING, 0.0, 0.5,
-        _card_uniform_d, _card_uniform_deriv, _card_uniform_inverse,
+        _card_uniform, _card_uniform_inverse,
     ),
     (Family.CARDIOID, BaseModel.CARDIOID_CURVE): DistanceProfile(
         Family.CARDIOID, BaseModel.CARDIOID_CURVE, 0.0, SQRT_LOG2, Direction.DECREASING, 0.0, 0.5,
-        _card_curve_d, _card_curve_deriv, _card_curve_inverse, paper_unnormalized=True,
+        _card_curve, _card_curve_inverse, paper_unnormalized=True,
     ),
     (Family.WRAPPED_CAUCHY, BaseModel.UNIFORM): DistanceProfile(
         Family.WRAPPED_CAUCHY, BaseModel.UNIFORM, 0.0, np.inf, Direction.INCREASING, 0.0, 1.0,
-        _wc_d, _wc_deriv, _wc_inverse, max_param=_RHO_MAX,
+        _wc, _wc_inverse, max_param=_RHO_MAX,
     ),
 }
 
@@ -567,7 +579,7 @@ def distance(profile, param):
 def distance_deriv(profile, param):
     """|d d(param) / d param|, with exact limits at the support edge."""
     x = _checked(param, profile.support_lo, profile.support_hi, "parameter")
-    out = profile.deriv(x, profile.dist(x))
+    _, out = profile.dist_deriv(x)
     return float(out) if isinstance(x, float) else out
 
 

@@ -160,14 +160,14 @@ def _log_conc_prior_fn(prior):
     that holds it.
     """
     if isinstance(prior, PcPrior):
-        dist, deriv = prior.profile.dist, prior.profile.deriv
+        dist_deriv = prior.profile.dist_deriv
         lam = prior.lam
         z = _normalizer(lam, prior.profile, prior.is_normalized)
         log_lam_norm = math.log(lam) - math.log(z)
 
         def log_prior(x):
-            d = dist(x)
-            g = float(deriv(x, d))
+            d, g = dist_deriv(x)
+            g = float(g)
             if g <= 0.0 or not math.isfinite(g):
                 return -math.inf
             return log_lam_norm - lam * float(d) + math.log(g)

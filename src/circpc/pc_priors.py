@@ -40,9 +40,12 @@ from .divergence import (
     inverse_distance,
     profile_for,
 )
-from .special import _TINY, _checked
+from .special import _TINY, _checked, _piecewise
 
 _BRACKET = (1.0e-8, 1.0e6)
+# the CDF's distance to its end value below which its direct forms are
+# rounding noise, about four ulps
+_END_GAP = 2.0 ** -50
 _BRACKET_WIDE = (1.0e-12, 1.0e9)
 
 
@@ -183,15 +186,41 @@ def _normalizer(lam, prof: DistanceProfile, normalized) -> float:
 
 def _cdf(lam, d, prof: DistanceProfile, normalized):
     """The PC CDF at distance(s) d: pc_cdf and the calibration residual
-    both evaluate it, so each CDF formula is written once."""
+    both evaluate it, so each CDF formula is written once.
+
+    Every branch lies in [0, 1] by construction, with no clip. d is
+    clamped to d_max, which it can round past at the open end of the
+    support, so x = -lam d lies in [x_max, 0] with x_max = -lam d_max.
+    Then 1 - e^x, alone or over a normalizer that rounds to 1, lies in
+    [0, 1]. The other forms rest on e^x >= e^x_max, which is exact but
+    can fail in floats: numpy's exponentials of x and libm's of x_max
+    (in e_max and the normalizer) may differ in the last bit. So where
+    the CDF is within about four ulps of its end value (e^x - e^x_max
+    below 2^-50 of e^x_max, or of the normalizer), that difference is
+    computed as e^x_max expm1(x - x_max), which is never negative;
+    elsewhere it exceeds the rounding of both exponentials, each off by
+    less than one ulp.
+    """
+    d = np.minimum(d, prof.d_max)
+    x = -lam * d
     if prof.direction is Direction.INCREASING:
-        out = -np.expm1(-lam * d) / _normalizer(lam, prof, normalized)
-    elif not normalized:
-        out = np.exp(-lam * d)
-    else:
+        z = _normalizer(lam, prof, normalized)
+        if z == 1.0:
+            return -np.expm1(x)
+        # (e^x - e^x_max) / z, the CDF's distance from 1, is below 2^-50 for x - x_max < top
         e_max = math.exp(-lam * prof.d_max)
-        out = (np.exp(-lam * d) - e_max) / (1.0 - e_max)
-    return np.clip(out, 0.0, 1.0)
+        top = math.log1p(_END_GAP * z / e_max)
+        return _piecewise(
+            x + lam * prof.d_max, (top,),
+            (lambda gap, x: 1.0 - e_max * np.expm1(gap) / z, lambda gap, x: -np.expm1(x) / z), x,
+        )
+    if not normalized:
+        return np.exp(x)
+    e_max = math.exp(-lam * prof.d_max)
+    return _piecewise(
+        x + lam * prof.d_max, (_END_GAP,),
+        (lambda gap, x: e_max * np.expm1(gap), lambda gap, x: np.exp(x) - e_max), x,
+    ) / (1.0 - e_max)
 
 
 def _tail(kern, cdf_at_crossing):
@@ -203,9 +232,9 @@ def pc_pdf(prior: PcPrior, param):
     """Prior density at param; exponential in the distance scale."""
     prof = prior.profile
     x = _checked(param, prof.support_lo, prof.support_hi, "parameter")
-    d = prof.dist(x)
+    d, slope = prof.dist_deriv(x)
     z = _normalizer(prior.lam, prof, prior.is_normalized)
-    out = prior.lam * np.exp(-prior.lam * d) * prof.deriv(x, d) / z
+    out = prior.lam * np.exp(-prior.lam * d) * slope / z
     return float(out) if isinstance(x, float) else out
 
 

@@ -213,7 +213,7 @@ def distance_scale_pdf(prior, profile: DistanceProfile, d):
     """
     pdf = _param_density(prior)
     xi = inverse_distance(profile, d)  # checks d
-    out = pdf(xi) / profile.deriv(xi, profile.dist(xi))
+    out = pdf(xi) / profile.dist_deriv(xi)[1]
     return float(out) if isinstance(xi, float) else out
 
 

@@ -43,40 +43,53 @@ def _checked(x, lo=0.0, hi=math.inf, what="argument"):
     return v
 
 
-def _piecewise(x, cuts, branches, *args):
-    """Evaluate a function given piecewise, as ``branch(x, *args)``.
+def _piecewise(x, cuts, forms, *args):
+    """Evaluate a function given piecewise, as ``form(x, *args)``.
 
     ``cuts`` increase and split the line into len(cuts) + 1 intervals;
-    branch i holds on [cuts[i-1], cuts[i]), the first one below cuts[0]
-    and the last one from cuts[-1] up. This is the one place where a
+    form i holds on [cuts[i-1], cuts[i]), the first one below cuts[0]
+    and the last one from cuts[-1] up. A form returns one value or a
+    tuple of values (a distance and its slope, say); a constant stands
+    for that value at every element. This is the one place where a
     scalar call and an array call part ways:
 
     - a scalar (Python float, numpy scalar or 0-d array) is placed among
-      the cuts by a bisection in Python and runs only the branch that
+      the cuts by a bisection in Python and runs only the form that
       holds it;
-    - an array runs every branch from the one holding min(x) to the one
-      holding max(x), each on x clamped into the branch's own closed
-      interval, and np.where keeps the right one per element.
+    - an array is placed by one ``searchsorted`` pass; each form runs
+      once, on the elements of its own interval gathered into a 1-d
+      array, and its values are scattered back into arrays of x's
+      shape. An array inside one interval runs its form on x itself.
 
-    The clamp is the identity on a branch's interval, so both calls give
-    the same bits. Each branch must be finite, and raise nothing, on its
-    closed interval (``args`` are passed whole, unclamped).
+    ``args`` of x's shape are gathered with x; any other argument is
+    passed whole. A form sees only arguments inside its own interval,
+    so it must be finite, and raise nothing, there and nowhere else;
+    every element gets the bits of its scalar call.
     """
     if not (isinstance(x, np.ndarray) and x.ndim):
-        return branches[bisect_right(cuts, x)](x, *args)
-    # branches first..last hold min(x)..max(x); each runs on x clamped
-    # into its interval where x reaches past it
-    first, last = 0, len(cuts)
-    if x.size:
-        first, last = bisect_right(cuts, x.min()), bisect_right(cuts, x.max())
-    for i in range(last, first - 1, -1):
-        xi = np.minimum(x, cuts[i]) if i < last else x
-        if i > first:
-            xi = np.maximum(xi, cuts[i - 1])
-        val = branches[i](xi, *args)
-        out = val if i == last else np.where(x < cuts[i], val, out)
-    # a constant branch holding every element gives a scalar
-    return out if np.shape(out) == x.shape else np.full(x.shape, out)
+        return forms[bisect_right(cuts, x)](x, *args)
+    where = np.searchsorted(cuts, x, side="right")
+    present = np.flatnonzero(np.bincount(where.ravel(), minlength=len(forms)))
+    if len(present) <= 1:
+        i = present[0] if len(present) else 0
+        return _filled(forms[i](x, *args), x.shape)
+    out = None
+    for i in present:
+        sel = where == i
+        vals = forms[i](x[sel], *(a[sel] if np.shape(a) == x.shape else a for a in args))
+        many = isinstance(vals, tuple)
+        if out is None:
+            out = [np.empty(x.shape) for _ in (vals if many else (vals,))]
+        for o, v in zip(out, vals if many else (vals,)):
+            o[sel] = v
+    return tuple(out) if many else out[0]
+
+
+def _filled(vals, shape):
+    """A form's value(s) over a whole array: a constant becomes an array of the shape."""
+    if isinstance(vals, tuple):
+        return tuple(_filled(v, shape) for v in vals)
+    return vals if np.shape(vals) == shape else np.full(shape, vals)
 
 
 # Unchecked kernels: arguments are floats, numpy scalars or float arrays,
@@ -88,12 +101,22 @@ def _piecewise(x, cuts, branches, *args):
 _TINY = 5e-324
 
 
+def _bessel_i01e(x):
+    """exp(-x) I0(x) and exp(-x) I1(x), each evaluated once.
+
+    The distance kernels reach scipy's i0e and i1e only through here, so
+    a kernel that needs both from one argument pays for each once.
+    """
+    return _sp.i0e(x), _sp.i1e(x)
+
+
 def _log_i0(arr):
     return np.log(_sp.i0e(arr)) + arr
 
 
 def _ratio(arr):
-    return _sp.i1e(arr) / _sp.i0e(arr)
+    i0, i1 = _bessel_i01e(arr)
+    return i1 / i0
 
 
 def _one_minus_ratio_tail(x):
@@ -114,9 +137,8 @@ def _ratio_deriv_tail_x2(x):
     return 0.5 + inv * (0.25 + inv * (0.375 + inv * (25.0 / 32.0)))
 
 
-def _ratio_deriv_head(x):
-    """r'(x) = u(2 - u) - r/x with u = 1 - r, for 0 < x < _RATIO_TAIL_SWITCH."""
-    r = _ratio(x)
+def _ratio_deriv_head(x, r):
+    """r'(x) = u(2 - u) - r/x with u = 1 - r, for 0 < x < _RATIO_TAIL_SWITCH, given r = r(x)."""
     u = 1.0 - r
     return u * (2.0 - u) - r / x
 
@@ -127,7 +149,10 @@ def _ratio_deriv_tail(x):
 
 
 # r'(0) = 1/2 is the analytic limit
-_RATIO_DERIV = ((_TINY, _RATIO_TAIL_SWITCH), (lambda x: 0.5, _ratio_deriv_head, _ratio_deriv_tail))
+_RATIO_DERIV = (
+    (_TINY, _RATIO_TAIL_SWITCH),
+    (lambda x: 0.5, lambda x: _ratio_deriv_head(x, _ratio(x)), _ratio_deriv_tail),
+)
 
 
 def _ratio_deriv(x):

@@ -1,4 +1,5 @@
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -200,6 +201,25 @@ class TestSampling:
             probs = probs / probs.sum()
             _, p_value = stats.chisquare(counts, probs * n)
             assert p_value > 1e-3, (fam, p_value)
+
+    @pytest.mark.parametrize("kappa", (1e-5, 1e-8, 1e-12, 5e-324))
+    def test_vm_tiny_kappa_finishes_and_is_uniform(self, kappa):
+        # the envelope's rho used to cancel to 0 below kappa ~ 1e-7 and
+        # reject every proposal forever; a hang fails the test after 20 s
+        def hung(signum, frame):
+            raise TimeoutError(f"sampling at kappa={kappa} did not finish")
+
+        old = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(20)
+        try:
+            data = sample(DistributionSpec(Family.VON_MISES, 1.0, kappa), 5000, seed=6)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
+        # Rayleigh test of uniformity: P(Z > z) ~ exp(-z) for Z = n R^2
+        n = len(data.angles)
+        z = n * resultant_length(data.angles) ** 2
+        assert math.exp(-z) > 1e-3, z
 
     def test_zero_n_rejected(self):
         with pytest.raises(ValueError):

@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import special as scipy_special
 
+from circpc import divergence, special
 from circpc.distributions import DistributionSpec, Family
 from circpc.divergence import (
     _CARD_L3_SERIES,
     _ELL_MAX,
     _KAPPA_MAX,
+    _LINEAR_CUT,
     _RHO_MAX,
     _VM_RADICAND_LARGE,
     _VM_RADICAND_SMALL,
@@ -27,7 +30,8 @@ from circpc.divergence import (
     profile_for,
     supported_pairs,
 )
-from circpc.special import _RATIO_TAIL_SWITCH, log_bessel_i0
+from circpc.pc_priors import PcPrior, pc_pdf
+from circpc.special import _RATIO_TAIL_SWITCH, _TINY, log_bessel_i0
 
 VM_UNI = profile_for(Family.VON_MISES, BaseModel.UNIFORM)
 VM_PM = profile_for(Family.VON_MISES, BaseModel.POINT_MASS)
@@ -82,8 +86,8 @@ def _bits(values):
 
 
 # the ways a kernel is called: Python float, numpy scalar and 0-d array
-# run only the live form; an array reaching both support ends runs every
-# form on a clamped argument (its first element is compared)
+# run only the live form; an array reaching both support ends runs each
+# form on the elements of its interval (its first element is compared)
 SCALAR_FORMS = (float, np.float64, lambda x: np.asarray(x, dtype=float))
 
 
@@ -244,33 +248,47 @@ class TestDistance:
         grid = kernel_grid(profile)
         with np.errstate(all="raise", under="ignore"):
             arr = np.array(grid)
-            d_arr = profile.dist(arr)
-            g_arr = profile.deriv(arr, d_arr)
+            d_arr, g_arr = profile.dist_deriv(arr)
+            assert np.array_equal(_bits(profile.dist(arr)), _bits(d_arr))
             for form in (float, np.float64, lambda x: np.asarray(x, dtype=float)):
                 xs = [form(x) for x in grid]
-                ds = [profile.dist(x) for x in xs]
-                gs = [profile.deriv(x, d) for x, d in zip(xs, ds)]
+                ds, gs = zip(*(profile.dist_deriv(x) for x in xs))
                 assert np.array_equal(_bits(ds), _bits(d_arr))
                 assert np.array_equal(_bits(gs), _bits(g_arr))
+                assert np.array_equal(_bits(profile.dist(x) for x in xs), _bits(d_arr))
         assert np.all(np.isfinite(d_arr)) and np.all(np.isfinite(g_arr))
+
+    @pytest.mark.parametrize("profile", ALL_PROFILES, ids=lambda p: f"{p.family.value}-{p.base.value}")
+    def test_gathered_array_call_matches_scalar_calls(self, profile):
+        # the grid shuffled, with repeats, as a 2-d array: each element of
+        # the array call has the bits of its own scalar call
+        grid = kernel_grid(profile)
+        rng = np.random.default_rng(5)
+        arr = rng.permutation(np.concatenate([grid, grid[::3]]))
+        arr = arr[: arr.size // 2 * 2].reshape(2, -1)
+        with np.errstate(all="raise", under="ignore"):
+            d_arr, g_arr = profile.dist_deriv(arr)
+            ds, gs = zip(*(profile.dist_deriv(float(x)) for x in arr.ravel()))
+        assert d_arr.shape == g_arr.shape == arr.shape
+        assert np.array_equal(_bits(ds), _bits(d_arr.ravel()))
+        assert np.array_equal(_bits(gs), _bits(g_arr.ravel()))
 
 
     @pytest.mark.parametrize("profile", ALL_PROFILES, ids=lambda p: f"{p.family.value}-{p.base.value}")
     @given(u=st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=150, deadline=None)
     def test_scalar_path_matches_array_path_property(self, profile, u):
-        # a scalar runs only its own branch, an array every branch on a
-        # clamped argument; both must give the same bits, anywhere from
-        # 1e-300 to the largest parameter
+        # a scalar runs only its own form, an array each form on the
+        # elements of its interval; both must give the same bits, anywhere
+        # from 1e-300 to the largest parameter
         top = TOP_PARAM[profile.family]
         x = log_uniform(u, 1e-300, top)
         ds, gs = [], []
         with np.errstate(all="raise", under="ignore"):
             for form in (*SCALAR_FORMS, lambda v: np.array([v, 0.0, top])):
-                v = form(x)
-                d = profile.dist(v)
+                d, g = profile.dist_deriv(form(x))
                 ds.append(np.ravel(d)[0])
-                gs.append(np.ravel(profile.deriv(v, d))[0])
+                gs.append(np.ravel(g)[0])
         assert len(set(_bits(ds))) == 1, (x, ds)
         assert len(set(_bits(gs))) == 1, (x, gs)
 
@@ -420,3 +438,77 @@ class TestInverseDistance:
             return
         x = inverse_distance(CARD_UNI, d)
         assert distance(CARD_UNI, x) == pytest.approx(d, rel=1e-9)
+
+
+class _NoBessel:
+    """scipy.special without i0e and i1e: reaching them fails the test."""
+
+    def __getattr__(self, name):
+        if name in ("i0e", "i1e"):
+            raise AssertionError(f"scipy.special.{name} reached outside special._bessel_i01e")
+        return getattr(scipy_special, name)
+
+
+class TestBesselPasses:
+    """Each element evaluates i0e and i1e once, in the one form that holds it."""
+
+    # every interval of vm/uniform (linear, series, direct with the direct
+    # r', direct with the tail r', asymptotic) and vm/pointmass (0, direct, tail)
+    GRID = np.array([0.0, 1e-200, 1e-100, 1e-3, 0.05, 0.5, 3.0, 500.0, 2e3, 5e3, 2e4, 1e300])
+    # the parameters whose forms evaluate the Bessel functions
+    BESSEL = {VM_UNI: (_LINEAR_CUT, _VM_RADICAND_LARGE), VM_PM: (_TINY, _RATIO_TAIL_SWITCH)}
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        seen = []
+
+        def counted(x):
+            seen.append(np.array(x, dtype=float).ravel())
+            return scipy_special.i0e(x), scipy_special.i1e(x)
+
+        for mod in (special, divergence):
+            monkeypatch.setattr(mod, "_bessel_i01e", counted)
+        monkeypatch.setattr(special, "_sp", _NoBessel())
+        return seen
+
+    def expected(self, profile, params):
+        lo, hi = self.BESSEL[profile]
+        params = np.asarray(params, dtype=float).ravel()
+        return np.sort(params[(params >= lo) & (params < hi)])
+
+    @staticmethod
+    def evaluated(seen):
+        return np.sort(np.concatenate(seen)) if seen else np.empty(0)
+
+    @pytest.mark.parametrize("profile", (VM_UNI, VM_PM), ids=("vm-uniform", "vm-pointmass"))
+    def test_distance_deriv_and_pc_pdf(self, profile, seen):
+        want = self.expected(profile, self.GRID)
+        assert want.size >= 6
+        prior = PcPrior(profile.family, profile.base, 1.3)
+        for call in (lambda x: distance_deriv(profile, x), lambda x: pc_pdf(prior, x)):
+            seen.clear()
+            call(self.GRID)
+            assert np.array_equal(self.evaluated(seen), want)
+            seen.clear()
+            for x in self.GRID:
+                call(float(x))
+            assert np.array_equal(self.evaluated(seen), want)
+
+    @pytest.mark.parametrize("profile", (VM_UNI, VM_PM), ids=("vm-uniform", "vm-pointmass"))
+    def test_one_newton_step(self, profile, seen, monkeypatch):
+        starts = []
+        solve = divergence._solve_increasing
+
+        def spy(g, target, t, lo, hi):
+            starts.append(np.exp(np.minimum(np.maximum(t, lo), hi)))
+            return solve(g, target, t, lo, hi)
+
+        monkeypatch.setattr(divergence, "_solve_increasing", spy)
+        monkeypatch.setattr(divergence, "_NEWTON_MAX_STEPS", 1)
+        params = self.GRID[self.GRID > 0.0] if profile is VM_PM else self.GRID
+        ds = distance(profile, params)
+        seen.clear()
+        inverse_distance(profile, ds)
+        want = self.expected(profile, np.concatenate(starts))
+        assert want.size >= 4
+        assert np.array_equal(self.evaluated(seen), want)

@@ -163,11 +163,30 @@ class TestCdf:
             allow_infinity=False,
         )
         a, b = sorted((data.draw(params), data.draw(params)))
+        # pc_cdf returns each formula's own value: nothing clips it into [0, 1]
         lower, upper = pc_cdf(p, a), pc_cdf(p, b)
         assert 0.0 <= lower <= 1.0 and 0.0 <= upper <= 1.0
         # d is monotone only up to its rounding (~1e-12 at the branch
         # switches), which moves the CDF by at most ~1e-10 here
         assert upper >= lower - 1e-9
+
+    def test_in_unit_interval_at_support_ends(self):
+        # at and next to the ends, where d meets d_max (the decreasing
+        # pairs at 0, the cardioid's uniform base at its open end) and
+        # numpy's exponentials may differ from libm's in the last bit
+        lams = np.geomspace(1e-2, 1e2, 400)
+        ends = {
+            Family.VON_MISES: [0.0, 5e-324, 1e-300, 1e-17, 1e-16, 1e-15, 1e-12, math.exp(709.0)],
+            Family.CARDIOID: [0.0, 5e-324, 1e-300, 1e-16, 1e-12, 0.5 - 1e-12, 0.5 - 1e-15,
+                              *np.nextafter(0.5, np.zeros(1))],
+            Family.WRAPPED_CAUCHY: [0.0, 5e-324, 1e-300, 1e-16, float(np.nextafter(1.0, 0.0))],
+        }
+        for pair in PAIRS:
+            xs = np.array(ends[pair[0]], dtype=float)
+            for normalization in Normalization:
+                for lam in lams:
+                    cdf = pc_cdf(PcPrior(pair[0], pair[1], lam, normalization), xs)
+                    assert np.all((cdf >= 0.0) & (cdf <= 1.0)), (pair, normalization, lam, cdf)
 
     def test_paper_exact_raw_forms(self):
         lam = 1.3

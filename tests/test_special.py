@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from circpc.special import (
     _RATIO_TAIL_SWITCH,
     _one_minus_ratio,
+    _piecewise,
     _ratio_deriv,
     bessel_i,
     bessel_ratio,
@@ -218,3 +219,63 @@ class TestKernelForms:
         with np.errstate(all="raise", under="ignore"):
             got = [np.ravel(kernel(form(x)))[0] for form in forms]
         assert len(set(np.array(got, dtype=float).view(np.int64))) == 1, (x, got)
+
+
+class TestPiecewiseGathered:
+    """An array call runs each form once, on the elements of its interval."""
+
+    CUTS = (1.0, 10.0)
+
+    def table(self, seen):
+        # form i returns (x + i, arg * 2) and records what it was given
+        def form(i):
+            def f(x, a, c):
+                seen.append((i, np.array(x, copy=True), np.array(a, copy=True)))
+                return x + i + c, a * 2.0
+            return f
+
+        return self.CUTS, (form(0), form(1), form(2))
+
+    def test_each_form_sees_only_its_interval(self):
+        seen = []
+        x = np.array([[12.0, 0.5, 3.0], [0.5, 1.0, 12.0]])  # unsorted, 2-d, repeats
+        a = np.arange(6.0).reshape(2, 3)
+        v, w = _piecewise(x, *self.table(seen), a, 100.0)
+        assert v.shape == w.shape == x.shape
+        assert np.array_equal(v, x + np.searchsorted(self.CUTS, x, side="right") + 100.0)
+        assert np.array_equal(w, 2.0 * a)
+        assert sorted(i for i, _, _ in seen) == [0, 1, 2]
+        for i, xs, args in seen:
+            lo = self.CUTS[i - 1] if i else -np.inf
+            hi = self.CUTS[i] if i < len(self.CUTS) else np.inf
+            assert np.all((lo <= xs) & (xs < hi))
+            # array args travel with their elements
+            assert np.array_equal(args, a[(lo <= x) & (x < hi)])
+        assert sum(xs.size for _, xs, _ in seen) == x.size
+
+    def test_one_interval_runs_one_form_on_x_itself(self):
+        seen = []
+        x = np.array([[2.0, 3.0], [4.0, 2.0]])
+        a = np.ones_like(x)
+        v, w = _piecewise(x, *self.table(seen), a, 0.0)
+        assert [i for i, _, _ in seen] == [1]
+        assert np.array_equal(seen[0][1], x) and np.array_equal(v, x + 1.0)
+        assert np.array_equal(w, 2.0 * a)
+
+    def test_empty_array(self):
+        seen = []
+        v, w = _piecewise(np.empty((0, 3)), *self.table(seen), np.empty((0, 3)), 0.0)
+        assert v.shape == w.shape == (0, 3)
+        assert len(seen) <= 1
+
+    def test_constant_forms_fill_the_shape(self):
+        cuts, forms = (0.0,), (lambda x: (1.0, 2.0), lambda x: (x, 3.0))
+        v, w = _piecewise(np.array([-1.0, 1.0, -2.0]), cuts, forms)
+        assert np.array_equal(v, [1.0, 1.0, 1.0]) and np.array_equal(w, [2.0, 3.0, 2.0])
+        v, w = _piecewise(np.full((2, 2), -1.0), cuts, forms)
+        assert np.array_equal(v, np.ones((2, 2))) and np.array_equal(w, np.full((2, 2), 2.0))
+
+    def test_scalar_runs_only_its_form(self):
+        seen = []
+        v, w = _piecewise(5.0, *self.table(seen), 3.0, 0.0)
+        assert (v, w) == (6.0, 6.0) and [i for i, _, _ in seen] == [1]
