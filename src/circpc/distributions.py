@@ -161,28 +161,81 @@ def _wc_log_density(x, mu, rho):
     return np.log1p(-rho * rho) - _LOG_TWO_PI - np.log(denom)
 
 
+def _memo_last_two(fn):
+    """``fn`` of one float, memoised on its last two distinct arguments.
+
+    A Metropolis chain alternates between its current state and one
+    proposal, so two entries keep the current value whether the proposal
+    was accepted or not. The entry used last stays; a new argument
+    evicts the other.
+    """
+    k0 = k1 = math.nan  # the argument used last, and the other
+    v0 = v1 = None
+
+    def memoised(x):
+        nonlocal k0, v0, k1, v1
+        if x == k0:
+            return v0
+        if x == k1:
+            k0, v0, k1, v1 = k1, v1, k0, v0
+        else:
+            k0, v0, k1, v1 = x, fn(x), k0, v0
+        return v0
+
+    return memoised
+
+
+# The log-likelihoods below are set up once per dataset: each takes mu
+# and the concentration as Python floats and returns a float. The
+# cardioid and wrapped Cauchy keep the trig of the angles and memoise
+# their per-angle mu term, so a concentration step costs one log pass.
+
+
 def _vm_loglik(angles):
-    # sufficient statistics, and log I0 of the last kappa kept
+    # sufficient statistics; log I0 is memoised, the mu term costs less
+    # than a memo lookup
     n = angles.size
     c_sum = float(np.sum(np.cos(angles)))
     s_sum = float(np.sum(np.sin(angles)))
-    memo = [math.nan, 0.0]
+    log_i0 = _memo_last_two(_log_i0)
 
     def loglik(mu, kappa):
-        if kappa != memo[0]:
-            memo[0] = kappa
-            memo[1] = float(_log_i0(kappa))
         trig = c_sum * math.cos(mu) + s_sum * math.sin(mu)
-        return kappa * trig - n * (_LOG_TWO_PI + memo[1])
+        return kappa * trig - n * (_LOG_TWO_PI + log_i0(kappa))
 
     return loglik
 
 
-def _summed_loglik(log_density):
-    def build(angles):
-        return lambda mu, conc: float(np.sum(log_density(angles, mu, conc)))
+def _cardioid_loglik(angles):
+    # cos(x - mu) = cos x cos mu + sin x sin mu
+    n = angles.size
+    c, s = np.cos(angles), np.sin(angles)
+    cos_dev = _memo_last_two(lambda mu: c * math.cos(mu) + s * math.sin(mu))
 
-    return build
+    def loglik(mu, ell):
+        t = cos_dev(mu) * (2.0 * ell)
+        return float(np.add.reduce(np.log1p(t, out=t))) - n * _LOG_TWO_PI
+
+    return loglik
+
+
+def _wc_loglik(angles):
+    # 1 + rho^2 - 2 rho cos(x - mu) = (1 - rho)^2 + 4 rho sin^2((x - mu)/2):
+    # two nonnegative terms, so nothing cancels as rho -> 1 near x = mu;
+    # sin((x - mu)/2) = sin(x/2) cos(mu/2) - cos(x/2) sin(mu/2)
+    n = angles.size
+    c, s = np.cos(0.5 * angles), np.sin(0.5 * angles)
+    sin2_dev = _memo_last_two(lambda mu: np.square(s * math.cos(0.5 * mu) - c * math.sin(0.5 * mu)))
+
+    def loglik(mu, rho):
+        sq = 1.0 - rho
+        t = sin2_dev(mu) * (4.0 * rho)
+        t += sq * sq
+        # log(1 - rho^2) from its two factors stays accurate as rho -> 1
+        log_norm = math.log1p(-rho) + math.log1p(rho) - _LOG_TWO_PI
+        return n * log_norm - float(np.add.reduce(np.log(t, out=t)))
+
+    return loglik
 
 
 def _sample_uniform(rng, mu, conc, n):
@@ -265,8 +318,7 @@ FAMILIES = {
         q_increasing=False, u_range="(0, 2*pi]",
     ),
     Family.CARDIOID: FamilyKernel(
-        "cardioid", _cardioid_log_density, _sample_cardioid,
-        _summed_loglik(_cardioid_log_density),
+        "cardioid", _cardioid_log_density, _sample_cardioid, _cardioid_loglik,
         support=(0.0, 0.5), initial=0.25,
         to_theta=lambda c: math.log(2.0 * c) - math.log1p(-2.0 * c),
         to_conc=lambda t: 0.5 * float(expit(t)),
@@ -275,7 +327,7 @@ FAMILIES = {
         q_increasing=True, u_range="(0, 1)",
     ),
     Family.WRAPPED_CAUCHY: FamilyKernel(
-        "wrapped Cauchy", _wc_log_density, _sample_wc, _summed_loglik(_wc_log_density),
+        "wrapped Cauchy", _wc_log_density, _sample_wc, _wc_loglik,
         support=(0.0, 1.0), initial=0.5,
         to_theta=lambda c: math.log(c) - math.log1p(-c),
         to_conc=lambda t: float(expit(t)),

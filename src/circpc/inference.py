@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import math
 import time
+from array import array
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -233,34 +234,39 @@ def run_mcmc(model: ModelSpec, data: Dataset, config: McmcConfig, *, trace_steps
 
     rng = np.random.default_rng(config.seed)
     iters, burn = config.iterations, config.burn_in
-    # draw everything up front: one fixed consumption pattern per config
+    # draw everything up front: one fixed consumption pattern per config.
+    # The loop reads each row (mu, concentration) as two Python floats
+    # through one iterator taken twice, and keeps its draws and steps in
+    # flat arrays of doubles: no numpy scalar per iteration.
     z_all = rng.standard_normal((iters, 2))
     u_all = rng.random((iters, 2))
-    kept = np.empty((iters - burn, 2))
-    steps = [0.5, 0.5]
-    accepted = [0, 0]
-    trace = np.empty((iters, 2)) if trace_steps else None
+    z = iter(memoryview(z_all.reshape(-1)))
+    u = iter(memoryview(u_all.reshape(-1)))
+    kept = array("d")
+    trace = array("d") if trace_steps else None
+    step_mu = step_conc = 0.5
+    accepted_mu = accepted_conc = 0
     target = config.target_acceptance
     out_of_support = 0
 
     start = time.perf_counter()
-    for i in range(iters):
+    for i, z_mu, z_conc, u_mu, u_conc in zip(range(iters), z, z, u, u):
         gamma = (i + 1.0) ** -0.7 if i < burn else 0.0
 
         # location: wrapped Gaussian proposal, flat prior cancels
-        mu_prop = (mu + steps[0] * z_all[i, 0]) % TWO_PI
+        mu_prop = (mu + step_mu * z_mu) % TWO_PI
         lik_prop = loglik(mu_prop, conc)
         log_a = lik_prop - cur_lik
         a = 1.0 if log_a >= 0.0 else math.exp(log_a)
-        if u_all[i, 0] < a:
+        if u_mu < a:
             mu, cur_lik = mu_prop, lik_prop
             if i >= burn:
-                accepted[0] += 1
+                accepted_mu += 1
         if gamma:
-            steps[0] *= math.exp(gamma * (a - target))
+            step_mu *= math.exp(gamma * (a - target))
 
         # concentration: Gaussian step on the unconstrained scale
-        th_prop = theta + steps[1] * z_all[i, 1]
+        th_prop = theta + step_conc * z_conc
         conc_prop = to_conc(th_prop)
         if lo < conc_prop < hi and math.isfinite(conc_prop):
             lik_prop = loglik(mu, conc_prop)
@@ -271,32 +277,30 @@ def run_mcmc(model: ModelSpec, data: Dataset, config: McmcConfig, *, trace_steps
         else:
             a = 0.0
             out_of_support += 1
-        if u_all[i, 1] < a:
+        if u_conc < a:
             theta, conc = th_prop, conc_prop
             cur_lik, cur_pri, cur_jac = lik_prop, pri_prop, jac_prop
             if i >= burn:
-                accepted[1] += 1
+                accepted_conc += 1
         if gamma:
-            steps[1] *= math.exp(gamma * (a - target))
+            step_conc *= math.exp(gamma * (a - target))
 
         if trace is not None:
-            trace[i, 0] = steps[0]
-            trace[i, 1] = steps[1]
+            trace.extend((step_mu, step_conc))
         if i >= burn:
-            kept[i - burn, 0] = mu
-            kept[i - burn, 1] = conc
+            kept.extend((mu, conc))
     wall_s = time.perf_counter() - start
 
     n_kept = iters - burn
     return Chain(
-        draws=kept,
+        draws=np.array(kept).reshape(n_kept, 2),
         acceptance_rates={
-            "mu": float(accepted[0] / n_kept),
-            "concentration": float(accepted[1] / n_kept),
+            "mu": accepted_mu / n_kept,
+            "concentration": accepted_conc / n_kept,
         },
-        step_sizes=(float(steps[0]), float(steps[1])),
+        step_sizes=(step_mu, step_conc),
         first_iteration=burn,
-        step_trace=trace,
+        step_trace=None if trace is None else np.array(trace).reshape(iters, 2),
         out_of_support=out_of_support,
         wall_s=wall_s,
     )

@@ -232,10 +232,14 @@ def pc_pdf(prior: PcPrior, param):
     """Prior density at param; exponential in the distance scale."""
     prof = prior.profile
     x = _checked(param, prof.support_lo, prof.support_hi, "parameter")
-    d, slope = prof.dist_deriv(x)
-    z = _normalizer(prior.lam, prof, prior.is_normalized)
-    out = prior.lam * np.exp(-prior.lam * d) * slope / z
+    out = _pc_density(prior, *prof.dist_deriv(x))
     return float(out) if isinstance(x, float) else out
+
+
+def _pc_density(prior: PcPrior, d, slope):
+    """The prior density at a parameter with distance d and |d'| = slope."""
+    z = _normalizer(prior.lam, prior.profile, prior.is_normalized)
+    return prior.lam * np.exp(-prior.lam * d) * slope / z
 
 
 def pc_cdf(prior: PcPrior, param):

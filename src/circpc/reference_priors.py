@@ -12,7 +12,7 @@ automates that reading.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
@@ -20,8 +20,8 @@ from scipy.special import betaln
 
 from .distributions import TWO_PI, wrap_angle
 from .divergence import DistanceProfile, inverse_distance
-from .pc_priors import PcPrior, pc_pdf
-from .special import _checked, _log_i0
+from .pc_priors import PcPrior, _pc_density, pc_pdf
+from .special import _TINY, _checked, _log_i0, _piecewise
 
 __all__ = [
     "GammaOneB",
@@ -39,20 +39,45 @@ __all__ = [
 ]
 
 
+def _float_or_array(x):
+    """A float (numpy's float64 is one) as it is, anything else as a float
+    array: the densities then run float arithmetic on a scalar call."""
+    return x if isinstance(x, float) else np.asarray(x, dtype=float)
+
+
+def _vanished(x):
+    return 0.0
+
+
 @dataclass(frozen=True)
 class GammaOneB:
     """Gamma(1, b): the exponential density b*exp(-b*x) on [0, inf)."""
 
     b: float
+    # from 746/b up exp(-b x) underflows to 0, and the density is 0
+    # without forming b x, which overflows near the top of the floats
+    _cuts: tuple = field(init=False, repr=False, compare=False)
 
     support = (0.0, math.inf)
 
     def __post_init__(self):
         if not (math.isfinite(self.b) and self.b > 0.0):
             raise ValueError("rate b must be positive and finite")
+        object.__setattr__(self, "_cuts", (746.0 / self.b,))
 
     def pdf(self, x):
-        return self.b * np.exp(-self.b * np.asarray(x, dtype=float))
+        return _piecewise(_float_or_array(x), self._cuts, (self._positive, _vanished))
+
+    def _positive(self, x):
+        return self.b * np.exp(-self.b * x)
+
+
+# The heavy-tailed densities' direct forms overflow in the denominator,
+# pi (1 + x^2) above 2^511 and (1 + x^2)^1.5 above 2^341, and would read
+# 0 there; 1 + x^2 rounds to x^2 long before, so the tails take the
+# leading term, divided twice so that it underflows gradually
+_H2 = ((2.0 ** 511,), (lambda x: 2.0 / (math.pi * (1.0 + x * x)), lambda x: (2.0 / math.pi) / x / x))
+_H3 = ((2.0 ** 341,), (lambda x: x / np.power(1.0 + x * x, 1.5), lambda x: 1.0 / x / x))
 
 
 @dataclass(frozen=True)
@@ -62,8 +87,7 @@ class H2:
     support = (0.0, math.inf)
 
     def pdf(self, x):
-        arr = np.asarray(x, dtype=float)
-        return 2.0 / (math.pi * (1.0 + arr * arr))
+        return _piecewise(_float_or_array(x), *_H2)
 
 
 @dataclass(frozen=True)
@@ -73,8 +97,7 @@ class H3:
     support = (0.0, math.inf)
 
     def pdf(self, x):
-        arr = np.asarray(x, dtype=float)
-        return arr / np.power(1.0 + arr * arr, 1.5)
+        return _piecewise(_float_or_array(x), *_H3)
 
 
 @dataclass(frozen=True)
@@ -83,6 +106,10 @@ class Beta:
 
     a: float
     b: float
+    # log B(a, b), and the density's limit at x = 0 (0, exp(-log B) or inf
+    # as a > 1, a = 1 or a < 1), fixed at construction
+    _log_beta: float = field(init=False, repr=False, compare=False)
+    _at_zero: float = field(init=False, repr=False, compare=False)
 
     support = (0.0, 1.0)
 
@@ -91,18 +118,20 @@ class Beta:
             raise ValueError("shape a must be positive and finite")
         if not (math.isfinite(self.b) and self.b > 0.0):
             raise ValueError("shape b must be positive and finite")
+        lb = float(betaln(self.a, self.b))
+        at_zero = math.exp(-lb) if self.a == 1.0 else (0.0 if self.a > 1.0 else math.inf)
+        object.__setattr__(self, "_log_beta", lb)
+        object.__setattr__(self, "_at_zero", at_zero)
 
     def pdf(self, x):
-        arr = np.asarray(x, dtype=float)
-        lb = betaln(self.a, self.b)
-        # 0*log(0) at an endpoint is patched below, so mute that path
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logx = np.log(arr)
-            log1mx = np.log1p(-arr)
-            out = np.exp((self.a - 1.0) * logx + (self.b - 1.0) * log1mx - lb)
-        if self.a == 1.0:
-            out = np.where(arr == 0.0, math.exp(-lb), out)
-        return out
+        # [0, _TINY) holds only x = 0, where the limit stands in
+        return _piecewise(_float_or_array(x), (_TINY,), (self._zero, self._positive))
+
+    def _zero(self, x):
+        return self._at_zero
+
+    def _positive(self, x):
+        return np.exp((self.a - 1.0) * np.log(x) + (self.b - 1.0) * np.log1p(-x) - self._log_beta)
 
 
 @dataclass(frozen=True)
@@ -111,14 +140,15 @@ class ScaledBetaHalf:
 
     a: float
     b: float
+    _beta: Beta = field(init=False, repr=False, compare=False)
 
     support = (0.0, 0.5)
 
     def __post_init__(self):
-        Beta(self.a, self.b)
+        object.__setattr__(self, "_beta", Beta(self.a, self.b))
 
     def pdf(self, x):
-        return 2.0 * Beta(self.a, self.b).pdf(2.0 * np.asarray(x, dtype=float))
+        return 2.0 * self._beta.pdf(2.0 * _float_or_array(x))
 
 
 @dataclass(frozen=True)
@@ -128,7 +158,8 @@ class UniformHalf:
     support = (0.0, 0.5)
 
     def pdf(self, x):
-        return np.full_like(np.asarray(x, dtype=float), 2.0)
+        x = _float_or_array(x)
+        return 2.0 if isinstance(x, float) else np.full_like(x, 2.0)
 
 
 @dataclass(frozen=True)
@@ -138,7 +169,8 @@ class CircularUniformLocation:
     support = (0.0, TWO_PI)
 
     def pdf(self, x):
-        return np.full_like(np.asarray(x, dtype=float), 1.0 / TWO_PI)
+        x = _float_or_array(x)
+        return 1.0 / TWO_PI if isinstance(x, float) else np.full_like(x, 1.0 / TWO_PI)
 
 
 @dataclass(frozen=True)
@@ -209,11 +241,18 @@ def distance_scale_pdf(prior, profile: DistanceProfile, d):
     """Density of the prior pushed onto the distance scale.
 
     Evaluates pi(xi(d)) / |d'(xi(d))| with xi(d) from inverse_distance
-    and the analytic derivative of the profile's distance map.
+    and the analytic derivative of the profile's distance map. A PC
+    prior on the same pair takes its density from the same evaluation
+    of d and |d'|.
     """
     pdf = _param_density(prior)
     xi = inverse_distance(profile, d)  # checks d
-    out = pdf(xi) / profile.dist_deriv(xi)[1]
+    dist, slope = profile.dist_deriv(xi)
+    if isinstance(prior, PcPrior) and prior.profile is profile:
+        density = _pc_density(prior, dist, slope)
+    else:
+        density = pdf(xi)
+    out = density / slope
     return float(out) if isinstance(xi, float) else out
 
 

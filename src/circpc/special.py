@@ -105,13 +105,18 @@ def _bessel_i01e(x):
     """exp(-x) I0(x) and exp(-x) I1(x), each evaluated once.
 
     The distance kernels reach scipy's i0e and i1e only through here, so
-    a kernel that needs both from one argument pays for each once.
+    a kernel that needs both from one argument pays for each once. A
+    float argument gives Python floats (scipy returns numpy scalars),
+    so the scalar forms that use them run float arithmetic.
     """
-    return _sp.i0e(x), _sp.i1e(x)
+    i0, i1 = _sp.i0e(x), _sp.i1e(x)
+    return (float(i0), float(i1)) if isinstance(x, float) else (i0, i1)
 
 
-def _log_i0(arr):
-    return np.log(_sp.i0e(arr)) + arr
+def _log_i0(x):
+    """log I0(x); a float argument gives a Python float."""
+    log_i0e = np.log(_sp.i0e(x))
+    return (float(log_i0e) if isinstance(x, float) else log_i0e) + x
 
 
 def _ratio(arr):

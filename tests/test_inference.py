@@ -1,4 +1,6 @@
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from circpc.inference import (
 )
 from circpc.pc_priors import PcPrior, TailSpec, calibrate_lambda
 from circpc.reference_priors import (
+    H2,
     Beta,
     GammaOneB,
     UniformHalf,
@@ -226,6 +229,49 @@ class TestRunMcmc:
         chain = run_mcmc(model, data, McmcConfig(iterations=2000, burn_in=1000, seed=1))
         assert chain.out_of_support == 0
         assert chain.wall_s > 0.0
+
+
+def chain_digest(chain):
+    """First 16 hex digits of a SHA-256 over a chain's draws, acceptance
+    rates, step sizes and out-of-support count."""
+    h = hashlib.sha256(chain.draws.tobytes())
+    h.update(struct.pack("<2d", chain.acceptance_rates["mu"], chain.acceptance_rates["concentration"]))
+    h.update(struct.pack("<2d", *chain.step_sizes))
+    h.update(struct.pack("<q", chain.out_of_support))
+    return h.hexdigest()[:16]
+
+
+VM_PRIORS = {
+    "pc-uniform": PcPrior("vm", "uniform", 0.9),
+    "pc-pointmass": PcPrior("vm", "pointmass", 0.3),
+    "gamma": GammaOneB(0.34),
+    "h2": H2(),
+}
+
+
+class TestVonMisesSamplerBits:
+    """The von Mises chain's bits are pinned: a rewrite of the sampler's
+    scalar path must keep the same floating-point operations in the same
+    order. The hashes were recorded with numpy 2.4 and scipy 1.17 on
+    x86-64 Linux."""
+
+    EXPECTED = {
+        ("pc-uniform", 100): "e4960cc1650370ad",
+        ("pc-uniform", 300): "5622350510537380",
+        ("pc-pointmass", 100): "b72351f5bd8b866f",
+        ("pc-pointmass", 300): "9587847ae5dffeab",
+        ("gamma", 100): "6ac0a113edad45fd",
+        ("gamma", 300): "082120762ab818ed",
+        ("h2", 100): "7fe625edd6f4aa02",
+        ("h2", 300): "5850aad8945b2c17",
+    }
+
+    @pytest.mark.parametrize("prior, n", sorted(EXPECTED))
+    def test_chain_hash(self, prior, n):
+        data = sample(DistributionSpec(Family.VON_MISES, 1.0, 2.0), n, seed=n + 7)
+        model = ModelSpec(Family.VON_MISES, VM_PRIORS[prior])
+        chain = run_mcmc(model, data, McmcConfig(iterations=2000, burn_in=500, seed=11))
+        assert chain_digest(chain) == self.EXPECTED[prior, n]
 
 
 class TestEffectiveSampleSize:

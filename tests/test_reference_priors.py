@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
 from circpc.distributions import TWO_PI, Family
@@ -195,3 +196,61 @@ class TestOverfitAudit:
             "argmax_d",
             "classification",
         }
+
+
+SHAPES = st.sampled_from((0.5, 1.0, 2.0, 5.0))
+
+
+def _bits(v):
+    return np.asarray(v, dtype=float).view(np.int64)
+
+
+class TestScalarAndArrayCalls:
+    """A density's scalar call skips the array conversion; a Python
+    float, a numpy scalar, a 0-d array and the same point inside an
+    array reaching both ends of the support give the same bits."""
+
+    @given(
+        prior=st.one_of(
+            st.builds(GammaOneB, st.sampled_from((0.01, 0.34, 5.0))),
+            st.just(H2()),
+            st.just(H3()),
+        ),
+        x=st.floats(min_value=0.0, max_value=1.7e308),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_unbounded_support(self, prior, x):
+        self.check(prior, x)
+
+    @given(
+        prior=st.one_of(
+            st.builds(Beta, SHAPES, SHAPES),
+            st.builds(ScaledBetaHalf, SHAPES, SHAPES),
+            st.just(UniformHalf()),
+        ),
+        u=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bounded_support(self, prior, u):
+        hi = prior.support[1]
+        # u in [0, 1) covers [0, 0.5) exactly by halving for the half supports
+        self.check(prior, u * hi)
+
+    @staticmethod
+    def check(prior, x):
+        lo, hi = prior.support
+        edges = [lo, math.nextafter(hi, 0.0)] if math.isfinite(hi) else [lo, 1.7e308]
+        with np.errstate(all="raise", under="ignore"):
+            want = _bits(prior.pdf(np.array([edges[0], x, edges[1]]))[1])
+            for form in (float, np.float64, lambda v: np.asarray(v, dtype=float)):
+                assert _bits(prior.pdf(form(x))) == want, (prior, x, form)
+
+    def test_heavy_tails_do_not_overflow(self):
+        # the direct forms overflowed to 0 above ~7.6e153 (H2) and ~5.6e102
+        # (H3); the tails take the leading term 2/(pi x^2) and 1/x^2
+        for x in (1e103, 1e200, 1e300):
+            assert H2().pdf(x) == pytest.approx(2.0 / math.pi / x / x, rel=1e-15)
+            assert H3().pdf(x) == pytest.approx(1.0 / x / x, rel=1e-15)
+        with np.errstate(all="raise", under="ignore"):
+            for prior in (H2(), H3()):
+                assert prior.pdf(1.7e308) >= 0.0

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import special as _sp
 
 from circpc.special import (
     _RATIO_TAIL_SWITCH,
+    _bessel_i01e,
+    _log_i0,
     _one_minus_ratio,
     _piecewise,
     _ratio_deriv,
@@ -219,6 +222,24 @@ class TestKernelForms:
         with np.errstate(all="raise", under="ignore"):
             got = [np.ravel(kernel(form(x)))[0] for form in forms]
         assert len(set(np.array(got, dtype=float).view(np.int64))) == 1, (x, got)
+
+
+class TestScalarKernelTypes:
+    def test_float_argument_gives_python_floats(self):
+        # the sampler's scalar forms then run float, not numpy-scalar,
+        # arithmetic; the values are scipy's bits
+        for x in (0.0, 1e-300, 0.7, 1e3, 1e300):
+            i0, i1 = _bessel_i01e(x)
+            assert type(i0) is float and type(i1) is float
+            assert (i0, i1) == (float(_sp.i0e(x)), float(_sp.i1e(x)))
+            assert type(_log_i0(x)) is float
+            assert _log_i0(x) == float(np.log(_sp.i0e(x))) + x
+
+    def test_array_argument_gives_arrays(self):
+        x = np.array([0.0, 0.7, 1e300])
+        i0, i1 = _bessel_i01e(x)
+        assert isinstance(i0, np.ndarray) and isinstance(i1, np.ndarray)
+        assert np.array_equal(_log_i0(x), [_log_i0(float(v)) for v in x])
 
 
 class TestPiecewiseGathered:
