@@ -174,9 +174,7 @@ def _cmd_sample(args):
     if args.out:
         data.save_csv(args.out)
     else:
-        print("angle_rad")
-        for a in data.angles:
-            print(format(a, ".17g"))
+        data.write_csv(sys.stdout)
     return 0
 
 

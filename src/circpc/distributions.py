@@ -13,9 +13,8 @@ from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import expit
 
-from .special import _checked, _log_i0
+from .special import _checked, _evaluate, _log_i0
 
 __all__ = [
     "TWO_PI",
@@ -44,11 +43,13 @@ class Family(str, Enum):
 
 def wrap_angle(x):
     """Wrap finite angles into [0, 2*pi) with floored modulo."""
-    x = _checked(x, -math.inf, math.inf, "angle")
+    return _evaluate(_wrap, x, -math.inf, math.inf, "angle")
+
+
+def _wrap(x):
     out = np.mod(x, TWO_PI)
     # mod of a tiny negative can round up to 2*pi itself
-    out = np.where(out >= TWO_PI, 0.0, out)
-    return float(out) if isinstance(x, float) else out
+    return np.where(out >= TWO_PI, 0.0, out)
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,9 @@ class FamilyKernel:
 
     ``FAMILIES`` holds one per family; every module reads these records
     instead of branching on the family. The concentration fields are
-    None for the circular uniform, which has no concentration.
+    None for the circular uniform, which has no concentration. The
+    sampler derives its unconstrained scale and its start from
+    ``support`` alone.
     """
 
     label: str                             # name used in messages
@@ -65,10 +68,6 @@ class FamilyKernel:
     draw: Callable                         # (rng, mu, conc > 0, n) -> angles in [0, 2*pi)
     loglik: Optional[Callable] = None      # angles in [0, 2*pi) -> ((mu, conc) -> log-likelihood)
     support: Optional[tuple] = None        # open interval the concentration moves in
-    initial: float = math.nan              # default initial concentration of a chain
-    to_theta: Optional[Callable] = None    # concentration -> unconstrained scale
-    to_conc: Optional[Callable] = None     # unconstrained scale -> concentration
-    log_jac: Optional[Callable] = None     # log |d conc / d theta| at (theta, conc)
     q: Optional[Callable] = None           # user-scale transform Q(conc)
     threshold: Optional[Callable] = None   # the concentration at which Q crosses U
     q_increasing: bool = False             # whether Q grows with the concentration
@@ -110,12 +109,15 @@ class Dataset:
     def __len__(self):
         return self.angles.size
 
+    def write_csv(self, fh):
+        writer = csv.writer(fh)
+        writer.writerow(["angle_rad"])
+        for a in self.angles:
+            writer.writerow([format(a, ".17g")])
+
     def save_csv(self, path):
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["angle_rad"])
-            for a in self.angles:
-                writer.writerow([format(a, ".17g")])
+            self.write_csv(fh)
 
     @classmethod
     def load_csv(cls, path, label=""):
@@ -132,15 +134,16 @@ class Dataset:
 
 def log_pdf(spec, x):
     """Log density of ``spec`` at angle(s) ``x`` (any finite real)."""
-    x = wrap_angle(x)
-    out = FAMILIES[spec.family].log_density(x, spec.mu, spec.concentration)
-    return float(out) if isinstance(x, float) else out
+    return _evaluate(lambda a: _log_density(spec, a), x, -math.inf, math.inf, "angle")
 
 
 def pdf(spec, x):
     """Density of ``spec`` at angle(s) ``x``."""
-    out = np.exp(log_pdf(spec, x))
-    return float(out) if np.ndim(x) == 0 else out
+    return _evaluate(lambda a: np.exp(_log_density(spec, a)), x, -math.inf, math.inf, "angle")
+
+
+def _log_density(spec, x):
+    return FAMILIES[spec.family].log_density(_wrap(x), spec.mu, spec.concentration)
 
 
 def _uniform_log_density(x, mu, conc):
@@ -157,8 +160,10 @@ def _cardioid_log_density(x, mu, ell):
 
 
 def _wc_log_density(x, mu, rho):
-    denom = 1.0 + rho * rho - 2.0 * rho * np.cos(x - mu)
-    return np.log1p(-rho * rho) - _LOG_TWO_PI - np.log(denom)
+    # the set-up's form (see _wc_loglik): nothing cancels as rho -> 1 near x = mu
+    sq = 1.0 - rho
+    denom = np.square(np.sin(0.5 * (x - mu))) * (4.0 * rho) + sq * sq
+    return math.log1p(-rho) + math.log1p(rho) - _LOG_TWO_PI - np.log(denom)
 
 
 def _memo_last_two(fn):
@@ -310,28 +315,19 @@ FAMILIES = {
     Family.UNIFORM: FamilyKernel("circular uniform", _uniform_log_density, _sample_uniform),
     Family.VON_MISES: FamilyKernel(
         "von Mises", _vm_log_density, _sample_von_mises, _vm_loglik,
-        support=(0.0, math.inf), initial=1.0,
-        to_theta=math.log,
-        to_conc=lambda t: math.exp(t) if t < 709.0 else math.inf,
-        log_jac=lambda t, c: math.log(c),
+        support=(0.0, math.inf),
         q=lambda x: TWO_PI / (1.0 + x), threshold=lambda U: TWO_PI / U - 1.0,
         q_increasing=False, u_range="(0, 2*pi]",
     ),
     Family.CARDIOID: FamilyKernel(
         "cardioid", _cardioid_log_density, _sample_cardioid, _cardioid_loglik,
-        support=(0.0, 0.5), initial=0.25,
-        to_theta=lambda c: math.log(2.0 * c) - math.log1p(-2.0 * c),
-        to_conc=lambda t: 0.5 * float(expit(t)),
-        log_jac=lambda t, c: math.log(2.0 * c) + math.log1p(-2.0 * c) - math.log(2.0),
+        support=(0.0, 0.5),
         q=lambda x: 2.0 * x, threshold=lambda U: U / 2.0,
         q_increasing=True, u_range="(0, 1)",
     ),
     Family.WRAPPED_CAUCHY: FamilyKernel(
         "wrapped Cauchy", _wc_log_density, _sample_wc, _wc_loglik,
-        support=(0.0, 1.0), initial=0.5,
-        to_theta=lambda c: math.log(c) - math.log1p(-c),
-        to_conc=lambda t: float(expit(t)),
-        log_jac=lambda t, c: math.log(c) + math.log1p(-c),
+        support=(0.0, 1.0),
         q=lambda x: TWO_PI * (1.0 - x), threshold=lambda U: 1.0 - U / TWO_PI,
         q_increasing=False, u_range="(0, 2*pi]",
     ),

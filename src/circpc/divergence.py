@@ -24,6 +24,7 @@ from .special import (
     _TINY,
     _bessel_i01e,
     _checked,
+    _evaluate,
     _log_i0,
     _one_minus_ratio_tail,
     _piecewise,
@@ -175,9 +176,7 @@ def _log1m_rho_sq(rho):
 
 def kld_wc(rho):
     """KLD of wrapped Cauchy(rho) from the circular uniform: -log(1 - rho^2)."""
-    r = _checked(rho, 0.0, 1.0, "rho")
-    out = -_log1m_rho_sq(r)
-    return float(out) if isinstance(r, float) else out
+    return _evaluate(lambda r: -_log1m_rho_sq(r), rho, 0.0, 1.0, "rho")
 
 
 def kld_numeric(p_spec, q_spec, nodes=20001):
@@ -571,16 +570,14 @@ _PROFILES = {
 
 def distance(profile, param):
     """Distance d(param) = sqrt(KLD against the profile's base model)."""
-    x = _checked(param, profile.support_lo, profile.support_hi, "parameter")
-    out = profile.dist(x)
-    return float(out) if isinstance(x, float) else out
+    return _evaluate(profile.dist, param, profile.support_lo, profile.support_hi, "parameter")
 
 
 def distance_deriv(profile, param):
     """|d d(param) / d param|, with exact limits at the support edge."""
-    x = _checked(param, profile.support_lo, profile.support_hi, "parameter")
-    _, out = profile.dist_deriv(x)
-    return float(out) if isinstance(x, float) else out
+    return _evaluate(
+        lambda x: profile.dist_deriv(x)[1], param, profile.support_lo, profile.support_hi, "parameter"
+    )
 
 
 def inverse_distance(profile, d):

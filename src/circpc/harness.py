@@ -124,7 +124,8 @@ class SimStudyConfig:
 
     def __post_init__(self):
         fam = Family(self.family)
-        if fam is Family.UNIFORM:
+        support = FAMILIES[fam].support
+        if support is None:
             raise ValueError("the uniform family has no concentration to study")
         object.__setattr__(self, "family", fam)
         truths = tuple(float(t) for t in self.true_concentration_grid)
@@ -132,7 +133,7 @@ class SimStudyConfig:
         specs = tuple(self.prior_specs)
         if not truths or not sizes or not specs:
             raise ValueError("grids must be non-empty")
-        lo, hi = FAMILIES[fam].support
+        lo, hi = support
         for t in truths:
             if not lo <= t < hi:
                 raise ValueError(f"true concentration {t} outside the {fam.value} support")

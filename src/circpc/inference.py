@@ -3,9 +3,10 @@
 The location gets a circular-uniform prior, the concentration any prior
 from this package; the sampler is a component-wise adaptive random-walk
 Metropolis chain.  mu moves by a wrapped Gaussian step on the circle;
-the concentration moves on an unconstrained transform (log kappa for
-von Mises, logit(2*ell) for the cardioid, logit rho for the wrapped
-Cauchy) with the transform's log-Jacobian folded into the target.  Step
+the concentration moves on an unconstrained scale set by the family's
+support (log kappa for von Mises, logit(2*ell) for the cardioid, logit
+rho for the wrapped Cauchy) with the log-Jacobian folded into the
+target.  Step
 sizes adapt toward a target acceptance rate during burn-in only and
 stay frozen afterwards, so the kept draws come from a fixed kernel.
 """
@@ -20,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy.special import expit
 
 from .distributions import FAMILIES, TWO_PI, Dataset, Family, circular_mean, wrap_angle
 from .pc_priors import PcPrior, _normalizer
@@ -53,24 +55,21 @@ class ModelSpec:
 
     def __post_init__(self):
         fam = Family(self.family)
-        if fam is Family.UNIFORM:
+        support = FAMILIES[fam].support
+        if support is None:
             raise ValueError("the uniform family has no concentration to infer")
         object.__setattr__(self, "family", fam)
         prior = self.concentration_prior
         if isinstance(prior, VonMisesConjugate):
             raise ValueError("the joint conjugate prior is evaluation-only here")
-        lo, hi = FAMILIES[fam].support
-        if isinstance(prior, PcPrior):
-            if prior.family is not fam:
-                raise ValueError("concentration prior is for a different family")
-        elif hasattr(prior, "support"):
-            if tuple(prior.support) != (lo, hi):
-                raise ValueError(
-                    f"prior support {prior.support} does not match the "
-                    f"{fam.value} concentration support [{lo}, {hi})"
-                )
-        else:
+        if not hasattr(prior, "support"):
             raise ValueError("concentration prior must be a PC or reference prior")
+        # the family supports differ, so the support names the prior's family
+        if tuple(prior.support) != support:
+            raise ValueError(
+                f"prior support {prior.support} does not match the "
+                f"{fam.value} concentration support [{support[0]}, {support[1]})"
+            )
 
 
 @dataclass(frozen=True)
@@ -186,6 +185,19 @@ def _log_conc_prior_fn(prior):
     return log_prior
 
 
+def _unconstrained(support):
+    """``(to_theta, to_conc, log_jac, initial)`` for a concentration on ``support``,
+    log_jac being log |d conc / d theta|: log c from 1 on (0, inf), and
+    t = logit(c / hi), so c = hi expit(t), from hi / 2 on (0, hi)."""
+    hi = support[1]
+    if math.isinf(hi):
+        return (math.log, lambda t: math.exp(t) if t < 709.0 else math.inf,
+                lambda t, c: math.log(c), 1.0)
+    log_hi = math.log(hi)
+    return (lambda c: math.log(c / hi) - math.log1p(-c / hi), lambda t: hi * float(expit(t)),
+            lambda t, c: math.log(c / hi) + math.log1p(-c / hi) + log_hi, hi / 2.0)
+
+
 def log_posterior(model: ModelSpec, data: Dataset, mu, conc) -> float:
     """Unnormalized log posterior density at (mu, conc).
 
@@ -216,20 +228,20 @@ def run_mcmc(model: ModelSpec, data: Dataset, config: McmcConfig, *, trace_steps
     kern = FAMILIES[model.family]
     loglik = kern.loglik(angles)
     log_prior = _log_conc_prior_fn(model.concentration_prior)
-    to_conc, log_jac = kern.to_conc, kern.log_jac
+    to_theta, to_conc, log_jac, initial = _unconstrained(kern.support)
     lo, hi = kern.support
 
     mu = float(wrap_angle(config.initial_mu)) if config.initial_mu is not None \
         else float(circular_mean(angles))
     conc = float(config.initial_concentration) if config.initial_concentration is not None \
-        else kern.initial
+        else initial
     if not lo < conc < hi:
         raise InitializationError("initial concentration outside the open support")
     cur_lik = loglik(mu, conc)
     cur_pri = log_prior(conc)
     if not np.isfinite(cur_lik + cur_pri):
         raise InitializationError("initial state has zero posterior density")
-    theta = kern.to_theta(conc)
+    theta = to_theta(conc)
     cur_jac = log_jac(theta, conc)
 
     rng = np.random.default_rng(config.seed)

@@ -40,13 +40,14 @@ from .divergence import (
     inverse_distance,
     profile_for,
 )
-from .special import _TINY, _checked, _piecewise
+from .special import _TINY, _checked, _evaluate, _piecewise
 
+# the calibrations' first bracket for lambda, and the factor that widens it
 _BRACKET = (1.0e-8, 1.0e6)
+_WIDEN = 100.0
 # the CDF's distance to its end value below which its direct forms are
 # rounding noise, about four ulps
 _END_GAP = 2.0 ** -50
-_BRACKET_WIDE = (1.0e-12, 1.0e9)
 
 
 class InfeasibleTailError(ValueError):
@@ -70,23 +71,6 @@ class Normalization(str, Enum):
     PAPER_EXACT = "paper"
 
 
-_NORMALIZATION_ALIASES = {
-    "truncated": Normalization.TRUNCATED,
-    "paper": Normalization.PAPER_EXACT,
-    "paperexact": Normalization.PAPER_EXACT,
-    "paper_exact": Normalization.PAPER_EXACT,
-}
-
-
-def _coerce_normalization(value):
-    if isinstance(value, Normalization):
-        return value
-    key = str(value).strip().lower()
-    if key not in _NORMALIZATION_ALIASES:
-        raise ValueError(f"unknown normalization {value!r}")
-    return _NORMALIZATION_ALIASES[key]
-
-
 @dataclass(frozen=True)
 class PcPrior:
     """A calibrated complexity-penalizing prior for one concentration axis.
@@ -104,9 +88,14 @@ class PcPrior:
     def __post_init__(self):
         object.__setattr__(self, "family", Family(self.family))
         object.__setattr__(self, "base", BaseModel(self.base))
-        object.__setattr__(self, "normalization", _coerce_normalization(self.normalization))
+        object.__setattr__(self, "normalization", Normalization(self.normalization))
         object.__setattr__(self, "lam", _checked(float(self.lam), _TINY, math.inf, "lambda"))
         object.__setattr__(self, "profile", profile_for(self.family, self.base))
+
+    @property
+    def support(self) -> tuple:
+        """The open interval of the parameter: the family's concentration support."""
+        return (self.profile.support_lo, self.profile.support_hi)
 
     @property
     def is_normalized(self) -> bool:
@@ -171,9 +160,7 @@ def q_transform(family, param):
     """
     kern = _q_kernel(family)
     lo, hi = kern.support
-    x = _checked(param, lo, math.nextafter(hi, math.inf), f"{kern.label} concentration")
-    out = kern.q(x)
-    return float(out) if isinstance(x, float) else out
+    return _evaluate(kern.q, param, lo, math.nextafter(hi, math.inf), f"{kern.label} concentration")
 
 
 def _normalizer(lam, prof: DistanceProfile, normalized) -> float:
@@ -231,9 +218,10 @@ def _tail(kern, cdf_at_crossing):
 def pc_pdf(prior: PcPrior, param):
     """Prior density at param; exponential in the distance scale."""
     prof = prior.profile
-    x = _checked(param, prof.support_lo, prof.support_hi, "parameter")
-    out = _pc_density(prior, *prof.dist_deriv(x))
-    return float(out) if isinstance(x, float) else out
+    return _evaluate(
+        lambda x: _pc_density(prior, *prof.dist_deriv(x)),
+        param, prof.support_lo, prof.support_hi, "parameter",
+    )
 
 
 def _pc_density(prior: PcPrior, d, slope):
@@ -250,9 +238,11 @@ def pc_cdf(prior: PcPrior, param):
     which for vm/pointmass and cardioid/curve do not reach 0 at the
     support minimum.
     """
-    d = distance(prior.profile, param)
-    out = _cdf(prior.lam, d, prior.profile, prior.is_normalized)
-    return float(out) if isinstance(d, float) else out
+    prof = prior.profile
+    return _evaluate(
+        lambda x: _cdf(prior.lam, distance(prof, x), prof, prior.is_normalized),
+        param, prof.support_lo, prof.support_hi, "parameter",
+    )
 
 
 def _quantile_distance(prior: PcPrior, p):
@@ -361,9 +351,9 @@ def _check_feasible(prof: DistanceProfile, tail: TailSpec, attainable):
 def calibrate_lambda(family, base, tail: TailSpec) -> float:
     """lambda such that P(Q(param) > U) = alpha under the truncated CDF.
 
-    Solved by bracketing root search on lambda in [1e-8, 1e6], widened
-    once to [1e-12, 1e9] if the root is not bracketed. The pair, U and
-    alpha are checked once; each step evaluates the CDF at d* = d(xi_U).
+    Solved by bracketing root search on lambda (see ``_rate_root``).
+    The pair, U and alpha are checked once; each step evaluates the CDF
+    at d* = d(xi_U).
     """
     prof = profile_for(family, base)
     kern, d_star, attainable = _tail_setup(prof, tail.U)
@@ -372,14 +362,20 @@ def calibrate_lambda(family, base, tail: TailSpec) -> float:
     def residual(lam):
         return _tail(kern, float(_cdf(lam, d_star, prof, True))) - tail.alpha
 
+    return _rate_root(residual, tail, attainable)
+
+
+def _rate_root(f, tail: TailSpec, attainable) -> float:
+    """The lambda where ``f`` changes sign: Brent's method on _BRACKET, each end
+    moved out by _WIDEN per step until it holds the root or lambda nears 1e-300."""
     lo, hi = _BRACKET
-    if residual(lo) * residual(hi) > 0.0:
-        lo, hi = _BRACKET_WIDE
-        if residual(lo) * residual(hi) > 0.0:
+    while f(lo) * f(hi) > 0.0:
+        if lo < 1e-296:
             raise InfeasibleTailError(
                 f"no lambda in [{lo:g}, {hi:g}] achieves alpha={tail.alpha:g}", attainable
             )
-    return float(brentq(residual, lo, hi, xtol=1e-300, rtol=1e-12))
+        lo, hi = lo / _WIDEN, hi * _WIDEN
+    return float(brentq(f, lo, hi, xtol=1e-300, rtol=1e-12))
 
 
 def calibrate_lambda_paper(family, base, tail: TailSpec) -> float:
@@ -393,8 +389,8 @@ def calibrate_lambda_paper(family, base, tail: TailSpec) -> float:
     and vm/pointmass is returned as published even though it is
     consistent with neither CDF: the printed CDF F = exp(-lambda*d)
     would give -log(alpha)/d.  cardioid/uniform solves its printed
-    equation, which has lambda on both sides, by a damped fixed point.
-    Prefer ``calibrate_lambda``.
+    equation, which has lambda on both sides, by the same bracketing
+    root search as ``calibrate_lambda``.  Prefer ``calibrate_lambda``.
     """
     prof = profile_for(family, base)
     _, d_star, attainable = _tail_setup(prof, tail.U)
@@ -407,12 +403,7 @@ def calibrate_lambda_paper(family, base, tail: TailSpec) -> float:
 
     d_max = prof.d_max
 
-    def step(lam):
-        return -math.log(alpha + (1.0 - alpha) * math.exp(-lam * d_max)) / d_star
+    def residual(lam):
+        return lam + math.log(alpha + (1.0 - alpha) * math.exp(-lam * d_max)) / d_star
 
-    for _ in range(200):
-        nxt = 0.5 * (lam + step(lam))
-        if abs(nxt - lam) <= 1e-12 * max(1.0, abs(nxt)):
-            return nxt
-        lam = nxt
-    return float(brentq(lambda x: x - step(x), *_BRACKET_WIDE, xtol=1e-300, rtol=1e-12))
+    return _rate_root(residual, tail, attainable)

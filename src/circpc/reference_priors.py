@@ -21,7 +21,7 @@ from scipy.special import betaln
 from .distributions import TWO_PI, wrap_angle
 from .divergence import DistanceProfile, inverse_distance
 from .pc_priors import PcPrior, _pc_density, pc_pdf
-from .special import _TINY, _checked, _log_i0, _piecewise
+from .special import _TINY, _checked, _evaluate, _log_i0, _piecewise
 
 __all__ = [
     "GammaOneB",
@@ -221,9 +221,7 @@ def ref_pdf(prior, param):
     if isinstance(prior, VonMisesConjugate):
         out = prior.pdf(*param)
         return float(out) if np.ndim(out) == 0 else out
-    x = _checked(param, *prior.support, "parameter")
-    out = prior.pdf(x)
-    return float(out) if isinstance(x, float) else out
+    return _evaluate(prior.pdf, param, *prior.support, "parameter")
 
 
 def _param_density(prior) -> Callable:

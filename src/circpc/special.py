@@ -164,8 +164,11 @@ def _ratio_deriv(x):
     return _piecewise(x, *_RATIO_DERIV)
 
 
-def _evaluate(kernel, x):
-    x = _checked(x)
+def _evaluate(kernel, x, lo=0.0, hi=math.inf, what="argument"):
+    """The boundary of every one-argument public numerical function:
+    check ``x``, run ``kernel`` on it, and return the caller's type, a
+    Python float for a scalar argument and an array otherwise."""
+    x = _checked(x, lo, hi, what)
     out = kernel(x)
     return float(out) if isinstance(x, float) else out
 

@@ -93,13 +93,16 @@ class TestPcDensity:
             assert d == pytest.approx(pc_pdf(prior, x), rel=1e-15)
             assert c == pytest.approx(pc_cdf(prior, x), rel=1e-15)
 
-    def test_bad_grid_exits_2(self, capsys):
+    # wrong shape, a non-number, lo > hi, no points
+    @pytest.mark.parametrize("grid", ["oops", "0:x:3", "1:0:3", "0:1:0"])
+    def test_bad_grid_exits_2(self, capsys, grid):
         with pytest.raises(SystemExit) as exc_info:
             main([
                 "pc-density", "--family", "wc", "--base", "uniform",
-                "--lambda", "1.0", "--grid", "oops",
+                "--lambda", "1.0", "--grid", grid,
             ])
         assert exc_info.value.code == 2
+        assert "grid" in capsys.readouterr().err
 
 
 class TestDistance:
@@ -169,6 +172,14 @@ class TestRefDensity:
         vals = [float(l.split(",")[1]) for l in lines[1:]]
         assert vals[0] == pytest.approx(2.0 * math.exp(-1.0), rel=1e-12)
 
+    # wrong shape, an unknown family, an unsupported pair
+    @pytest.mark.parametrize("profile", ["vm", "kent:uniform", "wc:pointmass"])
+    def test_bad_profile_exits_2(self, capsys, profile):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["ref-density", "--prior", "h2", "--grid", "0.1:1.0:5", "--profile", profile])
+        assert exc_info.value.code == 2
+        assert "--profile" in capsys.readouterr().err
+
     def test_distance_scale(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -200,6 +211,18 @@ class TestSample:
         assert len(data) == 50
         reference = sample(DistributionSpec(Family.VON_MISES, 1.0, 2.0), 50, seed=4)
         assert np.array_equal(data.angles, reference.angles)
+
+    def test_stdout_is_a_loadable_dataset(self, capsys, tmp_path):
+        code, out, _ = run_cli(
+            capsys,
+            ["sample", "--family", "wc", "--mu", "2.0", "--concentration", "0.6",
+             "--n", "30", "--seed", "8"],
+        )
+        assert code == 0
+        path = tmp_path / "stdout.csv"
+        path.write_text(out)
+        reference = sample(DistributionSpec(Family.WRAPPED_CAUCHY, 2.0, 0.6), 30, seed=8)
+        assert np.array_equal(Dataset.load_csv(path).angles, reference.angles)
 
     def test_seed_required(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
@@ -321,6 +344,11 @@ class TestSimulate:
         assert lines[0] == "prior,hyper,truth,N,post_mean_avg,post_mean_sd,cells_failed"
         assert len(lines) == 3
         assert lines[1].startswith("gamma,1.0,1.0,30,")
+
+    def test_reduced_study_is_von_mises_only(self, capsys):
+        code, _, err = run_cli(capsys, ["simulate", "--family", "cardioid", "--seed", "1"])
+        assert code == 1
+        assert "von Mises only" in err
 
     def test_seed_required(self, capsys, tmp_path):
         cfg_path = tmp_path / "study.json"

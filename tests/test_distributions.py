@@ -289,22 +289,22 @@ class TestLoglikSetUp:
 
     @pytest.mark.parametrize("family, conc", CASES)
     def test_near_mu_against_mpmath(self, family, conc):
-        # points with x - mu in +-[1e-10, 1e-2]; the set-up's error is no
-        # larger than that of the direct form with np.cos(x - mu), which
-        # for the wrapped Cauchy cancels as rho -> 1 (2.3e-4 at 1 - 1e-6),
-        # and stays within 1e-9 everywhere (wc at 1 - 1e-6: 1.1e-10)
+        # points with x - mu in +-[1e-10, 1e-2]: both the set-up and the
+        # public log_pdf stay within 1e-9 (wc at 1 - 1e-6: 1.1e-10 and
+        # 3.5e-15; a wrapped Cauchy denominator 1 + rho^2 - 2 rho cos(x - mu)
+        # would cancel there, to 2.3e-4)
         kern = FAMILIES[family]
         err_setup = err_direct = 0.0
         for mu in self.MUS:
+            spec = DistributionSpec(family, mu, conc)
             for dev in self.DEVS:
                 x = float(wrap_angle(mu + dev))
                 want = self.exact(family, x, mu, conc)
                 got = kern.loglik(np.array([x]))(mu, conc)
-                direct = float(kern.log_density(np.array([x]), mu, conc)[0])
                 err_setup = max(err_setup, float(abs(got - want)))
-                err_direct = max(err_direct, float(abs(direct - want)))
-        assert err_setup <= err_direct, (err_setup, err_direct)
+                err_direct = max(err_direct, float(abs(log_pdf(spec, x) - want)))
         assert err_setup <= 1e-9, err_setup
+        assert err_direct <= 1e-9, err_direct
 
     @pytest.mark.parametrize("family", (Family.VON_MISES, Family.CARDIOID, Family.WRAPPED_CAUCHY))
     def test_memo_gives_fresh_bits(self, family):

@@ -29,6 +29,7 @@ from circpc.reference_priors import (
     H2,
     Beta,
     GammaOneB,
+    ScaledBetaHalf,
     UniformHalf,
     VonMisesConjugate,
 )
@@ -272,6 +273,48 @@ class TestVonMisesSamplerBits:
         model = ModelSpec(Family.VON_MISES, VM_PRIORS[prior])
         chain = run_mcmc(model, data, McmcConfig(iterations=2000, burn_in=500, seed=11))
         assert chain_digest(chain) == self.EXPECTED[prior, n]
+
+
+# family, true concentration of the data, and the priors pinned with it
+LOGIT_FAMILIES = {
+    Family.CARDIOID: (0.3, {
+        "pc-uniform": PcPrior("cardioid", "uniform", 2.0),
+        "scaled-beta": ScaledBetaHalf(2.0, 2.0),
+        "uniform-half": UniformHalf(),
+    }),
+    Family.WRAPPED_CAUCHY: (0.7, {
+        "pc-uniform": PcPrior("wc", "uniform", 1.0),
+        "beta": Beta(2.0, 2.0),
+    }),
+}
+
+
+class TestLogitScaleSamplerBits:
+    """The cardioid and wrapped Cauchy chains' bits are pinned the same
+    way: both move the concentration on a logit scale derived from the
+    family's bounded support. Recorded with numpy 2.4 and scipy 1.17 on
+    x86-64 Linux."""
+
+    EXPECTED = {
+        (Family.CARDIOID, "pc-uniform", 100): "5cd383b6999333b9",
+        (Family.CARDIOID, "pc-uniform", 300): "880aee3c103cc531",
+        (Family.CARDIOID, "scaled-beta", 100): "e439dcde10d1e587",
+        (Family.CARDIOID, "scaled-beta", 300): "dd2211c504af813b",
+        (Family.CARDIOID, "uniform-half", 100): "1fd30633bbf84088",
+        (Family.CARDIOID, "uniform-half", 300): "abbf366d8cb62a3c",
+        (Family.WRAPPED_CAUCHY, "pc-uniform", 100): "2fc2e67b78d80158",
+        (Family.WRAPPED_CAUCHY, "pc-uniform", 300): "4ddc440eb59780f3",
+        (Family.WRAPPED_CAUCHY, "beta", 100): "3afaf58c3bef4768",
+        (Family.WRAPPED_CAUCHY, "beta", 300): "cc77e6950557b694",
+    }
+
+    @pytest.mark.parametrize("family, prior, n", sorted(EXPECTED))
+    def test_chain_hash(self, family, prior, n):
+        truth, priors = LOGIT_FAMILIES[family]
+        data = sample(DistributionSpec(family, 1.0, truth), n, seed=n + 7)
+        model = ModelSpec(family, priors[prior])
+        chain = run_mcmc(model, data, McmcConfig(iterations=2000, burn_in=500, seed=11))
+        assert chain_digest(chain) == self.EXPECTED[family, prior, n]
 
 
 class TestEffectiveSampleSize:

@@ -19,6 +19,7 @@ from circpc.pc_priors import (
     PcPrior,
     TailSpec,
     UnsupportedModeError,
+    _rate_root,
     attainable_alpha_range,
     calibrate_lambda,
     calibrate_lambda_paper,
@@ -70,6 +71,9 @@ class TestConstruction:
         assert p.family is Family.VON_MISES
         assert p.base is BaseModel.UNIFORM
         assert p.normalization is Normalization.TRUNCATED
+        # the enum's own values are the only spellings
+        with pytest.raises(ValueError):
+            PcPrior("vm", "uniform", 1.0, "paper_exact")
 
     def test_record_round_trip(self):
         p = PcPrior(Family.CARDIOID, BaseModel.CARDIOID_CURVE, 2.5, "paper")
@@ -333,6 +337,9 @@ class TestCalibration:
         cases = [
             (Family.VON_MISES, BaseModel.UNIFORM, TailSpec(math.pi / 2, 0.5)),
             (Family.CARDIOID, BaseModel.UNIFORM, TailSpec(0.5, 0.3)),
+            # near the top of the attainable range (0, 0.541): lambda ~ 0.015,
+            # where the printed equation is nearly flat in lambda
+            (Family.CARDIOID, BaseModel.UNIFORM, TailSpec(0.5, 0.54)),
             (Family.WRAPPED_CAUCHY, BaseModel.UNIFORM, TailSpec(0.6, 0.5)),
         ]
         for fam, base, tail in cases:
@@ -359,6 +366,25 @@ class TestCalibration:
         assert (lo, hi) == pytest.approx((0.6098406284217227, 1.0), abs=1e-10)
         lo, hi = attainable_alpha_range(Family.VON_MISES, BaseModel.UNIFORM, math.pi)
         assert (lo, hi) == (0.0, 1.0)
+
+    def test_tiny_alpha_inside_the_attainable_range(self):
+        # lambda ~ 1e-13 lies below the first bracket [1e-8, 1e6]
+        tail = TailSpec(math.pi / 2, 1e-13)
+        assert attainable_alpha_range(Family.VON_MISES, BaseModel.UNIFORM, tail.U) == (0.0, 1.0)
+        lam = calibrate_lambda(Family.VON_MISES, BaseModel.UNIFORM, tail)
+        prior = PcPrior(Family.VON_MISES, BaseModel.UNIFORM, lam)
+        assert tail_probability(prior, tail) == pytest.approx(1e-13, rel=1e-9)
+
+    @pytest.mark.parametrize("root", [3e-15, 1e-8, 0.7, 1e6, 2e11])
+    def test_bracket_widens_until_it_holds_the_root(self, root):
+        # both sides of the first bracket, and its ends themselves
+        lam = _rate_root(lambda x: math.log(x / root), TailSpec(1.0, 0.5), (0.0, 1.0))
+        assert lam == pytest.approx(root, rel=1e-11)
+
+    def test_bracket_stops_widening_at_the_float_range(self):
+        with pytest.raises(InfeasibleTailError) as exc_info:
+            _rate_root(lambda x: 1.0, TailSpec(1.0, 0.5), (0.0, 1.0))
+        assert exc_info.value.attainable == (0.0, 1.0)
 
     def test_infeasible_alpha_raises_with_range(self):
         tail = TailSpec(0.5, 0.9)
