@@ -256,31 +256,75 @@ _NEWTON_TOL = 2.0 ** -26
 _NEWTON_MAX_STEPS = 100
 # elements per block of _solve_increasing
 _NEWTON_BLOCK = 4096
+# the nodes of every start table, in the solver's coordinate t (log kappa
+# or logit(2 ell)): [-30, 30] in steps of 1/32. Beyond |t| = 30 the small-
+# and large-parameter series start each element to ~1e-13 or better
+_TABLE_T = np.arange(-960, 961) / 32.0
 
 
-def _solve_increasing(g, target, t, lo, hi):
-    """Safeguarded Newton for g(t) = target, g increasing on [lo, hi].
+class _Search:
+    """A monotone g(t) to invert, with the table its searches start from.
 
-    ``g(t)`` returns the value and the slope; ``t`` is the start. Every
-    element keeps its own bracket; a Newton step that would leave it, or
-    that does not halve the step before it, becomes a bisection. Each
-    element stops on its own, so its bits do not depend on the rest of
-    the array, and long inputs are solved in blocks: that keeps the
+    ``g(t)`` returns the value and the slope of an increasing function
+    on the window [lo, hi]; ``series(target)`` starts the targets beyond
+    the table. At import, g is evaluated once on _TABLE_T; a target
+    inside the table's values starts from the cubic-Hermite inverse on
+    its interval, from the values and slopes at both ends, and keeps
+    the interval's two nodes as its bracket.
+    """
+
+    def __init__(self, g, series, lo, hi):
+        self.g, self.series, self.lo, self.hi = g, series, lo, hi
+        v, s = g(_TABLE_T)
+        if not (np.all(np.diff(v) > 0.0) and np.all(s > 0.0) and np.all(np.isfinite(s))):
+            raise RuntimeError("a start table must increase strictly, with finite positive slopes")
+        self.values = v
+        # t = t_j + u (c1 + u (c2 + u c3)) with u = (target - v_j) / h_j:
+        # the Hermite cubic through (v_j, t_j) and (v_j+1, t_j+1) whose
+        # slopes are 1/s_j and 1/s_j+1
+        h = np.diff(v)
+        m0, m1, span = h / s[:-1], h / s[1:], np.diff(_TABLE_T)
+        self._inv_h = 1.0 / h
+        self._coefs = (m0, 3.0 * span - 2.0 * m0 - m1, m0 + m1 - 2.0 * span)
+        self._start_forms = ((v[0], v[-1]), (self._beyond, self._inside, self._beyond))
+
+    def _beyond(self, target):
+        return self.series(target), self.lo, self.hi
+
+    def _inside(self, target):
+        j = np.searchsorted(self.values, target, side="right") - 1
+        u = (target - self.values[j]) * self._inv_h[j]
+        c1, c2, c3 = (c[j] for c in self._coefs)
+        return _TABLE_T[j] + u * (c1 + u * (c2 + u * c3)), _TABLE_T[j], _TABLE_T[j + 1]
+
+    def start(self, target):
+        """Each element's start and bracket (t, lo, hi), from its own target alone."""
+        return _piecewise(target, *self._start_forms)
+
+
+def _solve_increasing(search, target):
+    """Safeguarded Newton for search.g(t) = target, from the search's starts.
+
+    ``g(t)`` returns the value and the slope. Every element starts from
+    its table interval, or from the series beyond the table, and keeps
+    its own bracket; a Newton step that would leave it, or that does
+    not halve the step before it, becomes a bisection. Each element
+    stops on its own, so its bits do not depend on the rest of the
+    array, and long inputs are solved in blocks: that keeps the
     temporaries of the branch-free kernels cache-sized.
     """
     out = np.empty_like(target)
     for s in range(0, target.size, _NEWTON_BLOCK):
         block = slice(s, s + _NEWTON_BLOCK)
-        out[block] = _solve_block(g, target[block], t[block], lo, hi)
+        out[block] = _solve_block(search.g, target[block], *search.start(target[block]))
     return out
 
 
 def _solve_block(g, target, t, lo, hi):
+    # lo and hi are each element's bracket
     out = np.empty_like(target)
     idx = np.arange(target.size)
     t = np.minimum(np.maximum(t, lo), hi)
-    lo = np.full_like(target, lo)
-    hi = np.full_like(target, hi)
     last = hi - lo
     for _ in range(_NEWTON_MAX_STEPS):
         val, slope = g(t)
@@ -396,17 +440,24 @@ def _vm_uniform_log_slope(k):
     return d, k * slope
 
 
-def _vm_uniform_search(d):
-    # start: d^2 = q (1 - 3q/4 + ...) with q = kappa^2 / 4 below, and
+def _vm_uniform_series(d):
+    # d^2 = q (1 - 3q/4 + ...) with q = kappa^2 / 4 below, and
     # d^2 = log(2 pi kappa) / 2 - 1/2 + ... above
     d2 = d * d
-    t0 = np.where(
+    return np.where(
         d < 1.0,
         np.log(2.0 * d) + 0.5 * np.log1p(0.75 * d2),
         2.0 * d2 + 1.0 - _LOG_TWO_PI,
     )
-    g = _in_log_kappa(_vm_uniform_log_slope, 1.0)
-    return np.exp(_solve_increasing(g, d, t0, _LOG_KAPPA_LO, _LOG_KAPPA_HI))
+
+
+_VM_UNIFORM_SEARCH = _Search(
+    _in_log_kappa(_vm_uniform_log_slope, 1.0), _vm_uniform_series, _LOG_KAPPA_LO, _LOG_KAPPA_HI
+)
+
+
+def _vm_uniform_search(d):
+    return np.exp(_solve_increasing(_VM_UNIFORM_SEARCH, d))
 
 
 def _vm_uniform_inverse(d):
@@ -445,19 +496,28 @@ def _vm_pointmass(k, log_slope=False):
     return _piecewise(k, *_VM_POINTMASS, log_slope)
 
 
-def _vm_pointmass_inverse(d):
-    if np.any(d == 0.0):
-        raise ValueError("d = 0 is not attained for the point-mass base")
-    # start: d^2 = 1 - r(kappa), with r ~ kappa/2 below and
-    # 1 - r ~ 1/(2 kappa) above; distance decreases, so solve for -d
-    d2 = d * d
-    t0 = np.where(
-        d2 > 0.5,
+def _vm_pointmass_series(target):
+    # d^2 = 1 - r(kappa) for d = -target, with r ~ kappa/2 below and
+    # 1 - r ~ 1/(2 kappa) above
+    d = -target
+    return np.where(
+        d * d > 0.5,
         math.log(2.0) + np.log(np.maximum((1.0 - d) * (1.0 + d), _TINY)),
         -math.log(2.0) - 2.0 * np.log(d),
     )
-    g = _in_log_kappa(lambda k: _vm_pointmass(k, True), -1.0)
-    t = _solve_increasing(g, -d, t0, _LOG_KAPPA_LO, _LOG_KAPPA_HI)
+
+
+# distance decreases, so the search solves for -d
+_VM_POINTMASS_SEARCH = _Search(
+    _in_log_kappa(lambda k: _vm_pointmass(k, True), -1.0),
+    _vm_pointmass_series, _LOG_KAPPA_LO, _LOG_KAPPA_HI,
+)
+
+
+def _vm_pointmass_inverse(d):
+    if np.any(d == 0.0):
+        raise ValueError("d = 0 is not attained for the point-mass base")
+    t = _solve_increasing(_VM_POINTMASS_SEARCH, -d)
     return np.where(d == 1.0, 0.0, np.exp(t))
 
 
@@ -472,17 +532,24 @@ def _card_uniform(l):
     return _piecewise(l, (_LINEAR_CUT,), (lambda l: (l, 1.0), _card_uniform_main))
 
 
-def _card_uniform_search(d):
-    # start: ell ~ d below; d^2 ~ d_max^2 - s^2/2 with s^2 = 1 - 4 ell^2 above
+def _card_uniform_series(d):
+    # ell ~ d below; d^2 ~ d_max^2 - s^2/2 with s^2 = 1 - 4 ell^2 above
     s2 = np.minimum(2.0 * (SQRT_1M_LOG2 - d) * (SQRT_1M_LOG2 + d), 1.0)
     eps_top = 0.5 * s2 / (1.0 + np.sqrt(1.0 - s2))
-    t0 = np.where(
+    return np.where(
         d < 0.4,
         _logit_2ell(d, 0.5 - d),
         _logit_2ell(0.5 - eps_top, eps_top),
     )
-    g = _in_logit_ell(_card_uniform, 1.0)
-    t = _solve_increasing(g, d, t0, _LOGIT_LO, _LOGIT_HI)
+
+
+_CARD_UNIFORM_SEARCH = _Search(
+    _in_logit_ell(_card_uniform, 1.0), _card_uniform_series, _LOGIT_LO, _LOGIT_HI
+)
+
+
+def _card_uniform_search(d):
+    t = _solve_increasing(_CARD_UNIFORM_SEARCH, d)
     return np.minimum(0.5 * expit(t), _ELL_MAX)
 
 
@@ -500,19 +567,28 @@ def _card_curve(l):
     return d, (s + 2.0 * eps) / ((1.0 + s) * d)
 
 
-def _card_curve_inverse(d):
-    # start: d^2 ~ 8 eps^(3/2) / 3 near ell = 0.5, d ~ SQRT_LOG2 - ell / SQRT_LOG2
-    # near ell = 0; distance decreases, so solve for -d. d = 0 reports the
-    # open boundary just below 0.5
+def _card_curve_series(target):
+    # d^2 ~ 8 eps^(3/2) / 3 near ell = 0.5, d ~ SQRT_LOG2 - ell / SQRT_LOG2
+    # near ell = 0, for d = -target
+    d = -target
     eps_top = np.cbrt(0.375 * d * d) ** 2
     ell_low = (SQRT_LOG2 - d) * SQRT_LOG2
-    t0 = np.where(
+    return np.where(
         d < 0.5,
         _logit_2ell(0.5 - eps_top, eps_top),
         _logit_2ell(ell_low, 0.5 - ell_low),
     )
-    g = _in_logit_ell(_card_curve, -1.0)
-    t = _solve_increasing(g, -d, t0, _LOGIT_LO, _LOGIT_HI)
+
+
+# distance decreases, so the search solves for -d
+_CARD_CURVE_SEARCH = _Search(
+    _in_logit_ell(_card_curve, -1.0), _card_curve_series, _LOGIT_LO, _LOGIT_HI
+)
+
+
+def _card_curve_inverse(d):
+    # d = 0 reports the open boundary just below 0.5
+    t = _solve_increasing(_CARD_CURVE_SEARCH, -d)
     ell = np.minimum(0.5 * expit(t), _ELL_MAX)
     return np.where(d == 0.0, _ELL_MAX, np.where(d == SQRT_LOG2, 0.0, ell))
 
@@ -585,12 +661,17 @@ def inverse_distance(profile, d):
 
     Vectorized. Wrapped Cauchy inverts in closed form; the others run
     safeguarded Newton on the monotone distance map, in log kappa for
-    von Mises and in logit(2 ell) for the cardioid, from the small- and
-    large-parameter series.
+    von Mises and in logit(2 ell) for the cardioid. Each element starts
+    from a table of the map built at import (nodes 1/32 apart in that
+    coordinate, from -30 to 30), inside the bracket of its two nodes;
+    distances beyond the table start from the small- and
+    large-parameter series. Every element gets the bits of its scalar
+    call, whatever the input's shape.
     Distances outside the attainable range raise; for the cardioid
     curve base, d = 0 reports the open boundary just below 0.5.
     """
     # d_max itself is attained (or reported as the open end), so the top is closed
     x = _checked(d, profile.d_min, math.nextafter(profile.d_max, math.inf), "distance")
-    out = profile.inverse(np.atleast_1d(x))
+    # the kernels solve a 1-d array; the result takes the input's shape once
+    out = profile.inverse(np.ravel(x))
     return float(out[0]) if isinstance(x, float) else out.reshape(x.shape)

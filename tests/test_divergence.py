@@ -30,7 +30,8 @@ from circpc.divergence import (
     profile_for,
     supported_pairs,
 )
-from circpc.pc_priors import PcPrior, pc_pdf
+from circpc.harness import full_study_config
+from circpc.pc_priors import PcPrior, TailSpec, attainable_alpha_range, calibrate_lambda, pc_pdf, pc_sample
 from circpc.special import _RATIO_TAIL_SWITCH, _TINY, log_bessel_i0
 
 VM_UNI = profile_for(Family.VON_MISES, BaseModel.UNIFORM)
@@ -94,6 +95,39 @@ SCALAR_FORMS = (float, np.float64, lambda x: np.asarray(x, dtype=float))
 def log_uniform(u, lo, hi):
     """The point a fraction u of the way from lo to hi on the log scale."""
     return min(math.exp(math.log(lo) + u * (math.log(hi) - math.log(lo))), hi)
+
+
+# the pairs whose inverse is a Newton search, and the search of each
+SEARCHES = {
+    VM_UNI: divergence._VM_UNIFORM_SEARCH,
+    VM_PM: divergence._VM_POINTMASS_SEARCH,
+    CARD_UNI: divergence._CARD_UNIFORM_SEARCH,
+    CARD_CURVE: divergence._CARD_CURVE_SEARCH,
+}
+SEARCHED = tuple(SEARCHES)
+# the distances where each search's series start switches form
+SERIES_SWITCHES = {VM_UNI: (1.0,), VM_PM: (math.sqrt(0.5),), CARD_UNI: (0.4,), CARD_CURVE: (0.5,)}
+
+
+def inverse_targets(profile):
+    """Sorted attainable distances of a pair: both ends of its range, the
+    cuts of its inverse's forms, the series switches, the first, some
+    inner and the last values of its start table with their float
+    neighbours and points beyond them, and random points."""
+    top = float(profile.dist(TOP_PARAM[profile.family]))
+    lo, hi = sorted((top, float(profile.dist(0.0))))
+    if profile is not VM_PM:
+        lo = 0.0
+    points = [lo, hi, 1e-300, 1e-150, 0.5 * _LINEAR_CUT, _LINEAR_CUT, 1e-12, *SERIES_SWITCHES.get(profile, ())]
+    if profile in SEARCHES:
+        table = np.abs(SEARCHES[profile].values)
+        points += [float(v) for v in table[[0, 1, 500, 960, 1919, 1920]]]
+        ends = (table.min(), table.max())
+        points += [0.5 * ends[0], 0.5 * (ends[1] + hi)]
+    rng = np.random.default_rng(9)
+    points += list(rng.uniform(lo, hi, 60))
+    points += [log_uniform(u, max(lo, 1e-300), hi) for u in rng.random(40)]
+    return np.array(sorted({v for x in points for v in neighbours(x, lo, hi, k=2)}))
 
 
 def interior_grid(profile, n):
@@ -431,6 +465,68 @@ class TestInverseDistance:
             back = inverse_distance(profile, distance(profile, x))
             assert back == pytest.approx(x, rel=1e-12, abs=0), x
 
+    @pytest.mark.parametrize("profile", ALL_PROFILES, ids=lambda p: f"{p.family.value}-{p.base.value}")
+    def test_two_dimensional_input(self, profile):
+        # a 2-d array inside one interval of the inverse's forms, and one
+        # straddling its cuts, come back in their own shape with the
+        # values of the 1-d call
+        targets = inverse_targets(profile)
+        straddling = targets[np.linspace(0, targets.size - 1, 12).astype(int)]
+        for ds in (np.array([0.02, 0.1, 0.2, 0.45]), straddling):
+            grid = ds.reshape(2, -1)
+            got = inverse_distance(profile, grid)
+            assert got.shape == grid.shape
+            assert np.array_equal(_bits(got.ravel()), _bits(inverse_distance(profile, ds)))
+
+    @pytest.mark.parametrize("profile", ALL_PROFILES, ids=lambda p: f"{p.family.value}-{p.base.value}")
+    def test_array_call_matches_scalar_calls(self, profile):
+        # the targets shuffled, with repeats, as a 2-d array: each element
+        # has the bits of its own scalar call, whether it starts from a
+        # table interval, a node value, or the series beyond the table
+        ds = inverse_targets(profile)
+        rng = np.random.default_rng(7)
+        arr = rng.permutation(np.concatenate([ds, ds[::3]]))
+        arr = arr[: arr.size // 2 * 2].reshape(2, -1)
+        with np.errstate(all="raise", under="ignore"):
+            got = inverse_distance(profile, arr)
+            alone = [inverse_distance(profile, float(d)) for d in arr.ravel()]
+        assert got.shape == arr.shape
+        assert np.array_equal(_bits(alone), _bits(got.ravel()))
+
+    @pytest.mark.parametrize("profile", SEARCHED, ids=lambda p: f"{p.family.value}-{p.base.value}")
+    def test_start_tables_increase(self, profile):
+        search = SEARCHES[profile]
+        assert search.values.size == divergence._TABLE_T.size
+        assert np.all(np.diff(search.values) > 0.0)
+
+    @pytest.mark.parametrize("profile", SEARCHED, ids=lambda p: f"{p.family.value}-{p.base.value}")
+    def test_one_evaluation_per_element(self, profile, monkeypatch):
+        # draws of the study's PC priors start close enough to their roots
+        # that one Newton step ends nearly every search
+        search = SEARCHES[profile]
+        g, evaluated = search.g, []
+
+        def counted(t):
+            evaluated.append(np.size(t))
+            return g(t)
+
+        monkeypatch.setattr(search, "g", counted)
+        # the PC tail statements of the full study grid for this pair,
+        # calibrated under truncated normalization where attainable
+        tails = [
+            TailSpec(spec.U, spec.hypers[0])
+            for spec in full_study_config(profile.family).prior_specs
+            if spec.kind == f"pc_{profile.base.value}"
+        ]
+        draws = 0
+        for seed, tail in enumerate(tails):
+            lo, hi = attainable_alpha_range(profile.family, profile.base, tail.U)
+            if lo < tail.alpha < hi:
+                lam = calibrate_lambda(profile.family, profile.base, tail)
+                draws += pc_sample(PcPrior(profile.family, profile.base, lam), 40000, seed).size
+        assert draws >= 40000
+        assert sum(evaluated) <= 1.05 * draws, sum(evaluated) / draws
+
     @given(st.floats(min_value=1e-4, max_value=0.55))
     @settings(max_examples=40, deadline=None)
     def test_card_uniform_round_trip_property(self, d):
@@ -496,14 +592,16 @@ class TestBesselPasses:
 
     @pytest.mark.parametrize("profile", (VM_UNI, VM_PM), ids=("vm-uniform", "vm-pointmass"))
     def test_one_newton_step(self, profile, seen, monkeypatch):
+        # the spy sees each block's starts as the solver takes them, from
+        # the node tables (built at import) or the series beyond them
         starts = []
-        solve = divergence._solve_increasing
+        solve = divergence._solve_block
 
         def spy(g, target, t, lo, hi):
             starts.append(np.exp(np.minimum(np.maximum(t, lo), hi)))
             return solve(g, target, t, lo, hi)
 
-        monkeypatch.setattr(divergence, "_solve_increasing", spy)
+        monkeypatch.setattr(divergence, "_solve_block", spy)
         monkeypatch.setattr(divergence, "_NEWTON_MAX_STEPS", 1)
         params = self.GRID[self.GRID > 0.0] if profile is VM_PM else self.GRID
         ds = distance(profile, params)

@@ -219,9 +219,17 @@ class TestQuantile:
     def test_vectorized(self):
         p = PcPrior(Family.WRAPPED_CAUCHY, BaseModel.UNIFORM, 2.0)
         levels = np.linspace(0.05, 0.95, 7)
-        assert pc_quantile(p, levels) == pytest.approx(
-            [pc_quantile(p, float(v)) for v in levels], rel=1e-14
-        )
+        assert np.array_equal(pc_quantile(p, levels), [pc_quantile(p, float(v)) for v in levels])
+
+    def test_two_dimensional_levels(self):
+        # levels of any shape come back in that shape, with the bits of
+        # their scalar calls
+        levels = np.linspace(0.05, 0.95, 6).reshape(2, 3)
+        for pair in CONSISTENT_PAIRS:
+            p = PcPrior(pair[0], pair[1], 1.5)
+            got = pc_quantile(p, levels)
+            assert got.shape == levels.shape, pair
+            assert np.array_equal(got.ravel(), [pc_quantile(p, float(v)) for v in levels.ravel()]), pair
 
     def test_levels_must_be_interior(self):
         p = PcPrior(Family.VON_MISES, BaseModel.UNIFORM, 1.0)

@@ -127,6 +127,16 @@ class TestDistanceScale:
             want = lam * np.exp(-lam * ds) / z
             assert got == pytest.approx(want, rel=1e-9), prof
 
+    def test_two_dimensional_grid(self):
+        # a grid of any shape gives densities of that shape, equal to the
+        # 1-d call's on the same distances
+        ds = np.linspace(0.05, 0.5, 8)
+        for prof in (VM_UNI, VM_PM, CARD_UNI, CARD_CURVE, WC_UNI):
+            prior = PcPrior(prof.family, prof.base, 1.3)
+            got = distance_scale_pdf(prior, prof, ds.reshape(2, 4))
+            assert got.shape == (2, 4), prof
+            assert np.array_equal(got.ravel(), distance_scale_pdf(prior, prof, ds)), prof
+
     def test_rejects_out_of_range_distance(self):
         with pytest.raises(ValueError):
             distance_scale_pdf(Beta(2.0, 2.0), WC_UNI, -0.1)
