@@ -10,11 +10,11 @@ import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .special import _checked, _evaluate, _log_i0
+from .special import _bessel_i0e_log, _checked, _evaluate, _log_i0
 
 __all__ = [
     "TWO_PI",
@@ -66,7 +66,7 @@ class FamilyKernel:
     label: str                             # name used in messages
     log_density: Callable                  # (angles in [0, 2*pi), mu, conc) -> log density
     draw: Callable                         # (rng, mu, conc > 0, n) -> angles in [0, 2*pi)
-    loglik: Optional[Callable] = None      # angles in [0, 2*pi) -> ((mu, conc) -> log-likelihood)
+    loglik: Optional[Callable] = None      # angles in [0, 2*pi) -> LogLikelihood
     support: Optional[tuple] = None        # open interval the concentration moves in
     q: Optional[Callable] = None           # user-scale transform Q(conc)
     threshold: Optional[Callable] = None   # the concentration at which Q crosses U
@@ -166,81 +166,95 @@ def _wc_log_density(x, mu, rho):
     return math.log1p(-rho) + math.log1p(rho) - _LOG_TWO_PI - np.log(denom)
 
 
-def _memo_last_two(fn):
-    """``fn`` of one float, memoised on its last two distinct arguments.
+class LogLikelihood(NamedTuple):
+    """A family's log-likelihood, set up once per dataset and split for a
+    component-wise sampler.
 
-    A Metropolis chain alternates between its current state and one
-    proposal, so two entries keep the current value whether the proposal
-    was accepted or not. The entry used last stays; a new argument
-    evicts the other.
+    ``mu_term(mu)`` is the part that depends on mu alone and
+    ``conc_term(conc)`` returns the part that depends on the concentration
+    alone, with a tuple of values a concentration prior can share (the
+    von Mises Bessel pass, empty for the others); ``combine(m, conc, c)``
+    is the log-likelihood from the two parts. A sampler keeps the current
+    parts as chain state, so a mu step computes only ``mu_term`` and a
+    concentration step only ``conc_term``. Called as ``(mu, conc)``, it
+    evaluates all three. Every piece takes Python floats and returns
+    floats, or arrays for a per-angle mu term.
     """
-    k0 = k1 = math.nan  # the argument used last, and the other
-    v0 = v1 = None
 
-    def memoised(x):
-        nonlocal k0, v0, k1, v1
-        if x == k0:
-            return v0
-        if x == k1:
-            k0, v0, k1, v1 = k1, v1, k0, v0
-        else:
-            k0, v0, k1, v1 = x, fn(x), k0, v0
-        return v0
+    mu_term: Callable
+    conc_term: Callable
+    combine: Callable
 
-    return memoised
-
-
-# The log-likelihoods below are set up once per dataset: each takes mu
-# and the concentration as Python floats and returns a float. The
-# cardioid and wrapped Cauchy keep the trig of the angles and memoise
-# their per-angle mu term, so a concentration step costs one log pass.
+    def __call__(self, mu, conc):
+        return self.combine(self.mu_term(mu), conc, self.conc_term(conc)[0])
 
 
 def _vm_loglik(angles):
-    # sufficient statistics; log I0 is memoised, the mu term costs less
-    # than a memo lookup
+    # sufficient statistics: kappa T(mu) - n (log 2 pi + log I0 kappa) with
+    # T(mu) = C cos mu + S sin mu; the Bessel pass (i0e, log i0e) of kappa
+    # is shared with the prior
     n = angles.size
     c_sum = float(np.sum(np.cos(angles)))
     s_sum = float(np.sum(np.sin(angles)))
-    log_i0 = _memo_last_two(_log_i0)
 
-    def loglik(mu, kappa):
-        trig = c_sum * math.cos(mu) + s_sum * math.sin(mu)
-        return kappa * trig - n * (_LOG_TWO_PI + log_i0(kappa))
+    def mu_term(mu):
+        return c_sum * math.cos(mu) + s_sum * math.sin(mu)
 
-    return loglik
+    def conc_term(kappa):
+        bessel = _bessel_i0e_log(kappa)
+        return n * (_LOG_TWO_PI + (bessel[1] + kappa)), bessel
+
+    def combine(trig, kappa, log_norm):
+        return kappa * trig - log_norm
+
+    return LogLikelihood(mu_term, conc_term, combine)
 
 
 def _cardioid_loglik(angles):
-    # cos(x - mu) = cos x cos mu + sin x sin mu
+    # cos(x - mu) = cos x cos mu + sin x sin mu, per angle
     n = angles.size
     c, s = np.cos(angles), np.sin(angles)
-    cos_dev = _memo_last_two(lambda mu: c * math.cos(mu) + s * math.sin(mu))
 
-    def loglik(mu, ell):
-        t = cos_dev(mu) * (2.0 * ell)
+    def mu_term(mu):
+        cos_dev = c * math.cos(mu)
+        cos_dev += s * math.sin(mu)
+        return cos_dev
+
+    def conc_term(ell):
+        return 2.0 * ell, ()
+
+    def combine(cos_dev, ell, two_ell):
+        t = cos_dev * two_ell
         return float(np.add.reduce(np.log1p(t, out=t))) - n * _LOG_TWO_PI
 
-    return loglik
+    return LogLikelihood(mu_term, conc_term, combine)
 
 
 def _wc_loglik(angles):
     # 1 + rho^2 - 2 rho cos(x - mu) = (1 - rho)^2 + 4 rho sin^2((x - mu)/2):
     # two nonnegative terms, so nothing cancels as rho -> 1 near x = mu;
-    # sin((x - mu)/2) = sin(x/2) cos(mu/2) - cos(x/2) sin(mu/2)
+    # sin((x - mu)/2) = sin(x/2) cos(mu/2) - cos(x/2) sin(mu/2), per angle
     n = angles.size
     c, s = np.cos(0.5 * angles), np.sin(0.5 * angles)
-    sin2_dev = _memo_last_two(lambda mu: np.square(s * math.cos(0.5 * mu) - c * math.sin(0.5 * mu)))
 
-    def loglik(mu, rho):
+    def mu_term(mu):
+        sin_dev = s * math.cos(0.5 * mu)
+        sin_dev -= c * math.sin(0.5 * mu)
+        return np.square(sin_dev, out=sin_dev)
+
+    def conc_term(rho):
         sq = 1.0 - rho
-        t = sin2_dev(mu) * (4.0 * rho)
-        t += sq * sq
         # log(1 - rho^2) from its two factors stays accurate as rho -> 1
         log_norm = math.log1p(-rho) + math.log1p(rho) - _LOG_TWO_PI
-        return n * log_norm - float(np.add.reduce(np.log(t, out=t)))
+        return (4.0 * rho, sq * sq, n * log_norm), ()
 
-    return loglik
+    def combine(sin2_dev, rho, terms):
+        four_rho, sq2, n_log_norm = terms
+        t = sin2_dev * four_rho
+        t += sq2
+        return n_log_norm - float(np.add.reduce(np.log(t, out=t)))
+
+    return LogLikelihood(mu_term, conc_term, combine)
 
 
 def _sample_uniform(rng, mu, conc, n):

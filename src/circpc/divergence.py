@@ -20,6 +20,7 @@ from scipy.special import expit
 
 from .distributions import TWO_PI, Family, pdf
 from .special import (
+    _Piecewise,
     _RATIO_TAIL_SWITCH,
     _TINY,
     _bessel_i01e,
@@ -84,7 +85,8 @@ class DistanceProfile:
 
     - ``dist_deriv(param) -> (d, |d'|)``: the distance and the magnitude
       of its slope, from one evaluation of each Bessel function per
-      element; ``dist`` is its first value;
+      element, as a ``special._Piecewise`` table; ``dist`` is its first
+      value;
     - ``inverse(d) -> param`` on a 1-d array of attainable distances;
     - ``max_param``: the largest invertible parameter, for the pairs
       whose d is unbounded;
@@ -107,6 +109,11 @@ class DistanceProfile:
     def dist(self, param):
         """d alone: the first value of ``dist_deriv``."""
         return self.dist_deriv(param)[0]
+
+    def __reduce__(self):
+        # a profile is its pair's entry in _PROFILES, so it pickles by
+        # reference and its kernels need not pickle
+        return profile_for, (self.family, self.base)
 
 
 def supported_pairs():
@@ -139,10 +146,10 @@ def kld_vm(kappa, kappa0):
     return float(out) if isinstance(k, float) and isinstance(k0, float) else out
 
 
-def _half_sqrt_terms(ell):
+def _half_sqrt_terms(ns, ell):
     # s = sqrt(1 - 4 ell^2) without cancellation: (1-2l)(1+2l) = 2 eps (1+2l)
     eps = 0.5 - ell
-    return np.sqrt(2.0 * eps * (1.0 + 2.0 * ell)), eps
+    return ns.sqrt(2.0 * eps * (1.0 + 2.0 * ell)), eps
 
 
 def kld_cardioid(ell, ell0):
@@ -155,8 +162,8 @@ def kld_cardioid(ell, ell0):
     l0 = _checked(ell0, 0.0, 0.5, "ell0")
     if np.any(l0 == 0.0):
         raise ValueError("ell0 must be positive; use the uniform-base distance for ell0 = 0")
-    s, _ = _half_sqrt_terms(l)
-    s0, _ = _half_sqrt_terms(l0)
+    s, _ = _half_sqrt_terms(np, l)
+    s0, _ = _half_sqrt_terms(np, l0)
     # 1 - s = 4 l^2 / (1 + s) keeps the small-ell cancellation out
     term = 4.0 * l * (l / (1.0 + s) - l0 / (1.0 + s0))
     out = np.maximum(term + np.log((1.0 + s) / (1.0 + s0)), 0.0)
@@ -164,14 +171,10 @@ def kld_cardioid(ell, ell0):
 
 
 # log(1 - rho^2), stable across [0, 1); log1p takes rho <= 0.5
-_LOG1M_RHO_SQ = (
+_log1m_rho_sq = _Piecewise(
     (float(np.nextafter(0.5, 1.0)),),
-    (lambda r: np.log1p(-(r * r)), lambda r: np.log((1.0 - r) * (1.0 + r))),
+    (lambda ns, r: ns.log1p(-(r * r)), lambda ns, r: ns.log((1.0 - r) * (1.0 + r))),
 )
-
-
-def _log1m_rho_sq(rho):
-    return _piecewise(rho, *_LOG1M_RHO_SQ)
 
 
 def kld_wc(rho):
@@ -200,11 +203,13 @@ def kld_numeric(p_spec, q_spec, nodes=20001):
 # support and returns (d, |d'|); a kernel with several forms is a table
 # for special._piecewise whose forms each return both values, so an
 # element evaluates each Bessel function once, in the one form that holds
-# it. ``inverse`` takes a 1-d array already checked against the distance
-# range.
+# it. The von Mises kernels also take the (exp(-k) I0(k), its log) pass
+# that a concentration step's likelihood has made for the same float k,
+# so that step evaluates i0e and its log once. ``inverse`` takes a 1-d
+# array already checked against the distance range.
 
 
-def _same(x):
+def _same(ns, x):
     return x
 
 
@@ -220,7 +225,7 @@ def _k_ratio_deriv_tail(k):
 _CARD_L3_COEFS = tuple((1.0 if j % 2 else -1.0) / j for j in range(30, 2, -1))
 
 
-def _card_l3_series(s):
+def _card_l3_series(ns, s):
     p = 0.0
     for c in _CARD_L3_COEFS:
         p = c + s * p
@@ -228,11 +233,9 @@ def _card_l3_series(s):
 
 
 # the direct form cancels below _CARD_L3_SERIES; a fixed series there
-_CARD_L3 = ((_CARD_L3_SERIES,), (_card_l3_series, lambda s: np.log1p(s) - s + 0.5 * s * s))
-
-
-def _card_l3(s):
-    return _piecewise(s, *_CARD_L3)
+_card_l3 = _Piecewise(
+    (_CARD_L3_SERIES,), (_card_l3_series, lambda ns, s: ns.log1p(s) - s + 0.5 * s * s)
+)
 
 
 # Newton window in log kappa; its top is the largest invertible kappa
@@ -288,10 +291,10 @@ class _Search:
         self._coefs = (m0, 3.0 * span - 2.0 * m0 - m1, m0 + m1 - 2.0 * span)
         self._start_forms = ((v[0], v[-1]), (self._beyond, self._inside, self._beyond))
 
-    def _beyond(self, target):
+    def _beyond(self, ns, target):
         return self.series(target), self.lo, self.hi
 
-    def _inside(self, target):
+    def _inside(self, ns, target):
         j = np.searchsorted(self.values, target, side="right") - 1
         u = (target - self.values[j]) * self._inv_h[j]
         c1, c2, c3 = (c[j] for c in self._coefs)
@@ -383,33 +386,37 @@ def _logit_2ell(ell, eps):
 # below returns (d, |d'|)
 
 
-def _vm_uniform_small(k):
+def _vm_uniform_linear(ns, k, i0=None, log_i0=None):
+    return 0.5 * k, 0.5
+
+
+def _vm_uniform_small(ns, k, i0=None, log_i0=None):
     q = 0.25 * (k * k)
-    d = np.sqrt(q * (1.0 - 0.75 * q + (5.0 / 9.0) * q * q))
-    return d, k * _ratio_deriv_head(k, _ratio(k)) / (2.0 * d)
+    d = ns.sqrt(q * (1.0 - 0.75 * q + (5.0 / 9.0) * q * q))
+    return d, k * _ratio_deriv_head(k, _ratio(k, i0)) / (2.0 * d)
 
 
-def _vm_uniform_direct(k):
-    # d and r = I1/I0 from one Bessel pass
-    i0, i1 = _bessel_i01e(k)
+def _vm_uniform_direct(ns, k, i0, log_i0):
+    # d and r = I1/I0 from one Bessel pass, with the caller's part of it
+    i0, i1 = _bessel_i01e(k, i0)
     r = i1 / i0
-    return np.sqrt(k * r - (np.log(i0) + k)), r
+    return ns.sqrt(k * r - ((ns.log(i0) if log_i0 is None else log_i0) + k)), r
 
 
-def _vm_uniform_mid(k):
-    d, r = _vm_uniform_direct(k)
+def _vm_uniform_mid(ns, k, i0=None, log_i0=None):
+    d, r = _vm_uniform_direct(ns, k, i0, log_i0)
     return d, k * _ratio_deriv_head(k, r) / (2.0 * d)
 
 
-def _vm_uniform_upper(k):
-    d, _ = _vm_uniform_direct(k)
+def _vm_uniform_upper(ns, k, i0=None, log_i0=None):
+    d, _ = _vm_uniform_direct(ns, k, i0, log_i0)
     return d, _k_ratio_deriv_tail(k) / (2.0 * d)
 
 
-def _vm_uniform_large(k):
+def _vm_uniform_large(ns, k, i0=None, log_i0=None):
     inv = 1.0 / k
-    d = np.sqrt(
-        0.5 * (_LOG_TWO_PI + np.log(k))
+    d = ns.sqrt(
+        0.5 * (_LOG_TWO_PI + ns.log(k))
         - 0.5
         - inv * (0.25 + inv * (3.0 / 16.0 + inv * (25.0 / 96.0)))
     )
@@ -419,20 +426,16 @@ def _vm_uniform_large(k):
 # d is linear below _LINEAR_CUT, then its series below _VM_RADICAND_SMALL,
 # the direct form up to _VM_RADICAND_LARGE and the asymptotic series above;
 # r' takes its tail series from _RATIO_TAIL_SWITCH up
-_VM_UNIFORM = (
+_vm_uniform = _Piecewise(
     (_LINEAR_CUT, _VM_RADICAND_SMALL, _RATIO_TAIL_SWITCH, _VM_RADICAND_LARGE),
     (
-        lambda k: (0.5 * k, 0.5),
+        _vm_uniform_linear,
         _vm_uniform_small,
         _vm_uniform_mid,
         _vm_uniform_upper,
         _vm_uniform_large,
     ),
 )
-
-
-def _vm_uniform(k):
-    return _piecewise(k, *_VM_UNIFORM)
 
 
 def _vm_uniform_log_slope(k):
@@ -464,7 +467,9 @@ def _vm_uniform_inverse(d):
     if np.any(d > _VM_UNIFORM_D_MAX):
         raise ValueError("distance not attainable within floating-point kappa range")
     # below d(_LINEAR_CUT) the linear form inverts exactly
-    return _piecewise(d, (0.5 * _LINEAR_CUT,), (lambda d: 2.0 * d, _vm_uniform_search))
+    return _piecewise(
+        d, (0.5 * _LINEAR_CUT,), (lambda ns, d: 2.0 * d, lambda ns, d: _vm_uniform_search(d))
+    )
 
 
 # d = sqrt(1 - r(k)) and its slope: |d'| = r'(k) / (2d), or with
@@ -473,27 +478,26 @@ def _vm_uniform_inverse(d):
 # |d'| = r'(0) / 2 = 1/4.
 
 
-def _vm_pointmass_head(k, log_slope):
-    r = _ratio(k)
-    d = np.sqrt(1.0 - r)
+def _vm_pointmass_zero(ns, k, i0=None, log_i0=None, log_slope=False):
+    return 1.0, 0.0 if log_slope else 0.25
+
+
+def _vm_pointmass_head(ns, k, i0=None, log_i0=None, log_slope=False):
+    r = _ratio(k, i0)
+    d = ns.sqrt(1.0 - r)
     slope = _ratio_deriv_head(k, r)
     return d, (k * slope if log_slope else slope) / (2.0 * d)
 
 
-def _vm_pointmass_tail(k, log_slope):
-    d = np.sqrt(_one_minus_ratio_tail(k))
+def _vm_pointmass_tail(ns, k, i0=None, log_i0=None, log_slope=False):
+    d = ns.sqrt(_one_minus_ratio_tail(k))
     k_slope = _k_ratio_deriv_tail(k)
     return d, (k_slope if log_slope else k_slope / k) / (2.0 * d)
 
 
-_VM_POINTMASS = (
-    (_TINY, _RATIO_TAIL_SWITCH),
-    (lambda k, log_slope: (1.0, 0.0 if log_slope else 0.25), _vm_pointmass_head, _vm_pointmass_tail),
+_vm_pointmass = _Piecewise(
+    (_TINY, _RATIO_TAIL_SWITCH), (_vm_pointmass_zero, _vm_pointmass_head, _vm_pointmass_tail)
 )
-
-
-def _vm_pointmass(k, log_slope=False):
-    return _piecewise(k, *_VM_POINTMASS, log_slope)
 
 
 def _vm_pointmass_series(target):
@@ -509,7 +513,7 @@ def _vm_pointmass_series(target):
 
 # distance decreases, so the search solves for -d
 _VM_POINTMASS_SEARCH = _Search(
-    _in_log_kappa(lambda k: _vm_pointmass(k, True), -1.0),
+    _in_log_kappa(lambda k: _vm_pointmass(k, None, None, True), -1.0),
     _vm_pointmass_series, _LOG_KAPPA_LO, _LOG_KAPPA_HI,
 )
 
@@ -521,15 +525,14 @@ def _vm_pointmass_inverse(d):
     return np.where(d == 1.0, 0.0, np.exp(t))
 
 
-def _card_uniform_main(l):
-    s, _ = _half_sqrt_terms(l)
+def _card_uniform_main(ns, l):
+    s, _ = _half_sqrt_terms(ns, l)
     u = 4.0 * l * l / (1.0 + s)
-    d = np.sqrt(u + np.log1p(-0.5 * u))
+    d = ns.sqrt(u + ns.log1p(-0.5 * u))
     return d, 2.0 * l / ((1.0 + s) * d)
 
 
-def _card_uniform(l):
-    return _piecewise(l, (_LINEAR_CUT,), (lambda l: (l, 1.0), _card_uniform_main))
+_card_uniform = _Piecewise((_LINEAR_CUT,), (lambda ns, l: (l, 1.0), _card_uniform_main))
 
 
 def _card_uniform_series(d):
@@ -557,14 +560,19 @@ def _card_uniform_inverse(d):
     # the linear form inverts exactly; d_max is approached only as
     # ell -> 0.5, but d(_ELL_MAX) rounds to it, so it reports that open end
     return _piecewise(
-        d, (_LINEAR_CUT, SQRT_1M_LOG2), (_same, _card_uniform_search, lambda d: _ELL_MAX)
+        d, (_LINEAR_CUT, SQRT_1M_LOG2),
+        (_same, lambda ns, d: _card_uniform_search(d), lambda ns, d: _ELL_MAX),
     )
 
 
-def _card_curve(l):
-    s, eps = _half_sqrt_terms(l)
-    d = np.sqrt(2.0 * eps * eps + _card_l3(s))
+def _card_curve_form(ns, l):
+    s, eps = _half_sqrt_terms(ns, l)
+    d = ns.sqrt(2.0 * eps * eps + _card_l3(s))
     return d, (s + 2.0 * eps) / ((1.0 + s) * d)
+
+
+# one form over the whole support
+_card_curve = _Piecewise((), (_card_curve_form,))
 
 
 def _card_curve_series(target):
@@ -593,19 +601,18 @@ def _card_curve_inverse(d):
     return np.where(d == 0.0, _ELL_MAX, np.where(d == SQRT_LOG2, 0.0, ell))
 
 
-def _wc_main(rho):
-    d = np.sqrt(-_log1m_rho_sq(rho))
+def _wc_main(ns, rho):
+    d = ns.sqrt(-_log1m_rho_sq(rho))
     return d, rho / ((1.0 - rho) * (1.0 + rho) * d)
 
 
-def _wc(rho):
-    return _piecewise(rho, (_LINEAR_CUT,), (lambda r: (r, 1.0), _wc_main))
+_wc = _Piecewise((_LINEAR_CUT,), (lambda ns, r: (r, 1.0), _wc_main))
 
 
 # closed form; saturates at the largest rho below 1
 _WC_INVERSE = (
     (_LINEAR_CUT,),
-    (_same, lambda d: np.minimum(np.sqrt(-np.expm1(-d * d)), _RHO_MAX)),
+    (_same, lambda ns, d: np.minimum(np.sqrt(-np.expm1(-d * d)), _RHO_MAX)),
 )
 
 

@@ -24,8 +24,7 @@ import numpy as np
 from scipy.special import expit
 
 from .distributions import FAMILIES, TWO_PI, Dataset, Family, circular_mean, wrap_angle
-from .pc_priors import PcPrior, _normalizer
-from .reference_priors import VonMisesConjugate
+from .reference_priors import VonMisesConjugate, _log_density_fn
 
 __all__ = [
     "InitializationError",
@@ -148,61 +147,49 @@ class PosteriorSummary:
         }
 
 
-def _log_conc_prior_fn(prior):
-    """Scalar log prior density; -inf where the density vanishes.
-
-    Callers guarantee the argument lies in the family support (ModelSpec
-    matched the prior's support to the family's, and the sampler tests
-    lo < conc < hi), so both branches skip the input checks of the
-    public densities. The PC branch works on the log scale directly (the
-    exponential never over/underflows this way at extreme distances) and
-    hands the kernels the float itself, on which they run only the form
-    that holds it.
-    """
-    if isinstance(prior, PcPrior):
-        dist_deriv = prior.profile.dist_deriv
-        lam = prior.lam
-        z = _normalizer(lam, prior.profile, prior.is_normalized)
-        log_lam_norm = math.log(lam) - math.log(z)
-
-        def log_prior(x):
-            d, g = dist_deriv(x)
-            g = float(g)
-            if g <= 0.0 or not math.isfinite(g):
-                return -math.inf
-            return log_lam_norm - lam * float(d) + math.log(g)
-
-        return log_prior
-
-    pdf = prior.pdf
-
-    def log_prior(x):
-        v = float(pdf(x))
-        if not math.isfinite(v) or v <= 0.0:
-            return -math.inf
-        return math.log(v)
-
-    return log_prior
-
-
 def _unconstrained(support):
     """``(to_theta, to_conc, log_jac, initial)`` for a concentration on ``support``,
-    log_jac being log |d conc / d theta|: log c from 1 on (0, inf), and
+    log_jac(c) being log |d conc / d theta| at c: log c from 1 on (0, inf), and
     t = logit(c / hi), so c = hi expit(t), from hi / 2 on (0, hi)."""
     hi = support[1]
     if math.isinf(hi):
-        return (math.log, lambda t: math.exp(t) if t < 709.0 else math.inf,
-                lambda t, c: math.log(c), 1.0)
+        return math.log, lambda t: math.exp(t) if t < 709.0 else math.inf, math.log, 1.0
     log_hi = math.log(hi)
     return (lambda c: math.log(c / hi) - math.log1p(-c / hi), lambda t: hi * float(expit(t)),
-            lambda t, c: math.log(c / hi) + math.log1p(-c / hi) + log_hi, hi / 2.0)
+            lambda c: math.log(c / hi) + math.log1p(-c / hi) + log_hi, hi / 2.0)
+
+
+def _concentration_step(lik, log_prior, support):
+    """The sampler's concentration move for one chain, composed once.
+
+    ``step(theta, m)`` evaluates the proposal at ``theta`` on the
+    unconstrained scale, with ``m`` the current mu's likelihood term. It
+    returns None when the concentration leaves the open support (or the
+    transform back overflowed), and otherwise ``(conc, loglik, c,
+    log_prior, log_jac)``, c being the concentration's likelihood term,
+    from one evaluation: the likelihood's concentration term hands the
+    values it shares (the von Mises Bessel pass) to the prior.
+    """
+    _, to_conc, log_jac, _ = _unconstrained(support)
+    lo, hi = support
+    conc_term, combine = lik.conc_term, lik.combine
+
+    def step(theta, m):
+        conc = to_conc(theta)
+        if not lo < conc < hi:
+            return None
+        c, shared = conc_term(conc)
+        return conc, combine(m, conc, c), c, log_prior(conc, shared), log_jac(conc)
+
+    return step
 
 
 def log_posterior(model: ModelSpec, data: Dataset, mu, conc) -> float:
     """Unnormalized log posterior density at (mu, conc).
 
     Sum of the data log-likelihood, the concentration log-prior, and the
-    circular-uniform location term; -inf where the prior vanishes.
+    circular-uniform location term; -inf where the prior vanishes and
+    +inf where it diverges (a Beta with a < 1 at 0, say).
     """
     if len(data) == 0:
         raise ValueError("dataset must contain at least one angle")
@@ -210,12 +197,12 @@ def log_posterior(model: ModelSpec, data: Dataset, mu, conc) -> float:
     lo, hi = FAMILIES[model.family].support
     if not lo <= conc < hi:
         raise ValueError("concentration outside the family support")
-    loglik = FAMILIES[model.family].loglik(data.angles)
-    log_prior = _log_conc_prior_fn(model.concentration_prior)
-    lp = log_prior(conc)
+    lik = FAMILIES[model.family].loglik(data.angles)
+    c, shared = lik.conc_term(conc)
+    lp = _log_density_fn(model.concentration_prior)(conc, shared)
     if lp == -math.inf:
         return -math.inf
-    return loglik(float(wrap_angle(mu)), conc) + lp - _LOG_TWO_PI
+    return lik.combine(lik.mu_term(float(wrap_angle(mu))), conc, c) + lp - _LOG_TWO_PI
 
 
 def run_mcmc(model: ModelSpec, data: Dataset, config: McmcConfig, *, trace_steps=False) -> Chain:
@@ -223,12 +210,18 @@ def run_mcmc(model: ModelSpec, data: Dataset, config: McmcConfig, *, trace_steps
 
     Deterministic for a fixed config seed.  Step sizes adapt only during
     burn-in (Robbins-Monro on the log step toward target_acceptance).
+    The chain keeps the likelihood's mu term and concentration term of
+    its current state, so a mu move evaluates only the new mu's term and
+    a concentration move only the new concentration's, with its prior
+    and log-Jacobian, in one step.
     """
     angles = data.angles
     kern = FAMILIES[model.family]
-    loglik = kern.loglik(angles)
-    log_prior = _log_conc_prior_fn(model.concentration_prior)
-    to_theta, to_conc, log_jac, initial = _unconstrained(kern.support)
+    lik = kern.loglik(angles)
+    mu_term, combine = lik.mu_term, lik.combine
+    log_prior = _log_density_fn(model.concentration_prior)
+    conc_step = _concentration_step(lik, log_prior, kern.support)
+    to_theta, _, log_jac, initial = _unconstrained(kern.support)
     lo, hi = kern.support
 
     mu = float(wrap_angle(config.initial_mu)) if config.initial_mu is not None \
@@ -237,12 +230,14 @@ def run_mcmc(model: ModelSpec, data: Dataset, config: McmcConfig, *, trace_steps
         else initial
     if not lo < conc < hi:
         raise InitializationError("initial concentration outside the open support")
-    cur_lik = loglik(mu, conc)
-    cur_pri = log_prior(conc)
+    m = mu_term(mu)
+    c, shared = lik.conc_term(conc)
+    cur_lik = combine(m, conc, c)
+    cur_pri = log_prior(conc, shared)
     if not np.isfinite(cur_lik + cur_pri):
         raise InitializationError("initial state has zero posterior density")
     theta = to_theta(conc)
-    cur_jac = log_jac(theta, conc)
+    cur_jac = log_jac(conc)
 
     rng = np.random.default_rng(config.seed)
     iters, burn = config.iterations, config.burn_in
@@ -256,6 +251,7 @@ def run_mcmc(model: ModelSpec, data: Dataset, config: McmcConfig, *, trace_steps
     u = iter(memoryview(u_all.reshape(-1)))
     kept = array("d")
     trace = array("d") if trace_steps else None
+    keep, exp, two_pi = kept.extend, math.exp, TWO_PI  # bound once for the loop
     step_mu = step_conc = 0.5
     accepted_mu = accepted_conc = 0
     target = config.target_acceptance
@@ -265,42 +261,42 @@ def run_mcmc(model: ModelSpec, data: Dataset, config: McmcConfig, *, trace_steps
     for i, z_mu, z_conc, u_mu, u_conc in zip(range(iters), z, z, u, u):
         gamma = (i + 1.0) ** -0.7 if i < burn else 0.0
 
-        # location: wrapped Gaussian proposal, flat prior cancels
-        mu_prop = (mu + step_mu * z_mu) % TWO_PI
-        lik_prop = loglik(mu_prop, conc)
+        # location: wrapped Gaussian proposal, flat prior cancels; the
+        # concentration's term c is the current one's
+        mu_prop = (mu + step_mu * z_mu) % two_pi
+        m_prop = mu_term(mu_prop)
+        lik_prop = combine(m_prop, conc, c)
         log_a = lik_prop - cur_lik
-        a = 1.0 if log_a >= 0.0 else math.exp(log_a)
+        a = 1.0 if log_a >= 0.0 else exp(log_a)
         if u_mu < a:
-            mu, cur_lik = mu_prop, lik_prop
+            mu, m, cur_lik = mu_prop, m_prop, lik_prop
             if i >= burn:
                 accepted_mu += 1
         if gamma:
-            step_mu *= math.exp(gamma * (a - target))
+            step_mu *= exp(gamma * (a - target))
 
         # concentration: Gaussian step on the unconstrained scale
         th_prop = theta + step_conc * z_conc
-        conc_prop = to_conc(th_prop)
-        if lo < conc_prop < hi and math.isfinite(conc_prop):
-            lik_prop = loglik(mu, conc_prop)
-            pri_prop = log_prior(conc_prop)
-            jac_prop = log_jac(th_prop, conc_prop)
-            log_a = (lik_prop + pri_prop + jac_prop) - (cur_lik + cur_pri + cur_jac)
-            a = 1.0 if log_a >= 0.0 else (math.exp(log_a) if log_a > -745.0 else 0.0)
-        else:
+        prop = conc_step(th_prop, m)
+        if prop is None:
             a = 0.0
             out_of_support += 1
+        else:
+            conc_prop, lik_prop, c_prop, pri_prop, jac_prop = prop
+            log_a = (lik_prop + pri_prop + jac_prop) - (cur_lik + cur_pri + cur_jac)
+            a = 1.0 if log_a >= 0.0 else (exp(log_a) if log_a > -745.0 else 0.0)
         if u_conc < a:
-            theta, conc = th_prop, conc_prop
+            theta, conc, c = th_prop, conc_prop, c_prop
             cur_lik, cur_pri, cur_jac = lik_prop, pri_prop, jac_prop
             if i >= burn:
                 accepted_conc += 1
         if gamma:
-            step_conc *= math.exp(gamma * (a - target))
+            step_conc *= exp(gamma * (a - target))
 
         if trace is not None:
             trace.extend((step_mu, step_conc))
         if i >= burn:
-            kept.extend((mu, conc))
+            keep((mu, conc))
     wall_s = time.perf_counter() - start
 
     n_kept = iters - burn

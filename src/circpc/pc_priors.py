@@ -25,6 +25,7 @@ authoritative; the literature closed forms are exposed separately as
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -40,7 +41,7 @@ from .divergence import (
     inverse_distance,
     profile_for,
 )
-from .special import _TINY, _checked, _evaluate, _piecewise
+from .special import _FLOAT_MATH, _TINY, _checked, _evaluate, _piecewise
 
 # the calibrations' first bracket for lambda, and the factor that widens it
 _BRACKET = (1.0e-8, 1.0e6)
@@ -199,14 +200,18 @@ def _cdf(lam, d, prof: DistanceProfile, normalized):
         top = math.log1p(_END_GAP * z / e_max)
         return _piecewise(
             x + lam * prof.d_max, (top,),
-            (lambda gap, x: 1.0 - e_max * np.expm1(gap) / z, lambda gap, x: -np.expm1(x) / z), x,
+            (
+                lambda ns, gap, x: 1.0 - e_max * ns.expm1(gap) / z,
+                lambda ns, gap, x: -ns.expm1(x) / z,
+            ),
+            x,
         )
     if not normalized:
         return np.exp(x)
     e_max = math.exp(-lam * prof.d_max)
     return _piecewise(
         x + lam * prof.d_max, (_END_GAP,),
-        (lambda gap, x: e_max * np.expm1(gap), lambda gap, x: np.exp(x) - e_max), x,
+        (lambda ns, gap, x: e_max * ns.expm1(gap), lambda ns, gap, x: ns.exp(x) - e_max), x,
     ) / (1.0 - e_max)
 
 
@@ -228,6 +233,31 @@ def _pc_density(prior: PcPrior, d, slope):
     """The prior density at a parameter with distance d and |d'| = slope."""
     z = _normalizer(prior.lam, prior.profile, prior.is_normalized)
     return prior.lam * np.exp(-prior.lam * d) * slope / z
+
+
+def _pc_log_density_fn(prior: PcPrior):
+    """The prior's log density at one float inside its support, unchecked.
+
+    It works on the log scale, so the exponential never over- or
+    underflows at extreme distances, and -inf stands where the density
+    vanishes. A von Mises concentration step passes its Bessel pass of
+    the same argument as ``shared``; the distance kernel then evaluates
+    only what that pass lacks. x is a Python float, so the closure runs
+    the float path of the kernel's table itself.
+    """
+    cuts, forms = prior.profile.dist_deriv.cuts, prior.profile.dist_deriv.forms
+    lam = prior.lam
+    z = _normalizer(lam, prior.profile, prior.is_normalized)
+    log_lam_norm = math.log(lam) - math.log(z)
+    log, inf = math.log, math.inf
+
+    def log_density(x, shared=()):
+        d, g = forms[bisect_right(cuts, x)](_FLOAT_MATH, x, *shared)
+        if not 0.0 < g < inf:
+            return -inf
+        return log_lam_norm - lam * d + log(g)
+
+    return log_density
 
 
 def pc_cdf(prior: PcPrior, param):

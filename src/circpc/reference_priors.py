@@ -12,6 +12,7 @@ automates that reading.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
@@ -20,8 +21,8 @@ from scipy.special import betaln
 
 from .distributions import TWO_PI, wrap_angle
 from .divergence import DistanceProfile, inverse_distance
-from .pc_priors import PcPrior, _pc_density, pc_pdf
-from .special import _TINY, _checked, _evaluate, _log_i0, _piecewise
+from .pc_priors import PcPrior, _pc_density, _pc_log_density_fn, pc_pdf
+from .special import _FLOAT_MATH, _TINY, _checked, _evaluate, _log_i0, _piecewise
 
 __all__ = [
     "GammaOneB",
@@ -45,12 +46,19 @@ def _float_or_array(x):
     return x if isinstance(x, float) else np.asarray(x, dtype=float)
 
 
-def _vanished(x):
+def _vanished(ns, x):
     return 0.0
 
 
+class _Tabled:
+    """A density given by the special._piecewise table ``_table()``."""
+
+    def pdf(self, x):
+        return _piecewise(_float_or_array(x), *self._table())
+
+
 @dataclass(frozen=True)
-class GammaOneB:
+class GammaOneB(_Tabled):
     """Gamma(1, b): the exponential density b*exp(-b*x) on [0, inf)."""
 
     b: float
@@ -65,43 +73,46 @@ class GammaOneB:
             raise ValueError("rate b must be positive and finite")
         object.__setattr__(self, "_cuts", (746.0 / self.b,))
 
-    def pdf(self, x):
-        return _piecewise(_float_or_array(x), self._cuts, (self._positive, _vanished))
+    def _table(self):
+        return self._cuts, (self._positive, _vanished)
 
-    def _positive(self, x):
-        return self.b * np.exp(-self.b * x)
+    def _positive(self, ns, x):
+        return self.b * ns.exp(-self.b * x)
 
 
 # The heavy-tailed densities' direct forms overflow in the denominator,
 # pi (1 + x^2) above 2^511 and (1 + x^2)^1.5 above 2^341, and would read
 # 0 there; 1 + x^2 rounds to x^2 long before, so the tails take the
 # leading term, divided twice so that it underflows gradually
-_H2 = ((2.0 ** 511,), (lambda x: 2.0 / (math.pi * (1.0 + x * x)), lambda x: (2.0 / math.pi) / x / x))
-_H3 = ((2.0 ** 341,), (lambda x: x / np.power(1.0 + x * x, 1.5), lambda x: 1.0 / x / x))
+_H2 = (
+    (2.0 ** 511,),
+    (lambda ns, x: 2.0 / (math.pi * (1.0 + x * x)), lambda ns, x: (2.0 / math.pi) / x / x),
+)
+_H3 = ((2.0 ** 341,), (lambda ns, x: x / ns.power(1.0 + x * x, 1.5), lambda ns, x: 1.0 / x / x))
 
 
 @dataclass(frozen=True)
-class H2:
+class H2(_Tabled):
     """Half-Cauchy-type density 2 / (pi * (1 + x^2)) on [0, inf)."""
 
     support = (0.0, math.inf)
 
-    def pdf(self, x):
-        return _piecewise(_float_or_array(x), *_H2)
+    def _table(self):
+        return _H2
 
 
 @dataclass(frozen=True)
-class H3:
+class H3(_Tabled):
     """Density x / (1 + x^2)^(3/2) on [0, inf); zero at the origin."""
 
     support = (0.0, math.inf)
 
-    def pdf(self, x):
-        return _piecewise(_float_or_array(x), *_H3)
+    def _table(self):
+        return _H3
 
 
 @dataclass(frozen=True)
-class Beta:
+class Beta(_Tabled):
     """Beta(a, b) on [0, 1); the value at 0 follows the shape limit."""
 
     a: float
@@ -123,19 +134,19 @@ class Beta:
         object.__setattr__(self, "_log_beta", lb)
         object.__setattr__(self, "_at_zero", at_zero)
 
-    def pdf(self, x):
+    def _table(self):
         # [0, _TINY) holds only x = 0, where the limit stands in
-        return _piecewise(_float_or_array(x), (_TINY,), (self._zero, self._positive))
+        return (_TINY,), (self._zero, self._positive)
 
-    def _zero(self, x):
+    def _zero(self, ns, x):
         return self._at_zero
 
-    def _positive(self, x):
-        return np.exp((self.a - 1.0) * np.log(x) + (self.b - 1.0) * np.log1p(-x) - self._log_beta)
+    def _positive(self, ns, x):
+        return ns.exp((self.a - 1.0) * ns.log(x) + (self.b - 1.0) * ns.log1p(-x) - self._log_beta)
 
 
 @dataclass(frozen=True)
-class ScaledBetaHalf:
+class ScaledBetaHalf(_Tabled):
     """Beta(a, b) variable halved onto [0, 0.5): density 2*beta(2x; a, b)."""
 
     a: float
@@ -147,19 +158,23 @@ class ScaledBetaHalf:
     def __post_init__(self):
         object.__setattr__(self, "_beta", Beta(self.a, self.b))
 
-    def pdf(self, x):
-        return 2.0 * self._beta.pdf(2.0 * _float_or_array(x))
+    def _table(self):
+        # 2 beta(2x): x = 0 alone is below _TINY, as 2x is below it for Beta
+        zero, positive = self._beta._table()[1]
+        return (_TINY,), (
+            lambda ns, x: 2.0 * zero(ns, 2.0 * x),
+            lambda ns, x: 2.0 * positive(ns, 2.0 * x),
+        )
 
 
 @dataclass(frozen=True)
-class UniformHalf:
+class UniformHalf(_Tabled):
     """Uniform density 2 on [0, 0.5)."""
 
     support = (0.0, 0.5)
 
-    def pdf(self, x):
-        x = _float_or_array(x)
-        return 2.0 if isinstance(x, float) else np.full_like(x, 2.0)
+    def _table(self):
+        return (), (lambda ns, x: 2.0,)
 
 
 @dataclass(frozen=True)
@@ -224,6 +239,33 @@ def ref_pdf(prior, param):
     return _evaluate(prior.pdf, param, *prior.support, "parameter")
 
 
+def _log_density_fn(prior) -> Callable:
+    """The log density of a univariate concentration prior at one float
+    inside its support, unchecked, as the sampler and ``log_posterior``
+    take it: ``(x, shared=()) -> float``, ``shared`` being the values a
+    likelihood's concentration term shares.
+
+    A PC prior's comes from pc_priors and shares the von Mises Bessel
+    pass; any other prior's is the log of its density, which ignores the
+    pass: for the classes here, the float path of its table, run in
+    place. A density that diverges (a Beta with a < 1 at 0) gives +inf,
+    and only one that vanishes gives -inf.
+    """
+    if isinstance(prior, PcPrior):
+        return _pc_log_density_fn(prior)
+    if isinstance(prior, _Tabled):
+        cuts, forms = prior._table()
+    else:
+        cuts, forms = (), (lambda ns, x: prior.pdf(x),)
+    log = math.log
+
+    def log_density(x, shared=()):
+        v = forms[bisect_right(cuts, x)](_FLOAT_MATH, x)
+        return log(v) if v > 0.0 else -math.inf
+
+    return log_density
+
+
 def _param_density(prior) -> Callable:
     """Parameter-space density callable for any auditable prior."""
     if isinstance(prior, PcPrior):
@@ -250,7 +292,9 @@ def distance_scale_pdf(prior, profile: DistanceProfile, d):
         density = _pc_density(prior, dist, slope)
     else:
         density = pdf(xi)
-    out = density / slope
+    # numpy's division, so a slope that underflows to 0 gives nan or inf
+    # (with numpy's warning), as for arrays, and never raises
+    out = np.divide(density, slope)
     return float(out) if isinstance(xi, float) else out
 
 

@@ -7,6 +7,7 @@ large arguments.
 
 import math
 from bisect import bisect_right
+from types import SimpleNamespace
 
 import numpy as np
 from scipy import special as _sp
@@ -43,46 +44,94 @@ def _checked(x, lo=0.0, hi=math.inf, what="argument"):
     return v
 
 
+def _float_of(ufunc):
+    """``ufunc`` of one Python float as a Python float: numpy's bits, one conversion."""
+
+    def call(x, ufunc=ufunc):
+        return float(ufunc(x))
+
+    return call
+
+
+# The namespace _piecewise hands a form for a Python float, so the form runs
+# float arithmetic with numpy's bits. sqrt is correctly rounded in both
+# libraries, so math's is taken; numpy's log, exp, log1p, expm1 and power
+# can differ from libm's in the last bit (math.log at 61 of 20 000 uniform
+# points), so each stays one numpy call, converted to a float once.
+_FLOAT_MATH = SimpleNamespace(
+    sqrt=math.sqrt,
+    power=lambda x, y: float(np.power(x, y)),
+    **{name: _float_of(getattr(np, name)) for name in ("log", "exp", "log1p", "expm1")},
+)
+
+
 def _piecewise(x, cuts, forms, *args):
-    """Evaluate a function given piecewise, as ``form(x, *args)``.
+    """Evaluate a function given piecewise, as ``form(ns, x, *args)``.
 
     ``cuts`` increase and split the line into len(cuts) + 1 intervals;
     form i holds on [cuts[i-1], cuts[i]), the first one below cuts[0]
     and the last one from cuts[-1] up. A form returns one value or a
     tuple of values (a distance and its slope, say); a constant stands
-    for that value at every element. This is the one place where a
-    scalar call and an array call part ways:
+    for that value at every element. ``ns`` is the namespace the form
+    takes its functions from (``ns.sqrt``, ``ns.log``, ...), so each
+    formula is written once for every caller. This is the one place
+    where a scalar call and an array call part ways:
 
-    - a scalar (Python float, numpy scalar or 0-d array) is placed among
-      the cuts by a bisection in Python and runs only the form that
-      holds it;
+    - a scalar is placed among the cuts by a bisection in Python and
+      runs only the form that holds it; a Python float gets
+      ``_FLOAT_MATH`` and so float arithmetic, a numpy scalar or 0-d
+      array gets numpy;
     - an array is placed by one ``searchsorted`` pass; each form runs
-      once, on the elements of its own interval gathered into a 1-d
-      array, and its values are scattered back into arrays of x's
-      shape. An array inside one interval runs its form on x itself.
+      once, with numpy, on the elements of its own interval gathered
+      into a 1-d array, and its values are scattered back into arrays
+      of x's shape. An array inside one interval runs its form on x
+      itself.
 
     ``args`` of x's shape are gathered with x; any other argument is
     passed whole. A form sees only arguments inside its own interval,
     so it must be finite, and raise nothing, there and nowhere else;
-    every element gets the bits of its scalar call.
+    every element gets the bits of its scalar call. A table without
+    cuts is one form over the whole line.
     """
+    if type(x) is float:
+        return forms[bisect_right(cuts, x)](_FLOAT_MATH, x, *args)
     if not (isinstance(x, np.ndarray) and x.ndim):
-        return forms[bisect_right(cuts, x)](x, *args)
+        return forms[bisect_right(cuts, x)](np, x, *args)
+    if not cuts:
+        return _filled(forms[0](np, x, *args), x.shape)
     where = np.searchsorted(cuts, x, side="right")
     present = np.flatnonzero(np.bincount(where.ravel(), minlength=len(forms)))
     if len(present) <= 1:
         i = present[0] if len(present) else 0
-        return _filled(forms[i](x, *args), x.shape)
+        return _filled(forms[i](np, x, *args), x.shape)
     out = None
     for i in present:
         sel = where == i
-        vals = forms[i](x[sel], *(a[sel] if np.shape(a) == x.shape else a for a in args))
+        vals = forms[i](np, x[sel], *(a[sel] if np.shape(a) == x.shape else a for a in args))
         many = isinstance(vals, tuple)
         if out is None:
             out = [np.empty(x.shape) for _ in (vals if many else (vals,))]
         for o, v in zip(out, vals if many else (vals,)):
             o[sel] = v
     return tuple(out) if many else out[0]
+
+
+class _Piecewise:
+    """A fixed table for _piecewise, called as ``(x, *args)``.
+
+    ``cuts`` and ``forms`` stay readable, so a caller on the sampler's
+    hot path, which holds a Python float, runs
+    ``forms[bisect_right(cuts, x)](_FLOAT_MATH, x, *args)`` itself and
+    spends no call on the way to its form.
+    """
+
+    __slots__ = ("cuts", "forms")
+
+    def __init__(self, cuts, forms):
+        self.cuts, self.forms = cuts, forms
+
+    def __call__(self, x, *args):
+        return _piecewise(x, self.cuts, self.forms, *args)
 
 
 def _filled(vals, shape):
@@ -101,16 +150,29 @@ def _filled(vals, shape):
 _TINY = 5e-324
 
 
-def _bessel_i01e(x):
+def _bessel_i01e(x, i0=None):
     """exp(-x) I0(x) and exp(-x) I1(x), each evaluated once.
 
     The distance kernels reach scipy's i0e and i1e only through here, so
-    a kernel that needs both from one argument pays for each once. A
+    a kernel that needs both from one argument pays for each once; a
+    caller that already holds exp(-x) I0(x) passes it as ``i0``. A
     float argument gives Python floats (scipy returns numpy scalars),
     so the scalar forms that use them run float arithmetic.
     """
-    i0, i1 = _sp.i0e(x), _sp.i1e(x)
-    return (float(i0), float(i1)) if isinstance(x, float) else (i0, i1)
+    if isinstance(x, float):
+        return float(_sp.i0e(x)) if i0 is None else i0, float(_sp.i1e(x))
+    return _sp.i0e(x) if i0 is None else i0, _sp.i1e(x)
+
+
+def _bessel_i0e_log(x):
+    """exp(-x) I0(x) and its log, as floats, for a float x.
+
+    log I0(x) is their second value plus x. A von Mises concentration
+    step makes this pass once and shares it between its likelihood and
+    a distance kernel of the same x, so i0e and the log run once.
+    """
+    i0 = float(_sp.i0e(x))
+    return i0, float(np.log(i0))
 
 
 def _log_i0(x):
@@ -119,8 +181,8 @@ def _log_i0(x):
     return (float(log_i0e) if isinstance(x, float) else log_i0e) + x
 
 
-def _ratio(arr):
-    i0, i1 = _bessel_i01e(arr)
+def _ratio(arr, i0=None):
+    i0, i1 = _bessel_i01e(arr, i0)
     return i1 / i0
 
 
@@ -129,11 +191,10 @@ def _one_minus_ratio_tail(x):
     return inv * (0.5 + inv * (0.125 + inv * (0.125 + inv * (25.0 / 128.0))))
 
 
-_ONE_MINUS_RATIO = ((_RATIO_TAIL_SWITCH,), (lambda x: 1.0 - _ratio(x), _one_minus_ratio_tail))
-
-
-def _one_minus_ratio(x):
-    return _piecewise(x, *_ONE_MINUS_RATIO)
+_one_minus_ratio = _Piecewise(
+    (_RATIO_TAIL_SWITCH,),
+    (lambda ns, x: 1.0 - _ratio(x), lambda ns, x: _one_minus_ratio_tail(x)),
+)
 
 
 def _ratio_deriv_tail_x2(x):
@@ -154,14 +215,14 @@ def _ratio_deriv_tail(x):
 
 
 # r'(0) = 1/2 is the analytic limit
-_RATIO_DERIV = (
+_ratio_deriv = _Piecewise(
     (_TINY, _RATIO_TAIL_SWITCH),
-    (lambda x: 0.5, lambda x: _ratio_deriv_head(x, _ratio(x)), _ratio_deriv_tail),
+    (
+        lambda ns, x: 0.5,
+        lambda ns, x: _ratio_deriv_head(x, _ratio(x)),
+        lambda ns, x: _ratio_deriv_tail(x),
+    ),
 )
-
-
-def _ratio_deriv(x):
-    return _piecewise(x, *_RATIO_DERIV)
 
 
 def _evaluate(kernel, x, lo=0.0, hi=math.inf, what="argument"):

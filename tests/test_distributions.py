@@ -267,7 +267,8 @@ class TestCircularStats:
 
 class TestLoglikSetUp:
     """The per-dataset log-likelihoods: cardioid and wrapped Cauchy keep
-    the trig of the angles and memoise their per-angle mu term."""
+    the trig of the angles, and every family splits into a mu term and a
+    concentration term that a chain keeps as state."""
 
     MUS = (0.3, 1.7, 3.1, 4.4, 6.0)
     DEVS = tuple(s * 10.0 ** e for e in np.linspace(-10.0, -2.0, 9) for s in (1.0, -1.0))
@@ -307,9 +308,10 @@ class TestLoglikSetUp:
         assert err_direct <= 1e-9, err_direct
 
     @pytest.mark.parametrize("family", (Family.VON_MISES, Family.CARDIOID, Family.WRAPPED_CAUCHY))
-    def test_memo_gives_fresh_bits(self, family):
+    def test_reused_setup_gives_fresh_bits(self, family):
         # current, proposal, current, accepted proposal, for mu and for the
-        # concentration: the memoised set-up returns what a fresh one does
+        # concentration: one set-up, called again and again, returns what a
+        # fresh one does
         angles = sample(DistributionSpec(family, 1.0, 0.3), 200, seed=4).angles
         loglik = FAMILIES[family].loglik(angles)
         a, b, c = 1.0, 1.3, 5.9

@@ -5,7 +5,11 @@ import struct
 import numpy as np
 import pytest
 
+from scipy import special as scipy_special
+
+from circpc import inference
 from circpc.distributions import (
+    FAMILIES,
     TWO_PI,
     Dataset,
     DistributionSpec,
@@ -24,16 +28,20 @@ from circpc.inference import (
     run_mcmc,
     summarize,
 )
-from circpc.pc_priors import PcPrior, TailSpec, calibrate_lambda
+from circpc.divergence import _LINEAR_CUT, _VM_RADICAND_LARGE, _VM_RADICAND_SMALL
+from circpc.pc_priors import PcPrior, TailSpec, calibrate_lambda, pc_pdf
 from circpc.reference_priors import (
+    _log_density_fn,
     H2,
+    H3,
     Beta,
     GammaOneB,
     ScaledBetaHalf,
     UniformHalf,
     VonMisesConjugate,
+    ref_pdf,
 )
-from circpc.special import bessel_ratio
+from circpc.special import _RATIO_TAIL_SWITCH, _TINY, _log_i0, bessel_ratio
 
 DATA3 = Dataset(np.array([0.1, 1.2, 3.0]))
 
@@ -99,6 +107,21 @@ class TestLogPosterior:
     def test_minus_inf_where_prior_vanishes(self):
         model = ModelSpec(Family.WRAPPED_CAUCHY, Beta(2.0, 2.0))
         assert log_posterior(model, DATA3, 1.0, 0.0) == -math.inf
+        # H3's density is 0 at the closed end of the support
+        assert ref_pdf(H3(), 0.0) == 0.0
+        assert log_posterior(ModelSpec(Family.VON_MISES, H3()), DATA3, 1.0, 0.0) == -math.inf
+
+    @pytest.mark.parametrize("family, prior", [
+        (Family.WRAPPED_CAUCHY, Beta(0.5, 2.0)),
+        (Family.CARDIOID, ScaledBetaHalf(0.5, 2.0)),
+    ])
+    def test_plus_inf_where_prior_diverges(self, family, prior):
+        # a shape a < 1 puts an infinite density at 0: the posterior is +inf
+        # there, not -inf; just inside, both stay finite
+        assert ref_pdf(prior, 0.0) == math.inf
+        model = ModelSpec(family, prior)
+        assert log_posterior(model, DATA3, 1.0, 0.0) == math.inf
+        assert math.isfinite(log_posterior(model, DATA3, 1.0, 1e-300))
 
     def test_rejects_concentration_outside_family_support(self):
         model = ModelSpec(Family.WRAPPED_CAUCHY, Beta(2.0, 2.0))
@@ -247,6 +270,25 @@ VM_PRIORS = {
     "pc-pointmass": PcPrior("vm", "pointmass", 0.3),
     "gamma": GammaOneB(0.34),
     "h2": H2(),
+    "h3": H3(),
+}
+
+# data at the ends of the kappa range, with the priors pinned on them:
+# near-uniform angles under priors strong enough to keep every kept kappa
+# in the small-kappa series range below 0.02, and concentrated angles
+# whose chain climbs past 1e3 in burn-in and straddles 1e4 afterwards
+VM_EDGES = {
+    "near-uniform": (1e-3, lambda kappa: kappa.max() < 0.02, {
+        "pc-uniform": PcPrior("vm", "uniform", 2000.0),
+        "gamma": GammaOneB(600.0),
+    }),
+    "concentrated": (1e4, lambda kappa: kappa.min() < 1e4 < kappa.max(), {
+        "pc-uniform": PcPrior("vm", "uniform", 0.9),
+        "pc-pointmass": PcPrior("vm", "pointmass", 0.3),
+        "gamma": GammaOneB(1e-4),
+        "h2": H2(),
+        "h3": H3(),
+    }),
 }
 
 
@@ -265,6 +307,18 @@ class TestVonMisesSamplerBits:
         ("gamma", 300): "082120762ab818ed",
         ("h2", 100): "7fe625edd6f4aa02",
         ("h2", 300): "5850aad8945b2c17",
+        ("h3", 100): "71adaa6eb11d442c",
+        ("h3", 300): "b95ce382be0f8ade",
+    }
+
+    EDGES = {
+        ("near-uniform", "pc-uniform"): "d6a8787bc84a6cb9",
+        ("near-uniform", "gamma"): "ee670a90eab8c1c5",
+        ("concentrated", "pc-uniform"): "9d16b3708e273dbb",
+        ("concentrated", "pc-pointmass"): "c81e61b28c5739fd",
+        ("concentrated", "gamma"): "b55cead602902f46",
+        ("concentrated", "h2"): "bb1dad9f978de179",
+        ("concentrated", "h3"): "2fa91ca1915dc29a",
     }
 
     @pytest.mark.parametrize("prior, n", sorted(EXPECTED))
@@ -273,6 +327,15 @@ class TestVonMisesSamplerBits:
         model = ModelSpec(Family.VON_MISES, VM_PRIORS[prior])
         chain = run_mcmc(model, data, McmcConfig(iterations=2000, burn_in=500, seed=11))
         assert chain_digest(chain) == self.EXPECTED[prior, n]
+
+    @pytest.mark.parametrize("data, prior", sorted(EDGES))
+    def test_edge_chain_hash(self, data, prior):
+        truth, visits, priors = VM_EDGES[data]
+        angles = sample(DistributionSpec(Family.VON_MISES, 1.0, truth), 300, seed=307)
+        model = ModelSpec(Family.VON_MISES, priors[prior])
+        chain = run_mcmc(model, angles, McmcConfig(iterations=2000, burn_in=500, seed=11))
+        assert visits(chain.concentration)
+        assert chain_digest(chain) == self.EDGES[data, prior]
 
 
 # family, true concentration of the data, and the priors pinned with it
@@ -407,3 +470,131 @@ class TestChainCsv:
         assert int(first[0]) == 1200
         assert float(first[1]) == chain.draws[0, 0]
         assert float(first[2]) == chain.draws[0, 1]
+
+
+def _loglik_reference(family, angles, mu, conc):
+    """Each family's log-likelihood as one expression, independent of the
+    split set-up: the same floating-point operations in the same order."""
+    n = angles.size
+    if family is Family.VON_MISES:
+        trig = float(np.sum(np.cos(angles))) * math.cos(mu) + float(np.sum(np.sin(angles))) * math.sin(mu)
+        return conc * trig - n * (math.log(TWO_PI) + _log_i0(conc))
+    if family is Family.CARDIOID:
+        t = (np.cos(angles) * math.cos(mu) + np.sin(angles) * math.sin(mu)) * (2.0 * conc)
+        return float(np.add.reduce(np.log1p(t))) - n * math.log(TWO_PI)
+    dev = np.square(np.sin(0.5 * angles) * math.cos(0.5 * mu) - np.cos(0.5 * angles) * math.sin(0.5 * mu))
+    t = dev * (4.0 * conc) + (1.0 - conc) * (1.0 - conc)
+    log_norm = math.log1p(-conc) + math.log1p(conc) - math.log(TWO_PI)
+    return n * log_norm - float(np.add.reduce(np.log(t)))
+
+
+def _log_jac_reference(support, conc):
+    hi = support[1]
+    if math.isinf(hi):
+        return math.log(conc)
+    return math.log(conc / hi) + math.log1p(-conc / hi) + math.log(hi)
+
+
+def _straddle(support, cut):
+    """The unconstrained points whose concentrations are the two floats the
+    sampler reaches closest to ``cut``: the last below it and the first
+    from it up."""
+    to_theta, to_conc, _, _ = inference._unconstrained(support)
+    width = 1.0
+    while not to_conc(to_theta(cut) - width) < cut <= to_conc(to_theta(cut) + width):
+        width *= 2.0
+    below, above = to_theta(cut) - width, to_theta(cut) + width
+    # bisect until the two are adjacent floats
+    while math.nextafter(below, math.inf) < above:
+        mid = 0.5 * (below + above)
+        if to_conc(mid) < cut:
+            below = mid
+        else:
+            above = mid
+    return below, above
+
+
+# every family with a PC prior on each of its pairs and each reference class
+STEP_PRIORS = {
+    Family.VON_MISES: (PcPrior("vm", "uniform", 0.9), PcPrior("vm", "pointmass", 0.3),
+                       PcPrior("vm", "pointmass", 0.3, "paper"), GammaOneB(1.0), H2(), H3()),
+    Family.CARDIOID: (PcPrior("cardioid", "uniform", 2.0), PcPrior("cardioid", "curve", 2.0),
+                      ScaledBetaHalf(2.0, 2.0), ScaledBetaHalf(0.5, 2.0), UniformHalf()),
+    Family.WRAPPED_CAUCHY: (PcPrior("wc", "uniform", 1.0), Beta(2.0, 2.0), Beta(0.5, 2.0)),
+}
+# the cuts of the kernels a concentration step runs: the distance forms'
+# (_TINY also holds Beta's and vm/pointmass's value at 0), GammaOneB(1)'s
+# 746/b, H2's and H3's tails, the wc log(1 - rho^2) switch, and a few
+# ordinary points
+STEP_CUTS = (_TINY, _LINEAR_CUT, 1e-3, _VM_RADICAND_SMALL, 0.3, float(np.nextafter(0.5, 1.0)), 2.0,
+             _RATIO_TAIL_SWITCH, _VM_RADICAND_LARGE, 746.0, 2.0 ** 341, 2.0 ** 511)
+
+
+class TestConcentrationStep:
+    """The fused concentration step equals its separate pieces, bit for bit:
+    the one-expression log-likelihood, the prior's log density evaluated on
+    its own (without the likelihood's Bessel pass) and the log-Jacobian, on
+    the floats either side of every cut."""
+
+    @pytest.mark.parametrize("family", sorted(STEP_PRIORS, key=lambda f: f.value))
+    def test_matches_separate_pieces(self, family):
+        kern = FAMILIES[family]
+        lo, hi = kern.support
+        angles = sample(DistributionSpec(family, 1.0, 0.3), 50, seed=3).angles
+        lik = kern.loglik(angles)
+        mu = 0.7
+        m = lik.mu_term(mu)
+        visited = 0
+        for prior in STEP_PRIORS[family]:
+            log_prior = _log_density_fn(prior)
+            step = inference._concentration_step(lik, log_prior, kern.support)
+            for cut in STEP_CUTS:
+                if not lo < cut < hi:
+                    continue
+                for theta in _straddle(kern.support, cut):
+                    out = step(theta, m)
+                    conc = inference._unconstrained(kern.support)[1](theta)
+                    if not lo < conc < hi:
+                        assert out is None
+                        continue
+                    visited += 1
+                    got_conc, got_lik, _, got_pri, got_jac = out
+                    assert all(type(v) is float for v in (got_conc, got_lik, got_pri, got_jac))
+                    want = (conc, _loglik_reference(family, angles, mu, conc), log_prior(conc),
+                            _log_jac_reference(kern.support, conc))
+                    got = np.array((got_conc, got_lik, got_pri, got_jac))
+                    assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64)), \
+                        (prior, conc, got, want)
+                    # and the public density, bit for bit for a reference
+                    # prior (its log), to rounding for a PC prior's log scale
+                    if isinstance(prior, PcPrior):
+                        density = pc_pdf(prior, conc)
+                        if density > 0.0:
+                            assert got_pri == pytest.approx(math.log(density), rel=1e-12, abs=1e-12)
+                    else:
+                        density = ref_pdf(prior, conc)
+                        assert got_pri == (math.log(density) if density > 0.0 else -math.inf)
+        assert visited >= 20
+
+    def test_von_mises_shares_one_bessel_pass(self, monkeypatch):
+        # i0e once, and i1e once where the prior's form needs it, per proposal
+        calls = []
+
+        class Counted:
+            def __getattr__(self, name):
+                fn = getattr(scipy_special, name)
+                if name not in ("i0e", "i1e"):
+                    return fn
+                return lambda x: calls.append(name) or fn(x)
+
+        from circpc import special
+        monkeypatch.setattr(special, "_sp", Counted())
+        lik = FAMILIES[Family.VON_MISES].loglik(DATA3.angles)
+        m = lik.mu_term(1.0)
+        for prior, want in ((PcPrior("vm", "uniform", 0.9), ["i0e", "i1e"]),
+                            (PcPrior("vm", "pointmass", 0.3), ["i0e", "i1e"]),
+                            (GammaOneB(1.0), ["i0e"])):
+            step = inference._concentration_step(lik, _log_density_fn(prior), (0.0, math.inf))
+            calls.clear()
+            step(math.log(2.0), m)
+            assert calls == want, prior

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import special as _sp
 
 from circpc.special import (
+    _FLOAT_MATH,
     _RATIO_TAIL_SWITCH,
     _bessel_i01e,
     _log_i0,
@@ -248,9 +249,11 @@ class TestPiecewiseGathered:
     CUTS = (1.0, 10.0)
 
     def table(self, seen):
-        # form i returns (x + i, arg * 2) and records what it was given
+        # form i returns (x + i, arg * 2) and records what it was given;
+        # an array call hands every form numpy
         def form(i):
-            def f(x, a, c):
+            def f(ns, x, a, c):
+                assert ns is np or not np.ndim(x)
                 seen.append((i, np.array(x, copy=True), np.array(a, copy=True)))
                 return x + i + c, a * 2.0
             return f
@@ -290,7 +293,7 @@ class TestPiecewiseGathered:
         assert len(seen) <= 1
 
     def test_constant_forms_fill_the_shape(self):
-        cuts, forms = (0.0,), (lambda x: (1.0, 2.0), lambda x: (x, 3.0))
+        cuts, forms = (0.0,), (lambda ns, x: (1.0, 2.0), lambda ns, x: (x, 3.0))
         v, w = _piecewise(np.array([-1.0, 1.0, -2.0]), cuts, forms)
         assert np.array_equal(v, [1.0, 1.0, 1.0]) and np.array_equal(w, [2.0, 3.0, 2.0])
         v, w = _piecewise(np.full((2, 2), -1.0), cuts, forms)
@@ -300,3 +303,29 @@ class TestPiecewiseGathered:
         seen = []
         v, w = _piecewise(5.0, *self.table(seen), 3.0, 0.0)
         assert (v, w) == (6.0, 6.0) and [i for i, _, _ in seen] == [1]
+
+    def test_namespace_follows_the_argument_type(self):
+        # a Python float gets float arithmetic; a numpy scalar, a 0-d array
+        # and an array keep numpy
+        forms = (lambda ns, x: ns,)
+        assert _piecewise(2.0, (), forms) is _FLOAT_MATH
+        for x in (np.float64(2.0), np.array(2.0)):
+            assert _piecewise(x, (), forms) is np
+
+
+class TestFloatMath:
+    """The float namespace gives numpy's bits as Python floats."""
+
+    def test_bits_and_types(self):
+        rng = np.random.default_rng(3)
+        xs = np.concatenate([rng.uniform(0.0, 2.0, 2000), np.exp(rng.uniform(-700.0, 700.0, 2000))])
+        for name in ("sqrt", "log", "exp", "log1p", "expm1"):
+            fn, ref = getattr(_FLOAT_MATH, name), getattr(np, name)
+            args = -xs[xs < 700.0] if name in ("exp", "expm1") else xs
+            with np.errstate(over="ignore"):
+                want = ref(args)
+            got = np.array([fn(float(x)) for x in args])
+            assert all(type(fn(float(x))) is float for x in args[:5])
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
+        got = np.array([_FLOAT_MATH.power(float(x), 1.5) for x in xs[:2000]])
+        assert np.array_equal(got.view(np.int64), np.power(xs[:2000], 1.5).view(np.int64))
