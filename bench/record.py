@@ -1,22 +1,24 @@
 """Record the sampler's cost per iteration in a BENCH_<n>.json.
 
-    python bench/record.py --quick --out BENCH_10.json
-    python bench/record.py --quick --against ../parent --label change \\
-        --against-label parent --rounds 11 --out BENCH_10.json
+    python bench/record.py --out BENCH_10.json
+    python bench/record.py --against ../parent --rounds 15 --out BENCH_10.json
 
-Quick mode only: MCMC chains of 3000 iterations (1000 of them burn-in)
-per family x prior class at n = 300 and n = 1000, timed by the chain's
-own ``wall_s``, in microseconds per iteration.  Each checkout runs in
-its own worker interpreter, which imports circpc from the checkout's
-``src``.  In every round each cell runs three times on every checkout,
-the checkouts taking turns chain by chain (in alternating order), on the
-same data and seeds; a round keeps each checkout's fastest chain, which
-drops the runs that a slow phase of a shared core caught.  The JSON
-holds, per checkout and cell, the median and interquartile range over
-the rounds, every round's value and a digest of each chain's draws, so
-a reader sees whether the checkouts drew the same bits; with
-``--against``, the median over rounds of each cell's paired speed-up;
-and the machine (cores, CPU, Python, numpy, scipy).
+MCMC chains of 3000 iterations (1000 of them burn-in) per family x
+prior class at n = 300 and n = 1000, timed by the chain's own
+``wall_s``, in microseconds per iteration; this is ROADMAP item 1's
+quick mode, and the only mode so far.  The checkout's tree is
+``change``; with ``--against`` a second checkout is the ``parent``.
+Each tree runs in its own worker interpreter, which imports circpc
+from the tree's ``src``.  In every round each cell runs three times on
+every tree, the trees taking turns chain by chain (in alternating
+order), on the same data and seeds; a round keeps each tree's fastest
+chain, which drops the runs that a slow phase of a shared core caught.
+The JSON holds, per tree and cell, the median and interquartile range
+over the rounds, every round's value and a digest of each chain's
+draws, so a reader sees whether the trees drew the same bits; with
+``--against``, per cell the median over rounds of the paired speed-up
+and the number of rounds the change won; and the machine (cores, CPU,
+Python, numpy, scipy).
 
 Run from the root of a checkout.
 """
@@ -99,9 +101,9 @@ def quartiles(values):
 
 
 def record(args):
-    trees = [(args.label, os.path.join(ROOT, "src"))]
+    trees = [("change", os.path.join(ROOT, "src"))]
     if args.against:
-        trees.append((args.against_label, os.path.join(os.path.abspath(args.against), "src")))
+        trees.append(("parent", os.path.join(os.path.abspath(args.against), "src")))
     workers = {label: subprocess.Popen([sys.executable, os.path.abspath(__file__), "--worker", src],
                                        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
                for label, src in trees}
@@ -147,12 +149,14 @@ def record(args):
                           "digests": [d for _, d in values]}
         result["trees"][label] = tree
     if args.against:
-        this, other = (runs[label] for label, _ in trees)
-        result["speedup"] = {
-            cell: {"median": statistics.median(o[0] / t[0] for t, o in zip(this[cell], other[cell])),
-                   "same_draws": all(t[1] == o[1] for t, o in zip(this[cell], other[cell]))}
-            for cell in CELL_NAMES
-        }
+        result["speedup"] = {}
+        for cell in CELL_NAMES:
+            pairs = list(zip(runs["change"][cell], runs["parent"][cell]))
+            result["speedup"][cell] = {
+                "median": statistics.median(p[0] / c[0] for c, p in pairs),
+                "wins": sum(c[0] < p[0] for c, p in pairs),
+                "same_draws": all(c[1] == p[1] for c, p in pairs),
+            }
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=1)
         fh.write("\n")
@@ -161,19 +165,14 @@ def record(args):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--quick", action="store_true", help="the per-iteration cells only (the one mode)")
     ap.add_argument("--rounds", type=int, default=7)
-    ap.add_argument("--against", help="another checkout, timed chain by chain in turn")
-    ap.add_argument("--label", default="this")
-    ap.add_argument("--against-label", default="against")
+    ap.add_argument("--against", help="the parent checkout, timed chain by chain in turn")
     ap.add_argument("--out", default="BENCH_quick.json")
     ap.add_argument("--worker", help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.worker:
         serve(args.worker)
         return 0
-    if not args.quick:
-        ap.error("only --quick is implemented")
     if args.rounds < 1:
         ap.error("--rounds must be positive")
     result = record(args)

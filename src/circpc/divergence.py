@@ -20,7 +20,6 @@ from scipy.special import expit
 
 from .distributions import TWO_PI, Family, pdf
 from .special import (
-    _Piecewise,
     _RATIO_TAIL_SWITCH,
     _TINY,
     _bessel_i01e,
@@ -29,6 +28,7 @@ from .special import (
     _log_i0,
     _one_minus_ratio_tail,
     _piecewise,
+    _piecewise_table,
     _ratio,
     _ratio_deriv_head,
     _ratio_deriv_tail_x2,
@@ -85,7 +85,7 @@ class DistanceProfile:
 
     - ``dist_deriv(param) -> (d, |d'|)``: the distance and the magnitude
       of its slope, from one evaluation of each Bessel function per
-      element, as a ``special._Piecewise`` table; ``dist`` is its first
+      element, as a ``special._piecewise_table``; ``dist`` is its first
       value;
     - ``inverse(d) -> param`` on a 1-d array of attainable distances;
     - ``max_param``: the largest invertible parameter, for the pairs
@@ -171,7 +171,7 @@ def kld_cardioid(ell, ell0):
 
 
 # log(1 - rho^2), stable across [0, 1); log1p takes rho <= 0.5
-_log1m_rho_sq = _Piecewise(
+_log1m_rho_sq = _piecewise_table(
     (float(np.nextafter(0.5, 1.0)),),
     (lambda ns, r: ns.log1p(-(r * r)), lambda ns, r: ns.log((1.0 - r) * (1.0 + r))),
 )
@@ -233,7 +233,7 @@ def _card_l3_series(ns, s):
 
 
 # the direct form cancels below _CARD_L3_SERIES; a fixed series there
-_card_l3 = _Piecewise(
+_card_l3 = _piecewise_table(
     (_CARD_L3_SERIES,), (_card_l3_series, lambda ns, s: ns.log1p(s) - s + 0.5 * s * s)
 )
 
@@ -426,7 +426,7 @@ def _vm_uniform_large(ns, k, i0=None, log_i0=None):
 # d is linear below _LINEAR_CUT, then its series below _VM_RADICAND_SMALL,
 # the direct form up to _VM_RADICAND_LARGE and the asymptotic series above;
 # r' takes its tail series from _RATIO_TAIL_SWITCH up
-_vm_uniform = _Piecewise(
+_vm_uniform = _piecewise_table(
     (_LINEAR_CUT, _VM_RADICAND_SMALL, _RATIO_TAIL_SWITCH, _VM_RADICAND_LARGE),
     (
         _vm_uniform_linear,
@@ -495,7 +495,7 @@ def _vm_pointmass_tail(ns, k, i0=None, log_i0=None, log_slope=False):
     return d, (k_slope if log_slope else k_slope / k) / (2.0 * d)
 
 
-_vm_pointmass = _Piecewise(
+_vm_pointmass = _piecewise_table(
     (_TINY, _RATIO_TAIL_SWITCH), (_vm_pointmass_zero, _vm_pointmass_head, _vm_pointmass_tail)
 )
 
@@ -513,7 +513,7 @@ def _vm_pointmass_series(target):
 
 # distance decreases, so the search solves for -d
 _VM_POINTMASS_SEARCH = _Search(
-    _in_log_kappa(lambda k: _vm_pointmass(k, None, None, True), -1.0),
+    _in_log_kappa(lambda k: _vm_pointmass(k, (None, None, True)), -1.0),
     _vm_pointmass_series, _LOG_KAPPA_LO, _LOG_KAPPA_HI,
 )
 
@@ -532,7 +532,7 @@ def _card_uniform_main(ns, l):
     return d, 2.0 * l / ((1.0 + s) * d)
 
 
-_card_uniform = _Piecewise((_LINEAR_CUT,), (lambda ns, l: (l, 1.0), _card_uniform_main))
+_card_uniform = _piecewise_table((_LINEAR_CUT,), (lambda ns, l: (l, 1.0), _card_uniform_main))
 
 
 def _card_uniform_series(d):
@@ -572,7 +572,7 @@ def _card_curve_form(ns, l):
 
 
 # one form over the whole support
-_card_curve = _Piecewise((), (_card_curve_form,))
+_card_curve = _piecewise_table((), (_card_curve_form,))
 
 
 def _card_curve_series(target):
@@ -606,7 +606,7 @@ def _wc_main(ns, rho):
     return d, rho / ((1.0 - rho) * (1.0 + rho) * d)
 
 
-_wc = _Piecewise((_LINEAR_CUT,), (lambda ns, r: (r, 1.0), _wc_main))
+_wc = _piecewise_table((_LINEAR_CUT,), (lambda ns, r: (r, 1.0), _wc_main))
 
 
 # closed form; saturates at the largest rho below 1

@@ -25,7 +25,6 @@ authoritative; the literature closed forms are exposed separately as
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -41,7 +40,7 @@ from .divergence import (
     inverse_distance,
     profile_for,
 )
-from .special import _FLOAT_MATH, _TINY, _checked, _evaluate, _piecewise
+from .special import _TINY, _checked, _evaluate, _piecewise
 
 # the calibrations' first bracket for lambda, and the factor that widens it
 _BRACKET = (1.0e-8, 1.0e6)
@@ -242,17 +241,17 @@ def _pc_log_density_fn(prior: PcPrior):
     underflows at extreme distances, and -inf stands where the density
     vanishes. A von Mises concentration step passes its Bessel pass of
     the same argument as ``shared``; the distance kernel then evaluates
-    only what that pass lacks. x is a Python float, so the closure runs
-    the float path of the kernel's table itself.
+    only what that pass lacks. x is a Python float, so the kernel runs
+    float arithmetic.
     """
-    cuts, forms = prior.profile.dist_deriv.cuts, prior.profile.dist_deriv.forms
+    dist_deriv = prior.profile.dist_deriv
     lam = prior.lam
     z = _normalizer(lam, prior.profile, prior.is_normalized)
     log_lam_norm = math.log(lam) - math.log(z)
     log, inf = math.log, math.inf
 
     def log_density(x, shared=()):
-        d, g = forms[bisect_right(cuts, x)](_FLOAT_MATH, x, *shared)
+        d, g = dist_deriv(x, shared)
         if not 0.0 < g < inf:
             return -inf
         return log_lam_norm - lam * d + log(g)

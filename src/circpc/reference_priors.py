@@ -12,7 +12,6 @@ automates that reading.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
@@ -22,7 +21,7 @@ from scipy.special import betaln
 from .distributions import TWO_PI, wrap_angle
 from .divergence import DistanceProfile, inverse_distance
 from .pc_priors import PcPrior, _pc_density, _pc_log_density_fn, pc_pdf
-from .special import _FLOAT_MATH, _TINY, _checked, _evaluate, _log_i0, _piecewise
+from .special import _TINY, _checked, _evaluate, _log_i0, _piecewise, _piecewise_table
 
 __all__ = [
     "GammaOneB",
@@ -247,20 +246,16 @@ def _log_density_fn(prior) -> Callable:
 
     A PC prior's comes from pc_priors and shares the von Mises Bessel
     pass; any other prior's is the log of its density, which ignores the
-    pass: for the classes here, the float path of its table, run in
-    place. A density that diverges (a Beta with a < 1 at 0) gives +inf,
+    pass. A density that diverges (a Beta with a < 1 at 0) gives +inf,
     and only one that vanishes gives -inf.
     """
     if isinstance(prior, PcPrior):
         return _pc_log_density_fn(prior)
-    if isinstance(prior, _Tabled):
-        cuts, forms = prior._table()
-    else:
-        cuts, forms = (), (lambda ns, x: prior.pdf(x),)
+    pdf = _piecewise_table(*prior._table()) if isinstance(prior, _Tabled) else prior.pdf
     log = math.log
 
     def log_density(x, shared=()):
-        v = forms[bisect_right(cuts, x)](_FLOAT_MATH, x)
+        v = pdf(x)
         return log(v) if v > 0.0 else -math.inf
 
     return log_density

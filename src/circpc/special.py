@@ -93,12 +93,33 @@ def _piecewise(x, cuts, forms, *args):
     every element gets the bits of its scalar call. A table without
     cuts is one form over the whole line.
     """
-    if type(x) is float:
-        return forms[bisect_right(cuts, x)](_FLOAT_MATH, x, *args)
-    if not (isinstance(x, np.ndarray) and x.ndim):
-        return forms[bisect_right(cuts, x)](np, x, *args)
-    if not cuts:
-        return _filled(forms[0](np, x, *args), x.shape)
+    return _piecewise_table(cuts, forms)(x, args)
+
+
+def _piecewise_table(cuts, forms):
+    """A fixed table as a function ``(x, args=())``: _piecewise on it,
+    with the forms' extra arguments given as one tuple.
+
+    The function is the selector itself and takes no ``*args``, so a
+    scalar call on a fixed table, such as the sampler's, costs one plain
+    Python call on the way to its form.
+    """
+
+    def table(x, args=()):
+        if type(x) is float:
+            form, ns = forms[bisect_right(cuts, x)], _FLOAT_MATH
+        elif not (isinstance(x, np.ndarray) and x.ndim):
+            form, ns = forms[bisect_right(cuts, x)], np
+        else:
+            return _gathered(x, cuts, forms, args)
+        # a call without * unpacking takes the interpreter's fast path
+        return form(ns, x, *args) if args else form(ns, x)
+
+    return table
+
+
+def _gathered(x, cuts, forms, args):
+    """_piecewise on an array x of at least one dimension."""
     where = np.searchsorted(cuts, x, side="right")
     present = np.flatnonzero(np.bincount(where.ravel(), minlength=len(forms)))
     if len(present) <= 1:
@@ -114,24 +135,6 @@ def _piecewise(x, cuts, forms, *args):
         for o, v in zip(out, vals if many else (vals,)):
             o[sel] = v
     return tuple(out) if many else out[0]
-
-
-class _Piecewise:
-    """A fixed table for _piecewise, called as ``(x, *args)``.
-
-    ``cuts`` and ``forms`` stay readable, so a caller on the sampler's
-    hot path, which holds a Python float, runs
-    ``forms[bisect_right(cuts, x)](_FLOAT_MATH, x, *args)`` itself and
-    spends no call on the way to its form.
-    """
-
-    __slots__ = ("cuts", "forms")
-
-    def __init__(self, cuts, forms):
-        self.cuts, self.forms = cuts, forms
-
-    def __call__(self, x, *args):
-        return _piecewise(x, self.cuts, self.forms, *args)
 
 
 def _filled(vals, shape):
@@ -191,7 +194,7 @@ def _one_minus_ratio_tail(x):
     return inv * (0.5 + inv * (0.125 + inv * (0.125 + inv * (25.0 / 128.0))))
 
 
-_one_minus_ratio = _Piecewise(
+_one_minus_ratio = _piecewise_table(
     (_RATIO_TAIL_SWITCH,),
     (lambda ns, x: 1.0 - _ratio(x), lambda ns, x: _one_minus_ratio_tail(x)),
 )
@@ -215,7 +218,7 @@ def _ratio_deriv_tail(x):
 
 
 # r'(0) = 1/2 is the analytic limit
-_ratio_deriv = _Piecewise(
+_ratio_deriv = _piecewise_table(
     (_TINY, _RATIO_TAIL_SWITCH),
     (
         lambda ns, x: 0.5,
