@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -127,6 +128,26 @@ def inverse_targets(profile):
     rng = np.random.default_rng(9)
     points += list(rng.uniform(lo, hi, 60))
     points += [log_uniform(u, max(lo, 1e-300), hi) for u in rng.random(40)]
+    return np.array(sorted({v for x in points for v in neighbours(x, lo, hi, k=2)}))
+
+
+def pin_targets(profile):
+    """A fixed grid of a pair's distances for its bit pins: 1e-300 (and 0
+    where the inverse takes it) up to the top of the range, log- and
+    linearly spaced, with the float neighbours of every cut of the
+    inverse, every series switch and both ends and some inner nodes of
+    the start table. The wrapped Cauchy grid runs on past d(_RHO_MAX),
+    where the closed form saturates."""
+    top = float(profile.dist(TOP_PARAM[profile.family]))
+    hi = max(top, float(profile.dist(0.0)))
+    if profile is WC_UNI:
+        hi = 100.0
+    lo = 1e-300 if profile is VM_PM else 0.0
+    points = [lo, 1e-300, hi, top, 0.5 * _LINEAR_CUT, _LINEAR_CUT, _TINY, 1.0,
+              SQRT_LOG2, SQRT_1M_LOG2, *SERIES_SWITCHES.get(profile, ())]
+    if profile in SEARCHES:
+        points += [float(v) for v in np.abs(SEARCHES[profile].values)[[0, 1, 500, 960, 1919, 1920]]]
+    points += list(np.geomspace(1e-300, hi, 1500)) + list(np.linspace(0.0, hi, 500))
     return np.array(sorted({v for x in points for v in neighbours(x, lo, hi, k=2)}))
 
 
@@ -394,6 +415,25 @@ class TestInverseDistance:
                 x = inverse_distance(prof, float(d))
                 assert distance(prof, x) == pytest.approx(d, rel=1e-10)
 
+    # SHA-256 of inverse_distance over pin_targets, first 16 hex digits.
+    # The inverse's bits are pinned like the sampler's chains: a rewrite
+    # of the inverse must give every element the same float. Recorded
+    # with numpy 2.4 and scipy 1.17 on x86-64 Linux.
+    PINS = {
+        (Family.VON_MISES, BaseModel.UNIFORM): "380b8fd9c3ac3f06",
+        (Family.VON_MISES, BaseModel.POINT_MASS): "03d0f0d1fff07514",
+        (Family.CARDIOID, BaseModel.UNIFORM): "f06fbcebcd8733b2",
+        (Family.CARDIOID, BaseModel.CARDIOID_CURVE): "adfcf426e9f27a30",
+        (Family.WRAPPED_CAUCHY, BaseModel.UNIFORM): "ca4b9a769b27d238",
+    }
+
+    @pytest.mark.parametrize("profile", ALL_PROFILES, ids=lambda p: f"{p.family.value}-{p.base.value}")
+    def test_bits_pinned(self, profile):
+        ds = pin_targets(profile)
+        assert ds.size > 3000 and 1e-300 in ds
+        got = np.ascontiguousarray(inverse_distance(profile, ds), dtype=np.float64)
+        assert hashlib.sha256(got.tobytes()).hexdigest()[:16] == self.PINS[profile.family, profile.base]
+
     def test_wc_closed_inverse(self):
         d = distance(WC_UNI, 0.5)
         assert inverse_distance(WC_UNI, float(d)) == pytest.approx(0.5, rel=1e-14)
@@ -402,6 +442,8 @@ class TestInverseDistance:
         assert inverse_distance(CARD_CURVE, 0.0) == pytest.approx(0.5, rel=1e-14)
         assert inverse_distance(CARD_CURVE, SQRT_LOG2) == pytest.approx(0.0, abs=1e-9)
         assert inverse_distance(VM_PM, 1.0) == pytest.approx(0.0, abs=1e-9)
+        # the wrapped Cauchy closed form saturates at the largest rho below 1
+        assert inverse_distance(WC_UNI, 100.0) == _RHO_MAX
 
     def test_out_of_range_raises(self):
         with pytest.raises(ValueError):
@@ -410,6 +452,12 @@ class TestInverseDistance:
             inverse_distance(CARD_UNI, SQRT_1M_LOG2 * 1.001)
         with pytest.raises(ValueError):
             inverse_distance(WC_UNI, -0.01)
+        # the ends no parameter reaches: d = 0 for the point mass, and
+        # beyond d(_KAPPA_MAX) for the uniform base
+        with pytest.raises(ValueError):
+            inverse_distance(VM_PM, 0.0)
+        with pytest.raises(ValueError):
+            inverse_distance(VM_UNI, 100.0)
 
     @pytest.mark.parametrize("profile", ALL_PROFILES, ids=lambda p: f"{p.family.value}-{p.base.value}")
     def test_against_bisection_oracle(self, profile):
