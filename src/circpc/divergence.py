@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import expit
 
-from .distributions import TWO_PI, Family, pdf
+from .distributions import FAMILIES, TWO_PI, Family, pdf
 from .special import (
     _RATIO_TAIL_SWITCH,
     _TINY,
@@ -27,7 +27,6 @@ from .special import (
     _evaluate,
     _log_i0,
     _one_minus_ratio_tail,
-    _piecewise,
     _piecewise_table,
     _ratio,
     _ratio_deriv_head,
@@ -77,17 +76,25 @@ class Direction(str, Enum):
 
 @dataclass(frozen=True)
 class DistanceProfile:
-    """The monotone map between a concentration parameter and its distance.
+    """The monotone map between a concentration parameter and its
+    distance: the whole description of one (family, base) pair.
 
-    Beyond the seven public fields, each record carries its pair's two
-    unchecked kernels (the public functions below check inputs once,
-    then call them) and two facts about the pair's PC prior:
+    The four public fields are the pair, the distance's supremum
+    ``d_max`` and the ``direction`` d runs in as the parameter grows; d
+    starts at 0. ``support_lo`` and ``support_hi`` are the family's
+    support, ``FAMILIES[family].support``. Each record also carries its
+    pair's two unchecked kernels (the public functions below check
+    inputs once, then call them) and two facts about the pair's PC prior:
 
     - ``dist_deriv(param) -> (d, |d'|)``: the distance and the magnitude
       of its slope, from one evaluation of each Bessel function per
       element, as a ``special._piecewise_table``; ``dist`` is its first
       value;
-    - ``inverse(d) -> param`` on a 1-d array of attainable distances;
+    - ``inverse(d) -> param``: a ``special._piecewise_table`` over a 1-d
+      array of distances in [0, d_max], with a form for each end the
+      pair's ``_Search`` does not reach and the search between them (the
+      wrapped Cauchy's closed form needs none); a distance that no
+      parameter has falls in a form that raises;
     - ``max_param``: the largest invertible parameter, for the pairs
       whose d is unbounded;
     - ``paper_unnormalized``: the printed closed-form prior omits the
@@ -96,15 +103,15 @@ class DistanceProfile:
 
     family: Family
     base: BaseModel
-    d_min: float
     d_max: float
     direction: Direction
-    support_lo: float
-    support_hi: float
     dist_deriv: Callable = field(repr=False, compare=False)
     inverse: Callable = field(repr=False, compare=False)
     max_param: Optional[float] = field(default=None, repr=False, compare=False)
     paper_unnormalized: bool = field(default=False, repr=False, compare=False)
+
+    support_lo = property(lambda self: FAMILIES[self.family].support[0])
+    support_hi = property(lambda self: FAMILIES[self.family].support[1])
 
     def dist(self, param):
         """d alone: the first value of ``dist_deriv``."""
@@ -206,11 +213,20 @@ def kld_numeric(p_spec, q_spec, nodes=20001):
 # it. The von Mises kernels also take the (exp(-k) I0(k), its log) pass
 # that a concentration step's likelihood has made for the same float k,
 # so that step evaluates i0e and its log once. ``inverse`` takes a 1-d
-# array already checked against the distance range.
+# array already checked against [0, d_max].
 
 
 def _same(ns, x):
     return x
+
+
+def _ell_max(ns, d):
+    return _ELL_MAX
+
+
+def _unattainable(ns, d):
+    # an inverse's form for the distances that no parameter reaches
+    raise ValueError("distance not attained by any floating-point parameter")
 
 
 # k r'(k), which is d/dk [k r(k) - log I0(k)], in the tail: the k is folded
@@ -244,10 +260,6 @@ _LOG_KAPPA_HI = 709.0
 _KAPPA_MAX = math.exp(_LOG_KAPPA_HI)
 _ELL_MAX = float(np.nextafter(0.5, 0.0))
 _RHO_MAX = float(np.nextafter(1.0, 0.0))
-# Newton window in t = logit(2 ell) = log(ell / (0.5 - ell)); its ends
-# map to the smallest positive ell and to _ELL_MAX
-_LOGIT_LO = math.log(_TINY)
-_LOGIT_HI = math.log(_ELL_MAX / (0.5 - _ELL_MAX))
 
 # A Newton step this small (in log kappa or logit(2 ell)) is taken and
 # ends the search: the error left after it is ~ its square. Steps of the
@@ -265,20 +277,40 @@ _NEWTON_BLOCK = 4096
 _TABLE_T = np.arange(-960, 961) / 32.0
 
 
-class _Search:
-    """A monotone g(t) to invert, with the table its searches start from.
+# The coordinates t a search solves in, each as (the parameter at t,
+# the slope in t from the parameter and the kernel's slope, the Newton
+# window). The von Mises kernels give the slope in t = log kappa
+# themselves, kappa |d'|, as the point mass's |d'| alone underflows past
+# kappa ~ 1e162. The window in t = logit(2 ell) = log(ell / (0.5 - ell))
+# runs from the smallest positive ell to _ELL_MAX.
+_LOG_KAPPA = (np.exp, lambda k, slope: slope, _LOG_KAPPA_LO, _LOG_KAPPA_HI)
+_LOGIT_2ELL = (
+    lambda t: np.minimum(0.5 * expit(t), _ELL_MAX),
+    lambda ell, slope: 2.0 * ell * (0.5 - ell) * slope,
+    math.log(_TINY),
+    math.log(_ELL_MAX / (0.5 - _ELL_MAX)),
+)
 
-    ``g(t)`` returns the value and the slope of an increasing function
-    on the window [lo, hi]; ``series(target)`` starts the targets beyond
-    the table. At import, g is evaluated once on _TABLE_T; a target
-    inside the table's values starts from the cubic-Hermite inverse on
-    its interval, from the values and slopes at both ends, and keeps
-    the interval's two nodes as its bracket.
+
+class _Search:
+    """A pair's inverse between the ends it does not reach: as a form of
+    the pair's inverse table, ``search(ns, d)`` is the parameter at d.
+
+    ``kernel(x)`` gives d and its slope at the parameter x; the
+    coordinate (_LOG_KAPPA or _LOGIT_2ELL) carries x to the solver's t
+    and back. The solver inverts g(t) = sign * d, signed by the pair's
+    ``direction`` so that g increases, and ``series(sign * d)`` starts
+    the targets beyond the table. At import, g is evaluated once on
+    _TABLE_T; a target inside the table's values starts from the
+    cubic-Hermite inverse on its interval, from the values and slopes at
+    both ends, and keeps the interval's two nodes as its bracket.
     """
 
-    def __init__(self, g, series, lo, hi):
-        self.g, self.series, self.lo, self.hi = g, series, lo, hi
-        v, s = g(_TABLE_T)
+    def __init__(self, kernel, coordinate, direction, series):
+        self.kernel, self.series = kernel, series
+        self.param, self.slope, self.lo, self.hi = coordinate
+        self.sign = 1.0 if direction is Direction.INCREASING else -1.0
+        v, s = self.g(_TABLE_T)
         if not (np.all(np.diff(v) > 0.0) and np.all(s > 0.0) and np.all(np.isfinite(s))):
             raise RuntimeError("a start table must increase strictly, with finite positive slopes")
         self.values = v
@@ -289,7 +321,17 @@ class _Search:
         m0, m1, span = h / s[:-1], h / s[1:], np.diff(_TABLE_T)
         self._inv_h = 1.0 / h
         self._coefs = (m0, 3.0 * span - 2.0 * m0 - m1, m0 + m1 - 2.0 * span)
-        self._start_forms = ((v[0], v[-1]), (self._beyond, self._inside, self._beyond))
+        # each element's start and bracket (t, lo, hi), from its own target alone
+        self.start = _piecewise_table((v[0], v[-1]), (self._beyond, self._inside, self._beyond))
+
+    def __call__(self, ns, d):
+        return self.param(_solve_increasing(self, self.sign * d))
+
+    def g(self, t):
+        """The signed distance at t and its slope in t."""
+        x = self.param(t)
+        d, slope = self.kernel(x)
+        return self.sign * d, self.slope(x, slope)
 
     def _beyond(self, ns, target):
         return self.series(target), self.lo, self.hi
@@ -299,10 +341,6 @@ class _Search:
         u = (target - self.values[j]) * self._inv_h[j]
         c1, c2, c3 = (c[j] for c in self._coefs)
         return _TABLE_T[j] + u * (c1 + u * (c2 + u * c3)), _TABLE_T[j], _TABLE_T[j + 1]
-
-    def start(self, target):
-        """Each element's start and bracket (t, lo, hi), from its own target alone."""
-        return _piecewise(target, *self._start_forms)
 
 
 def _solve_increasing(search, target):
@@ -353,28 +391,6 @@ def _solve_block(g, target, t, lo, hi):
         idx, t, lo, hi, target = idx[keep], t_new[keep], lo[keep], hi[keep], target[keep]
     out[idx] = t
     return out
-
-
-def _in_log_kappa(dist_slope, sign):
-    """g(t) for the solver: the signed distance at kappa = e^t and its
-    slope kappa |d'(kappa)| in t, both from ``dist_slope(kappa)``."""
-
-    def g(t):
-        d, slope = dist_slope(np.exp(t))
-        return sign * d, slope
-
-    return g
-
-
-def _in_logit_ell(dist_deriv, sign):
-    """g(t) for the solver: the signed distance at ell = expit(t) / 2 and its slope in t."""
-
-    def g(t):
-        ell = np.minimum(0.5 * expit(t), _ELL_MAX)
-        d, slope = dist_deriv(ell)
-        return sign * d, 2.0 * ell * (0.5 - ell) * slope
-
-    return g
 
 
 def _logit_2ell(ell, eps):
@@ -455,21 +471,8 @@ def _vm_uniform_series(d):
 
 
 _VM_UNIFORM_SEARCH = _Search(
-    _in_log_kappa(_vm_uniform_log_slope, 1.0), _vm_uniform_series, _LOG_KAPPA_LO, _LOG_KAPPA_HI
+    _vm_uniform_log_slope, _LOG_KAPPA, Direction.INCREASING, _vm_uniform_series
 )
-
-
-def _vm_uniform_search(d):
-    return np.exp(_solve_increasing(_VM_UNIFORM_SEARCH, d))
-
-
-def _vm_uniform_inverse(d):
-    if np.any(d > _VM_UNIFORM_D_MAX):
-        raise ValueError("distance not attainable within floating-point kappa range")
-    # below d(_LINEAR_CUT) the linear form inverts exactly
-    return _piecewise(
-        d, (0.5 * _LINEAR_CUT,), (lambda ns, d: 2.0 * d, lambda ns, d: _vm_uniform_search(d))
-    )
 
 
 # d = sqrt(1 - r(k)) and its slope: |d'| = r'(k) / (2d), or with
@@ -500,6 +503,10 @@ _vm_pointmass = _piecewise_table(
 )
 
 
+def _vm_pointmass_log_slope(k):
+    return _vm_pointmass(k, (None, None, True))
+
+
 def _vm_pointmass_series(target):
     # d^2 = 1 - r(kappa) for d = -target, with r ~ kappa/2 below and
     # 1 - r ~ 1/(2 kappa) above
@@ -511,18 +518,9 @@ def _vm_pointmass_series(target):
     )
 
 
-# distance decreases, so the search solves for -d
 _VM_POINTMASS_SEARCH = _Search(
-    _in_log_kappa(lambda k: _vm_pointmass(k, (None, None, True)), -1.0),
-    _vm_pointmass_series, _LOG_KAPPA_LO, _LOG_KAPPA_HI,
+    _vm_pointmass_log_slope, _LOG_KAPPA, Direction.DECREASING, _vm_pointmass_series
 )
-
-
-def _vm_pointmass_inverse(d):
-    if np.any(d == 0.0):
-        raise ValueError("d = 0 is not attained for the point-mass base")
-    t = _solve_increasing(_VM_POINTMASS_SEARCH, -d)
-    return np.where(d == 1.0, 0.0, np.exp(t))
 
 
 def _card_uniform_main(ns, l):
@@ -547,22 +545,8 @@ def _card_uniform_series(d):
 
 
 _CARD_UNIFORM_SEARCH = _Search(
-    _in_logit_ell(_card_uniform, 1.0), _card_uniform_series, _LOGIT_LO, _LOGIT_HI
+    _card_uniform, _LOGIT_2ELL, Direction.INCREASING, _card_uniform_series
 )
-
-
-def _card_uniform_search(d):
-    t = _solve_increasing(_CARD_UNIFORM_SEARCH, d)
-    return np.minimum(0.5 * expit(t), _ELL_MAX)
-
-
-def _card_uniform_inverse(d):
-    # the linear form inverts exactly; d_max is approached only as
-    # ell -> 0.5, but d(_ELL_MAX) rounds to it, so it reports that open end
-    return _piecewise(
-        d, (_LINEAR_CUT, SQRT_1M_LOG2),
-        (_same, lambda ns, d: _card_uniform_search(d), lambda ns, d: _ELL_MAX),
-    )
 
 
 def _card_curve_form(ns, l):
@@ -588,17 +572,9 @@ def _card_curve_series(target):
     )
 
 
-# distance decreases, so the search solves for -d
 _CARD_CURVE_SEARCH = _Search(
-    _in_logit_ell(_card_curve, -1.0), _card_curve_series, _LOGIT_LO, _LOGIT_HI
+    _card_curve, _LOGIT_2ELL, Direction.DECREASING, _card_curve_series
 )
-
-
-def _card_curve_inverse(d):
-    # d = 0 reports the open boundary just below 0.5
-    t = _solve_increasing(_CARD_CURVE_SEARCH, -d)
-    ell = np.minimum(0.5 * expit(t), _ELL_MAX)
-    return np.where(d == 0.0, _ELL_MAX, np.where(d == SQRT_LOG2, 0.0, ell))
 
 
 def _wc_main(ns, rho):
@@ -609,42 +585,43 @@ def _wc_main(ns, rho):
 _wc = _piecewise_table((_LINEAR_CUT,), (lambda ns, r: (r, 1.0), _wc_main))
 
 
-# closed form; saturates at the largest rho below 1
-_WC_INVERSE = (
-    (_LINEAR_CUT,),
-    (_same, lambda ns, d: np.minimum(np.sqrt(-np.expm1(-d * d)), _RHO_MAX)),
-)
-
-
-def _wc_inverse(d):
-    return _piecewise(d, *_WC_INVERSE)
-
-
-_VM_UNIFORM_D_MAX = float(_vm_uniform(_KAPPA_MAX)[0])
-
-
-_PROFILES = {
-    (Family.VON_MISES, BaseModel.UNIFORM): DistanceProfile(
-        Family.VON_MISES, BaseModel.UNIFORM, 0.0, np.inf, Direction.INCREASING, 0.0, np.inf,
-        _vm_uniform, _vm_uniform_inverse, max_param=_KAPPA_MAX,
+# Each pair's record. Every inverse is linear below d(_LINEAR_CUT); an
+# open end of the support is reported as the largest float below it: at
+# the cardioid's d_max, to which d(_ELL_MAX) rounds, and the curve's d = 0.
+_PROFILES = {(p.family, p.base): p for p in (
+    DistanceProfile(
+        Family.VON_MISES, BaseModel.UNIFORM, np.inf, Direction.INCREASING, _vm_uniform,
+        # no kappa up to _KAPPA_MAX reaches past d(_KAPPA_MAX)
+        _piecewise_table(
+            (0.5 * _LINEAR_CUT, math.nextafter(float(_vm_uniform(_KAPPA_MAX)[0]), math.inf)),
+            (lambda ns, d: 2.0 * d, _VM_UNIFORM_SEARCH, _unattainable),
+        ),
+        max_param=_KAPPA_MAX,
     ),
-    (Family.VON_MISES, BaseModel.POINT_MASS): DistanceProfile(
-        Family.VON_MISES, BaseModel.POINT_MASS, 0.0, 1.0, Direction.DECREASING, 0.0, np.inf,
-        _vm_pointmass, _vm_pointmass_inverse, paper_unnormalized=True,
+    # d = 0 only as kappa -> inf; d = 1 at kappa = 0
+    DistanceProfile(
+        Family.VON_MISES, BaseModel.POINT_MASS, 1.0, Direction.DECREASING, _vm_pointmass,
+        _piecewise_table((_TINY, 1.0), (_unattainable, _VM_POINTMASS_SEARCH, lambda ns, d: 0.0)),
+        paper_unnormalized=True,
     ),
-    (Family.CARDIOID, BaseModel.UNIFORM): DistanceProfile(
-        Family.CARDIOID, BaseModel.UNIFORM, 0.0, SQRT_1M_LOG2, Direction.INCREASING, 0.0, 0.5,
-        _card_uniform, _card_uniform_inverse,
+    DistanceProfile(
+        Family.CARDIOID, BaseModel.UNIFORM, SQRT_1M_LOG2, Direction.INCREASING, _card_uniform,
+        _piecewise_table((_LINEAR_CUT, SQRT_1M_LOG2), (_same, _CARD_UNIFORM_SEARCH, _ell_max)),
     ),
-    (Family.CARDIOID, BaseModel.CARDIOID_CURVE): DistanceProfile(
-        Family.CARDIOID, BaseModel.CARDIOID_CURVE, 0.0, SQRT_LOG2, Direction.DECREASING, 0.0, 0.5,
-        _card_curve, _card_curve_inverse, paper_unnormalized=True,
+    DistanceProfile(
+        Family.CARDIOID, BaseModel.CARDIOID_CURVE, SQRT_LOG2, Direction.DECREASING, _card_curve,
+        _piecewise_table((_TINY, SQRT_LOG2), (_ell_max, _CARD_CURVE_SEARCH, lambda ns, d: 0.0)),
+        paper_unnormalized=True,
     ),
-    (Family.WRAPPED_CAUCHY, BaseModel.UNIFORM): DistanceProfile(
-        Family.WRAPPED_CAUCHY, BaseModel.UNIFORM, 0.0, np.inf, Direction.INCREASING, 0.0, 1.0,
-        _wc, _wc_inverse, max_param=_RHO_MAX,
+    # closed form; saturates at the largest rho below 1
+    DistanceProfile(
+        Family.WRAPPED_CAUCHY, BaseModel.UNIFORM, np.inf, Direction.INCREASING, _wc,
+        _piecewise_table(
+            (_LINEAR_CUT,), (_same, lambda ns, d: np.minimum(np.sqrt(-np.expm1(-d * d)), _RHO_MAX))
+        ),
+        max_param=_RHO_MAX,
     ),
-}
+)}
 
 
 # ---------------------------------------------------------------------------
@@ -666,19 +643,21 @@ def distance_deriv(profile, param):
 def inverse_distance(profile, d):
     """The parameter whose distance equals ``d``.
 
-    Vectorized. Wrapped Cauchy inverts in closed form; the others run
-    safeguarded Newton on the monotone distance map, in log kappa for
-    von Mises and in logit(2 ell) for the cardioid. Each element starts
-    from a table of the map built at import (nodes 1/32 apart in that
-    coordinate, from -30 to 30), inside the bracket of its two nodes;
-    distances beyond the table start from the small- and
-    large-parameter series. Every element gets the bits of its scalar
-    call, whatever the input's shape.
-    Distances outside the attainable range raise; for the cardioid
-    curve base, d = 0 reports the open boundary just below 0.5.
+    Vectorized, through the pair's inverse table. Wrapped Cauchy inverts
+    in closed form; the others run safeguarded Newton on the monotone
+    distance map, in log kappa for von Mises and in logit(2 ell) for the
+    cardioid. Each element starts from a table of the map built at
+    import (nodes 1/32 apart in that coordinate, from -30 to 30), inside
+    the bracket of its two nodes; distances beyond the table start from
+    the small- and large-parameter series. Every element gets the bits
+    of its scalar call, whatever the input's shape.
+    Distances outside [0, d_max] raise, and so do the two that no float
+    parameter reaches: d = 0 for the point-mass base and, for the von
+    Mises uniform base, d beyond d(e^709). For the cardioid curve base,
+    d = 0 reports the open boundary just below 0.5.
     """
     # d_max itself is attained (or reported as the open end), so the top is closed
-    x = _checked(d, profile.d_min, math.nextafter(profile.d_max, math.inf), "distance")
+    x = _checked(d, 0.0, math.nextafter(profile.d_max, math.inf), "distance")
     # the kernels solve a 1-d array; the result takes the input's shape once
     out = profile.inverse(np.ravel(x))
     return float(out[0]) if isinstance(x, float) else out.reshape(x.shape)

@@ -70,12 +70,15 @@ def _piecewise(x, cuts, forms, *args):
 
     ``cuts`` increase and split the line into len(cuts) + 1 intervals;
     form i holds on [cuts[i-1], cuts[i]), the first one below cuts[0]
-    and the last one from cuts[-1] up. A form returns one value or a
-    tuple of values (a distance and its slope, say); a constant stands
-    for that value at every element. ``ns`` is the namespace the form
-    takes its functions from (``ns.sqrt``, ``ns.log``, ...), so each
-    formula is written once for every caller. This is the one place
-    where a scalar call and an array call part ways:
+    and the last one from cuts[-1] up. Every form is a callable, even
+    one whose value is fixed: a bare constant in its place raises
+    TypeError when its interval is reached. A form returns one value or
+    a tuple of values (a distance and its slope, say); a constant it
+    returns stands for that value at every element, broadcast to x's
+    shape. ``ns`` is the namespace the form takes its functions from
+    (``ns.sqrt``, ``ns.log``, ...), so each formula is written once for
+    every caller. This is the one place where a scalar call and an
+    array call part ways:
 
     - a scalar is placed among the cuts by a bisection in Python and
       runs only the form that holds it; a Python float gets
@@ -90,8 +93,10 @@ def _piecewise(x, cuts, forms, *args):
     ``args`` of x's shape are gathered with x; any other argument is
     passed whole. A form sees only arguments inside its own interval,
     so it must be finite, and raise nothing, there and nowhere else;
-    every element gets the bits of its scalar call. A table without
-    cuts is one form over the whole line.
+    every element gets the bits of its scalar call. The exception is a
+    form that stands for an interval without values, such as the
+    distances no parameter reaches: it raises, for any element there.
+    A table without cuts is one form over the whole line.
     """
     return _piecewise_table(cuts, forms)(x, args)
 
