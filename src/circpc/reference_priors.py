@@ -277,19 +277,24 @@ def distance_scale_pdf(prior, profile: DistanceProfile, d):
 
     Evaluates pi(xi(d)) / |d'(xi(d))| with xi(d) from inverse_distance
     and the analytic derivative of the profile's distance map. A PC
-    prior on the same pair takes its density from the same evaluation
-    of d and |d'|.
+    prior on the same pair is exactly lambda e^(-lambda d) / Z there.
+    Past kappa ~ 1e161 the point-mass profile's |d'| underflows to 0;
+    there the quotient is taken in log kappa, the coordinate its inverse
+    solves in: kappa pi(kappa) over kappa |d'|, which does not underflow.
     """
-    pdf = _param_density(prior)
-    xi = inverse_distance(profile, d)  # checks d
-    dist, slope = profile.dist_deriv(xi)
+    xi = inverse_distance(profile, d)  # checks d, and raises where no parameter has it
     if isinstance(prior, PcPrior) and prior.profile is profile:
-        density = _pc_density(prior, dist, slope)
+        out = _pc_density(prior, np.asarray(d, dtype=float), 1.0)
     else:
-        density = pdf(xi)
-    # numpy's division, so a slope that underflows to 0 gives nan or inf
-    # (with numpy's warning), as for arrays, and never raises
-    out = np.divide(density, slope)
+        density = _param_density(prior)(xi)
+        slope = profile.dist_deriv(xi)[1]
+        under = slope == 0.0
+        if np.any(under):
+            # the point-mass kernel's log_slope flag gives kappa |d'|
+            log_slope = profile.dist_deriv(xi, (None, None, True))[1]
+            density = np.where(under, density * xi, density)
+            slope = np.where(under, log_slope, slope)
+        out = density / slope
     return float(out) if isinstance(xi, float) else out
 
 

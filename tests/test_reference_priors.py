@@ -127,6 +127,25 @@ class TestDistanceScale:
             want = lam * np.exp(-lam * ds) / z
             assert got == pytest.approx(want, rel=1e-9), prof
 
+    def test_point_mass_far_end(self):
+        # past kappa ~ 1e161 (d below ~1e-80) the point-mass |d'| underflows
+        # to 0; the push-forward stays finite, with no warning, down to
+        # d = 1e-300, where the inverse has saturated at the largest kappa
+        ds = np.array([1e-50, 1e-80, 1e-99, 1e-101, 1e-154, 1e-200, 1e-300])
+        lam = 0.5
+        pc = PcPrior("vm", "pointmass", lam)
+        want = lam * np.exp(-lam * ds) / -math.expm1(-lam)
+        for got in (distance_scale_pdf(pc, VM_PM, ds), [distance_scale_pdf(pc, VM_PM, d) for d in ds]):
+            assert got == pytest.approx(want, rel=1e-12)
+        assert np.all(distance_scale_pdf(GammaOneB(1.0), VM_PM, ds) == 0.0)
+        for prior in (H2(), H3()):
+            got = distance_scale_pdf(prior, VM_PM, ds)
+            assert np.all(np.isfinite(got)) and np.all(got >= 0.0), prior
+            # positive where the prior's own density is: kappa(1e-80) ~ 5e159
+            # is below where it underflows, about 1.6e161 for H2
+            assert np.all(got[:2] > 0.0), prior
+            assert got[0] == distance_scale_pdf(prior, VM_PM, 1e-50), prior
+
     def test_two_dimensional_grid(self):
         # a grid of any shape gives densities of that shape, equal to the
         # 1-d call's on the same distances
