@@ -308,7 +308,7 @@ class _Search:
 
     def __init__(self, kernel, coordinate, direction, series):
         self.kernel, self.series = kernel, series
-        self.param, self.slope, self.lo, self.hi = coordinate
+        self.param, self.slope_in_t, self.lo, self.hi = coordinate
         self.sign = 1.0 if direction is Direction.INCREASING else -1.0
         v, s = self.g(_TABLE_T)
         if not (np.all(np.diff(v) > 0.0) and np.all(s > 0.0) and np.all(np.isfinite(s))):
@@ -331,7 +331,7 @@ class _Search:
         """The signed distance at t and its slope in t."""
         x = self.param(t)
         d, slope = self.kernel(x)
-        return self.sign * d, self.slope(x, slope)
+        return self.sign * d, self.slope_in_t(x, slope)
 
     def _beyond(self, ns, target):
         return self.series(target), self.lo, self.hi
