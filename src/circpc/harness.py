@@ -10,10 +10,10 @@ scheduled across workers.
 
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -220,7 +220,9 @@ def run_sim_study(config: SimStudyConfig, *, workers: Optional[int] = None) -> S
     if workers is None or workers == 1:
         outcomes = [_run_cell(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the package's attribute loads the pool's module, and multiprocessing,
+        # on first use, so a serial run never imports them
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_cell, tasks))
     rows = []
     for (kind, label, truth, n), (means, failed) in zip(meta, outcomes):

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .distributions import FAMILIES, Family
 from .divergence import (
@@ -45,6 +44,8 @@ from .special import _TINY, _checked, _evaluate, _piecewise
 # the calibrations' first bracket for lambda, and the factor that widens it
 _BRACKET = (1.0e-8, 1.0e6)
 _WIDEN = 100.0
+# the root solve's step limit, brentq's maxiter
+_BRENT_STEPS = 100
 # the CDF's distance to its end value below which its direct forms are
 # rounding noise, about four ulps
 _END_GAP = 2.0 ** -50
@@ -395,16 +396,78 @@ def calibrate_lambda(family, base, tail: TailSpec) -> float:
 
 
 def _rate_root(f, tail: TailSpec, attainable) -> float:
-    """The lambda where ``f`` changes sign: Brent's method on _BRACKET, each end
-    moved out by _WIDEN per step until it holds the root or lambda nears 1e-300."""
+    """The lambda where ``f`` changes sign, by ``_brent`` at xtol 1e-300
+    and rtol 1e-12.
+
+    The bracket starts at _BRACKET, and each end moves out by _WIDEN per
+    step until it holds the root or lambda nears 1e-300. The solve
+    reuses the last step's values at both ends.
+    """
     lo, hi = _BRACKET
-    while f(lo) * f(hi) > 0.0:
+    f_lo, f_hi = f(lo), f(hi)
+    while f_lo * f_hi > 0.0:
         if lo < 1e-296:
             raise InfeasibleTailError(
                 f"no lambda in [{lo:g}, {hi:g}] achieves alpha={tail.alpha:g}", attainable
             )
         lo, hi = lo / _WIDEN, hi * _WIDEN
-    return float(brentq(f, lo, hi, xtol=1e-300, rtol=1e-12))
+        f_lo, f_hi = f(lo), f(hi)
+    return _brent(f, lo, hi, f_lo, f_hi, 1e-300, 1e-12)
+
+
+def _brent(f, a, b, fa, fb, xtol, rtol):
+    """A root of f in [a, b], given fa = f(a) and fb = f(b) of opposite
+    signs: Brent's method (Brent 1973, *Algorithms for Minimization
+    Without Derivatives*, ch. 4).
+
+    It makes the float operations of scipy.optimize.brentq in the same
+    order, so it returns brentq's bits, and keeps its contract: an end
+    whose value is 0 is the root; a nan value raises ValueError, and so
+    do ends of one sign; no convergence within _BRENT_STEPS steps raises
+    RuntimeError. It stops once half the bracket is below
+    (xtol + rtol |x|) / 2.
+    """
+    if fa != fa or fb != fb:
+        raise ValueError("the function value is nan; the root solve cannot continue")
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if (fa < 0.0) == (fb < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    # the current point, the previous one and the bracket's other end
+    x_pre, x_cur, f_pre, f_cur = a, b, fa, fb
+    x_blk = f_blk = s_pre = s_cur = 0.0
+    for _ in range(_BRENT_STEPS):
+        if f_pre != 0.0 and f_cur != 0.0 and (f_pre < 0.0) != (f_cur < 0.0):
+            x_blk, f_blk = x_pre, f_pre
+            s_pre = s_cur = x_cur - x_pre
+        if abs(f_blk) < abs(f_cur):
+            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        delta = (xtol + rtol * abs(x_cur)) / 2.0
+        s_bis = (x_blk - x_cur) / 2.0
+        if f_cur == 0.0 or abs(s_bis) < delta:
+            return x_cur
+        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
+            if x_pre == x_blk:  # secant
+                s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
+            else:  # inverse quadratic
+                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
+                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
+                s_try = -f_cur * (f_blk * d_blk - f_pre * d_pre) / (d_blk * d_pre * (f_blk - f_pre))
+            if 2.0 * abs(s_try) < min(abs(s_pre), 3.0 * abs(s_bis) - delta):
+                s_pre, s_cur = s_cur, s_try
+            else:
+                s_pre = s_cur = s_bis
+        else:
+            s_pre = s_cur = s_bis
+        x_pre, f_pre = x_cur, f_cur
+        x_cur += s_cur if abs(s_cur) > delta else (delta if s_bis > 0.0 else -delta)
+        f_cur = f(x_cur)
+        if f_cur != f_cur:
+            raise ValueError("the function value is nan; the root solve cannot continue")
+    raise RuntimeError(f"the root solve did not converge in {_BRENT_STEPS} steps")
 
 
 def calibrate_lambda_paper(family, base, tail: TailSpec) -> float:

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import betaln
 
 from .distributions import TWO_PI, wrap_angle
-from .divergence import DistanceProfile, inverse_distance
+from .divergence import BaseModel, DistanceProfile, inverse_distance
 from .pc_priors import PcPrior, _pc_density, _pc_log_density_fn, pc_pdf
 from .special import _TINY, _checked, _evaluate, _log_i0, _piecewise, _piecewise_table
 
@@ -82,12 +82,29 @@ class GammaOneB(_Tabled):
 # The heavy-tailed densities' direct forms overflow in the denominator,
 # pi (1 + x^2) above 2^511 and (1 + x^2)^1.5 above 2^341, and would read
 # 0 there; 1 + x^2 rounds to x^2 long before, so the tails take the
-# leading term, divided twice so that it underflows gradually
+# leading term. Each tail is x pi(x), the density in log x, divided by x:
+# the density underflows gradually, and distance_scale_pdf takes x pi(x)
+# alone where pi has left the normal range
+def _h2_log_tail(x):
+    return (2.0 / math.pi) / x
+
+
+def _h3_log_tail(x):
+    return 1.0 / x
+
+
 _H2 = (
     (2.0 ** 511,),
-    (lambda ns, x: 2.0 / (math.pi * (1.0 + x * x)), lambda ns, x: (2.0 / math.pi) / x / x),
+    (lambda ns, x: 2.0 / (math.pi * (1.0 + x * x)), lambda ns, x: _h2_log_tail(x) / x),
 )
-_H3 = ((2.0 ** 341,), (lambda ns, x: x / ns.power(1.0 + x * x, 1.5), lambda ns, x: 1.0 / x / x))
+_H3 = (
+    (2.0 ** 341,),
+    (lambda ns, x: x / ns.power(1.0 + x * x, 1.5), lambda ns, x: _h3_log_tail(x) / x),
+)
+# from here up distance_scale_pdf divides in log kappa on the point mass:
+# |d'| is formed from a subnormal k r'(k) / k, and the heavy tails'
+# densities are subnormal; both tails hold from here
+_LOG_KAPPA_FROM = 2.0 ** 511
 
 
 @dataclass(frozen=True)
@@ -95,6 +112,7 @@ class H2(_Tabled):
     """Half-Cauchy-type density 2 / (pi * (1 + x^2)) on [0, inf)."""
 
     support = (0.0, math.inf)
+    _log_tail = staticmethod(_h2_log_tail)
 
     def _table(self):
         return _H2
@@ -105,6 +123,7 @@ class H3(_Tabled):
     """Density x / (1 + x^2)^(3/2) on [0, inf); zero at the origin."""
 
     support = (0.0, math.inf)
+    _log_tail = staticmethod(_h3_log_tail)
 
     def _table(self):
         return _H3
@@ -278,9 +297,12 @@ def distance_scale_pdf(prior, profile: DistanceProfile, d):
     Evaluates pi(xi(d)) / |d'(xi(d))| with xi(d) from inverse_distance
     and the analytic derivative of the profile's distance map. A PC
     prior on the same pair is exactly lambda e^(-lambda d) / Z there.
-    Past kappa ~ 1e161 the point-mass profile's |d'| underflows to 0;
-    there the quotient is taken in log kappa, the coordinate its inverse
-    solves in: kappa pi(kappa) over kappa |d'|, which does not underflow.
+    From kappa = 2^511 up the point-mass profile's |d'| loses precision,
+    and past kappa ~ 1.6e161 it underflows to 0; there the quotient is
+    taken in log kappa, the coordinate its inverse solves in: kappa
+    pi(kappa) over kappa |d'|. The heavy tails give kappa pi(kappa)
+    from a form that stays normal; any other prior gives pi(kappa)
+    times kappa.
     """
     xi = inverse_distance(profile, d)  # checks d, and raises where no parameter has it
     if isinstance(prior, PcPrior) and prior.profile is profile:
@@ -288,12 +310,14 @@ def distance_scale_pdf(prior, profile: DistanceProfile, d):
     else:
         density = _param_density(prior)(xi)
         slope = profile.dist_deriv(xi)[1]
-        under = slope == 0.0
-        if np.any(under):
+        far = xi >= _LOG_KAPPA_FROM
+        if profile.base is BaseModel.POINT_MASS and np.any(far):
+            tail = getattr(prior, "_log_tail", None)
+            # the floor keeps a tail form off the elements it does not hold for
+            k_density = density * xi if tail is None else tail(np.maximum(xi, _LOG_KAPPA_FROM))
+            density = np.where(far, k_density, density)
             # the point-mass kernel's log_slope flag gives kappa |d'|
-            log_slope = profile.dist_deriv(xi, (None, None, True))[1]
-            density = np.where(under, density * xi, density)
-            slope = np.where(under, log_slope, slope)
+            slope = np.where(far, profile.dist_deriv(xi, (None, None, True))[1], slope)
         out = density / slope
     return float(out) if isinstance(xi, float) else out
 

@@ -1,10 +1,15 @@
 import io
 import logging
 import math
+import os
+import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import circpc
 import circpc.harness as harness
 from circpc.distributions import TWO_PI, Dataset, DistributionSpec, Family, sample
 from circpc.harness import (
@@ -136,6 +141,24 @@ class TestSimStudyConfig:
                 build_concentration_prior(spec, fam)
 
 
+# run in a fresh interpreter with a pickled config on stdin: the lazily
+# loaded modules after import, after a serial run and after a pooled
+# one, then the pooled run's CSV
+_FRESH_POOL_RUN = """
+import io, pickle, sys
+import circpc, circpc.cli
+lazy = ("scipy.optimize", "concurrent.futures.process")
+loaded = [[m for m in lazy if m in sys.modules]]
+cfg = pickle.loads(sys.stdin.buffer.read())
+circpc.run_sim_study(cfg, workers=1)
+loaded.append([m for m in lazy if m in sys.modules])
+buf = io.StringIO()
+circpc.run_sim_study(cfg, workers=2).write_csv(buf)
+loaded.append([m for m in lazy if m in sys.modules])
+sys.stdout.write(repr(loaded) + "\\n" + buf.getvalue())
+"""
+
+
 class TestRunSimStudy:
     def test_rows_in_grid_order_with_expected_labels(self):
         result = run_sim_study(tiny_config())
@@ -156,6 +179,20 @@ class TestRunSimStudy:
         serial.write_csv(buf_a)
         pooled.write_csv(buf_b)
         assert buf_a.getvalue() == buf_b.getvalue()
+        # in a fresh interpreter: importing the package and the CLI loads
+        # neither scipy.optimize nor the process pool, a serial run does not
+        # load the pool, and the first pooled run loads it and still gives
+        # the serial CSV
+        src = os.path.dirname(os.path.dirname(circpc.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        fresh = subprocess.run(
+            [sys.executable, "-c", _FRESH_POOL_RUN], input=pickle.dumps(cfg),
+            capture_output=True, env=env, timeout=300,
+        )
+        assert fresh.returncode == 0, fresh.stderr.decode()
+        loaded, pooled_csv = fresh.stdout.decode().split("\n", 1)
+        assert loaded == "[[], [], ['concurrent.futures.process']]"
+        assert pooled_csv == buf_a.getvalue()
 
     def test_rerun_identical(self):
         cfg = tiny_config()

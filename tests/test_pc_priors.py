@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
+from scipy.optimize import brentq
 
+import circpc.pc_priors as pc_priors
 from circpc.distributions import Family
 from circpc.divergence import (
     SQRT_LOG2,
@@ -13,12 +15,14 @@ from circpc.divergence import (
     distance_deriv,
     profile_for,
 )
+from circpc.harness import desk_study_config, full_study_config
 from circpc.pc_priors import (
     InfeasibleTailError,
     Normalization,
     PcPrior,
     TailSpec,
     UnsupportedModeError,
+    _brent,
     _rate_root,
     attainable_alpha_range,
     calibrate_lambda,
@@ -415,3 +419,117 @@ class TestCalibration:
         lam = calibrate_lambda(pair[0], pair[1], tail)
         prior = PcPrior(pair[0], pair[1], lam)
         assert tail_probability(prior, tail) == pytest.approx(alpha, abs=1e-9)
+
+
+# every (pair, U, alpha) on the study grids whose alpha the pair attains:
+# each grid's U and alphas on each pair of its family
+def _study_tails():
+    grids = {}
+    for cfg in [desk_study_config()] + [full_study_config(f) for f in ("vm", "cardioid", "wc")]:
+        for spec in cfg.prior_specs:
+            if spec.kind.startswith("pc_"):
+                grids.setdefault((cfg.family, spec.U), set()).add(spec.hypers[0])
+    cases = []
+    for (fam, U), alphas in sorted(grids.items()):
+        for pair in PAIRS:
+            if pair[0] is fam:
+                lo, hi = attainable_alpha_range(*pair, U)
+                cases += [(*pair, TailSpec(U, a)) for a in sorted(alphas) if lo < a < hi]
+    return cases
+
+
+STUDY_TAILS = _study_tails()
+# (xtol, rtol): the calibrations', scipy's defaults, and a coarse pair
+TOLERANCES = ((1e-300, 1e-12), (2e-12, 8.881784197001252e-16), (1e-6, 1e-6))
+# smooth functions with a root at r and a scale s
+SMOOTH = (
+    lambda r, s: lambda x: s * (x - r),
+    lambda r, s: lambda x: math.tanh(s * (x - r)),
+    lambda r, s: lambda x: (x - r) + 0.3 * s * (x - r) ** 3,
+    lambda r, s: lambda x: math.exp(x) - math.exp(r),
+    lambda r, s: lambda x: math.atan(x - r) + 0.1 * math.sin(3.0 * (x - r)) * (x - r),
+)
+
+
+def _outcome(solve):
+    """A solve's root, or the type of the error it raised."""
+    try:
+        return solve()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc)
+
+
+def _same_as_brentq(f, a, b, xtol, rtol):
+    """_brent from the values at both ends, and scipy's brentq, on f over [a, b]."""
+    got = _outcome(lambda: _brent(f, a, b, f(a), f(b), xtol, rtol))
+    want = _outcome(lambda: brentq(f, a, b, xtol=xtol, rtol=rtol))
+    return got, want
+
+
+class TestBrent:
+    """_brent against scipy.optimize.brentq, for exact equality."""
+
+    @staticmethod
+    def _solves(monkeypatch, run):
+        # each root solve of ``run``: its arguments and its root
+        solves, solve = [], pc_priors._brent
+
+        def spy(f, a, b, fa, fb, xtol, rtol):
+            root = solve(f, a, b, fa, fb, xtol, rtol)
+            solves.append((f, a, b, fa, fb, xtol, rtol, root))
+            return root
+
+        monkeypatch.setattr(pc_priors, "_brent", spy)
+        run()
+        return solves
+
+    def _check_solves(self, solves):
+        assert len(solves) == 1
+        f, a, b, fa, fb, xtol, rtol, root = solves[0]
+        # the ends' values come from the bracket's last widening step
+        assert (fa, fb) == (f(a), f(b))
+        assert root == brentq(f, a, b, xtol=xtol, rtol=rtol)
+
+    @pytest.mark.parametrize("fam, base, tail", STUDY_TAILS)
+    def test_study_calibrations(self, monkeypatch, fam, base, tail):
+        self._check_solves(self._solves(monkeypatch, lambda: calibrate_lambda(fam, base, tail)))
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.1, 0.2, 0.3, 0.4, 0.5, 0.54])
+    def test_paper_cardioid_uniform(self, monkeypatch, alpha):
+        tail = TailSpec(0.5, alpha)
+        self._check_solves(self._solves(
+            monkeypatch, lambda: calibrate_lambda_paper(Family.CARDIOID, BaseModel.UNIFORM, tail)
+        ))
+
+    @pytest.mark.parametrize("xtol, rtol", TOLERANCES)
+    @pytest.mark.parametrize("form", range(len(SMOOTH)))
+    def test_random_smooth_roots(self, form, xtol, rtol):
+        rng = np.random.default_rng(1000 + form)
+        for _ in range(100):
+            r, s = rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-3.0, 3.0)
+            a, b = r - 10.0 ** rng.uniform(-2.0, 1.0), r + 10.0 ** rng.uniform(-2.0, 1.0)
+            if rng.random() < 0.5:
+                a, b = b, a
+            got, want = _same_as_brentq(SMOOTH[form](r, s), a, b, xtol, rtol)
+            assert isinstance(got, float) and got == want, (r, s, a, b)
+
+    @pytest.mark.parametrize(
+        "f, a, b, want",
+        [
+            # a nan residual, at either end or inside the bracket
+            (lambda x: math.nan if x < 0.0 else x, -1.0, 2.0, ValueError),
+            (lambda x: math.nan if x > 1.0 else x, -1.0, 2.0, ValueError),
+            (lambda x: math.nan if 0.1 < x < 0.9 else x - 0.5, 0.0, 1.0, ValueError),
+            # ends of one sign
+            (lambda x: x * x + 1.0, -1.0, 2.0, ValueError),
+            # an end whose residual is exactly 0 is the root
+            (lambda x: x - 1.0, 1.0, 3.0, 1.0),
+            (lambda x: x - 3.0, 1.0, 3.0, 3.0),
+            (lambda x: -0.0 if x == 1.0 else x - 0.5, 1.0, -2.0, 1.0),
+            # a sign step at 0 from +-1e300 needs ~2000 bisections
+            (lambda x: 1.0 if x > 0.0 else -1.0, -1e300, 1e300, RuntimeError),
+        ],
+    )
+    def test_scipy_contract(self, f, a, b, want):
+        got, scipy_got = _same_as_brentq(f, a, b, 1e-300, 1e-12)
+        assert got == scipy_got == want

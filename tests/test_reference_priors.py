@@ -128,9 +128,11 @@ class TestDistanceScale:
             assert got == pytest.approx(want, rel=1e-9), prof
 
     def test_point_mass_far_end(self):
-        # past kappa ~ 1e161 (d below ~1e-80) the point-mass |d'| underflows
-        # to 0; the push-forward stays finite, with no warning, down to
-        # d = 1e-300, where the inverse has saturated at the largest kappa
+        # from kappa = 2^511 (d below ~5e-77) the point-mass |d'| is formed
+        # from subnormals, and past kappa ~ 1e161 (d below ~1e-81) it
+        # underflows to 0; the push-forward stays finite, with no warning,
+        # down to d = 1e-300, where the inverse has saturated at the largest
+        # kappa (the suite turns a RuntimeWarning into an error)
         ds = np.array([1e-50, 1e-80, 1e-99, 1e-101, 1e-154, 1e-200, 1e-300])
         lam = 0.5
         pc = PcPrior("vm", "pointmass", lam)
@@ -138,13 +140,16 @@ class TestDistanceScale:
         for got in (distance_scale_pdf(pc, VM_PM, ds), [distance_scale_pdf(pc, VM_PM, d) for d in ds]):
             assert got == pytest.approx(want, rel=1e-12)
         assert np.all(distance_scale_pdf(GammaOneB(1.0), VM_PM, ds) == 0.0)
-        for prior in (H2(), H3()):
+        # H2 and H3 near d = 0 are (8/pi) d and 4 d: their densities in log
+        # kappa, (2/pi)/kappa and 1/kappa, over kappa |d'| ~ 1/(2 kappa d)
+        for prior, slope in ((H2(), 8.0 / math.pi), (H3(), 4.0)):
             got = distance_scale_pdf(prior, VM_PM, ds)
-            assert np.all(np.isfinite(got)) and np.all(got >= 0.0), prior
-            # positive where the prior's own density is: kappa(1e-80) ~ 5e159
-            # is below where it underflows, about 1.6e161 for H2
-            assert np.all(got[:2] > 0.0), prior
-            assert got[0] == distance_scale_pdf(prior, VM_PM, 1e-50), prior
+            assert np.all(np.isfinite(got)) and np.all(got > 0.0), prior
+            assert [distance_scale_pdf(prior, VM_PM, d) for d in ds] == got.tolist(), prior
+            assert got[1:4] == pytest.approx(slope * ds[1:4], rel=1e-6), prior
+        # below kappa = 2^511 the quotient keeps its bits
+        assert distance_scale_pdf(H2(), VM_PM, 1e-50) == 2.546479089470314e-50
+        assert distance_scale_pdf(H3(), VM_PM, 1e-50) == 3.999999999999982e-50
 
     def test_two_dimensional_grid(self):
         # a grid of any shape gives densities of that shape, equal to the
