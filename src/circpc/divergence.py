@@ -22,14 +22,12 @@ from .distributions import FAMILIES, TWO_PI, Family, pdf
 from .special import (
     _RATIO_TAIL_SWITCH,
     _TINY,
-    _bessel_i01e,
     _checked,
     _evaluate,
     _log_i0,
     _one_minus_ratio_tail,
     _piecewise_table,
     _ratio,
-    _ratio_deriv_head,
     _ratio_deriv_tail_x2,
 )
 
@@ -229,12 +227,6 @@ def _unattainable(ns, d):
     raise ValueError("distance not attained by any floating-point parameter")
 
 
-# k r'(k), which is d/dk [k r(k) - log I0(k)], in the tail: the k is folded
-# into the series so the product does not underflow before the multiply
-def _k_ratio_deriv_tail(k):
-    return _ratio_deriv_tail_x2(k) / k
-
-
 # log1p(s) - s + s^2/2 = sum_{j>=3} (-1)^(j+1) s^j / j; Horner coefficients
 # of s^3 * (1/3 - s/4 + ... - s^27/30), highest power first. 28 terms are
 # good to 5e-16 relative on [0, _CARD_L3_SERIES), for every element alone.
@@ -399,44 +391,57 @@ def _logit_2ell(ell, eps):
 
 
 # |d'| = k r'(k) / (2d) for d = sqrt(k r(k) - log I0(k)); every form
-# below returns (d, |d'|)
+# below returns (d, |d'|) and computes both in its own body. A form that
+# uses the Bessel functions takes ``bessel``, the pair (exp(-k) I0(k), its
+# log), from a caller that holds it (a von Mises concentration step) and
+# evaluates only what it lacks, each through ns. Below _RATIO_TAIL_SWITCH
+# r'(k) is u(2 - u) - r/k with u = 1 - r (special._ratio_deriv_head);
+# above it, k r'(k) is the tail series x^2 r'(x) over k, the k folded into
+# the series so the product does not underflow before the multiply.
 
 
-def _vm_uniform_linear(ns, k, i0=None, log_i0=None):
+def _vm_uniform_linear(ns, k, bessel=None):
     return 0.5 * k, 0.5
 
 
-def _vm_uniform_small(ns, k, i0=None, log_i0=None):
+def _vm_uniform_small(ns, k, bessel=None):
     q = 0.25 * (k * k)
     d = ns.sqrt(q * (1.0 - 0.75 * q + (5.0 / 9.0) * q * q))
-    return d, k * _ratio_deriv_head(k, _ratio(k, i0)) / (2.0 * d)
+    r = ns.i1e(k) / (ns.i0e(k) if bessel is None else bessel[0])
+    u = 1.0 - r
+    return d, k * (u * (2.0 - u) - r / k) / (2.0 * d)
 
 
-def _vm_uniform_direct(ns, k, i0, log_i0):
-    # d and r = I1/I0 from one Bessel pass, with the caller's part of it
-    i0, i1 = _bessel_i01e(k, i0)
-    r = i1 / i0
-    return ns.sqrt(k * r - ((ns.log(i0) if log_i0 is None else log_i0) + k)), r
+def _vm_uniform_mid(ns, k, bessel=None):
+    if bessel is None:
+        i0 = ns.i0e(k)
+        log_i0 = ns.log(i0)
+    else:
+        i0, log_i0 = bessel
+    r = ns.i1e(k) / i0
+    u = 1.0 - r
+    d = ns.sqrt(k * r - (log_i0 + k))
+    return d, k * (u * (2.0 - u) - r / k) / (2.0 * d)
 
 
-def _vm_uniform_mid(ns, k, i0=None, log_i0=None):
-    d, r = _vm_uniform_direct(ns, k, i0, log_i0)
-    return d, k * _ratio_deriv_head(k, r) / (2.0 * d)
+def _vm_uniform_upper(ns, k, bessel=None):
+    if bessel is None:
+        i0 = ns.i0e(k)
+        log_i0 = ns.log(i0)
+    else:
+        i0, log_i0 = bessel
+    d = ns.sqrt(k * (ns.i1e(k) / i0) - (log_i0 + k))
+    return d, _ratio_deriv_tail_x2(k) / k / (2.0 * d)
 
 
-def _vm_uniform_upper(ns, k, i0=None, log_i0=None):
-    d, _ = _vm_uniform_direct(ns, k, i0, log_i0)
-    return d, _k_ratio_deriv_tail(k) / (2.0 * d)
-
-
-def _vm_uniform_large(ns, k, i0=None, log_i0=None):
+def _vm_uniform_large(ns, k, bessel=None):
     inv = 1.0 / k
     d = ns.sqrt(
         0.5 * (_LOG_TWO_PI + ns.log(k))
         - 0.5
         - inv * (0.25 + inv * (3.0 / 16.0 + inv * (25.0 / 96.0)))
     )
-    return d, _k_ratio_deriv_tail(k) / (2.0 * d)
+    return d, _ratio_deriv_tail_x2(k) / k / (2.0 * d)
 
 
 # d is linear below _LINEAR_CUT, then its series below _VM_RADICAND_SMALL,
@@ -481,20 +486,21 @@ _VM_UNIFORM_SEARCH = _Search(
 # |d'| = r'(0) / 2 = 1/4.
 
 
-def _vm_pointmass_zero(ns, k, i0=None, log_i0=None, log_slope=False):
+def _vm_pointmass_zero(ns, k, bessel=None, log_slope=False):
     return 1.0, 0.0 if log_slope else 0.25
 
 
-def _vm_pointmass_head(ns, k, i0=None, log_i0=None, log_slope=False):
-    r = _ratio(k, i0)
-    d = ns.sqrt(1.0 - r)
-    slope = _ratio_deriv_head(k, r)
+def _vm_pointmass_head(ns, k, bessel=None, log_slope=False):
+    r = ns.i1e(k) / (ns.i0e(k) if bessel is None else bessel[0])
+    u = 1.0 - r
+    d = ns.sqrt(u)
+    slope = u * (2.0 - u) - r / k
     return d, (k * slope if log_slope else slope) / (2.0 * d)
 
 
-def _vm_pointmass_tail(ns, k, i0=None, log_i0=None, log_slope=False):
+def _vm_pointmass_tail(ns, k, bessel=None, log_slope=False):
     d = ns.sqrt(_one_minus_ratio_tail(k))
-    k_slope = _k_ratio_deriv_tail(k)
+    k_slope = _ratio_deriv_tail_x2(k) / k
     return d, (k_slope if log_slope else k_slope / k) / (2.0 * d)
 
 
@@ -504,7 +510,7 @@ _vm_pointmass = _piecewise_table(
 
 
 def _vm_pointmass_log_slope(k):
-    return _vm_pointmass(k, (None, None, True))
+    return _vm_pointmass(k, (None, True))
 
 
 def _vm_pointmass_series(target):

@@ -21,9 +21,16 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import expit
 
-from .distributions import FAMILIES, TWO_PI, Dataset, Family, circular_mean, wrap_angle
+from .distributions import (
+    FAMILIES,
+    TWO_PI,
+    Dataset,
+    Family,
+    _unconstrained,
+    circular_mean,
+    wrap_angle,
+)
 from .reference_priors import VonMisesConjugate, _log_density_fn
 
 __all__ = [
@@ -147,18 +154,6 @@ class PosteriorSummary:
         }
 
 
-def _unconstrained(support):
-    """``(to_theta, to_conc, log_jac, initial)`` for a concentration on ``support``,
-    log_jac(c) being log |d conc / d theta| at c: log c from 1 on (0, inf), and
-    t = logit(c / hi), so c = hi expit(t), from hi / 2 on (0, hi)."""
-    hi = support[1]
-    if math.isinf(hi):
-        return math.log, lambda t: math.exp(t) if t < 709.0 else math.inf, math.log, 1.0
-    log_hi = math.log(hi)
-    return (lambda c: math.log(c / hi) - math.log1p(-c / hi), lambda t: hi * float(expit(t)),
-            lambda c: math.log(c / hi) + math.log1p(-c / hi) + log_hi, hi / 2.0)
-
-
 def _concentration_step(lik, log_prior, support):
     """The sampler's concentration move for one chain, composed once.
 
@@ -166,20 +161,20 @@ def _concentration_step(lik, log_prior, support):
     unconstrained scale, with ``m`` the current mu's likelihood term. It
     returns None when the concentration leaves the open support (or the
     transform back overflowed), and otherwise ``(conc, loglik, c,
-    log_prior, log_jac)``, c being the concentration's likelihood term,
-    from one evaluation: the likelihood's concentration term hands the
-    values it shares (the von Mises Bessel pass) to the prior.
+    log_prior, log_jac)``, c being the concentration's likelihood term.
+    It makes one call into the likelihood, whose ``conc_step`` holds the
+    map back from theta, and one into the prior, which takes the values
+    the likelihood shares (the von Mises Bessel pass); the log-Jacobian
+    is ``math.log`` itself on the log scale.
     """
-    _, to_conc, log_jac, _ = _unconstrained(support)
-    lo, hi = support
-    conc_term, combine = lik.conc_term, lik.combine
+    conc_step, log_jac = lik.conc_step, _unconstrained(support)[2]
 
     def step(theta, m):
-        conc = to_conc(theta)
-        if not lo < conc < hi:
+        prop = conc_step(theta, m)
+        if prop is None:
             return None
-        c, shared = conc_term(conc)
-        return conc, combine(m, conc, c), c, log_prior(conc, shared), log_jac(conc)
+        conc, loglik, c, shared = prop
+        return conc, loglik, c, log_prior(conc, shared), log_jac(conc)
 
     return step
 
@@ -198,11 +193,11 @@ def log_posterior(model: ModelSpec, data: Dataset, mu, conc) -> float:
     if not lo <= conc < hi:
         raise ValueError("concentration outside the family support")
     lik = FAMILIES[model.family].loglik(data.angles)
-    c, shared = lik.conc_term(conc)
+    _, loglik, _, shared = lik.conc_step(None, lik.mu_term(float(wrap_angle(mu))), conc)
     lp = _log_density_fn(model.concentration_prior)(conc, shared)
     if lp == -math.inf:
         return -math.inf
-    return lik.combine(lik.mu_term(float(wrap_angle(mu))), conc, c) + lp - _LOG_TWO_PI
+    return loglik + lp - _LOG_TWO_PI
 
 
 def run_mcmc(model: ModelSpec, data: Dataset, config: McmcConfig, *, trace_steps=False) -> Chain:
@@ -231,8 +226,7 @@ def run_mcmc(model: ModelSpec, data: Dataset, config: McmcConfig, *, trace_steps
     if not lo < conc < hi:
         raise InitializationError("initial concentration outside the open support")
     m = mu_term(mu)
-    c, shared = lik.conc_term(conc)
-    cur_lik = combine(m, conc, c)
+    _, cur_lik, c, shared = lik.conc_step(None, m, conc)
     cur_pri = log_prior(conc, shared)
     if not np.isfinite(cur_lik + cur_pri):
         raise InitializationError("initial state has zero posterior density")

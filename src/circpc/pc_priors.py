@@ -25,6 +25,7 @@ authoritative; the literature closed forms are exposed separately as
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -39,7 +40,7 @@ from .divergence import (
     inverse_distance,
     profile_for,
 )
-from .special import _TINY, _checked, _evaluate, _piecewise
+from .special import _FLOAT_MATH, _TINY, _checked, _evaluate, _piecewise
 
 # the calibrations' first bracket for lambda, and the factor that widens it
 _BRACKET = (1.0e-8, 1.0e6)
@@ -241,18 +242,22 @@ def _pc_log_density_fn(prior: PcPrior):
     It works on the log scale, so the exponential never over- or
     underflows at extreme distances, and -inf stands where the density
     vanishes. A von Mises concentration step passes its Bessel pass of
-    the same argument as ``shared``; the distance kernel then evaluates
-    only what that pass lacks. x is a Python float, so the kernel runs
-    float arithmetic.
+    the same argument, (exp(-x) I0(x), its log), as ``shared``; the
+    distance form then evaluates only what that pass lacks. x is a
+    Python float, so the function places it among the kernel table's
+    cuts itself and runs the form that holds it with float arithmetic.
     """
-    dist_deriv = prior.profile.dist_deriv
+    table = prior.profile.dist_deriv
+    cuts, forms = table.cuts, table.forms
     lam = prior.lam
     z = _normalizer(lam, prior.profile, prior.is_normalized)
     log_lam_norm = math.log(lam) - math.log(z)
     log, inf = math.log, math.inf
 
     def log_density(x, shared=()):
-        d, g = dist_deriv(x, shared)
+        form = forms[bisect_right(cuts, x)]
+        # the shared pass is one argument, so the call takes the fast path
+        d, g = form(_FLOAT_MATH, x, shared) if shared else form(_FLOAT_MATH, x)
         if not 0.0 < g < inf:
             return -inf
         return log_lam_norm - lam * d + log(g)

@@ -12,16 +12,17 @@ automates that reading.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
 from scipy.special import betaln
 
-from .distributions import TWO_PI, wrap_angle
+from .distributions import TWO_PI, Family, wrap_angle
 from .divergence import BaseModel, DistanceProfile, inverse_distance
 from .pc_priors import PcPrior, _pc_density, _pc_log_density_fn, pc_pdf
-from .special import _TINY, _checked, _evaluate, _log_i0, _piecewise, _piecewise_table
+from .special import _FLOAT_MATH, _TINY, _checked, _evaluate, _log_i0, _piecewise
 
 __all__ = [
     "GammaOneB",
@@ -101,9 +102,10 @@ _H3 = (
     (2.0 ** 341,),
     (lambda ns, x: x / ns.power(1.0 + x * x, 1.5), lambda ns, x: _h3_log_tail(x) / x),
 )
-# from here up distance_scale_pdf divides in log kappa on the point mass:
-# |d'| is formed from a subnormal k r'(k) / k, and the heavy tails'
-# densities are subnormal; both tails hold from here
+# from here up distance_scale_pdf divides in log kappa on both von Mises
+# pairs: the point mass's |d'| is formed from a subnormal k r'(k) / k, and
+# the heavy tails' densities fall into the subnormals, where the uniform
+# base's |d'| ~ 1/(4 d kappa) stays normal; both tails hold from here
 _LOG_KAPPA_FROM = 2.0 ** 511
 
 
@@ -270,12 +272,15 @@ def _log_density_fn(prior) -> Callable:
     """
     if isinstance(prior, PcPrior):
         return _pc_log_density_fn(prior)
-    pdf = _piecewise_table(*prior._table()) if isinstance(prior, _Tabled) else prior.pdf
-    log = math.log
+    log, inf = math.log, math.inf
+    # x is a Python float: place it among the table's cuts here, and run
+    # its form with float arithmetic; a density without a table is one form
+    pdf = prior.pdf
+    cuts, forms = prior._table() if isinstance(prior, _Tabled) else ((), (lambda ns, x: pdf(x),))
 
     def log_density(x, shared=()):
-        v = pdf(x)
-        return log(v) if v > 0.0 else -math.inf
+        v = forms[bisect_right(cuts, x)](_FLOAT_MATH, x)
+        return log(v) if v > 0.0 else -inf
 
     return log_density
 
@@ -297,12 +302,15 @@ def distance_scale_pdf(prior, profile: DistanceProfile, d):
     Evaluates pi(xi(d)) / |d'(xi(d))| with xi(d) from inverse_distance
     and the analytic derivative of the profile's distance map. A PC
     prior on the same pair is exactly lambda e^(-lambda d) / Z there.
-    From kappa = 2^511 up the point-mass profile's |d'| loses precision,
-    and past kappa ~ 1.6e161 it underflows to 0; there the quotient is
-    taken in log kappa, the coordinate its inverse solves in: kappa
-    pi(kappa) over kappa |d'|. The heavy tails give kappa pi(kappa)
-    from a form that stays normal; any other prior gives pi(kappa)
-    times kappa.
+    From kappa = 2^511 up, on both von Mises pairs, the quotient is
+    taken in log kappa, the coordinate their inverses solve in: kappa
+    pi(kappa) over kappa |d'|. There the point-mass profile's |d'| loses
+    precision (past kappa ~ 1.6e161 it underflows to 0), and the heavy
+    tails' densities fall into the subnormals (at d ~ 13.5 on the
+    uniform base). The heavy tails give kappa pi(kappa) from a form that
+    stays normal; any other prior gives pi(kappa) times kappa. kappa
+    |d'| is the point-mass kernel's slope in log kappa, and kappa times
+    |d'| on the uniform base, whose |d'| stays normal.
     """
     xi = inverse_distance(profile, d)  # checks d, and raises where no parameter has it
     if isinstance(prior, PcPrior) and prior.profile is profile:
@@ -311,13 +319,15 @@ def distance_scale_pdf(prior, profile: DistanceProfile, d):
         density = _param_density(prior)(xi)
         slope = profile.dist_deriv(xi)[1]
         far = xi >= _LOG_KAPPA_FROM
-        if profile.base is BaseModel.POINT_MASS and np.any(far):
+        if profile.family is Family.VON_MISES and np.any(far):
             tail = getattr(prior, "_log_tail", None)
             # the floor keeps a tail form off the elements it does not hold for
             k_density = density * xi if tail is None else tail(np.maximum(xi, _LOG_KAPPA_FROM))
             density = np.where(far, k_density, density)
             # the point-mass kernel's log_slope flag gives kappa |d'|
-            slope = np.where(far, profile.dist_deriv(xi, (None, None, True))[1], slope)
+            k_slope = (profile.dist_deriv(xi, (None, True))[1]
+                       if profile.base is BaseModel.POINT_MASS else xi * slope)
+            slope = np.where(far, k_slope, slope)
         out = density / slope
     return float(out) if isinstance(xi, float) else out
 

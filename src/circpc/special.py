@@ -11,6 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 from scipy import special as _sp
+from scipy.special import cython_special as _cs
 
 __all__ = ["bessel_i", "log_bessel_i0", "bessel_ratio", "bessel_ratio_deriv"]
 
@@ -57,11 +58,23 @@ def _float_of(ufunc):
 # float arithmetic with numpy's bits. sqrt is correctly rounded in both
 # libraries, so math's is taken; numpy's log, exp, log1p, expm1 and power
 # can differ from libm's in the last bit (math.log at 61 of 20 000 uniform
-# points), so each stays one numpy call, converted to a float once.
+# points), so each stays one numpy call, converted to a float once. i0e and
+# i1e come from scipy's cython_special: the cephes code of the ufuncs, called
+# on a double, returning a Python float with the ufuncs' bits.
 _FLOAT_MATH = SimpleNamespace(
     sqrt=math.sqrt,
     power=lambda x, y: float(np.power(x, y)),
+    i0e=_cs.i0e,
+    i1e=_cs.i1e,
     **{name: _float_of(getattr(np, name)) for name in ("log", "exp", "log1p", "expm1")},
+)
+
+# The namespace of an array, a numpy scalar or a 0-d array: numpy's ufuncs,
+# and scipy's i0e and i1e, under the names of _FLOAT_MATH
+_ARRAY_MATH = SimpleNamespace(
+    i0e=_sp.i0e,
+    i1e=_sp.i1e,
+    **{name: getattr(np, name) for name in ("sqrt", "power", "log", "exp", "log1p", "expm1")},
 )
 
 
@@ -76,18 +89,18 @@ def _piecewise(x, cuts, forms, *args):
     a tuple of values (a distance and its slope, say); a constant it
     returns stands for that value at every element, broadcast to x's
     shape. ``ns`` is the namespace the form takes its functions from
-    (``ns.sqrt``, ``ns.log``, ...), so each formula is written once for
-    every caller. This is the one place where a scalar call and an
-    array call part ways:
+    (``ns.sqrt``, ``ns.log``, ``ns.i0e``, ...), so each formula is
+    written once for every caller. This is the one place where a scalar
+    call and an array call part ways:
 
     - a scalar is placed among the cuts by a bisection in Python and
       runs only the form that holds it; a Python float gets
       ``_FLOAT_MATH`` and so float arithmetic, a numpy scalar or 0-d
-      array gets numpy;
+      array gets ``_ARRAY_MATH``, numpy's ufuncs;
     - an array is placed by one ``searchsorted`` pass; each form runs
-      once, with numpy, on the elements of its own interval gathered
-      into a 1-d array, and its values are scattered back into arrays
-      of x's shape. An array inside one interval runs its form on x
+      once, with ``_ARRAY_MATH``, on the elements of its own interval
+      gathered into a 1-d array, and its values are scattered back into
+      arrays of x's shape. An array inside one interval runs its form on x
       itself.
 
     ``args`` of x's shape are gathered with x; any other argument is
@@ -106,34 +119,41 @@ def _piecewise_table(cuts, forms):
     with the forms' extra arguments given as one tuple.
 
     The function is the selector itself and takes no ``*args``, so a
-    scalar call on a fixed table, such as the sampler's, costs one plain
-    Python call on the way to its form.
+    scalar call on a fixed table costs one plain Python call on the way
+    to its form. It carries its ``cuts`` and ``forms``, so a caller that
+    only ever passes Python floats, such as the sampler's log prior, can
+    place its argument and run the form itself.
     """
 
     def table(x, args=()):
         if type(x) is float:
             form, ns = forms[bisect_right(cuts, x)], _FLOAT_MATH
         elif not (isinstance(x, np.ndarray) and x.ndim):
-            form, ns = forms[bisect_right(cuts, x)], np
+            form, ns = forms[bisect_right(cuts, x)], _ARRAY_MATH
         else:
             return _gathered(x, cuts, forms, args)
         # a call without * unpacking takes the interpreter's fast path
         return form(ns, x, *args) if args else form(ns, x)
 
+    table.cuts, table.forms = cuts, forms
     return table
 
 
 def _gathered(x, cuts, forms, args):
     """_piecewise on an array x of at least one dimension."""
+    if not cuts:
+        # one form over the whole line: nothing to place
+        return _filled(forms[0](_ARRAY_MATH, x, *args), x.shape)
     where = np.searchsorted(cuts, x, side="right")
     present = np.flatnonzero(np.bincount(where.ravel(), minlength=len(forms)))
     if len(present) <= 1:
         i = present[0] if len(present) else 0
-        return _filled(forms[i](np, x, *args), x.shape)
+        return _filled(forms[i](_ARRAY_MATH, x, *args), x.shape)
     out = None
     for i in present:
         sel = where == i
-        vals = forms[i](np, x[sel], *(a[sel] if np.shape(a) == x.shape else a for a in args))
+        parts = (a[sel] if np.shape(a) == x.shape else a for a in args)
+        vals = forms[i](_ARRAY_MATH, x[sel], *parts)
         many = isinstance(vals, tuple)
         if out is None:
             out = [np.empty(x.shape) for _ in (vals if many else (vals,))]
@@ -158,40 +178,15 @@ def _filled(vals, shape):
 _TINY = 5e-324
 
 
-def _bessel_i01e(x, i0=None):
-    """exp(-x) I0(x) and exp(-x) I1(x), each evaluated once.
-
-    The distance kernels reach scipy's i0e and i1e only through here, so
-    a kernel that needs both from one argument pays for each once; a
-    caller that already holds exp(-x) I0(x) passes it as ``i0``. A
-    float argument gives Python floats (scipy returns numpy scalars),
-    so the scalar forms that use them run float arithmetic.
-    """
-    if isinstance(x, float):
-        return float(_sp.i0e(x)) if i0 is None else i0, float(_sp.i1e(x))
-    return _sp.i0e(x) if i0 is None else i0, _sp.i1e(x)
+def _ratio_form(ns, x):
+    # r = I1/I0 from the scaled functions, which never overflow
+    return ns.i1e(x) / ns.i0e(x)
 
 
-def _bessel_i0e_log(x):
-    """exp(-x) I0(x) and its log, as floats, for a float x.
+_ratio = _piecewise_table((), (_ratio_form,))
 
-    log I0(x) is their second value plus x. A von Mises concentration
-    step makes this pass once and shares it between its likelihood and
-    a distance kernel of the same x, so i0e and the log run once.
-    """
-    i0 = float(_sp.i0e(x))
-    return i0, float(np.log(i0))
-
-
-def _log_i0(x):
-    """log I0(x); a float argument gives a Python float."""
-    log_i0e = np.log(_sp.i0e(x))
-    return (float(log_i0e) if isinstance(x, float) else log_i0e) + x
-
-
-def _ratio(arr, i0=None):
-    i0, i1 = _bessel_i01e(arr, i0)
-    return i1 / i0
+# log I0(x) = log(exp(-x) I0(x)) + x, without overflow
+_log_i0 = _piecewise_table((), (lambda ns, x: ns.log(ns.i0e(x)) + x,))
 
 
 def _one_minus_ratio_tail(x):
@@ -201,7 +196,7 @@ def _one_minus_ratio_tail(x):
 
 _one_minus_ratio = _piecewise_table(
     (_RATIO_TAIL_SWITCH,),
-    (lambda ns, x: 1.0 - _ratio(x), lambda ns, x: _one_minus_ratio_tail(x)),
+    (lambda ns, x: 1.0 - _ratio_form(ns, x), lambda ns, x: _one_minus_ratio_tail(x)),
 )
 
 
@@ -211,8 +206,10 @@ def _ratio_deriv_tail_x2(x):
     return 0.5 + inv * (0.25 + inv * (0.375 + inv * (25.0 / 32.0)))
 
 
-def _ratio_deriv_head(x, r):
-    """r'(x) = u(2 - u) - r/x with u = 1 - r, for 0 < x < _RATIO_TAIL_SWITCH, given r = r(x)."""
+def _ratio_deriv_head(ns, x):
+    # r'(x) = u(2 - u) - r/x with u = 1 - r, for 0 < x < _RATIO_TAIL_SWITCH;
+    # the von Mises distance forms write it out on the r they hold
+    r = _ratio_form(ns, x)
     u = 1.0 - r
     return u * (2.0 - u) - r / x
 
@@ -225,11 +222,7 @@ def _ratio_deriv_tail(x):
 # r'(0) = 1/2 is the analytic limit
 _ratio_deriv = _piecewise_table(
     (_TINY, _RATIO_TAIL_SWITCH),
-    (
-        lambda ns, x: 0.5,
-        lambda ns, x: _ratio_deriv_head(x, _ratio(x)),
-        lambda ns, x: _ratio_deriv_tail(x),
-    ),
+    (lambda ns, x: 0.5, _ratio_deriv_head, lambda ns, x: _ratio_deriv_tail(x)),
 )
 
 

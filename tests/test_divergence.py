@@ -589,12 +589,13 @@ class _NoBessel:
 
     def __getattr__(self, name):
         if name in ("i0e", "i1e"):
-            raise AssertionError(f"scipy.special.{name} reached outside special._bessel_i01e")
+            raise AssertionError(f"scipy.special.{name} reached outside the namespaces' i0e and i1e")
         return getattr(scipy_special, name)
 
 
 class TestBesselPasses:
-    """Each element evaluates i0e and i1e once, in the one form that holds it."""
+    """Each element evaluates i0e and i1e once each, in the one form that
+    holds it, through the namespace's i0e and i1e."""
 
     # every interval of vm/uniform (linear, series, direct with the direct
     # r', direct with the tail r', asymptotic) and vm/pointmass (0, direct, tail)
@@ -604,14 +605,18 @@ class TestBesselPasses:
 
     @pytest.fixture
     def seen(self, monkeypatch):
-        seen = []
+        # the arguments of every i0e and every i1e call, float or array
+        seen = {"i0e": [], "i1e": []}
 
-        def counted(x, i0=None):
-            seen.append(np.array(x, dtype=float).ravel())
-            return scipy_special.i0e(x) if i0 is None else i0, scipy_special.i1e(x)
+        def counted(name, fn):
+            def call(x):
+                seen[name].append(np.array(x, dtype=float).ravel())
+                return fn(x)
+            return call
 
-        for mod in (special, divergence):
-            monkeypatch.setattr(mod, "_bessel_i01e", counted)
+        for ns in (special._FLOAT_MATH, special._ARRAY_MATH):
+            for name in seen:
+                monkeypatch.setattr(ns, name, counted(name, getattr(ns, name)))
         monkeypatch.setattr(special, "_sp", _NoBessel())
         return seen
 
@@ -621,8 +626,13 @@ class TestBesselPasses:
         return np.sort(params[(params >= lo) & (params < hi)])
 
     @staticmethod
-    def evaluated(seen):
-        return np.sort(np.concatenate(seen)) if seen else np.empty(0)
+    def evaluated(calls):
+        return np.sort(np.concatenate(calls)) if calls else np.empty(0)
+
+    def assert_once_each(self, seen, want):
+        for name, calls in seen.items():
+            assert np.array_equal(self.evaluated(calls), want), name
+            calls.clear()
 
     @pytest.mark.parametrize("profile", (VM_UNI, VM_PM), ids=("vm-uniform", "vm-pointmass"))
     def test_distance_deriv_and_pc_pdf(self, profile, seen):
@@ -630,13 +640,11 @@ class TestBesselPasses:
         assert want.size >= 6
         prior = PcPrior(profile.family, profile.base, 1.3)
         for call in (lambda x: distance_deriv(profile, x), lambda x: pc_pdf(prior, x)):
-            seen.clear()
             call(self.GRID)
-            assert np.array_equal(self.evaluated(seen), want)
-            seen.clear()
+            self.assert_once_each(seen, want)
             for x in self.GRID:
                 call(float(x))
-            assert np.array_equal(self.evaluated(seen), want)
+            self.assert_once_each(seen, want)
 
     @pytest.mark.parametrize("profile", (VM_UNI, VM_PM), ids=("vm-uniform", "vm-pointmass"))
     def test_one_newton_step(self, profile, seen, monkeypatch):
@@ -653,8 +661,9 @@ class TestBesselPasses:
         monkeypatch.setattr(divergence, "_NEWTON_MAX_STEPS", 1)
         params = self.GRID[self.GRID > 0.0] if profile is VM_PM else self.GRID
         ds = distance(profile, params)
-        seen.clear()
+        for calls in seen.values():
+            calls.clear()
         inverse_distance(profile, ds)
         want = self.expected(profile, np.concatenate(starts))
         assert want.size >= 4
-        assert np.array_equal(self.evaluated(seen), want)
+        self.assert_once_each(seen, want)

@@ -1,13 +1,14 @@
 import hashlib
 import math
 import struct
+import sys
 
 import numpy as np
 import pytest
 
 from scipy import special as scipy_special
 
-from circpc import inference
+from circpc import inference, special
 from circpc.distributions import (
     FAMILIES,
     TWO_PI,
@@ -577,18 +578,22 @@ class TestConcentrationStep:
         assert visited >= 20
 
     def test_von_mises_shares_one_bessel_pass(self, monkeypatch):
-        # i0e once, and i1e once where the prior's form needs it, per proposal
+        # i0e once, and i1e once where the prior's form needs it, per
+        # proposal, through the float namespace and never scipy's ufuncs
         calls = []
 
-        class Counted:
-            def __getattr__(self, name):
-                fn = getattr(scipy_special, name)
-                if name not in ("i0e", "i1e"):
-                    return fn
-                return lambda x: calls.append(name) or fn(x)
+        def counted(name, fn):
+            return lambda x: calls.append(name) or fn(x)
 
-        from circpc import special
-        monkeypatch.setattr(special, "_sp", Counted())
+        class NoUfuncs:
+            def __getattr__(self, name):
+                if name in ("i0e", "i1e"):
+                    raise AssertionError(f"scipy.special.{name} reached by a proposal")
+                return getattr(scipy_special, name)
+
+        for name in ("i0e", "i1e"):
+            monkeypatch.setattr(special._FLOAT_MATH, name, counted(name, getattr(special._FLOAT_MATH, name)))
+        monkeypatch.setattr(special, "_sp", NoUfuncs())
         lik = FAMILIES[Family.VON_MISES].loglik(DATA3.angles)
         m = lik.mu_term(1.0)
         for prior, want in ((PcPrior("vm", "uniform", 0.9), ["i0e", "i1e"]),
@@ -598,3 +603,49 @@ class TestConcentrationStep:
             calls.clear()
             step(math.log(2.0), m)
             assert calls == want, prior
+
+
+# the Python-level calls one concentration proposal makes, by family and
+# prior, at a point in the middle of the support: step, the likelihood's
+# conc_step (with combine, and for the logit families the map back and
+# the concentration term), the prior's log density and its form, and the
+# float namespace's numpy wrappers
+STEP_CALLS = {
+    "vm+pc-uniform": (Family.VON_MISES, PcPrior("vm", "uniform", 0.9), 5),
+    "vm+pc-pointmass": (Family.VON_MISES, PcPrior("vm", "pointmass", 0.3), 5),
+    "vm+gamma": (Family.VON_MISES, GammaOneB(1.0), 6),
+    "cardioid+pc": (Family.CARDIOID, PcPrior("cardioid", "uniform", 2.0), 10),
+    "wc+beta": (Family.WRAPPED_CAUCHY, Beta(2.0, 2.0), 11),
+}
+
+
+class TestProposalCallCount:
+    """A proposal costs its arithmetic, not call layers: the number of
+    Python frames one step opens is pinned, so layering cannot creep
+    back unseen. Counted with sys.setprofile, so it does not depend on
+    timing."""
+
+    @pytest.mark.parametrize("case", sorted(STEP_CALLS))
+    def test_python_calls_per_proposal(self, case):
+        family, prior, want = STEP_CALLS[case]
+        kern = FAMILIES[family]
+        lik = kern.loglik(DATA3.angles)
+        step = inference._concentration_step(lik, _log_density_fn(prior), kern.support)
+        m = lik.mu_term(1.0)
+        # kappa = 2, ell = 0.25, rho = 0.5: inside every support, and a
+        # direct form of each distance kernel
+        theta = math.log(2.0) if family is Family.VON_MISES else 0.0
+        frames = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                frames.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            out = step(theta, m)
+        finally:
+            sys.setprofile(None)
+        assert out is not None and math.isfinite(out[3])
+        assert frames[0] == "step"
+        assert len(frames) == want, frames

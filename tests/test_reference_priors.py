@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
 from circpc.distributions import TWO_PI, Family
-from circpc.divergence import BaseModel, profile_for
-from circpc.pc_priors import PcPrior
+from circpc.divergence import BaseModel, distance_deriv, inverse_distance, profile_for
+from circpc.pc_priors import PcPrior, pc_pdf
 from circpc.reference_priors import (
     Beta,
     CircularUniformLocation,
@@ -150,6 +150,32 @@ class TestDistanceScale:
         # below kappa = 2^511 the quotient keeps its bits
         assert distance_scale_pdf(H2(), VM_PM, 1e-50) == 2.546479089470314e-50
         assert distance_scale_pdf(H3(), VM_PM, 1e-50) == 3.999999999999982e-50
+
+    def test_uniform_base_far_end(self):
+        # on the uniform base H2 and H3 far out are (8/pi) d / kappa and
+        # 4 d / kappa, with log kappa = 2 d^2 + 1 - log(2 pi) + O(1/kappa):
+        # their densities fall into the subnormals by d = 13.5 (kappa ~
+        # 1e158) and to 0 from d ~ 13.6, while |d'| ~ 1/(4 d kappa) stays
+        # normal, so from kappa = 2^511 the quotient is taken in log kappa
+        ds = np.array([12.0, 13.0, 13.5, 14.0, 16.0])
+        kappa = np.exp(2.0 * ds * ds + 1.0 - math.log(TWO_PI))
+        for prior, slope in ((H2(), 8.0 / math.pi), (H3(), 4.0)):
+            got = distance_scale_pdf(prior, VM_UNI, ds)
+            assert got == pytest.approx(slope * ds / kappa, rel=1e-12, abs=0.0), prior
+            assert [distance_scale_pdf(prior, VM_UNI, d) for d in ds] == got.tolist(), prior
+        assert np.all(distance_scale_pdf(GammaOneB(1.0), VM_UNI, ds) == 0.0)
+
+    def test_uniform_base_keeps_its_bits_below_the_far_end(self):
+        # up to d = 13 (kappa below 2^511) the push-forward is the plain
+        # quotient pi(kappa) / |d'(kappa)|, bit for bit
+        ds = np.concatenate([np.linspace(1e-3, 13.0, 400), [13.0]])
+        xi = inverse_distance(VM_UNI, ds)
+        assert xi.max() < 2.0 ** 511
+        for prior in (H2(), H3(), GammaOneB(1.0), PcPrior("vm", "pointmass", 0.4)):
+            want = ref_pdf(prior, xi) if not isinstance(prior, PcPrior) else pc_pdf(prior, xi)
+            want = want / distance_deriv(VM_UNI, xi)
+            got = distance_scale_pdf(prior, VM_UNI, ds)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), prior
 
     def test_two_dimensional_grid(self):
         # a grid of any shape gives densities of that shape, equal to the

@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 from scipy import special as _sp
 
 from circpc.special import (
+    _ARRAY_MATH,
     _FLOAT_MATH,
     _RATIO_TAIL_SWITCH,
-    _bessel_i01e,
     _log_i0,
+    _ratio,
     _one_minus_ratio,
     _piecewise,
     _ratio_deriv,
@@ -230,17 +231,19 @@ class TestScalarKernelTypes:
         # the sampler's scalar forms then run float, not numpy-scalar,
         # arithmetic; the values are scipy's bits
         for x in (0.0, 1e-300, 0.7, 1e3, 1e300):
-            i0, i1 = _bessel_i01e(x)
+            i0, i1 = _FLOAT_MATH.i0e(x), _FLOAT_MATH.i1e(x)
             assert type(i0) is float and type(i1) is float
             assert (i0, i1) == (float(_sp.i0e(x)), float(_sp.i1e(x)))
-            assert type(_log_i0(x)) is float
+            for kernel in (_log_i0, _ratio):
+                assert type(kernel(x)) is float
             assert _log_i0(x) == float(np.log(_sp.i0e(x))) + x
+            assert _ratio(x) == float(_sp.i1e(x)) / float(_sp.i0e(x))
 
     def test_array_argument_gives_arrays(self):
         x = np.array([0.0, 0.7, 1e300])
-        i0, i1 = _bessel_i01e(x)
-        assert isinstance(i0, np.ndarray) and isinstance(i1, np.ndarray)
-        assert np.array_equal(_log_i0(x), [_log_i0(float(v)) for v in x])
+        for kernel in (_log_i0, _ratio):
+            assert isinstance(kernel(x), np.ndarray)
+            assert np.array_equal(kernel(x), [kernel(float(v)) for v in x])
 
 
 class TestPiecewiseGathered:
@@ -250,10 +253,10 @@ class TestPiecewiseGathered:
 
     def table(self, seen):
         # form i returns (x + i, arg * 2) and records what it was given;
-        # an array call hands every form numpy
+        # an array call hands every form numpy's ufuncs
         def form(i):
             def f(ns, x, a, c):
-                assert ns is np or not np.ndim(x)
+                assert ns is _ARRAY_MATH or not np.ndim(x)
                 seen.append((i, np.array(x, copy=True), np.array(a, copy=True)))
                 return x + i + c, a * 2.0
             return f
@@ -306,11 +309,11 @@ class TestPiecewiseGathered:
 
     def test_namespace_follows_the_argument_type(self):
         # a Python float gets float arithmetic; a numpy scalar, a 0-d array
-        # and an array keep numpy
+        # and an array keep numpy's ufuncs
         forms = (lambda ns, x: ns,)
         assert _piecewise(2.0, (), forms) is _FLOAT_MATH
         for x in (np.float64(2.0), np.array(2.0)):
-            assert _piecewise(x, (), forms) is np
+            assert _piecewise(x, (), forms) is _ARRAY_MATH
 
 
 class TestFloatMath:
@@ -329,3 +332,35 @@ class TestFloatMath:
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
         got = np.array([_FLOAT_MATH.power(float(x), 1.5) for x in xs[:2000]])
         assert np.array_equal(got.view(np.int64), np.power(xs[:2000], 1.5).view(np.int64))
+
+    def test_both_namespaces_name_the_same_functions(self):
+        assert sorted(vars(_FLOAT_MATH)) == sorted(vars(_ARRAY_MATH))
+        for name, fn in vars(_ARRAY_MATH).items():
+            assert fn is (getattr(_sp, name) if name in ("i0e", "i1e") else getattr(np, name))
+
+
+def _bessel_grid():
+    """0, subnormals, log-uniform points from 1e-300 to 1e300, and the
+    cephes switch at x = 8 with its float neighbours."""
+    rng = np.random.default_rng(13)
+    tiny = [5e-324, 1e-320, 2.0 ** -1060, float(np.nextafter(2.0 ** -1022, 0.0)), 2.0 ** -1022]
+    switch = [8.0]
+    for _ in range(4):
+        switch = [float(np.nextafter(switch[0], 0.0))] + switch + [float(np.nextafter(switch[-1], np.inf))]
+    spread = np.exp(rng.uniform(math.log(1e-300), math.log(1e300), 20000))
+    return np.concatenate([[0.0], tiny, spread, switch, rng.uniform(7.0, 9.0, 2000)])
+
+
+class TestCythonBessel:
+    """The float namespace's i0e and i1e, from scipy.special.cython_special,
+    run the ufuncs' cephes code: the same bits as the ufuncs, as Python
+    floats."""
+
+    @pytest.mark.parametrize("name", ("i0e", "i1e"))
+    def test_bits_equal_the_ufuncs(self, name):
+        grid = _bessel_grid()
+        fn = getattr(_FLOAT_MATH, name)
+        got = np.array([fn(float(x)) for x in grid])
+        want = getattr(_sp, name)(grid)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert all(type(fn(float(x))) is float for x in grid[:10])
