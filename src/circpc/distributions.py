@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 from scipy.special import expit
 
-from .special import _FLOAT_MATH, _checked, _evaluate, _log_i0
+from .special import _FLOAT_MATH, _checked, _count, _evaluate, _log_i0
 
 __all__ = [
     "TWO_PI",
@@ -414,9 +414,7 @@ def sample(spec, n, seed):
     draw, the cardioid inverts its closed-form CDF by bisection, and
     the circular uniform scales a unit uniform.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    n = _count(n)
     rng = np.random.default_rng(seed)
     draw = FAMILIES[spec.family].draw if spec.concentration != 0.0 else _sample_uniform
     angles = draw(rng, spec.mu, spec.concentration, n)

@@ -223,8 +223,11 @@ def _ell_max(ns, d):
 
 
 def _unattainable(ns, d):
-    # an inverse's form for the distances that no parameter reaches
-    raise ValueError("distance not attained by any floating-point parameter")
+    # an inverse's form for the distances that no parameter reaches; an
+    # empty array, which special._gathered runs on form 0, holds none
+    if np.size(d):
+        raise ValueError("distance not attained by any floating-point parameter")
+    return d
 
 
 # log1p(s) - s + s^2/2 = sum_{j>=3} (-1)^(j+1) s^j / j; Horner coefficients
@@ -295,7 +298,9 @@ class _Search:
     the targets beyond the table. At import, g is evaluated once on
     _TABLE_T; a target inside the table's values starts from the
     cubic-Hermite inverse on its interval, from the values and slopes at
-    both ends, and keeps the interval's two nodes as its bracket.
+    both ends, and keeps the interval's two nodes as its bracket. The
+    table keeps one row per interval, (v_j, 1/h_j, c1, c2, c3, t_j,
+    t_j+1), so a start reads its interval with one gather.
     """
 
     def __init__(self, kernel, coordinate, direction, series):
@@ -311,8 +316,10 @@ class _Search:
         # slopes are 1/s_j and 1/s_j+1
         h = np.diff(v)
         m0, m1, span = h / s[:-1], h / s[1:], np.diff(_TABLE_T)
-        self._inv_h = 1.0 / h
-        self._coefs = (m0, 3.0 * span - 2.0 * m0 - m1, m0 + m1 - 2.0 * span)
+        self._rows = np.column_stack((
+            v[:-1], 1.0 / h, m0, 3.0 * span - 2.0 * m0 - m1, m0 + m1 - 2.0 * span,
+            _TABLE_T[:-1], _TABLE_T[1:],
+        ))
         # each element's start and bracket (t, lo, hi), from its own target alone
         self.start = _piecewise_table((v[0], v[-1]), (self._beyond, self._inside, self._beyond))
 
@@ -330,9 +337,9 @@ class _Search:
 
     def _inside(self, ns, target):
         j = np.searchsorted(self.values, target, side="right") - 1
-        u = (target - self.values[j]) * self._inv_h[j]
-        c1, c2, c3 = (c[j] for c in self._coefs)
-        return _TABLE_T[j] + u * (c1 + u * (c2 + u * c3)), _TABLE_T[j], _TABLE_T[j + 1]
+        v, inv_h, c1, c2, c3, t0, t1 = self._rows.take(j, axis=0).T
+        u = (target - v) * inv_h
+        return t0 + u * (c1 + u * (c2 + u * c3)), t0, t1
 
 
 def _solve_increasing(search, target):
@@ -344,12 +351,18 @@ def _solve_increasing(search, target):
     not halve the step before it, becomes a bisection. Each element
     stops on its own, so its bits do not depend on the rest of the
     array, and long inputs are solved in blocks: that keeps the
-    temporaries of the branch-free kernels cache-sized.
+    temporaries of the branch-free kernels cache-sized. Each block is
+    solved in the order of its sorted targets and its roots scattered
+    back: the order changes no bit, and with monotone keys the table
+    lookup, the kernels' cut placement and the Bessel functions' own
+    branches run predictably.
     """
     out = np.empty_like(target)
     for s in range(0, target.size, _NEWTON_BLOCK):
-        block = slice(s, s + _NEWTON_BLOCK)
-        out[block] = _solve_block(search.g, target[block], *search.start(target[block]))
+        block = target[s : s + _NEWTON_BLOCK]
+        order = np.argsort(block)
+        keys = block[order]
+        out[s : s + _NEWTON_BLOCK][order] = _solve_block(search.g, keys, *search.start(keys))
     return out
 
 

@@ -40,7 +40,7 @@ from .divergence import (
     inverse_distance,
     profile_for,
 )
-from .special import _FLOAT_MATH, _TINY, _checked, _evaluate, _piecewise
+from .special import _FLOAT_MATH, _TINY, _checked, _count, _evaluate, _piecewise
 
 # the calibrations' first bracket for lambda, and the factor that widens it
 _BRACKET = (1.0e-8, 1.0e6)
@@ -328,9 +328,7 @@ def pc_sample(prior: PcPrior, n, seed):
     are below 1e-8.
     """
     _require_normalized(prior, "sampling")
-    n = int(n)
-    if n <= 0:
-        raise ValueError("n must be a positive integer")
+    n = _count(n)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     u = rng.random(n)
     d = _quantile_distance(prior, u)

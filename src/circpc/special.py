@@ -45,6 +45,14 @@ def _checked(x, lo=0.0, hi=math.inf, what="argument"):
     return v
 
 
+def _count(n):
+    """A positive count ``n`` as an int. A bool or a value with a
+    fraction raises rather than being truncated."""
+    if isinstance(n, (bool, np.bool_)) or int(n) != n or n < 1:
+        raise ValueError("n must be a positive integer")
+    return int(n)
+
+
 def _float_of(ufunc):
     """``ufunc`` of one Python float as a Python float: numpy's bits, one conversion."""
 
@@ -108,7 +116,8 @@ def _piecewise(x, cuts, forms, *args):
     so it must be finite, and raise nothing, there and nowhere else;
     every element gets the bits of its scalar call. The exception is a
     form that stands for an interval without values, such as the
-    distances no parameter reaches: it raises, for any element there.
+    distances no parameter reaches: it raises, for any element there,
+    and returns on an empty array, which runs the first form.
     A table without cuts is one form over the whole line.
     """
     return _piecewise_table(cuts, forms)(x, args)

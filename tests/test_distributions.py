@@ -226,6 +226,14 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample(DistributionSpec(Family.UNIFORM), 0, seed=0)
 
+    def test_non_integer_n_rejected(self):
+        # a fraction or a bool is not truncated to a count
+        spec = DistributionSpec(Family.VON_MISES, 1.0, 2.0)
+        for bad in (2.5, True, np.float64(0.5)):
+            with pytest.raises(ValueError, match="positive integer"):
+                sample(spec, bad, seed=0)
+        assert len(sample(spec, np.int64(3), seed=0).angles) == 3
+
 
 class TestDataset:
     def test_wraps_negative_angles(self):

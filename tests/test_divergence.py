@@ -541,6 +541,32 @@ class TestInverseDistance:
         assert got.shape == arr.shape
         assert np.array_equal(_bits(alone), _bits(got.ravel()))
 
+    @pytest.mark.parametrize("profile", ALL_PROFILES, ids=lambda p: f"{p.family.value}-{p.base.value}")
+    def test_target_order_changes_no_bit(self, profile):
+        # each block is solved in the order of its sorted targets, so no
+        # order of the input may move a bit: three full blocks and a part,
+        # from distances at every kernel cut, both ends of the start table,
+        # the series beyond them and 1e-300
+        cuts = profile.dist(np.array(kernel_grid(profile)))
+        pool = np.union1d(inverse_targets(profile), np.append(cuts, 1e-300))
+        if profile in SEARCHES:
+            ends = np.abs(SEARCHES[profile].values[[0, -1]])
+            assert np.all(np.isin(ends, pool)) and pool.min() < ends.min() and pool.max() > ends.max()
+        rng = np.random.default_rng(14)
+        n = 3 * divergence._NEWTON_BLOCK + 17
+        d = rng.permutation(np.concatenate([pool, rng.choice(pool, n - pool.size)]))
+        want = inverse_distance(profile, d).view(np.int64)
+        for perm in (rng.permutation(n), np.arange(n)[::-1]):
+            assert np.array_equal(inverse_distance(profile, d[perm]).view(np.int64), want[perm])
+
+    @pytest.mark.parametrize("profile", ALL_PROFILES, ids=lambda p: f"{p.family.value}-{p.base.value}")
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    def test_empty_input(self, profile, shape):
+        # no element reaches a form, not even the one for distances no
+        # parameter has
+        got = inverse_distance(profile, np.empty(shape))
+        assert got.shape == shape
+
     @pytest.mark.parametrize("profile", SEARCHED, ids=lambda p: f"{p.family.value}-{p.base.value}")
     def test_start_tables_increase(self, profile):
         search = SEARCHES[profile]

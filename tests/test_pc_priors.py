@@ -246,6 +246,12 @@ class TestQuantile:
         with pytest.raises(ValueError, match="reachable"):
             pc_quantile(p, 1.0 - 1e-16)
 
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    def test_empty_levels(self, shape):
+        for pair in PAIRS:
+            p = PcPrior(pair[0], pair[1], 1.5)
+            assert pc_quantile(p, np.empty(shape)).shape == shape, pair
+
     def test_raw_paper_mode_has_no_quantile(self):
         p = PcPrior(Family.VON_MISES, BaseModel.POINT_MASS, 1.0, "paper")
         with pytest.raises(UnsupportedModeError):
@@ -285,6 +291,14 @@ class TestSample:
         p = PcPrior(Family.VON_MISES, BaseModel.UNIFORM, 0.05)
         draws = pc_sample(p, 2000, seed=3)
         assert np.all(np.isfinite(draws))
+
+    def test_non_integer_n_rejected(self):
+        # a fraction or a bool is not truncated to a count
+        p = PcPrior(Family.CARDIOID, BaseModel.UNIFORM, 1.0)
+        for bad in (2.5, True, np.float64(0.5), 0):
+            with pytest.raises(ValueError, match="positive integer"):
+                pc_sample(p, bad, seed=0)
+        assert pc_sample(p, np.int64(3), seed=0).size == 3
 
     def test_raw_paper_mode_has_no_sampler(self):
         p = PcPrior(Family.CARDIOID, BaseModel.CARDIOID_CURVE, 1.0, "paper")

@@ -187,6 +187,15 @@ class TestDistanceScale:
             assert got.shape == (2, 4), prof
             assert np.array_equal(got.ravel(), distance_scale_pdf(prior, prof, ds)), prof
 
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    def test_empty_grid(self, shape):
+        # an empty grid gives an empty density of its shape on every pair,
+        # for the pair's own PC prior and for another prior
+        for prof in (VM_UNI, VM_PM, CARD_UNI, CARD_CURVE, WC_UNI):
+            other = GammaOneB(1.0) if prof.family is Family.VON_MISES else Beta(2.0, 2.0)
+            for prior in (PcPrior(prof.family, prof.base, 1.3), other):
+                assert distance_scale_pdf(prior, prof, np.empty(shape)).shape == shape, (prof, prior)
+
     def test_rejects_out_of_range_distance(self):
         with pytest.raises(ValueError):
             distance_scale_pdf(Beta(2.0, 2.0), WC_UNI, -0.1)
