@@ -1,3 +1,4 @@
+import hashlib
 import io
 import logging
 import math
@@ -5,6 +6,7 @@ import os
 import pickle
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -259,6 +261,15 @@ class TestRunSimStudy:
         )
         with pytest.raises(ValueError):
             run_sim_study(cfg)
+
+    def test_desk_study_bits(self):
+        # the study's bits are pinned: a rewrite of the sampler or of a
+        # prior must keep the same floating-point operations in the same
+        # order (recorded with numpy 2.4 and scipy 1.17 on x86-64 Linux)
+        buf = io.StringIO()
+        run_sim_study(replace(desk_study_config(), replicates=2)).write_csv(buf)
+        digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+        assert digest == "29ce619ba0c5a0a8bf3f611fdd969b34b307df821dc5983eb68f4e340c698b99"
 
     def test_csv_format(self, tmp_path):
         result = run_sim_study(tiny_config())
