@@ -231,7 +231,7 @@ def _config_from_json(path):
         family=Family(raw["family"]),
         true_concentration_grid=tuple(raw["truths"]),
         sample_sizes=tuple(raw["sample_sizes"]),
-        replicates=int(raw["replicates"]),
+        replicates=raw["replicates"],
         prior_specs=priors,
         base_seed=int(raw.get("base_seed", 520)),
         mcmc=mcmc,

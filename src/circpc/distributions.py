@@ -34,10 +34,6 @@ TWO_PI = 2.0 * np.pi
 
 _LOG_TWO_PI = float(np.log(TWO_PI))
 
-# the concentration supports of the two bounded families
-_CARDIOID_SUPPORT = (0.0, 0.5)
-_WC_SUPPORT = (0.0, 1.0)
-
 
 class Family(str, Enum):
     UNIFORM = "uniform"
@@ -64,9 +60,9 @@ class FamilyKernel:
     ``FAMILIES`` holds one per family; every module reads these records
     instead of branching on the family. The concentration fields are
     None for the circular uniform, which has no concentration. The
-    sampler's unconstrained scale and start come from ``support`` alone
-    (``_unconstrained``), and ``loglik``'s ``conc_step`` moves on that
-    scale.
+    sampler's unconstrained scale, its map back, log-Jacobian and start
+    come from ``support`` alone (``_unconstrained``); ``loglik``'s pieces
+    take the concentration itself.
     """
 
     label: str                             # name used in messages
@@ -190,50 +186,29 @@ def _unconstrained(support):
 
 
 class LogLikelihood(NamedTuple):
-    """A family's log-likelihood, set up once per dataset and split for a
-    component-wise sampler.
+    """A family's log-likelihood, set up once per dataset and split into
+    three pure pieces for a component-wise sampler.
 
     ``mu_term(mu)`` is the part that depends on mu alone, and
-    ``combine(m, conc, c)`` the log-likelihood from it and c, the part
-    that depends on the concentration alone. ``conc_step(theta, m)`` is
-    the sampler's concentration move to theta, on the family's
-    unconstrained scale (``_unconstrained``), with the concentration
-    term and the map back composed once: None where the concentration
-    leaves the open support (or the map overflowed), and otherwise
-    ``(conc, loglik, c, shared)``, shared being the values a
-    concentration prior can take from it (the von Mises Bessel pass,
-    empty for the others). ``conc_step(None, m, conc)`` gives the same
-    at a concentration of the closed support, without the map: the
-    chain's start and ``log_posterior``. A sampler keeps the current
-    parts as chain state, so a mu step computes only ``mu_term``. Called
-    as ``(mu, conc)``, it evaluates the log-likelihood whole. Every
-    piece takes Python floats and returns floats, or arrays for a
+    ``conc_term(conc) -> (c, shared)`` the part that depends on the
+    concentration alone, at a concentration of the closed support;
+    shared holds the values a concentration prior can take from it (the
+    von Mises Bessel pass, empty for the others). ``combine(m, conc, c)``
+    is the log-likelihood from the two. A sampler keeps the current
+    terms as chain state, so a mu step computes only ``mu_term`` and a
+    concentration step only ``conc_term``; the map from the sampler's
+    scale is the support's (``_unconstrained``), not the likelihood's.
+    Called as ``(mu, conc)``, it evaluates the log-likelihood whole.
+    Every piece takes Python floats and returns floats, or arrays for a
     per-angle mu term.
     """
 
     mu_term: Callable
+    conc_term: Callable
     combine: Callable
-    conc_step: Callable
 
     def __call__(self, mu, conc):
-        return self.conc_step(None, self.mu_term(mu), conc)[1]
-
-
-def _composed_step(conc_term, combine, support):
-    """A family's ``conc_step`` from its ``conc_term(conc) -> (c, shared)``,
-    its ``combine`` and the map back from its support's unconstrained scale."""
-    to_conc = _unconstrained(support)[1]
-    lo, hi = support
-
-    def conc_step(theta, m, conc=None):
-        if conc is None:
-            conc = to_conc(theta)
-            if not lo < conc < hi:
-                return None
-        c, shared = conc_term(conc)
-        return conc, combine(m, conc, c), c, shared
-
-    return conc_step
+        return self.combine(self.mu_term(mu), conc, self.conc_term(conc)[0])
 
 
 def _vm_loglik(angles):
@@ -243,29 +218,21 @@ def _vm_loglik(angles):
     n = angles.size
     c_sum = float(np.sum(np.cos(angles)))
     s_sum = float(np.sum(np.sin(angles)))
-    i0e, np_log, exp = _FLOAT_MATH.i0e, np.log, math.exp
+    i0e, np_log = _FLOAT_MATH.i0e, np.log
 
     def mu_term(mu):
         return c_sum * math.cos(mu) + s_sum * math.sin(mu)
 
-    def combine(trig, kappa, log_norm):
-        return kappa * trig - log_norm
-
-    def conc_step(theta, trig, kappa=None):
-        # the map back from _unconstrained's log scale, written out
-        if kappa is None:
-            if not theta < _LOG_KAPPA_TOP:
-                return None
-            kappa = exp(theta)
-            if kappa == 0.0:
-                return None
+    def conc_term(kappa):
         i0 = i0e(kappa)
         # numpy's log, as _FLOAT_MATH.log gives it, without that wrapper's call
         log_i0e = float(np_log(i0))
-        log_norm = n * (_LOG_TWO_PI + (log_i0e + kappa))
-        return kappa, combine(trig, kappa, log_norm), log_norm, (i0, log_i0e)
+        return n * (_LOG_TWO_PI + (log_i0e + kappa)), (i0, log_i0e)
 
-    return LogLikelihood(mu_term, combine, conc_step)
+    def combine(trig, kappa, log_norm):
+        return kappa * trig - log_norm
+
+    return LogLikelihood(mu_term, conc_term, combine)
 
 
 def _cardioid_loglik(angles):
@@ -285,7 +252,7 @@ def _cardioid_loglik(angles):
         t = cos_dev * two_ell
         return float(np.add.reduce(np.log1p(t, out=t))) - n * _LOG_TWO_PI
 
-    return LogLikelihood(mu_term, combine, _composed_step(conc_term, combine, _CARDIOID_SUPPORT))
+    return LogLikelihood(mu_term, conc_term, combine)
 
 
 def _wc_loglik(angles):
@@ -312,7 +279,7 @@ def _wc_loglik(angles):
         t += sq2
         return n_log_norm - float(np.add.reduce(np.log(t, out=t)))
 
-    return LogLikelihood(mu_term, combine, _composed_step(conc_term, combine, _WC_SUPPORT))
+    return LogLikelihood(mu_term, conc_term, combine)
 
 
 def _sample_uniform(rng, mu, conc, n):
@@ -393,13 +360,13 @@ FAMILIES = {
     ),
     Family.CARDIOID: FamilyKernel(
         "cardioid", _cardioid_log_density, _sample_cardioid, _cardioid_loglik,
-        support=_CARDIOID_SUPPORT,
+        support=(0.0, 0.5),
         q=lambda x: 2.0 * x, threshold=lambda U: U / 2.0,
         q_increasing=True, u_range="(0, 1)",
     ),
     Family.WRAPPED_CAUCHY: FamilyKernel(
         "wrapped Cauchy", _wc_log_density, _sample_wc, _wc_loglik,
-        support=_WC_SUPPORT,
+        support=(0.0, 1.0),
         q=lambda x: TWO_PI * (1.0 - x), threshold=lambda U: 1.0 - U / TWO_PI,
         q_increasing=False, u_range="(0, 2*pi]",
     ),

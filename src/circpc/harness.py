@@ -24,6 +24,7 @@ from .divergence import BaseModel
 from .inference import InitializationError, McmcConfig, ModelSpec, run_mcmc, summarize
 from .pc_priors import PcPrior, TailSpec, calibrate_lambda, calibrate_lambda_paper
 from .reference_priors import Beta, GammaOneB, H2, H3, ScaledBetaHalf, UniformHalf
+from .special import _count
 
 _LOG = logging.getLogger(__name__)
 
@@ -129,7 +130,7 @@ class SimStudyConfig:
             raise ValueError("the uniform family has no concentration to study")
         object.__setattr__(self, "family", fam)
         truths = tuple(float(t) for t in self.true_concentration_grid)
-        sizes = tuple(int(n) for n in self.sample_sizes)
+        sizes = tuple(_count(n, "sample size") for n in self.sample_sizes)
         specs = tuple(self.prior_specs)
         if not truths or not sizes or not specs:
             raise ValueError("grids must be non-empty")
@@ -137,14 +138,10 @@ class SimStudyConfig:
         for t in truths:
             if not lo <= t < hi:
                 raise ValueError(f"true concentration {t} outside the {fam.value} support")
-        if any(n < 1 for n in sizes):
-            raise ValueError("sample sizes must be positive")
-        if self.replicates < 1:
-            raise ValueError("replicates must be positive")
         object.__setattr__(self, "true_concentration_grid", truths)
         object.__setattr__(self, "sample_sizes", sizes)
         object.__setattr__(self, "prior_specs", specs)
-        object.__setattr__(self, "replicates", int(self.replicates))
+        object.__setattr__(self, "replicates", _count(self.replicates, "replicates"))
         object.__setattr__(self, "base_seed", int(self.base_seed))
 
 

@@ -32,6 +32,7 @@ from .distributions import (
     wrap_angle,
 )
 from .reference_priors import VonMisesConjugate, _log_density_fn
+from .special import _count
 
 __all__ = [
     "InitializationError",
@@ -88,16 +89,14 @@ class McmcConfig:
     target_acceptance: float = 0.44
 
     def __post_init__(self):
-        if int(self.iterations) != self.iterations or self.iterations <= 0:
-            raise ValueError("iterations must be a positive integer")
-        if int(self.burn_in) != self.burn_in or self.burn_in < 0:
-            raise ValueError("burn_in must be a nonnegative integer")
-        if self.iterations - self.burn_in < 1000:
+        iterations = _count(self.iterations, "iterations")
+        burn_in = _count(self.burn_in, "burn_in", allow_zero=True)
+        if iterations - burn_in < 1000:
             raise ValueError("need at least 1000 kept iterations for summaries")
         if not 0.0 < self.target_acceptance < 1.0:
             raise ValueError("target_acceptance must lie in (0, 1)")
-        object.__setattr__(self, "iterations", int(self.iterations))
-        object.__setattr__(self, "burn_in", int(self.burn_in))
+        object.__setattr__(self, "iterations", iterations)
+        object.__setattr__(self, "burn_in", burn_in)
         object.__setattr__(self, "seed", int(self.seed))
 
 
@@ -154,31 +153,6 @@ class PosteriorSummary:
         }
 
 
-def _concentration_step(lik, log_prior, support):
-    """The sampler's concentration move for one chain, composed once.
-
-    ``step(theta, m)`` evaluates the proposal at ``theta`` on the
-    unconstrained scale, with ``m`` the current mu's likelihood term. It
-    returns None when the concentration leaves the open support (or the
-    transform back overflowed), and otherwise ``(conc, loglik, c,
-    log_prior, log_jac)``, c being the concentration's likelihood term.
-    It makes one call into the likelihood, whose ``conc_step`` holds the
-    map back from theta, and one into the prior, which takes the values
-    the likelihood shares (the von Mises Bessel pass); the log-Jacobian
-    is ``math.log`` itself on the log scale.
-    """
-    conc_step, log_jac = lik.conc_step, _unconstrained(support)[2]
-
-    def step(theta, m):
-        prop = conc_step(theta, m)
-        if prop is None:
-            return None
-        conc, loglik, c, shared = prop
-        return conc, loglik, c, log_prior(conc, shared), log_jac(conc)
-
-    return step
-
-
 def log_posterior(model: ModelSpec, data: Dataset, mu, conc) -> float:
     """Unnormalized log posterior density at (mu, conc).
 
@@ -193,7 +167,8 @@ def log_posterior(model: ModelSpec, data: Dataset, mu, conc) -> float:
     if not lo <= conc < hi:
         raise ValueError("concentration outside the family support")
     lik = FAMILIES[model.family].loglik(data.angles)
-    _, loglik, _, shared = lik.conc_step(None, lik.mu_term(float(wrap_angle(mu))), conc)
+    c, shared = lik.conc_term(conc)
+    loglik = lik.combine(lik.mu_term(float(wrap_angle(mu))), conc, c)
     lp = _log_density_fn(model.concentration_prior)(conc, shared)
     if lp == -math.inf:
         return -math.inf
@@ -207,16 +182,16 @@ def run_mcmc(model: ModelSpec, data: Dataset, config: McmcConfig, *, trace_steps
     burn-in (Robbins-Monro on the log step toward target_acceptance).
     The chain keeps the likelihood's mu term and concentration term of
     its current state, so a mu move evaluates only the new mu's term and
-    a concentration move only the new concentration's, with its prior
-    and log-Jacobian, in one step.
+    a concentration move only the new concentration's. A concentration
+    move maps its proposal back to the support, then calls the
+    likelihood's term and combine, the prior (which takes the values the
+    term shares: the von Mises Bessel pass) and the log-Jacobian.
     """
     angles = data.angles
     kern = FAMILIES[model.family]
-    lik = kern.loglik(angles)
-    mu_term, combine = lik.mu_term, lik.combine
+    mu_term, conc_term, combine = kern.loglik(angles)
     log_prior = _log_density_fn(model.concentration_prior)
-    conc_step = _concentration_step(lik, log_prior, kern.support)
-    to_theta, _, log_jac, initial = _unconstrained(kern.support)
+    to_theta, to_conc, log_jac, initial = _unconstrained(kern.support)
     lo, hi = kern.support
 
     mu = float(wrap_angle(config.initial_mu)) if config.initial_mu is not None \
@@ -226,7 +201,8 @@ def run_mcmc(model: ModelSpec, data: Dataset, config: McmcConfig, *, trace_steps
     if not lo < conc < hi:
         raise InitializationError("initial concentration outside the open support")
     m = mu_term(mu)
-    _, cur_lik, c, shared = lik.conc_step(None, m, conc)
+    c, shared = conc_term(conc)
+    cur_lik = combine(m, conc, c)
     cur_pri = log_prior(conc, shared)
     if not np.isfinite(cur_lik + cur_pri):
         raise InitializationError("initial state has zero posterior density")
@@ -269,16 +245,21 @@ def run_mcmc(model: ModelSpec, data: Dataset, config: McmcConfig, *, trace_steps
         if gamma:
             step_mu *= exp(gamma * (a - target))
 
-        # concentration: Gaussian step on the unconstrained scale
+        # concentration: Gaussian step on the unconstrained scale, mapped
+        # back; a proposal outside the open support (or whose map back
+        # overflowed) is rejected
         th_prop = theta + step_conc * z_conc
-        prop = conc_step(th_prop, m)
-        if prop is None:
-            a = 0.0
-            out_of_support += 1
-        else:
-            conc_prop, lik_prop, c_prop, pri_prop, jac_prop = prop
+        conc_prop = to_conc(th_prop)
+        if lo < conc_prop < hi:
+            c_prop, shared = conc_term(conc_prop)
+            lik_prop = combine(m, conc_prop, c_prop)
+            pri_prop = log_prior(conc_prop, shared)
+            jac_prop = log_jac(conc_prop)
             log_a = (lik_prop + pri_prop + jac_prop) - (cur_lik + cur_pri + cur_jac)
             a = 1.0 if log_a >= 0.0 else (exp(log_a) if log_a > -745.0 else 0.0)
+        else:
+            a = 0.0
+            out_of_support += 1
         if u_conc < a:
             theta, conc, c = th_prop, conc_prop, c_prop
             cur_lik, cur_pri, cur_jac = lik_prop, pri_prop, jac_prop

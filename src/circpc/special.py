@@ -45,11 +45,11 @@ def _checked(x, lo=0.0, hi=math.inf, what="argument"):
     return v
 
 
-def _count(n):
-    """A positive count ``n`` as an int. A bool or a value with a
-    fraction raises rather than being truncated."""
-    if isinstance(n, (bool, np.bool_)) or int(n) != n or n < 1:
-        raise ValueError("n must be a positive integer")
+def _count(n, name="n", allow_zero=False):
+    """A positive count ``n``, or zero too with ``allow_zero``, as an int.
+    A bool or a value with a fraction raises rather than being truncated."""
+    if isinstance(n, (bool, np.bool_)) or int(n) != n or n < (0 if allow_zero else 1):
+        raise ValueError(f"{name} must be a {'nonnegative' if allow_zero else 'positive'} integer")
     return int(n)
 
 

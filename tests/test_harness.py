@@ -130,6 +130,21 @@ class TestSimStudyConfig:
         with pytest.raises(ValueError):
             tiny_config(replicates=0)
 
+    def test_fractional_sample_size_rejected(self):
+        # rejected, not truncated to 100
+        with pytest.raises(ValueError, match="sample size"):
+            tiny_config(sample_sizes=(100.7,))
+        with pytest.raises(ValueError, match="sample size"):
+            tiny_config(sample_sizes=(True,))
+
+    def test_fractional_replicates_rejected(self):
+        # rejected, not truncated to 2
+        with pytest.raises(ValueError, match="replicates"):
+            tiny_config(replicates=2.5)
+        with pytest.raises(ValueError, match="replicates"):
+            tiny_config(replicates=True)
+        assert tiny_config(replicates=3.0).replicates == 3
+
     def test_desk_and_full_configs_construct(self):
         desk = desk_study_config()
         assert desk.family is Family.VON_MISES

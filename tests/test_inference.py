@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import math
 import struct
@@ -89,6 +90,16 @@ class TestMcmcConfigValidation:
     def test_burn_in_nonnegative(self):
         with pytest.raises(ValueError):
             McmcConfig(iterations=2000, burn_in=-5, seed=1)
+
+    def test_bool_and_fractional_counts_rejected(self):
+        # rejected, not read as burn_in == 1 or truncated; 0 is a burn-in
+        with pytest.raises(ValueError, match="burn_in"):
+            McmcConfig(iterations=2000, burn_in=True, seed=1)
+        with pytest.raises(ValueError, match="burn_in"):
+            McmcConfig(iterations=2000, burn_in=500.5, seed=1)
+        with pytest.raises(ValueError, match="iterations"):
+            McmcConfig(iterations=2000.5, burn_in=500, seed=1)
+        assert McmcConfig(iterations=1000, burn_in=0, seed=1).burn_in == 0
 
 
 class TestLogPosterior:
@@ -489,6 +500,13 @@ def _loglik_reference(family, angles, mu, conc):
     return n * log_norm - float(np.add.reduce(np.log(t)))
 
 
+def _to_conc_reference(support, theta):
+    hi = support[1]
+    if math.isinf(hi):
+        return math.exp(theta)
+    return hi * (1.0 / (1.0 + math.exp(-theta)))
+
+
 def _log_jac_reference(support, conc):
     hi = support[1]
     if math.isinf(hi):
@@ -532,10 +550,12 @@ STEP_CUTS = (_TINY, _LINEAR_CUT, 1e-3, _VM_RADICAND_SMALL, 0.3, float(np.nextaft
 
 
 class TestConcentrationStep:
-    """The fused concentration step equals its separate pieces, bit for bit:
-    the one-expression log-likelihood, the prior's log density evaluated on
-    its own (without the likelihood's Bessel pass) and the log-Jacobian, on
-    the floats either side of every cut."""
+    """The pieces a concentration move composes equal their references, bit
+    for bit: the support's map back, the likelihood's term and combine
+    against the one-expression log-likelihood, the prior's log density
+    given the term's shared values against the same density evaluated on
+    its own (without the likelihood's Bessel pass) and the log-Jacobian,
+    on the floats either side of every cut."""
 
     @pytest.mark.parametrize("family", sorted(STEP_PRIORS, key=lambda f: f.value))
     def test_matches_separate_pieces(self, family):
@@ -543,23 +563,25 @@ class TestConcentrationStep:
         lo, hi = kern.support
         angles = sample(DistributionSpec(family, 1.0, 0.3), 50, seed=3).angles
         lik = kern.loglik(angles)
+        to_conc, log_jac = inference._unconstrained(kern.support)[1:3]
         mu = 0.7
         m = lik.mu_term(mu)
         visited = 0
         for prior in STEP_PRIORS[family]:
             log_prior = _log_density_fn(prior)
-            step = inference._concentration_step(lik, log_prior, kern.support)
             for cut in STEP_CUTS:
                 if not lo < cut < hi:
                     continue
                 for theta in _straddle(kern.support, cut):
-                    out = step(theta, m)
-                    conc = inference._unconstrained(kern.support)[1](theta)
-                    if not lo < conc < hi:
-                        assert out is None
+                    # the move as run_mcmc composes it
+                    got_conc = to_conc(theta)
+                    if not lo < got_conc < hi:
                         continue
                     visited += 1
-                    got_conc, got_lik, _, got_pri, got_jac = out
+                    c, shared = lik.conc_term(got_conc)
+                    got_lik = lik.combine(m, got_conc, c)
+                    got_pri, got_jac = log_prior(got_conc, shared), log_jac(got_conc)
+                    conc = _to_conc_reference(kern.support, theta)
                     assert all(type(v) is float for v in (got_conc, got_lik, got_pri, got_jac))
                     want = (conc, _loglik_reference(family, angles, mu, conc), log_prior(conc),
                             _log_jac_reference(kern.support, conc))
@@ -579,7 +601,8 @@ class TestConcentrationStep:
 
     def test_von_mises_shares_one_bessel_pass(self, monkeypatch):
         # i0e once, and i1e once where the prior's form needs it, per
-        # proposal, through the float namespace and never scipy's ufuncs
+        # proposal of a chain (and once for its start), through the float
+        # namespace and never scipy's ufuncs; a mu move makes none
         calls = []
 
         def counted(name, fn):
@@ -594,58 +617,67 @@ class TestConcentrationStep:
         for name in ("i0e", "i1e"):
             monkeypatch.setattr(special._FLOAT_MATH, name, counted(name, getattr(special._FLOAT_MATH, name)))
         monkeypatch.setattr(special, "_sp", NoUfuncs())
-        lik = FAMILIES[Family.VON_MISES].loglik(DATA3.angles)
-        m = lik.mu_term(1.0)
+        config = McmcConfig(iterations=1000, burn_in=0, seed=5, initial_mu=1.0,
+                            initial_concentration=2.0)
         for prior, want in ((PcPrior("vm", "uniform", 0.9), ["i0e", "i1e"]),
                             (PcPrior("vm", "pointmass", 0.3), ["i0e", "i1e"]),
                             (GammaOneB(1.0), ["i0e"])):
-            step = inference._concentration_step(lik, _log_density_fn(prior), (0.0, math.inf))
             calls.clear()
-            step(math.log(2.0), m)
-            assert calls == want, prior
+            chain = run_mcmc(ModelSpec(Family.VON_MISES, prior), DATA3, config)
+            evaluated = 1 + config.iterations - chain.out_of_support
+            assert calls == want * evaluated, prior
 
 
-# the Python-level calls one concentration proposal makes, by family and
-# prior, at a point in the middle of the support: step, the likelihood's
-# conc_step (with combine, and for the logit families the map back and
-# the concentration term), the prior's log density and its form, and the
-# float namespace's numpy wrappers
+# the Python frames one run_mcmc iteration opens, by family and prior,
+# for a chain started in the middle of the support (kappa = 2, ell = 0.25,
+# rho = 0.5, where each distance kernel takes a direct form): the mu
+# move's mu_term and combine; the concentration move's map back (a
+# lambda on either scale), conc_term, combine, the prior's log density
+# and its form with the float namespace's numpy wrappers, and for the
+# logit families the log-Jacobian (math.log itself, no frame, on the log
+# scale)
 STEP_CALLS = {
-    "vm+pc-uniform": (Family.VON_MISES, PcPrior("vm", "uniform", 0.9), 5),
-    "vm+pc-pointmass": (Family.VON_MISES, PcPrior("vm", "pointmass", 0.3), 5),
-    "vm+gamma": (Family.VON_MISES, GammaOneB(1.0), 6),
-    "cardioid+pc": (Family.CARDIOID, PcPrior("cardioid", "uniform", 2.0), 10),
-    "wc+beta": (Family.WRAPPED_CAUCHY, Beta(2.0, 2.0), 11),
+    "vm+pc-uniform": (Family.VON_MISES, PcPrior("vm", "uniform", 0.9), 2.0, 7),
+    "vm+pc-pointmass": (Family.VON_MISES, PcPrior("vm", "pointmass", 0.3), 2.0, 7),
+    "vm+gamma": (Family.VON_MISES, GammaOneB(1.0), 2.0, 8),
+    "cardioid+pc": (Family.CARDIOID, PcPrior("cardioid", "uniform", 2.0), 0.25, 10),
+    "wc+beta": (Family.WRAPPED_CAUCHY, Beta(2.0, 2.0), 0.5, 11),
 }
 
 
 class TestProposalCallCount:
-    """A proposal costs its arithmetic, not call layers: the number of
-    Python frames one step opens is pinned, so layering cannot creep
-    back unseen. Counted with sys.setprofile, so it does not depend on
-    timing."""
+    """An iteration costs its arithmetic, not call layers: the number of
+    Python frames each run_mcmc iteration opens is pinned, so layering
+    cannot creep back unseen. Counted with sys.setprofile, so it does not
+    depend on timing."""
 
     @pytest.mark.parametrize("case", sorted(STEP_CALLS))
     def test_python_calls_per_proposal(self, case):
-        family, prior, want = STEP_CALLS[case]
-        kern = FAMILIES[family]
-        lik = kern.loglik(DATA3.angles)
-        step = inference._concentration_step(lik, _log_density_fn(prior), kern.support)
-        m = lik.mu_term(1.0)
-        # kappa = 2, ell = 0.25, rho = 0.5: inside every support, and a
-        # direct form of each distance kernel
-        theta = math.log(2.0) if family is Family.VON_MISES else 0.0
+        family, prior, initial, want = STEP_CALLS[case]
+        config = McmcConfig(iterations=1000, burn_in=0, seed=5, initial_mu=1.0,
+                            initial_concentration=initial)
         frames = []
 
         def profile(frame, event, arg):
             if event == "call":
-                frames.append(frame.f_code.co_name)
+                frames.append((frame.f_code.co_name, frame.f_back.f_code.co_name))
 
+        # a collection would run any gc.callbacks another library set
+        # (hypothesis times its collections) inside some iteration
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
         sys.setprofile(profile)
         try:
-            out = step(theta, m)
+            chain = run_mcmc(ModelSpec(family, prior), DATA3, config)
         finally:
             sys.setprofile(None)
-        assert out is not None and math.isfinite(out[3])
-        assert frames[0] == "step"
-        assert len(frames) == want, frames
+            if gc_was_enabled:
+                gc.enable()
+        assert chain.out_of_support == 0
+        # each iteration opens with its mu move's mu_term; the first such
+        # call is the chain start's, and the last iteration runs into the
+        # frames after the loop
+        starts = [i for i, f in enumerate(frames) if f == ("mu_term", "run_mcmc")]
+        assert len(starts) == 1 + config.iterations
+        per_iteration = [b - a for a, b in zip(starts[1:], starts[2:])]
+        assert set(per_iteration) == {want}, frames[starts[1]:starts[2]]
