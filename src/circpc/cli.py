@@ -233,7 +233,7 @@ def _config_from_json(path):
         sample_sizes=tuple(raw["sample_sizes"]),
         replicates=raw["replicates"],
         prior_specs=priors,
-        base_seed=int(raw.get("base_seed", 520)),
+        base_seed=raw.get("base_seed", 520),
         mcmc=mcmc,
         mu_true=float(raw.get("mu_true", np.pi)),
     )

@@ -224,7 +224,7 @@ def _ell_max(ns, d):
 
 def _unattainable(ns, d):
     # an inverse's form for the distances that no parameter reaches; an
-    # empty array, which special._gathered runs on form 0, holds none
+    # empty array, which special._piecewise runs on form 0, holds none
     if np.size(d):
         raise ValueError("distance not attained by any floating-point parameter")
     return d
@@ -299,8 +299,9 @@ class _Search:
     _TABLE_T; a target inside the table's values starts from the
     cubic-Hermite inverse on its interval, from the values and slopes at
     both ends, and keeps the interval's two nodes as its bracket. The
-    table keeps one row per interval, (v_j, 1/h_j, c1, c2, c3, t_j,
-    t_j+1), so a start reads its interval with one gather.
+    table keeps one column per interval, (v_j, 1/h_j, c1, c2, c3, t_j,
+    t_j+1), so a start reads its interval with one gather, which gives
+    seven contiguous rows.
     """
 
     def __init__(self, kernel, coordinate, direction, series):
@@ -316,7 +317,7 @@ class _Search:
         # slopes are 1/s_j and 1/s_j+1
         h = np.diff(v)
         m0, m1, span = h / s[:-1], h / s[1:], np.diff(_TABLE_T)
-        self._rows = np.column_stack((
+        self._rows = np.array((
             v[:-1], 1.0 / h, m0, 3.0 * span - 2.0 * m0 - m1, m0 + m1 - 2.0 * span,
             _TABLE_T[:-1], _TABLE_T[1:],
         ))
@@ -337,7 +338,7 @@ class _Search:
 
     def _inside(self, ns, target):
         j = np.searchsorted(self.values, target, side="right") - 1
-        v, inv_h, c1, c2, c3, t0, t1 = self._rows.take(j, axis=0).T
+        v, inv_h, c1, c2, c3, t0, t1 = self._rows.take(j, axis=1)
         u = (target - v) * inv_h
         return t0 + u * (c1 + u * (c2 + u * c3)), t0, t1
 
@@ -350,28 +351,31 @@ def _solve_increasing(search, target):
     its own bracket; a Newton step that would leave it, or that does
     not halve the step before it, becomes a bisection. Each element
     stops on its own, so its bits do not depend on the rest of the
-    array, and long inputs are solved in blocks: that keeps the
-    temporaries of the branch-free kernels cache-sized. Each block is
-    solved in the order of its sorted targets and its roots scattered
-    back: the order changes no bit, and with monotone keys the table
-    lookup, the kernels' cut placement and the Bessel functions' own
-    branches run predictably.
+    array. The targets are sorted once, solved in contiguous blocks of
+    _NEWTON_BLOCK sorted keys, and the roots scattered back once: the
+    order changes no bit, the blocks keep the temporaries of the
+    kernels cache-sized, and on sorted keys the table lookup runs
+    predictably and every kernel slices its forms' runs instead of
+    gathering them.
     """
+    order = np.argsort(target)
+    keys = target[order]
+    roots = np.empty_like(keys)
+    for s in range(0, keys.size, _NEWTON_BLOCK):
+        block = keys[s : s + _NEWTON_BLOCK]
+        roots[s : s + _NEWTON_BLOCK] = _solve_block(search.g, block, *search.start(block))
     out = np.empty_like(target)
-    for s in range(0, target.size, _NEWTON_BLOCK):
-        block = target[s : s + _NEWTON_BLOCK]
-        order = np.argsort(block)
-        keys = block[order]
-        out[s : s + _NEWTON_BLOCK][order] = _solve_block(search.g, keys, *search.start(keys))
+    out[order] = roots
     return out
 
 
 def _solve_block(g, target, t, lo, hi):
-    # lo and hi are each element's bracket
-    out = np.empty_like(target)
-    idx = np.arange(target.size)
+    # lo and hi are each element's bracket. out holds every element's
+    # latest point, idx the places of the live ones; a block whose
+    # elements all finish on the first step returns that step's points
     t = np.minimum(np.maximum(t, lo), hi)
     last = hi - lo
+    idx = None
     for _ in range(_NEWTON_MAX_STEPS):
         val, slope = g(t)
         f = val - target
@@ -386,15 +390,19 @@ def _solve_block(g, target, t, lo, hi):
         )
         step = f / np.where(newton, slope, 1.0)
         t_new = np.where(newton, t - step, 0.5 * (lo + hi))
-        done = (f == 0.0) | np.where(newton, np.abs(step) <= _NEWTON_TOL, hi - lo <= _NEWTON_TOL)
-        t_new = np.where(f == 0.0, t, t_new)
-        out[idx[done]] = t_new[done]
-        keep = ~done
-        if not keep.any():
+        root = f == 0.0
+        done = root | np.where(newton, np.abs(step) <= _NEWTON_TOL, hi - lo <= _NEWTON_TOL)
+        t_new = np.where(root, t, t_new)
+        if idx is None:
+            out = t_new
+        else:
+            out[idx] = t_new
+        if done.all():
             return out
-        last = np.abs(t_new - t)[keep]
-        idx, t, lo, hi, target = idx[keep], t_new[keep], lo[keep], hi[keep], target[keep]
-    out[idx] = t
+        live = np.flatnonzero(~done)
+        last = np.abs(t_new - t).take(live)
+        t, lo, hi, target = t_new.take(live), lo.take(live), hi.take(live), target.take(live)
+        idx = live if idx is None else idx.take(live)
     return out
 
 

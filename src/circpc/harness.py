@@ -142,7 +142,7 @@ class SimStudyConfig:
         object.__setattr__(self, "sample_sizes", sizes)
         object.__setattr__(self, "prior_specs", specs)
         object.__setattr__(self, "replicates", _count(self.replicates, "replicates"))
-        object.__setattr__(self, "base_seed", int(self.base_seed))
+        object.__setattr__(self, "base_seed", _count(self.base_seed, "base_seed", allow_zero=True))
 
 
 @dataclass(frozen=True)

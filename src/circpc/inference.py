@@ -97,7 +97,7 @@ class McmcConfig:
             raise ValueError("target_acceptance must lie in (0, 1)")
         object.__setattr__(self, "iterations", iterations)
         object.__setattr__(self, "burn_in", burn_in)
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _count(self.seed, "seed", allow_zero=True))
 
 
 @dataclass(frozen=True)

@@ -47,8 +47,14 @@ def _checked(x, lo=0.0, hi=math.inf, what="argument"):
 
 def _count(n, name="n", allow_zero=False):
     """A positive count ``n``, or zero too with ``allow_zero``, as an int.
-    A bool or a value with a fraction raises rather than being truncated."""
-    if isinstance(n, (bool, np.bool_)) or int(n) != n or n < (0 if allow_zero else 1):
+    A bool, an infinite or nan value or a value with a fraction raises
+    ValueError rather than being truncated."""
+    try:
+        whole = not isinstance(n, (bool, np.bool_)) and int(n) == n
+    except (OverflowError, ValueError):
+        # int() of an infinite or nan value
+        whole = False
+    if not whole or n < (0 if allow_zero else 1):
         raise ValueError(f"{name} must be a {'nonnegative' if allow_zero else 'positive'} integer")
     return int(n)
 
@@ -105,19 +111,23 @@ def _piecewise(x, cuts, forms, *args):
       runs only the form that holds it; a Python float gets
       ``_FLOAT_MATH`` and so float arithmetic, a numpy scalar or 0-d
       array gets ``_ARRAY_MATH``, numpy's ufuncs;
-    - an array is placed by one ``searchsorted`` pass; each form runs
-      once, with ``_ARRAY_MATH``, on the elements of its own interval
-      gathered into a 1-d array, and its values are scattered back into
-      arrays of x's shape. An array inside one interval runs its form on x
-      itself.
+    - an array is placed by its min() and max(). If one interval holds
+      every element, its form runs on x itself. Otherwise each form runs
+      once, with ``_ARRAY_MATH``, on the one contiguous run of x's sorted
+      elements that its interval holds: a non-decreasing x (in C order)
+      is sliced, so its forms get views of it and nothing is gathered;
+      any other x is ordered once by a stable argsort and its values
+      scattered back once. The values come back in arrays of x's shape.
 
-    ``args`` of x's shape are gathered with x; any other argument is
-    passed whole. A form sees only arguments inside its own interval,
-    so it must be finite, and raise nothing, there and nowhere else;
-    every element gets the bits of its scalar call. The exception is a
-    form that stands for an interval without values, such as the
-    distances no parameter reaches: it raises, for any element there,
-    and returns on an empty array, which runs the first form.
+    ``args`` of x's shape travel with x: they are sliced with it, or
+    ordered with it; any other argument is passed whole. A form sees
+    only arguments inside its own interval, so it must be finite, and
+    raise nothing, there and nowhere else; every element gets the bits
+    of its scalar call. A form may get a view of the caller's array, so
+    it must not write into its arguments. The exception is a form that
+    stands for an interval without values, such as the distances no
+    parameter reaches: it raises, for any element there, and returns on
+    an empty array, which runs the first form.
     A table without cuts is one form over the whole line.
     """
     return _piecewise_table(cuts, forms)(x, args)
@@ -140,7 +150,7 @@ def _piecewise_table(cuts, forms):
         elif not (isinstance(x, np.ndarray) and x.ndim):
             form, ns = forms[bisect_right(cuts, x)], _ARRAY_MATH
         else:
-            return _gathered(x, cuts, forms, args)
+            return _sorted_runs(x, cuts, forms, args)
         # a call without * unpacking takes the interpreter's fast path
         return form(ns, x, *args) if args else form(ns, x)
 
@@ -148,26 +158,39 @@ def _piecewise_table(cuts, forms):
     return table
 
 
-def _gathered(x, cuts, forms, args):
+def _sorted_runs(x, cuts, forms, args):
     """_piecewise on an array x of at least one dimension."""
-    if not cuts:
-        # one form over the whole line: nothing to place
+    if not cuts or not x.size:
+        # one form over the whole line, or nothing to place: form 0
         return _filled(forms[0](_ARRAY_MATH, x, *args), x.shape)
-    where = np.searchsorted(cuts, x, side="right")
-    present = np.flatnonzero(np.bincount(where.ravel(), minlength=len(forms)))
-    if len(present) <= 1:
-        i = present[0] if len(present) else 0
-        return _filled(forms[i](_ARRAY_MATH, x, *args), x.shape)
+    first, last = bisect_right(cuts, float(x.min())), bisect_right(cuts, float(x.max()))
+    if first == last:
+        return _filled(forms[first](_ARRAY_MATH, x, *args), x.shape)
+    flat = x.ravel()
+    moves = [np.shape(a) == x.shape for a in args]
+    args = [np.ravel(a) if m else a for a, m in zip(args, moves)]
+    order = None
+    if (flat[1:] < flat[:-1]).any():
+        order = np.argsort(flat, kind="stable")
+        flat = flat[order]
+        args = [a[order] if m else a for a, m in zip(args, moves)]
+    # form i runs on the sorted elements from its lower cut to its upper one
+    bounds = np.searchsorted(flat, cuts[first:last]).tolist()
     out = None
-    for i in present:
-        sel = where == i
-        parts = (a[sel] if np.shape(a) == x.shape else a for a in args)
-        vals = forms[i](_ARRAY_MATH, x[sel], *parts)
+    for i, start, stop in zip(range(first, last + 1), [0, *bounds], [*bounds, flat.size]):
+        if start == stop:
+            continue
+        run = slice(start, stop)
+        vals = forms[i](_ARRAY_MATH, flat[run], *(a[run] if m else a for a, m in zip(args, moves)))
         many = isinstance(vals, tuple)
         if out is None:
-            out = [np.empty(x.shape) for _ in (vals if many else (vals,))]
+            out = [np.empty(flat.size) for _ in (vals if many else (vals,))]
         for o, v in zip(out, vals if many else (vals,)):
-            o[sel] = v
+            o[run] = v
+    if order is not None:
+        for o in out:
+            o[order] = o.copy()
+    out = [o.reshape(x.shape) for o in out]
     return tuple(out) if many else out[0]
 
 

@@ -360,6 +360,23 @@ class TestSimulate:
         assert code == 1
         assert "replicates" in err
 
+    def test_fractional_base_seed_rejected(self, capsys, tmp_path):
+        # rejected, not run as base seed 520
+        config = {
+            "family": "vm",
+            "truths": [1.0],
+            "sample_sizes": [30],
+            "replicates": 1,
+            "base_seed": 520.9,
+            "priors": [{"kind": "gamma", "hypers": [1.0]}],
+            "mcmc": {"iterations": 2000, "burn_in": 1000},
+        }
+        cfg_path = tmp_path / "study.json"
+        cfg_path.write_text(json.dumps(config))
+        code, _, err = run_cli(capsys, ["simulate", "--config", str(cfg_path), "--seed", "99"])
+        assert code == 1
+        assert "base_seed" in err
+
     def test_reduced_study_is_von_mises_only(self, capsys):
         code, _, err = run_cli(capsys, ["simulate", "--family", "cardioid", "--seed", "1"])
         assert code == 1

@@ -234,6 +234,11 @@ class TestSampling:
                 sample(spec, bad, seed=0)
         assert len(sample(spec, np.int64(3), seed=0).angles) == 3
 
+    def test_infinite_n_rejected_as_a_count(self):
+        spec = DistributionSpec(Family.VON_MISES, 1.0, 2.0)
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            sample(spec, math.inf, 1)
+
 
 class TestDataset:
     def test_wraps_negative_angles(self):

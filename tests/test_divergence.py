@@ -559,6 +559,33 @@ class TestInverseDistance:
         for perm in (rng.permutation(n), np.arange(n)[::-1]):
             assert np.array_equal(inverse_distance(profile, d[perm]).view(np.int64), want[perm])
 
+    @pytest.mark.parametrize("profile", SEARCHED, ids=lambda p: f"{p.family.value}-{p.base.value}")
+    def test_blocks_take_sorted_keys_and_stop_after_one_step(self, profile, monkeypatch):
+        # a target equal to a start-table value starts on its node and hits
+        # its root exactly, so every element of every block finishes on the
+        # first step: one g call per block, on non-decreasing targets
+        search = SEARCHES[profile]
+        g, solve, blocks = search.g, divergence._solve_block, []
+
+        def counted(t):
+            blocks[-1][1] += 1
+            return g(t)
+
+        def spy(g, target, t, lo, hi):
+            blocks.append([target.copy(), 0])
+            return solve(g, target, t, lo, hi)
+
+        monkeypatch.setattr(search, "g", counted)
+        monkeypatch.setattr(divergence, "_solve_block", spy)
+        rng = np.random.default_rng(16)
+        # the last node is where the series beyond the table takes over
+        nodes = rng.integers(0, divergence._TABLE_T.size - 1, 2 * divergence._NEWTON_BLOCK + 17)
+        got = inverse_distance(profile, np.abs(search.values[nodes]))
+        assert len(blocks) == 3
+        for target, calls in blocks:
+            assert np.all(np.diff(target) >= 0.0) and calls == 1
+        assert np.array_equal(got, search.param(divergence._TABLE_T[nodes]))
+
     @pytest.mark.parametrize("profile", ALL_PROFILES, ids=lambda p: f"{p.family.value}-{p.base.value}")
     @pytest.mark.parametrize("shape", [(0,), (0, 3)])
     def test_empty_input(self, profile, shape):

@@ -145,6 +145,13 @@ class TestSimStudyConfig:
             tiny_config(replicates=True)
         assert tiny_config(replicates=3.0).replicates == 3
 
+    def test_base_seed_checked_not_truncated(self):
+        # rejected, not run as base seed 520
+        for bad in (520.9, True, -1):
+            with pytest.raises(ValueError, match="base_seed must be a nonnegative integer"):
+                tiny_config(base_seed=bad)
+        assert tiny_config(base_seed=520.0).base_seed == 520
+
     def test_desk_and_full_configs_construct(self):
         desk = desk_study_config()
         assert desk.family is Family.VON_MISES

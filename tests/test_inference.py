@@ -101,6 +101,19 @@ class TestMcmcConfigValidation:
             McmcConfig(iterations=2000.5, burn_in=500, seed=1)
         assert McmcConfig(iterations=1000, burn_in=0, seed=1).burn_in == 0
 
+    def test_infinite_count_rejected_as_a_count(self):
+        # ValueError with the count's own message, not int()'s OverflowError
+        with pytest.raises(ValueError, match="iterations must be a positive integer"):
+            McmcConfig(iterations=math.inf, burn_in=500, seed=1)
+
+    def test_seed_checked_not_truncated(self):
+        # not read as seed 2, 1 or -1; 0 is a seed
+        for bad in (2.5, True, -1):
+            with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+                McmcConfig(iterations=2000, burn_in=500, seed=bad)
+        assert McmcConfig(iterations=2000, burn_in=500, seed=0).seed == 0
+        assert type(McmcConfig(iterations=2000, burn_in=500, seed=np.int64(7)).seed) is int
+
 
 class TestLogPosterior:
     def test_hand_values_per_family(self):

@@ -300,6 +300,11 @@ class TestSample:
                 pc_sample(p, bad, seed=0)
         assert pc_sample(p, np.int64(3), seed=0).size == 3
 
+    def test_nan_n_rejected_as_a_count(self):
+        p = PcPrior(Family.CARDIOID, BaseModel.UNIFORM, 1.0)
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            pc_sample(p, math.nan, 1)
+
     def test_raw_paper_mode_has_no_sampler(self):
         p = PcPrior(Family.CARDIOID, BaseModel.CARDIOID_CURVE, 1.0, "paper")
         with pytest.raises(UnsupportedModeError):

@@ -246,8 +246,9 @@ class TestScalarKernelTypes:
             assert np.array_equal(kernel(x), [kernel(float(v)) for v in x])
 
 
-class TestPiecewiseGathered:
-    """An array call runs each form once, on the elements of its interval."""
+class TestPiecewiseSortedRuns:
+    """An array call runs each form once, on the run of sorted elements
+    its interval holds."""
 
     CUTS = (1.0, 10.0)
 
@@ -276,9 +277,49 @@ class TestPiecewiseGathered:
             lo = self.CUTS[i - 1] if i else -np.inf
             hi = self.CUTS[i] if i < len(self.CUTS) else np.inf
             assert np.all((lo <= xs) & (xs < hi))
-            # array args travel with their elements
-            assert np.array_equal(args, a[(lo <= x) & (x < hi)])
+            # array args travel with their elements: the form sees the
+            # (x, arg) pairs of its interval, in sorted order
+            mine = (lo <= x) & (x < hi)
+            assert sorted(zip(xs, args)) == sorted(zip(x[mine], a[mine]))
         assert sum(xs.size for _, xs, _ in seen) == x.size
+
+    def test_sorted_input_is_sliced_not_gathered(self):
+        # a non-decreasing array's forms get views of it, and of the
+        # arguments that travel with it
+        x = np.array([0.0, 0.5, 1.0, 4.0, 10.0, 20.0])
+        a = np.arange(6.0)
+        shared = []
+
+        def form(i):
+            def f(ns, xs, args):
+                shared.append((i, np.shares_memory(xs, x), np.shares_memory(args, a)))
+                return xs + i
+            return f
+
+        out = _piecewise(x, self.CUTS, (form(0), form(1), form(2)), a)
+        assert shared == [(0, True, True), (1, True, True), (2, True, True)]
+        assert np.array_equal(out, [0.0, 0.5, 2.0, 5.0, 12.0, 22.0])
+
+    def test_unsorted_input_equals_sorted_evaluation_permuted_back(self):
+        rng = np.random.default_rng(5)
+        x = rng.choice([0.0, 0.5, 1.0, 3.0, 9.9, 10.0, 11.0], size=(4, 5))
+        x[0, 0], x[-1, -1] = 20.0, 0.25  # neither sorted nor in one interval
+        a = rng.standard_normal(x.shape)
+        order = np.argsort(x, axis=None, kind="stable")
+        v, w = _piecewise(x, *self.table([]), a, 0.5)
+        sv, sw = _piecewise(x.ravel()[order], *self.table([]), a.ravel()[order], 0.5)
+        for got, want in ((v, sv), (w, sw)):
+            back = np.empty(x.size)
+            back[order] = want
+            assert got.shape == x.shape
+            assert np.array_equal(got.ravel().view(np.int64), back.view(np.int64))
+
+    def test_caller_array_is_unchanged(self):
+        for x in (np.array([12.0, 0.5, 3.0, 0.5]), np.array([0.5, 3.0, 12.0])):
+            a = np.arange(float(x.size))
+            before_x, before_a = x.copy(), a.copy()
+            _piecewise(x, *self.table([]), a, 0.0)
+            assert np.array_equal(x, before_x) and np.array_equal(a, before_a)
 
     def test_one_interval_runs_one_form_on_x_itself(self):
         seen = []
