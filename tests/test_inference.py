@@ -362,6 +362,20 @@ class TestVonMisesSamplerBits:
         assert visits(chain.concentration)
         assert chain_digest(chain) == self.EDGES[data, prior]
 
+    # chains with no burn-in: every iteration is kept, and no step adapts
+    KEPT_ONLY = {
+        "pc-uniform": "6a99b980cd8b6c1a",
+        "gamma": "25acdab03226f53e",
+    }
+
+    @pytest.mark.parametrize("prior", sorted(KEPT_ONLY))
+    def test_kept_only_chain_hash(self, prior):
+        data = sample(DistributionSpec(Family.VON_MISES, 1.0, 2.0), 100, seed=107)
+        model = ModelSpec(Family.VON_MISES, VM_PRIORS[prior])
+        chain = run_mcmc(model, data, McmcConfig(iterations=1500, burn_in=0, seed=11))
+        assert chain.step_sizes == (0.5, 0.5)
+        assert chain_digest(chain) == self.KEPT_ONLY[prior]
+
 
 # family, true concentration of the data, and the priors pinned with it
 LOGIT_FAMILIES = {
@@ -403,6 +417,30 @@ class TestLogitScaleSamplerBits:
         model = ModelSpec(family, priors[prior])
         chain = run_mcmc(model, data, McmcConfig(iterations=2000, burn_in=500, seed=11))
         assert chain_digest(chain) == self.EXPECTED[family, prior, n]
+
+
+class TestStepTraceBits:
+    """The step-size trace's bits are pinned per family, adapted rows and
+    frozen rows alike: the first 16 hex digits of a SHA-256 over the
+    whole (iterations, 2) trace. Recorded with numpy 2.4 and scipy 1.17 on
+    x86-64 Linux."""
+
+    EXPECTED = {
+        Family.VON_MISES: (2.0, PcPrior("vm", "uniform", 0.9), "0f96ff56999c4f44"),
+        Family.CARDIOID: (0.3, PcPrior("cardioid", "uniform", 2.0), "12c6ce1dc194f825"),
+    }
+
+    @pytest.mark.parametrize("family", sorted(EXPECTED, key=lambda f: f.value))
+    def test_trace_hash(self, family):
+        truth, prior, want = self.EXPECTED[family]
+        data = sample(DistributionSpec(family, 1.0, truth), 100, seed=107)
+        config = McmcConfig(iterations=2000, burn_in=500, seed=11)
+        chain = run_mcmc(ModelSpec(family, prior), data, config, trace_steps=True)
+        trace = chain.step_trace
+        assert trace.shape == (2000, 2) and trace.dtype == np.float64
+        assert trace.flags["C_CONTIGUOUS"]
+        assert tuple(trace[-1]) == chain.step_sizes
+        assert hashlib.sha256(trace.tobytes()).hexdigest()[:16] == want
 
 
 class TestEffectiveSampleSize:
@@ -643,7 +681,8 @@ class TestConcentrationStep:
 
 # the Python frames one run_mcmc iteration opens, by family and prior,
 # for a chain started in the middle of the support (kappa = 2, ell = 0.25,
-# rho = 0.5, where each distance kernel takes a direct form): the mu
+# rho = 0.5, where each distance kernel takes a direct form) on data drawn
+# there, in burn-in and after it: the mu
 # move's mu_term and combine; the concentration move's map back (a
 # lambda on either scale), conc_term, combine, the prior's log density
 # and its form with the float namespace's numpy wrappers, and for the
@@ -664,11 +703,14 @@ class TestProposalCallCount:
     cannot creep back unseen. Counted with sys.setprofile, so it does not
     depend on timing."""
 
+    @pytest.mark.parametrize("burn_in", (0, 1000))
     @pytest.mark.parametrize("case", sorted(STEP_CALLS))
-    def test_python_calls_per_proposal(self, case):
+    def test_python_calls_per_proposal(self, case, burn_in):
         family, prior, initial, want = STEP_CALLS[case]
-        config = McmcConfig(iterations=1000, burn_in=0, seed=5, initial_mu=1.0,
-                            initial_concentration=initial)
+        config = McmcConfig(iterations=burn_in + 1000, burn_in=burn_in, seed=5,
+                            initial_mu=1.0, initial_concentration=initial)
+        # data at the start's concentration hold an adapting chain near it
+        data = sample(DistributionSpec(family, 1.0, initial), 300, seed=13)
         frames = []
 
         def profile(frame, event, arg):
@@ -681,7 +723,7 @@ class TestProposalCallCount:
         gc.disable()
         sys.setprofile(profile)
         try:
-            chain = run_mcmc(ModelSpec(family, prior), DATA3, config)
+            chain = run_mcmc(ModelSpec(family, prior), data, config)
         finally:
             sys.setprofile(None)
             if gc_was_enabled:
@@ -693,4 +735,7 @@ class TestProposalCallCount:
         starts = [i for i, f in enumerate(frames) if f == ("mu_term", "run_mcmc")]
         assert len(starts) == 1 + config.iterations
         per_iteration = [b - a for a, b in zip(starts[1:], starts[2:])]
-        assert set(per_iteration) == {want}, frames[starts[1]:starts[2]]
+        # the same count in burn-in, where the steps adapt, and after it
+        if burn_in:
+            assert set(per_iteration[:burn_in]) == {want}, frames[starts[1]:starts[2]]
+        assert set(per_iteration[burn_in:]) == {want}, frames[starts[-2]:starts[-1]]
