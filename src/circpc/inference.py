@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import math
 import time
-from array import array
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -178,8 +177,13 @@ def log_posterior(model: ModelSpec, data: Dataset, mu, conc) -> float:
 def run_mcmc(model: ModelSpec, data: Dataset, config: McmcConfig, *, trace_steps=False) -> Chain:
     """Component-wise adaptive random-walk Metropolis over (mu, concentration).
 
-    Deterministic for a fixed config seed.  Step sizes adapt only during
-    burn-in (Robbins-Monro on the log step toward target_acceptance).
+    Deterministic for a fixed config seed.  The chain runs in two loops
+    over one set of draws.  The burn-in loop adapts both step sizes
+    (Robbins-Monro on the log step toward target_acceptance) and keeps
+    nothing; the kept loop makes the same moves with the steps frozen,
+    counts acceptances and writes each draw into the chain's preallocated
+    array by index.  With ``trace_steps`` the steps after every burn-in
+    iteration are recorded, and the kept rows repeat the frozen steps.
     The chain keeps the likelihood's mu term and concentration term of
     its current state, so a mu move evaluates only the new mu's term and
     a concentration move only the new concentration's. A concentration
@@ -211,25 +215,26 @@ def run_mcmc(model: ModelSpec, data: Dataset, config: McmcConfig, *, trace_steps
 
     rng = np.random.default_rng(config.seed)
     iters, burn = config.iterations, config.burn_in
+    n_kept = iters - burn
     # draw everything up front: one fixed consumption pattern per config.
-    # The loop reads each row (mu, concentration) as two Python floats
-    # through one iterator taken twice, and keeps its draws and steps in
-    # flat arrays of doubles: no numpy scalar per iteration.
+    # Both loops read each row (mu, concentration) as two Python floats
+    # through one iterator taken twice, the kept loop where burn-in left
+    # off: no numpy scalar per iteration.
     z_all = rng.standard_normal((iters, 2))
     u_all = rng.random((iters, 2))
     z = iter(memoryview(z_all.reshape(-1)))
     u = iter(memoryview(u_all.reshape(-1)))
-    kept = array("d")
-    trace = array("d") if trace_steps else None
-    keep, exp, two_pi = kept.extend, math.exp, TWO_PI  # bound once for the loop
+    trace = np.empty((iters, 2)) if trace_steps else None
+    exp, two_pi = math.exp, TWO_PI  # bound once for the loops
     step_mu = step_conc = 0.5
-    accepted_mu = accepted_conc = 0
     target = config.target_acceptance
     out_of_support = 0
 
+    # burn-in: both steps adapt (Robbins-Monro, gain (i + 1)^-0.7) on the
+    # acceptance probability a of each move; nothing is counted or kept
     start = time.perf_counter()
-    for i, z_mu, z_conc, u_mu, u_conc in zip(range(iters), z, z, u, u):
-        gamma = (i + 1.0) ** -0.7 if i < burn else 0.0
+    for i, z_mu, z_conc, u_mu, u_conc in zip(range(burn), z, z, u, u):
+        gamma = (i + 1.0) ** -0.7
 
         # location: wrapped Gaussian proposal, flat prior cancels; the
         # concentration's term c is the current one's
@@ -240,10 +245,7 @@ def run_mcmc(model: ModelSpec, data: Dataset, config: McmcConfig, *, trace_steps
         a = 1.0 if log_a >= 0.0 else exp(log_a)
         if u_mu < a:
             mu, m, cur_lik = mu_prop, m_prop, lik_prop
-            if i >= burn:
-                accepted_mu += 1
-        if gamma:
-            step_mu *= exp(gamma * (a - target))
+        step_mu *= exp(gamma * (a - target))
 
         # concentration: Gaussian step on the unconstrained scale, mapped
         # back; a proposal outside the open support (or whose map back
@@ -263,27 +265,59 @@ def run_mcmc(model: ModelSpec, data: Dataset, config: McmcConfig, *, trace_steps
         if u_conc < a:
             theta, conc, c = th_prop, conc_prop, c_prop
             cur_lik, cur_pri, cur_jac = lik_prop, pri_prop, jac_prop
-            if i >= burn:
-                accepted_conc += 1
-        if gamma:
-            step_conc *= exp(gamma * (a - target))
+        step_conc *= exp(gamma * (a - target))
 
         if trace is not None:
-            trace.extend((step_mu, step_conc))
-        if i >= burn:
-            keep((mu, conc))
+            trace[i] = step_mu, step_conc
+
+    # kept: the same moves with the steps frozen, so the draws come from
+    # one fixed kernel; each draw is written by index into the chain's
+    # own array, through a view of each column
+    draws = np.empty((n_kept, 2))
+    kept_mu, kept_conc = memoryview(draws[:, 0]), memoryview(draws[:, 1])
+    accepted_mu = accepted_conc = 0
+    for j, z_mu, z_conc, u_mu, u_conc in zip(range(n_kept), z, z, u, u):
+        mu_prop = (mu + step_mu * z_mu) % two_pi
+        m_prop = mu_term(mu_prop)
+        lik_prop = combine(m_prop, conc, c)
+        log_a = lik_prop - cur_lik
+        a = 1.0 if log_a >= 0.0 else exp(log_a)
+        if u_mu < a:
+            mu, m, cur_lik = mu_prop, m_prop, lik_prop
+            accepted_mu += 1
+
+        th_prop = theta + step_conc * z_conc
+        conc_prop = to_conc(th_prop)
+        if lo < conc_prop < hi:
+            c_prop, shared = conc_term(conc_prop)
+            lik_prop = combine(m, conc_prop, c_prop)
+            pri_prop = log_prior(conc_prop, shared)
+            jac_prop = log_jac(conc_prop)
+            log_a = (lik_prop + pri_prop + jac_prop) - (cur_lik + cur_pri + cur_jac)
+            a = 1.0 if log_a >= 0.0 else (exp(log_a) if log_a > -745.0 else 0.0)
+        else:
+            a = 0.0
+            out_of_support += 1
+        if u_conc < a:
+            theta, conc, c = th_prop, conc_prop, c_prop
+            cur_lik, cur_pri, cur_jac = lik_prop, pri_prop, jac_prop
+            accepted_conc += 1
+
+        kept_mu[j] = mu
+        kept_conc[j] = conc
     wall_s = time.perf_counter() - start
 
-    n_kept = iters - burn
+    if trace is not None:
+        trace[burn:] = step_mu, step_conc  # the kept phase's frozen steps
     return Chain(
-        draws=np.array(kept).reshape(n_kept, 2),
+        draws=draws,
         acceptance_rates={
             "mu": accepted_mu / n_kept,
             "concentration": accepted_conc / n_kept,
         },
         step_sizes=(step_mu, step_conc),
         first_iteration=burn,
-        step_trace=None if trace is None else np.array(trace).reshape(iters, 2),
+        step_trace=trace,
         out_of_support=out_of_support,
         wall_s=wall_s,
     )

@@ -23,7 +23,7 @@ from circpc.harness import (
     run_sim_study,
     tail_from_data,
 )
-from circpc.inference import McmcConfig
+from circpc.inference import McmcConfig, summarize
 from circpc.pc_priors import PcPrior
 from circpc.reference_priors import Beta, GammaOneB, H2, UniformHalf
 
@@ -292,6 +292,37 @@ class TestRunSimStudy:
         run_sim_study(replace(desk_study_config(), replicates=2)).write_csv(buf)
         digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
         assert digest == "29ce619ba0c5a0a8bf3f611fdd969b34b307df821dc5983eb68f4e340c698b99"
+
+    def test_replicate_mean_is_summarized_mean_without_ess(self, monkeypatch):
+        # a study reads only each chain's concentration mean: no replicate
+        # runs the ESS's FFT, and each mean is summarize's, bit for bit
+        chains, outcomes = [], []
+
+        def recorded_fit(model, data, config, **kwargs):
+            chains.append(real_fit(model, data, config, **kwargs))
+            return chains[-1]
+
+        def recorded_cell(task):
+            outcomes.append(real_cell(task))
+            return outcomes[-1]
+
+        def no_fft(*args, **kwargs):
+            raise AssertionError("a study replicate computed an ESS")
+
+        real_fit, real_cell = harness.run_mcmc, harness._run_cell
+        monkeypatch.setattr(harness, "run_mcmc", recorded_fit)
+        monkeypatch.setattr(harness, "_run_cell", recorded_cell)
+        monkeypatch.setattr(np.fft, "rfft", no_fft)
+        config = desk_study_config()
+        cell = replace(config, prior_specs=config.prior_specs[:1], true_concentration_grid=(1.0,),
+                       sample_sizes=(100,), replicates=3)
+        (row,) = run_sim_study(cell).rows
+        monkeypatch.undo()
+        ((means, failed),) = outcomes
+        assert failed == 0 and row[6] == 0 and len(chains) == 3
+        assert [type(m) for m in means] == [float] * 3
+        want = [summarize(chain).concentration_mean for chain in chains]
+        assert np.array_equal(np.array(means).view(np.int64), np.array(want).view(np.int64))
 
     def test_csv_format(self, tmp_path):
         result = run_sim_study(tiny_config())
