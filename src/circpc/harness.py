@@ -21,8 +21,8 @@ import numpy as np
 
 from .distributions import FAMILIES, TWO_PI, Dataset, DistributionSpec, Family, circular_mean, sample
 from .divergence import BaseModel
-# a study no longer calls summarize; the name stays here because the traced
-# study-vm benchmark run wraps it (perfbench's HARNESS_CALLS)
+# summarize is not called here: the name stays because the traced study-vm
+# benchmark wraps every name in perfbench's HARNESS_CALLS, this one included
 from .inference import InitializationError, McmcConfig, ModelSpec, run_mcmc, summarize  # noqa: F401
 from .pc_priors import PcPrior, TailSpec, calibrate_lambda, calibrate_lambda_paper
 from .reference_priors import Beta, GammaOneB, H2, H3, ScaledBetaHalf, UniformHalf
