@@ -628,6 +628,40 @@ class TestInverseDistance:
         assert draws >= 40000
         assert sum(evaluated) <= 1.05 * draws, sum(evaluated) / draws
 
+    @pytest.mark.parametrize("profile", SEARCHED, ids=lambda p: f"{p.family.value}-{p.base.value}")
+    def test_inside_matches_per_target_search(self, profile):
+        # a sorted run of targets inside the start table gets, bit for bit,
+        # the start and bracket of each target's own interval: the one a
+        # per-target searchsorted over every node finds
+        search = SEARCHES[profile]
+        v = search.values
+
+        def per_target(target):
+            j = np.searchsorted(v, target, side="right") - 1
+            v_j, inv_h, c1, c2, c3, t0, t1 = search._rows.take(j, axis=1)
+            u = (target - v_j) * inv_h
+            return t0 + u * (c1 + u * (c2 + u * c3)), t0, t1
+
+        rng = np.random.default_rng(18)
+        mid = 0.5 * (v[:-1] + v[1:])
+        runs = [
+            v[:-1],  # every node, the first included
+            mid,  # between every two nodes
+            v[700:1000],  # nodes of 300 intervals
+            np.repeat(v[[5, 6, 6, 6, 7]], 3),  # repeated nodes
+            np.sort(rng.uniform(v[0], v[-1], 4096)),  # random, across the whole table
+            np.sort(rng.uniform(v[800], v[1100], 4096)),  # random, across 300 intervals
+            np.sort(np.concatenate([v[200:500], mid[200:500], rng.uniform(v[200], v[500], 500)])),
+            np.sort(rng.uniform(v[42], v[43], 50)),  # one interval
+            v[[0]], mid[[1918]],  # a single target, at either end
+            np.array([np.nextafter(v[-1], -np.inf)]),  # the last one inside
+        ]
+        for target in runs:
+            assert np.all(np.diff(target) >= 0.0) and v[0] <= target[0] and target[-1] < v[-1]
+            got, want = search._inside(special._ARRAY_MATH, target), per_target(target)
+            for g, w in zip(got, want):
+                assert np.array_equal(g.view(np.int64), w.view(np.int64))
+
     @given(st.floats(min_value=1e-4, max_value=0.55))
     @settings(max_examples=40, deadline=None)
     def test_card_uniform_round_trip_property(self, d):

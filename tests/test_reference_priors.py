@@ -1,4 +1,6 @@
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -7,7 +9,8 @@ from scipy import integrate, stats
 
 from circpc.distributions import TWO_PI, Family
 from circpc.divergence import BaseModel, distance_deriv, inverse_distance, profile_for
-from circpc.pc_priors import PcPrior, pc_pdf
+from circpc.harness import build_concentration_prior, full_study_config
+from circpc.pc_priors import PcPrior, TailSpec, attainable_alpha_range, calibrate_lambda, pc_pdf
 from circpc.reference_priors import (
     Beta,
     CircularUniformLocation,
@@ -323,3 +326,228 @@ class TestScalarAndArrayCalls:
         with np.errstate(all="raise", under="ignore"):
             for prior in (H2(), H3()):
                 assert prior.pdf(1.7e308) >= 0.0
+
+
+def _outcome(call):
+    """What a call gives, as one line: the exception's type and message,
+    or the result's type, shape and the sha256 of its bytes."""
+    try:
+        out = call()
+    except Exception as exc:  # noqa: BLE001 - the type is part of the outcome
+        return f"{type(exc).__name__}: {exc}"
+    arr = np.asarray(out, dtype=float)
+    return f"{type(out).__name__} {arr.shape} {hashlib.sha256(arr.tobytes()).hexdigest()[:16]}"
+
+
+# the pairs of the prior-elicit benchmark with their tail thresholds U
+ELICIT_PAIRS = (
+    (VM_UNI, math.pi / 2), (VM_PM, math.pi / 2), (CARD_UNI, 0.5), (CARD_CURVE, 0.5), (WC_UNI, 0.6),
+)
+ELICIT_ALPHAS = (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99)
+
+
+def _report_bytes(report):
+    return struct.pack(
+        "<d?d", report.density_at_zero, report.monotone_decreasing, report.argmax_d
+    ) + report.classification.encode()
+
+
+def _pair_id(prof):
+    return f"{prof.family.value}-{prof.base.value}"
+
+
+class TestAuditBits:
+    """Every field of the audit, bit for bit, for the PC priors the
+    elicitation benchmark calibrates and the reference priors of the full
+    study grids; the digests were taken before the audit evaluated its
+    abscissae in one call."""
+
+    PC = {
+        "vm-uniform": "498910b4ed25b48e936fc6750c7ec55e384413b9af45e672bd8843f744980322",
+        "vm-pointmass": "97ebe67c4a334bbabf2c7a8f2116cd26acdd9fb93215f4b9566f7c91f6613f99",
+        "cardioid-uniform": "4487eb4784219d8e6732b78c237356d90fa39ccefcf3545e32314dcc0f0d8853",
+        "cardioid-curve": "7d025bded939f799393aacafec001e666fec3d2858a82f3729514f592caa0557",
+        "wc-uniform": "a0743ea3782f4c91c2c931f4c622c59da31a0e0948a2323282892a495f7c42ec",
+    }
+    REFERENCE = {
+        "vm": "9aa33e8bdb027211f7adc191e24fbfcf72eb9aaa0fbd4a4fefb954176854e234",
+        "cardioid": "d79ff0ae931ae6225a92124c3b44c7a33ab5e79d86e9fb3e3c6ac45e273c3722",
+        "wc": "a73984df0b30774ae0b191c068078eeb68a0fd36504e8a17492baa50ac859798",
+    }
+
+    @staticmethod
+    def pc_digest(prof, U):
+        h = hashlib.sha256()
+        lo, hi = attainable_alpha_range(prof.family, prof.base, U)
+        for alpha in ELICIT_ALPHAS:
+            if lo < alpha < hi:
+                lam = calibrate_lambda(prof.family, prof.base, TailSpec(U, alpha))
+                h.update(_report_bytes(overfit_audit(PcPrior(prof.family, prof.base, lam), prof)))
+        return h.hexdigest()
+
+    @staticmethod
+    def reference_digest(family):
+        h = hashlib.sha256()
+        prof = profile_for(family, BaseModel.UNIFORM)
+        for spec in full_study_config(family).prior_specs:
+            if not spec.kind.startswith("pc_"):
+                prior = build_concentration_prior(spec, Family(family))
+                h.update(_report_bytes(overfit_audit(prior, prof)))
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("prof,U", ELICIT_PAIRS, ids=lambda v: _pair_id(v) if hasattr(v, "base") else "")
+    def test_pc_priors(self, prof, U):
+        assert self.pc_digest(prof, U) == self.PC[_pair_id(prof)]
+
+    @pytest.mark.parametrize("family", ["vm", "cardioid", "wc"])
+    def test_reference_priors(self, family):
+        assert self.reference_digest(family) == self.REFERENCE[family]
+
+
+def _own_pc_cases(prof):
+    """Inputs of distance_scale_pdf for a pair's own PC prior: both ends
+    of the attainable range, past them, bad values and every input type."""
+    inverse = prof.inverse
+    if math.isfinite(prof.d_max):
+        top, past = prof.d_max, math.nextafter(prof.d_max, math.inf)
+    elif prof.family is Family.VON_MISES:
+        # the largest distance a float kappa has, and the next float
+        past = inverse.cuts[-1]
+        top = math.nextafter(past, 0.0)
+    else:
+        top, past = 1e150, math.inf
+    mid = 0.5 * min(top, 1.0)
+    return {
+        "zero": 0.0,
+        "minus_zero": -0.0,
+        "tiny": 5e-324,
+        "top": top,
+        "past_top": past,
+        "negative": -0.25,
+        "nan": math.nan,
+        "inf": math.inf,
+        "int": 0,
+        "np_scalar": np.float64(mid),
+        "zero_d": np.asarray(mid),
+        "list": [mid, 0.5 * mid],
+        "empty": np.empty(0),
+        "empty_2x0": np.empty((2, 0)),
+        "grid_2d": np.linspace(1e-3, top if top < 50.0 else 3.0, 6).reshape(2, 3),
+        "unsorted_with_zero": np.array([mid, 0.0, 0.5 * mid]),
+        "unsorted_with_top": np.array([mid, top, 0.5 * mid]),
+        "unsorted_past_top": np.array([mid, past, 0.5 * mid]),
+        "nan_and_negative": np.array([-1.0, math.nan]),
+    }
+
+
+class TestOwnPcPriorTable:
+    """distance_scale_pdf of each pair's PC prior (lambda = 1.3) on its own
+    profile: the exception (type and message) or the result (type, shape
+    and bytes) of every case, pinned before that path stopped inverting."""
+
+    PINS = {
+        ("vm-uniform", "zero"): "float () 3a782dc88acafd2e",
+        ("vm-uniform", "minus_zero"): "float () 3a782dc88acafd2e",
+        ("vm-uniform", "tiny"): "float () 3a782dc88acafd2e",
+        ("vm-uniform", "top"): "float () e051a6fc24b79606",
+        ("vm-uniform", "past_top"): "ValueError: distance not attained by any floating-point parameter",
+        ("vm-uniform", "negative"): "ValueError: distance must lie in [0.0, inf)",
+        ("vm-uniform", "nan"): "ValueError: distance must be finite",
+        ("vm-uniform", "inf"): "ValueError: distance must be finite",
+        ("vm-uniform", "int"): "float () 3a782dc88acafd2e",
+        ("vm-uniform", "np_scalar"): "float () e74c88ee8f0b0b38",
+        ("vm-uniform", "zero_d"): "float () e74c88ee8f0b0b38",
+        ("vm-uniform", "list"): "ndarray (2,) a414f8728b3fafb8",
+        ("vm-uniform", "empty"): "ndarray (0,) e3b0c44298fc1c14",
+        ("vm-uniform", "empty_2x0"): "ndarray (2, 0) e3b0c44298fc1c14",
+        ("vm-uniform", "grid_2d"): "ndarray (2, 3) 155cb710d8485960",
+        ("vm-uniform", "unsorted_with_zero"): "ndarray (3,) 1418d5ed68a6803d",
+        ("vm-uniform", "unsorted_with_top"): "ndarray (3,) 461a8ee5e67fc6b3",
+        ("vm-uniform", "unsorted_past_top"): "ValueError: distance not attained by any floating-point parameter",
+        ("vm-uniform", "nan_and_negative"): "ValueError: distance must be finite",
+        ("vm-pointmass", "zero"): "ValueError: distance not attained by any floating-point parameter",
+        ("vm-pointmass", "minus_zero"): "ValueError: distance not attained by any floating-point parameter",
+        ("vm-pointmass", "tiny"): "float () e4f2d9add4d274ca",
+        ("vm-pointmass", "top"): "float () c95288babb6ee77f",
+        ("vm-pointmass", "past_top"): "ValueError: distance must lie in [0.0, 1.0000000000000002)",
+        ("vm-pointmass", "negative"): "ValueError: distance must lie in [0.0, 1.0000000000000002)",
+        ("vm-pointmass", "nan"): "ValueError: distance must be finite",
+        ("vm-pointmass", "inf"): "ValueError: distance must be finite",
+        ("vm-pointmass", "int"): "ValueError: distance not attained by any floating-point parameter",
+        ("vm-pointmass", "np_scalar"): "float () 5cdd855345efed09",
+        ("vm-pointmass", "zero_d"): "float () 5cdd855345efed09",
+        ("vm-pointmass", "list"): "ndarray (2,) b1eb4b2e04871e38",
+        ("vm-pointmass", "empty"): "ndarray (0,) e3b0c44298fc1c14",
+        ("vm-pointmass", "empty_2x0"): "ndarray (2, 0) e3b0c44298fc1c14",
+        ("vm-pointmass", "grid_2d"): "ndarray (2, 3) 72c5abcfb89a331b",
+        ("vm-pointmass", "unsorted_with_zero"): "ValueError: distance not attained by any floating-point parameter",
+        ("vm-pointmass", "unsorted_with_top"): "ndarray (3,) 108b3dbe0caf31c5",
+        ("vm-pointmass", "unsorted_past_top"): "ValueError: distance must lie in [0.0, 1.0000000000000002)",
+        ("vm-pointmass", "nan_and_negative"): "ValueError: distance must be finite",
+        ("cardioid-uniform", "zero"): "float () 7f3607d8d497e760",
+        ("cardioid-uniform", "minus_zero"): "float () 7f3607d8d497e760",
+        ("cardioid-uniform", "tiny"): "float () 7f3607d8d497e760",
+        ("cardioid-uniform", "top"): "float () aaf3c8846a119406",
+        ("cardioid-uniform", "past_top"): "ValueError: distance must lie in [0.0, 0.5539429748990908)",
+        ("cardioid-uniform", "negative"): "ValueError: distance must lie in [0.0, 0.5539429748990908)",
+        ("cardioid-uniform", "nan"): "ValueError: distance must be finite",
+        ("cardioid-uniform", "inf"): "ValueError: distance must be finite",
+        ("cardioid-uniform", "int"): "float () 7f3607d8d497e760",
+        ("cardioid-uniform", "np_scalar"): "float () a05f79bbe1540136",
+        ("cardioid-uniform", "zero_d"): "float () a05f79bbe1540136",
+        ("cardioid-uniform", "list"): "ndarray (2,) a3f10aef6d8b56db",
+        ("cardioid-uniform", "empty"): "ndarray (0,) e3b0c44298fc1c14",
+        ("cardioid-uniform", "empty_2x0"): "ndarray (2, 0) e3b0c44298fc1c14",
+        ("cardioid-uniform", "grid_2d"): "ndarray (2, 3) fe2707c0cc28a071",
+        ("cardioid-uniform", "unsorted_with_zero"): "ndarray (3,) 3c060183540e6795",
+        ("cardioid-uniform", "unsorted_with_top"): "ndarray (3,) 345a483d2284f9aa",
+        ("cardioid-uniform", "unsorted_past_top"): "ValueError: distance must lie in [0.0, 0.5539429748990908)",
+        ("cardioid-uniform", "nan_and_negative"): "ValueError: distance must be finite",
+        ("cardioid-curve", "zero"): "float () 36b9fe1ed2b9a1af",
+        ("cardioid-curve", "minus_zero"): "float () 36b9fe1ed2b9a1af",
+        ("cardioid-curve", "tiny"): "float () 36b9fe1ed2b9a1af",
+        ("cardioid-curve", "top"): "float () 9de0b011a973fb5c",
+        ("cardioid-curve", "past_top"): "ValueError: distance must lie in [0.0, 0.8325546111576978)",
+        ("cardioid-curve", "negative"): "ValueError: distance must lie in [0.0, 0.8325546111576978)",
+        ("cardioid-curve", "nan"): "ValueError: distance must be finite",
+        ("cardioid-curve", "inf"): "ValueError: distance must be finite",
+        ("cardioid-curve", "int"): "float () 36b9fe1ed2b9a1af",
+        ("cardioid-curve", "np_scalar"): "float () 707596e4cb131416",
+        ("cardioid-curve", "zero_d"): "float () 707596e4cb131416",
+        ("cardioid-curve", "list"): "ndarray (2,) 8af84f74b6d62b0a",
+        ("cardioid-curve", "empty"): "ndarray (0,) e3b0c44298fc1c14",
+        ("cardioid-curve", "empty_2x0"): "ndarray (2, 0) e3b0c44298fc1c14",
+        ("cardioid-curve", "grid_2d"): "ndarray (2, 3) 804033664b122393",
+        ("cardioid-curve", "unsorted_with_zero"): "ndarray (3,) c2306f2e1e56e6f8",
+        ("cardioid-curve", "unsorted_with_top"): "ndarray (3,) 0ee569229453b59d",
+        ("cardioid-curve", "unsorted_past_top"): "ValueError: distance must lie in [0.0, 0.8325546111576978)",
+        ("cardioid-curve", "nan_and_negative"): "ValueError: distance must be finite",
+        ("wc-uniform", "zero"): "float () 3a782dc88acafd2e",
+        ("wc-uniform", "minus_zero"): "float () 3a782dc88acafd2e",
+        ("wc-uniform", "tiny"): "float () 3a782dc88acafd2e",
+        ("wc-uniform", "top"): "float () af5570f5a1810b7a",
+        ("wc-uniform", "past_top"): "ValueError: distance must be finite",
+        ("wc-uniform", "negative"): "ValueError: distance must lie in [0.0, inf)",
+        ("wc-uniform", "nan"): "ValueError: distance must be finite",
+        ("wc-uniform", "inf"): "ValueError: distance must be finite",
+        ("wc-uniform", "int"): "float () 3a782dc88acafd2e",
+        ("wc-uniform", "np_scalar"): "float () e74c88ee8f0b0b38",
+        ("wc-uniform", "zero_d"): "float () e74c88ee8f0b0b38",
+        ("wc-uniform", "list"): "ndarray (2,) a414f8728b3fafb8",
+        ("wc-uniform", "empty"): "ndarray (0,) e3b0c44298fc1c14",
+        ("wc-uniform", "empty_2x0"): "ndarray (2, 0) e3b0c44298fc1c14",
+        ("wc-uniform", "grid_2d"): "ndarray (2, 3) 82fd79e66db3beab",
+        ("wc-uniform", "unsorted_with_zero"): "ndarray (3,) 1418d5ed68a6803d",
+        ("wc-uniform", "unsorted_with_top"): "ndarray (3,) 70e775b4c0046cc7",
+        ("wc-uniform", "unsorted_past_top"): "ValueError: distance must be finite",
+        ("wc-uniform", "nan_and_negative"): "ValueError: distance must be finite",
+    }
+
+    def test_table(self):
+        got = {
+            (_pair_id(prof), name): _outcome(lambda d=d: distance_scale_pdf(
+                PcPrior(prof.family, prof.base, 1.3), prof, d))
+            for prof in (VM_UNI, VM_PM, CARD_UNI, CARD_CURVE, WC_UNI)
+            for name, d in _own_pc_cases(prof).items()
+        }
+        assert got == self.PINS
