@@ -11,6 +11,7 @@ equal quantities, so series or rearranged forms take over there.
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
@@ -222,11 +223,14 @@ def _ell_max(ns, d):
     return _ELL_MAX
 
 
+_NOT_ATTAINED = "distance not attained by any floating-point parameter"
+
+
 def _unattainable(ns, d):
     # an inverse's form for the distances that no parameter reaches; an
     # empty array, which special._piecewise runs on form 0, holds none
     if np.size(d):
-        raise ValueError("distance not attained by any floating-point parameter")
+        raise ValueError(_NOT_ATTAINED)
     return d
 
 
@@ -300,8 +304,9 @@ class _Search:
     cubic-Hermite inverse on its interval, from the values and slopes at
     both ends, and keeps the interval's two nodes as its bracket. The
     table keeps one column per interval, (v_j, 1/h_j, c1, c2, c3, t_j,
-    t_j+1), so a start reads its interval with one gather, which gives
-    seven contiguous rows.
+    t_j+1). The starts of a sorted run of targets search only the nodes
+    between its first and last target, and repeat each interval's column
+    over the targets it holds.
     """
 
     def __init__(self, kernel, coordinate, direction, series):
@@ -337,8 +342,17 @@ class _Search:
         return self.series(target), self.lo, self.hi
 
     def _inside(self, ns, target):
-        j = np.searchsorted(self.values, target, side="right") - 1
-        v, inv_h, c1, c2, c3, t0, t1 = self._rows.take(j, axis=1)
+        # target is a sorted run (_solve_increasing sorts, and the start
+        # table slices its runs), held by intervals first to last: node
+        # first + i falls at edges[i] among the targets, so interval
+        # first + i holds the targets from edges[i] up to edges[i + 1]
+        values = self.values
+        first = int(np.searchsorted(values, target[0], side="right")) - 1
+        last = int(np.searchsorted(values, target[-1], side="right")) - 1
+        edges = np.searchsorted(target, values[first : last + 2])
+        v, inv_h, c1, c2, c3, t0, t1 = np.repeat(
+            self._rows[:, first : last + 1], edges[1:] - edges[:-1], axis=1
+        )
         u = (target - v) * inv_h
         return t0 + u * (c1 + u * (c2 + u * c3)), t0, t1
 
@@ -354,9 +368,9 @@ def _solve_increasing(search, target):
     array. The targets are sorted once, solved in contiguous blocks of
     _NEWTON_BLOCK sorted keys, and the roots scattered back once: the
     order changes no bit, the blocks keep the temporaries of the
-    kernels cache-sized, and on sorted keys the table lookup runs
-    predictably and every kernel slices its forms' runs instead of
-    gathering them.
+    kernels cache-sized, and on sorted keys the start table searches
+    only the nodes a block spans and every kernel slices its forms'
+    runs instead of gathering them.
     """
     order = np.argsort(target)
     keys = target[order]
@@ -667,6 +681,38 @@ def distance_deriv(profile, param):
     )
 
 
+def _checked_distance(profile, d):
+    """``d`` checked as a distance of the pair: finite, in [0, d_max]
+    (d_max itself is attained, or reported as the open end, so the top is
+    closed) and had by some float parameter, else ValueError. The
+    distances the parameters have are one interval, so d's least and
+    greatest elements decide: each is placed among the inverse's cuts,
+    and one in a form ``_unattainable`` raises. Returns ``_checked``'s
+    Python float or float array; nothing is inverted.
+    """
+    x = _checked(d, 0.0, math.nextafter(profile.d_max, math.inf), "distance")
+    if np.size(x):
+        cuts, forms = profile.inverse.cuts, profile.inverse.forms
+        ends = (x, x) if isinstance(x, float) else (float(x.min()), float(x.max()))
+        if any(forms[bisect_right(cuts, e)] is _unattainable for e in ends):
+            raise ValueError(_NOT_ATTAINED)
+    return x
+
+
+def _saturated(profile, d):
+    """Distances ``d`` >= 0 moved onto the ends of the range some float
+    parameter has, where the inverse saturates: up to the least attained
+    distance (the point mass's d = 0 is had by no float kappa) and, for
+    the pairs whose d is unbounded, down to d(max_param). Attained
+    distances keep their bits."""
+    inverse = profile.inverse
+    if inverse.forms[0] is _unattainable:
+        d = np.maximum(d, inverse.cuts[0])
+    if profile.max_param is not None:
+        d = np.minimum(d, profile.dist(profile.max_param))
+    return d
+
+
 def inverse_distance(profile, d):
     """The parameter whose distance equals ``d``.
 
@@ -683,8 +729,7 @@ def inverse_distance(profile, d):
     Mises uniform base, d beyond d(e^709). For the cardioid curve base,
     d = 0 reports the open boundary just below 0.5.
     """
-    # d_max itself is attained (or reported as the open end), so the top is closed
-    x = _checked(d, 0.0, math.nextafter(profile.d_max, math.inf), "distance")
+    x = _checked_distance(profile, d)
     # the kernels solve a 1-d array; the result takes the input's shape once
     out = profile.inverse(np.ravel(x))
     return float(out[0]) if isinstance(x, float) else out.reshape(x.shape)

@@ -36,6 +36,7 @@ from .divergence import (
     BaseModel,
     Direction,
     DistanceProfile,
+    _saturated,
     distance,
     inverse_distance,
     profile_for,
@@ -322,20 +323,19 @@ def pc_quantile(prior: PcPrior, p):
 def pc_sample(prior: PcPrior, n, seed):
     """n inverse-CDF draws from the prior.
 
-    For the unbounded-distance pairs (vm/uniform, wc/uniform) a draw
-    whose distance exceeds what float64 can represent saturates at the
-    largest representable parameter; at lambda >= 1 the per-draw odds
-    are below 1e-8.
+    A draw whose distance no float parameter has saturates at the
+    largest representable parameter: for the unbounded-distance pairs
+    (vm/uniform, wc/uniform) a distance beyond it, where at lambda >= 1
+    the per-draw odds are below 1e-8, and for vm/pointmass a distance
+    that rounds to 0, as a uniform draw near 1 does at small lambda.
+    The distances are made here, so they go to the pair's inverse
+    without the public check.
     """
     _require_normalized(prior, "sampling")
     n = _count(n)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    u = rng.random(n)
-    d = _quantile_distance(prior, u)
-    cap = prior.profile.max_param
-    if cap is not None:
-        d = np.minimum(d, distance(prior.profile, cap))
-    return np.asarray(inverse_distance(prior.profile, d))
+    d = _quantile_distance(prior, rng.random(n))
+    return prior.profile.inverse(_saturated(prior.profile, d))
 
 
 def tail_probability(prior: PcPrior, tail: TailSpec) -> float:

@@ -20,9 +20,9 @@ import numpy as np
 from scipy.special import betaln
 
 from .distributions import TWO_PI, Family, wrap_angle
-from .divergence import BaseModel, DistanceProfile, inverse_distance
+from .divergence import BaseModel, DistanceProfile, _checked_distance, inverse_distance
 from .pc_priors import PcPrior, _pc_density, _pc_log_density_fn, pc_pdf
-from .special import _FLOAT_MATH, _TINY, _checked, _evaluate, _log_i0, _piecewise
+from .special import _FLOAT_MATH, _TINY, _checked, _count, _evaluate, _log_i0, _piecewise
 
 __all__ = [
     "GammaOneB",
@@ -301,7 +301,9 @@ def distance_scale_pdf(prior, profile: DistanceProfile, d):
 
     Evaluates pi(xi(d)) / |d'(xi(d))| with xi(d) from inverse_distance
     and the analytic derivative of the profile's distance map. A PC
-    prior on the same pair is exactly lambda e^(-lambda d) / Z there.
+    prior on the same pair is exactly lambda e^(-lambda d) / Z there,
+    which needs no parameter: d is checked as inverse_distance checks
+    it, and raises where it does, but nothing is inverted.
     From kappa = 2^511 up, on both von Mises pairs, the quotient is
     taken in log kappa, the coordinate their inverses solve in: kappa
     pi(kappa) over kappa |d'|. There the point-mass profile's |d'| loses
@@ -312,23 +314,24 @@ def distance_scale_pdf(prior, profile: DistanceProfile, d):
     |d'| is the point-mass kernel's slope in log kappa, and kappa times
     |d'| on the uniform base, whose |d'| stays normal.
     """
-    xi = inverse_distance(profile, d)  # checks d, and raises where no parameter has it
     if isinstance(prior, PcPrior) and prior.profile is profile:
-        out = _pc_density(prior, np.asarray(d, dtype=float), 1.0)
-    else:
-        density = _param_density(prior)(xi)
-        slope = profile.dist_deriv(xi)[1]
-        far = xi >= _LOG_KAPPA_FROM
-        if profile.family is Family.VON_MISES and np.any(far):
-            tail = getattr(prior, "_log_tail", None)
-            # the floor keeps a tail form off the elements it does not hold for
-            k_density = density * xi if tail is None else tail(np.maximum(xi, _LOG_KAPPA_FROM))
-            density = np.where(far, k_density, density)
-            # the point-mass kernel's log_slope flag gives kappa |d'|
-            k_slope = (profile.dist_deriv(xi, (None, True))[1]
-                       if profile.base is BaseModel.POINT_MASS else xi * slope)
-            slope = np.where(far, k_slope, slope)
-        out = density / slope
+        x = _checked_distance(profile, d)
+        out = _pc_density(prior, x, 1.0)
+        return float(out) if isinstance(x, float) else out
+    xi = inverse_distance(profile, d)  # checks d, and raises where no parameter has it
+    density = _param_density(prior)(xi)
+    slope = profile.dist_deriv(xi)[1]
+    far = xi >= _LOG_KAPPA_FROM
+    if profile.family is Family.VON_MISES and np.any(far):
+        tail = getattr(prior, "_log_tail", None)
+        # the floor keeps a tail form off the elements it does not hold for
+        k_density = density * xi if tail is None else tail(np.maximum(xi, _LOG_KAPPA_FROM))
+        density = np.where(far, k_density, density)
+        # the point-mass kernel's log_slope flag gives kappa |d'|
+        k_slope = (profile.dist_deriv(xi, (None, True))[1]
+                   if profile.base is BaseModel.POINT_MASS else xi * slope)
+        slope = np.where(far, k_slope, slope)
+    out = density / slope
     return float(out) if isinstance(xi, float) else out
 
 
@@ -350,17 +353,23 @@ class AuditReport:
         }
 
 
-def _density_at_zero_limit(pdf_d, h=1e-4):
-    """One-sided limit of a distance-scale density at d -> 0+.
+# the audit grid starts just off d = 0, which the point-mass and curve
+# bases reach only as the parameter runs to its open end; the limit at 0
+# reads the density at _ZERO_STEP and at half of it
+_GRID_START = 1e-3
+_ZERO_STEP = 1e-4
+
+
+def _density_at_zero_limit(v_half, v_step):
+    """One-sided limit of a distance-scale density at d -> 0+, from its
+    values at d = _ZERO_STEP / 2 and _ZERO_STEP.
 
     Richardson-style: if halving the abscissa grows the value sharply
     the density diverges; otherwise extrapolate linearly to zero.
     """
-    v1 = float(pdf_d(h))
-    v2 = float(pdf_d(0.5 * h))
-    if v2 > 1.25 * v1 and v2 > 0.0:
+    if v_half > 1.25 * v_step and v_half > 0.0:
         return math.inf
-    return max(2.0 * v2 - v1, 0.0)
+    return max(2.0 * v_half - v_step, 0.0)
 
 
 def overfit_audit(prior, profile: DistanceProfile, *, grid_points=1000, d_cap=4.0):
@@ -370,19 +379,29 @@ def overfit_audit(prior, profile: DistanceProfile, *, grid_points=1000, d_cap=4.
     monotone decreasing over a grid, and where its maximum sits.  A prior
     whose distance-scale density peaks at the base model (first grid
     point) is base-model-favoring; anything else rewards complexity.
+    The grid runs from 1e-3 to min(d_max, d_cap) in ``grid_points``
+    points, at least 2; its top must be finite and above its start. The
+    limit's two abscissae and the grid are evaluated in one call.
     """
-    pdf_d = lambda d: distance_scale_pdf(prior, profile, d)
+    n = _count(grid_points, "grid_points")
+    if n < 2:
+        raise ValueError("grid_points must be at least 2")
     hi = min(profile.d_max, d_cap)
     if math.isfinite(profile.d_max):
         hi = hi * (1.0 - 1e-5)  # keep clear of diverging endpoint curvature
-    # start just off d = 0, which the point-mass and curve bases reach
-    # only as the parameter runs to its open end
-    grid = np.linspace(1e-3, hi, int(grid_points))
-    vals = np.asarray(pdf_d(grid), dtype=float)
+    # min() passes over a nan d_cap, so it is tested itself
+    if d_cap != d_cap or not _GRID_START < hi < math.inf:
+        raise ValueError(
+            f"d_cap must be a number such that min(d_max, d_cap) is finite and above {_GRID_START}"
+        )
+    grid = np.linspace(_GRID_START, hi, n)
+    at = np.concatenate(((0.5 * _ZERO_STEP, _ZERO_STEP), grid))
+    vals = np.asarray(distance_scale_pdf(prior, profile, at), dtype=float)
+    v_half, v_step, vals = float(vals[0]), float(vals[1]), vals[2:]
     increases = vals[1:] > vals[:-1] * (1.0 + 1e-9) + 1e-300
     argmax = int(np.argmax(vals))
     return AuditReport(
-        density_at_zero=_density_at_zero_limit(pdf_d),
+        density_at_zero=_density_at_zero_limit(v_half, v_step),
         monotone_decreasing=bool(not np.any(increases)),
         argmax_d=float(grid[argmax]),
         classification=(

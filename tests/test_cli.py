@@ -159,6 +159,17 @@ class TestAudit:
         payload = json.loads(out)
         assert payload["classification"] == "base_model_favoring"
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--grid-points", "1"), ("--d-cap", "5e-4"), ("--d-cap", "nan"),
+    ])
+    def test_bad_grid_exits_1(self, capsys, flag, value):
+        code, out, err = run_cli(
+            capsys,
+            ["audit", "--prior", "gamma", "--hypers", "0.1", "--profile", "vm:uniform", flag, value],
+        )
+        assert code == 1 and out == ""
+        assert flag[2:].replace("-", "_") in err
+
 
 class TestRefDensity:
     def test_parameter_scale(self, capsys):

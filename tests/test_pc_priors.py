@@ -13,6 +13,7 @@ from circpc.divergence import (
     BaseModel,
     distance,
     distance_deriv,
+    inverse_distance,
     profile_for,
 )
 from circpc.harness import desk_study_config, full_study_config
@@ -34,6 +35,7 @@ from circpc.pc_priors import (
     q_transform,
     tail_probability,
 )
+from circpc.special import _TINY
 
 PAIRS = (
     (Family.VON_MISES, BaseModel.UNIFORM),
@@ -264,6 +266,18 @@ class TestQuantile:
         assert pc_cdf(p, pc_quantile(p, level)) == pytest.approx(level, abs=1e-11)
 
 
+class _Levels(np.random.Generator):
+    """A generator whose ``random(n)`` returns given uniforms."""
+
+    def __init__(self, levels):
+        super().__init__(np.random.PCG64(0))
+        self.levels = np.asarray(levels, dtype=float)
+
+    def random(self, n):
+        assert n == self.levels.size
+        return self.levels.copy()
+
+
 class TestSample:
     def test_deterministic(self):
         p = PcPrior(Family.CARDIOID, BaseModel.UNIFORM, 1.0)
@@ -291,6 +305,37 @@ class TestSample:
         p = PcPrior(Family.VON_MISES, BaseModel.UNIFORM, 0.05)
         draws = pc_sample(p, 2000, seed=3)
         assert np.all(np.isfinite(draws))
+
+    def test_distance_rounding_to_zero_saturates_not_raises(self):
+        # on the point mass at lambda = 0.05 a uniform of 1 - 2^-53 gives
+        # a quantile distance that rounds to 0, which no float kappa has:
+        # the draw saturates at the inverse's largest kappa, as a distance
+        # past the unbounded pairs' largest does; the other draws keep the
+        # bits of their inverse
+        p = PcPrior(Family.VON_MISES, BaseModel.POINT_MASS, 0.05)
+        prof = p.profile
+        levels = np.array([1.0 - 2.0 ** -53, 0.5, 0.0, 0.999, 1e-9])
+        assert pc_priors._quantile_distance(p, levels[:1])[0] == 0.0
+        draws = pc_sample(p, levels.size, _Levels(levels))
+        assert draws[0] == inverse_distance(prof, _TINY) and math.isfinite(draws[0])
+        want = inverse_distance(prof, pc_priors._quantile_distance(p, levels[1:]))
+        assert np.array_equal(draws[1:].view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("pair", PAIRS)
+    def test_draws_are_the_public_inverse_of_their_distances(self, pair):
+        # the draws skip the public check, not a bit of the inverse: a
+        # stream of levels reaching both ends of (0, 1)
+        p = PcPrior(pair[0], pair[1], 0.7)
+        rng = np.random.default_rng(19)
+        levels = np.concatenate([rng.random(3000), 1.0 - np.geomspace(2.0 ** -52, 0.5, 200),
+                                 np.geomspace(1e-300, 0.5, 200), [0.0]])
+        d = pc_priors._quantile_distance(p, levels)
+        cap = p.profile.max_param
+        if cap is not None:
+            d = np.minimum(d, distance(p.profile, cap))
+        want = inverse_distance(p.profile, d)
+        got = pc_sample(p, levels.size, _Levels(levels))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_non_integer_n_rejected(self):
         # a fraction or a bool is not truncated to a count

@@ -259,6 +259,35 @@ class TestOverfitAudit:
         b = overfit_audit(H2(), VM_UNI)
         assert a == b
 
+    @pytest.mark.parametrize("grid_points", [1, 0, -3, True, 2.7, np.float64(2.5), math.nan])
+    def test_rejects_grid_points(self, grid_points):
+        # one point, or a bool or fraction made into a count, classified
+        # Gamma(0.1) on vm/uniform as base_model_favoring
+        assert overfit_audit(GammaOneB(0.1), VM_UNI).classification == "complexity_favoring"
+        with pytest.raises(ValueError, match="grid_points"):
+            overfit_audit(GammaOneB(0.1), VM_UNI, grid_points=grid_points)
+
+    @pytest.mark.parametrize("prof,d_cap", [
+        (VM_UNI, 5e-4),  # a descending grid
+        (VM_UNI, 1e-3),  # a grid of one repeated point
+        (VM_PM, 1.00001e-3),  # below the start once kept off the finite d_max
+        (VM_PM, math.nan),  # ran as d_max
+        (VM_UNI, math.nan),
+        (VM_UNI, math.inf),
+        (WC_UNI, -1.0),
+    ], ids=lambda v: _pair_id(v) if hasattr(v, "base") else str(v))
+    def test_rejects_d_cap(self, prof, d_cap):
+        with pytest.raises(ValueError, match="d_cap"):
+            overfit_audit(H2(), prof, d_cap=d_cap)
+
+    def test_smallest_grid_and_cap(self):
+        # two points are an audit, and so is a cap just above the start
+        report = overfit_audit(H3(), VM_UNI, grid_points=2, d_cap=0.01)
+        assert report.argmax_d == 0.01 and report.classification == "complexity_favoring"
+        assert overfit_audit(H3(), VM_UNI, d_cap=math.nextafter(1e-3, 1.0)).argmax_d >= 1e-3
+        assert overfit_audit(H2(), VM_PM, d_cap=math.inf) == overfit_audit(H2(), VM_PM, d_cap=1.0)
+        assert overfit_audit(H2(), VM_UNI, grid_points=np.int64(50)).classification == "base_model_favoring"
+
     def test_report_dict_round_trip(self):
         report = overfit_audit(GammaOneB(1.0), VM_UNI)
         d = report.to_dict()
