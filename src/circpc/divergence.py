@@ -11,7 +11,6 @@ equal quantities, so series or rearranged forms take over there.
 """
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
@@ -78,24 +77,27 @@ class DistanceProfile:
     """The monotone map between a concentration parameter and its
     distance: the whole description of one (family, base) pair.
 
-    The four public fields are the pair, the distance's supremum
-    ``d_max`` and the ``direction`` d runs in as the parameter grows; d
-    starts at 0. ``support_lo`` and ``support_hi`` are the family's
-    support, ``FAMILIES[family].support``. Each record also carries its
-    pair's two unchecked kernels (the public functions below check
-    inputs once, then call them) and two facts about the pair's PC prior:
+    The five public fields are the pair, the distance's supremum
+    ``d_max``, the ``direction`` d runs in as the parameter grows (d
+    starts at 0) and ``domain = (lo, hi)``, the closed interval of
+    distances the pair's ``inverse`` is defined on: the distances some
+    float parameter has, or for the wrapped Cauchy, whose closed form
+    saturates, every finite one. ``support_lo`` and ``support_hi`` are
+    the family's support, ``FAMILIES[family].support``. Each record also
+    carries its pair's two unchecked kernels (the public functions below
+    check inputs once, then call them) and two facts about the pair's
+    PC prior:
 
     - ``dist_deriv(param) -> (d, |d'|)``: the distance and the magnitude
       of its slope, from one evaluation of each Bessel function per
       element, as a ``special._piecewise_table``; ``dist`` is its first
       value;
     - ``inverse(d) -> param``: a ``special._piecewise_table`` over a 1-d
-      array of distances in [0, d_max], with a form for each end the
+      array of distances in ``domain``, with a form for each end the
       pair's ``_Search`` does not reach and the search between them (the
-      wrapped Cauchy's closed form needs none); a distance that no
-      parameter has falls in a form that raises;
-    - ``max_param``: the largest invertible parameter, for the pairs
-      whose d is unbounded;
+      wrapped Cauchy's closed form needs none);
+    - ``max_param``: the largest float parameter, for the pairs whose d
+      is unbounded;
     - ``paper_unnormalized``: the printed closed-form prior omits the
       truncation normalizer.
     """
@@ -104,6 +106,7 @@ class DistanceProfile:
     base: BaseModel
     d_max: float
     direction: Direction
+    domain: tuple
     dist_deriv: Callable = field(repr=False, compare=False)
     inverse: Callable = field(repr=False, compare=False)
     max_param: Optional[float] = field(default=None, repr=False, compare=False)
@@ -212,7 +215,7 @@ def kld_numeric(p_spec, q_spec, nodes=20001):
 # it. The von Mises kernels also take the (exp(-k) I0(k), its log) pass
 # that a concentration step's likelihood has made for the same float k,
 # so that step evaluates i0e and its log once. ``inverse`` takes a 1-d
-# array already checked against [0, d_max].
+# array already checked against the profile's ``domain``.
 
 
 def _same(ns, x):
@@ -221,17 +224,6 @@ def _same(ns, x):
 
 def _ell_max(ns, d):
     return _ELL_MAX
-
-
-_NOT_ATTAINED = "distance not attained by any floating-point parameter"
-
-
-def _unattainable(ns, d):
-    # an inverse's form for the distances that no parameter reaches; an
-    # empty array, which special._piecewise runs on form 0, holds none
-    if np.size(d):
-        raise ValueError(_NOT_ATTAINED)
-    return d
 
 
 # log1p(s) - s + s^2/2 = sum_{j>=3} (-1)^(j+1) s^j / j; Horner coefficients
@@ -624,42 +616,45 @@ def _wc_main(ns, rho):
 
 
 _wc = _piecewise_table((_LINEAR_CUT,), (lambda ns, r: (r, 1.0), _wc_main))
+# the distance of the largest rho below 1, where the closed inverse
+# saturates; it clamps d there before squaring it, which overflows from
+# d ~ 1.3e154
+_WC_D_TOP = float(_wc(_RHO_MAX)[0])
 
 
 # Each pair's record. Every inverse is linear below d(_LINEAR_CUT); an
 # open end of the support is reported as the largest float below it: at
 # the cardioid's d_max, to which d(_ELL_MAX) rounds, and the curve's d = 0.
 _PROFILES = {(p.family, p.base): p for p in (
+    # no kappa up to _KAPPA_MAX reaches past d(_KAPPA_MAX)
     DistanceProfile(
-        Family.VON_MISES, BaseModel.UNIFORM, np.inf, Direction.INCREASING, _vm_uniform,
-        # no kappa up to _KAPPA_MAX reaches past d(_KAPPA_MAX)
-        _piecewise_table(
-            (0.5 * _LINEAR_CUT, math.nextafter(float(_vm_uniform(_KAPPA_MAX)[0]), math.inf)),
-            (lambda ns, d: 2.0 * d, _VM_UNIFORM_SEARCH, _unattainable),
-        ),
+        Family.VON_MISES, BaseModel.UNIFORM, np.inf, Direction.INCREASING,
+        (0.0, float(_vm_uniform(_KAPPA_MAX)[0])), _vm_uniform,
+        _piecewise_table((0.5 * _LINEAR_CUT,), (lambda ns, d: 2.0 * d, _VM_UNIFORM_SEARCH)),
         max_param=_KAPPA_MAX,
     ),
-    # d = 0 only as kappa -> inf; d = 1 at kappa = 0
+    # d = 0 only as kappa -> inf, which no float kappa has; d = 1 at kappa = 0
     DistanceProfile(
-        Family.VON_MISES, BaseModel.POINT_MASS, 1.0, Direction.DECREASING, _vm_pointmass,
-        _piecewise_table((_TINY, 1.0), (_unattainable, _VM_POINTMASS_SEARCH, lambda ns, d: 0.0)),
+        Family.VON_MISES, BaseModel.POINT_MASS, 1.0, Direction.DECREASING, (_TINY, 1.0),
+        _vm_pointmass, _piecewise_table((1.0,), (_VM_POINTMASS_SEARCH, lambda ns, d: 0.0)),
         paper_unnormalized=True,
     ),
     DistanceProfile(
-        Family.CARDIOID, BaseModel.UNIFORM, SQRT_1M_LOG2, Direction.INCREASING, _card_uniform,
+        Family.CARDIOID, BaseModel.UNIFORM, SQRT_1M_LOG2, Direction.INCREASING,
+        (0.0, SQRT_1M_LOG2), _card_uniform,
         _piecewise_table((_LINEAR_CUT, SQRT_1M_LOG2), (_same, _CARD_UNIFORM_SEARCH, _ell_max)),
     ),
     DistanceProfile(
-        Family.CARDIOID, BaseModel.CARDIOID_CURVE, SQRT_LOG2, Direction.DECREASING, _card_curve,
+        Family.CARDIOID, BaseModel.CARDIOID_CURVE, SQRT_LOG2, Direction.DECREASING,
+        (0.0, SQRT_LOG2), _card_curve,
         _piecewise_table((_TINY, SQRT_LOG2), (_ell_max, _CARD_CURVE_SEARCH, lambda ns, d: 0.0)),
         paper_unnormalized=True,
     ),
-    # closed form; saturates at the largest rho below 1
     DistanceProfile(
-        Family.WRAPPED_CAUCHY, BaseModel.UNIFORM, np.inf, Direction.INCREASING, _wc,
-        _piecewise_table(
-            (_LINEAR_CUT,), (_same, lambda ns, d: np.minimum(np.sqrt(-np.expm1(-d * d)), _RHO_MAX))
-        ),
+        Family.WRAPPED_CAUCHY, BaseModel.UNIFORM, np.inf, Direction.INCREASING,
+        (0.0, np.inf), _wc,
+        _piecewise_table((_LINEAR_CUT,), (_same, lambda ns, d: np.minimum(
+            np.sqrt(-np.expm1(-np.minimum(d, _WC_D_TOP) ** 2)), _RHO_MAX))),
         max_param=_RHO_MAX,
     ),
 )}
@@ -684,33 +679,18 @@ def distance_deriv(profile, param):
 def _checked_distance(profile, d):
     """``d`` checked as a distance of the pair: finite, in [0, d_max]
     (d_max itself is attained, or reported as the open end, so the top is
-    closed) and had by some float parameter, else ValueError. The
-    distances the parameters have are one interval, so d's least and
-    greatest elements decide: each is placed among the inverse's cuts,
-    and one in a form ``_unattainable`` raises. Returns ``_checked``'s
-    Python float or float array; nothing is inverted.
+    closed) and inside the profile's ``domain``, else ValueError. The
+    domain is one interval, so d's least and greatest elements decide.
+    Returns ``_checked``'s Python float or float array; nothing is
+    inverted.
     """
     x = _checked(d, 0.0, math.nextafter(profile.d_max, math.inf), "distance")
     if np.size(x):
-        cuts, forms = profile.inverse.cuts, profile.inverse.forms
-        ends = (x, x) if isinstance(x, float) else (float(x.min()), float(x.max()))
-        if any(forms[bisect_right(cuts, e)] is _unattainable for e in ends):
-            raise ValueError(_NOT_ATTAINED)
+        lo, hi = profile.domain
+        least, greatest = (x, x) if isinstance(x, float) else (x.min(), x.max())
+        if least < lo or greatest > hi:
+            raise ValueError("distance not attained by any floating-point parameter")
     return x
-
-
-def _saturated(profile, d):
-    """Distances ``d`` >= 0 moved onto the ends of the range some float
-    parameter has, where the inverse saturates: up to the least attained
-    distance (the point mass's d = 0 is had by no float kappa) and, for
-    the pairs whose d is unbounded, down to d(max_param). Attained
-    distances keep their bits."""
-    inverse = profile.inverse
-    if inverse.forms[0] is _unattainable:
-        d = np.maximum(d, inverse.cuts[0])
-    if profile.max_param is not None:
-        d = np.minimum(d, profile.dist(profile.max_param))
-    return d
 
 
 def inverse_distance(profile, d):
@@ -724,10 +704,12 @@ def inverse_distance(profile, d):
     the bracket of its two nodes; distances beyond the table start from
     the small- and large-parameter series. Every element gets the bits
     of its scalar call, whatever the input's shape.
-    Distances outside [0, d_max] raise, and so do the two that no float
-    parameter reaches: d = 0 for the point-mass base and, for the von
-    Mises uniform base, d beyond d(e^709). For the cardioid curve base,
-    d = 0 reports the open boundary just below 0.5.
+    Distances outside [0, d_max] raise, and so do those outside the
+    profile's ``domain``, which no float parameter has: d = 0 for the
+    point-mass base and, for the von Mises uniform base, d beyond
+    d(e^709). The wrapped Cauchy saturates at the largest rho below 1.
+    For the cardioid curve base, d = 0 reports the open boundary just
+    below 0.5.
     """
     x = _checked_distance(profile, d)
     # the kernels solve a 1-d array; the result takes the input's shape once

@@ -26,7 +26,7 @@ from .divergence import BaseModel
 from .inference import InitializationError, McmcConfig, ModelSpec, run_mcmc, summarize  # noqa: F401
 from .pc_priors import PcPrior, TailSpec, calibrate_lambda, calibrate_lambda_paper
 from .reference_priors import Beta, GammaOneB, H2, H3, ScaledBetaHalf, UniformHalf
-from .special import _count
+from .special import _checked, _count
 
 _LOG = logging.getLogger(__name__)
 
@@ -145,6 +145,7 @@ class SimStudyConfig:
         object.__setattr__(self, "prior_specs", specs)
         object.__setattr__(self, "replicates", _count(self.replicates, "replicates"))
         object.__setattr__(self, "base_seed", _count(self.base_seed, "base_seed", allow_zero=True))
+        object.__setattr__(self, "mu_true", _checked(float(self.mu_true), -math.inf, math.inf, "mu_true"))
 
 
 @dataclass(frozen=True)

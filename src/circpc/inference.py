@@ -30,8 +30,8 @@ from .distributions import (
     circular_mean,
     wrap_angle,
 )
-from .reference_priors import VonMisesConjugate, _log_density_fn
-from .special import _count
+from .reference_priors import VonMisesConjugate, _check_support, _log_density_fn
+from .special import _checked, _count
 
 __all__ = [
     "InitializationError",
@@ -61,8 +61,7 @@ class ModelSpec:
 
     def __post_init__(self):
         fam = Family(self.family)
-        support = FAMILIES[fam].support
-        if support is None:
+        if FAMILIES[fam].support is None:
             raise ValueError("the uniform family has no concentration to infer")
         object.__setattr__(self, "family", fam)
         prior = self.concentration_prior
@@ -70,12 +69,7 @@ class ModelSpec:
             raise ValueError("the joint conjugate prior is evaluation-only here")
         if not hasattr(prior, "support"):
             raise ValueError("concentration prior must be a PC or reference prior")
-        # the family supports differ, so the support names the prior's family
-        if tuple(prior.support) != support:
-            raise ValueError(
-                f"prior support {prior.support} does not match the "
-                f"{fam.value} concentration support [{support[0]}, {support[1]})"
-            )
+        _check_support(prior, fam)
 
 
 @dataclass(frozen=True)
@@ -97,6 +91,12 @@ class McmcConfig:
         object.__setattr__(self, "iterations", iterations)
         object.__setattr__(self, "burn_in", burn_in)
         object.__setattr__(self, "seed", _count(self.seed, "seed", allow_zero=True))
+        # finite here; the concentration's support is run_mcmc's check,
+        # which knows the family
+        for name in ("initial_mu", "initial_concentration"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, _checked(float(value), -math.inf, math.inf, name))
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,6 @@ from .divergence import (
     BaseModel,
     Direction,
     DistanceProfile,
-    _saturated,
     distance,
     inverse_distance,
     profile_for,
@@ -304,38 +303,43 @@ def _require_normalized(prior: PcPrior, what: str) -> None:
 def pc_quantile(prior: PcPrior, p):
     """Inverse CDF: the param whose pc_cdf equals p, for p in (0, 1).
 
-    For the unbounded-distance pairs (vm/uniform, wc/uniform) a level
-    close enough to 1 can map beyond the largest float64 parameter;
-    that is reported as a ValueError rather than returned saturated.
+    A level close enough to 1 can map beyond the largest float64
+    parameter: past d(max_param) on the unbounded-distance pairs
+    (vm/uniform, wc/uniform), or on vm/pointmass to a distance that
+    rounds to 0, below the profile's ``domain``. That is reported as a
+    ValueError rather than returned saturated.
     """
     _require_normalized(prior, "quantile")
     x = _checked(p, _TINY, 1.0, "quantile level")
+    prof = prior.profile
     d = _quantile_distance(prior, x)
-    cap = prior.profile.max_param
-    if cap is not None and np.any(d > distance(prior.profile, cap)):
-        raise ValueError(
-            "quantile level maps beyond the largest representable parameter "
-            f"(reachable up to p = {pc_cdf(prior, cap):.17g})"
-        )
-    return inverse_distance(prior.profile, d)
+    beyond = "quantile level maps beyond the largest representable parameter"
+    if np.any(d < prof.domain[0]):
+        raise ValueError(beyond)
+    cap = prof.max_param
+    if cap is not None and np.any(d > distance(prof, cap)):
+        raise ValueError(f"{beyond} (reachable up to p = {pc_cdf(prior, cap):.17g})")
+    return inverse_distance(prof, d)
 
 
 def pc_sample(prior: PcPrior, n, seed):
     """n inverse-CDF draws from the prior.
 
     A draw whose distance no float parameter has saturates at the
-    largest representable parameter: for the unbounded-distance pairs
-    (vm/uniform, wc/uniform) a distance beyond it, where at lambda >= 1
-    the per-draw odds are below 1e-8, and for vm/pointmass a distance
-    that rounds to 0, as a uniform draw near 1 does at small lambda.
-    The distances are made here, so they go to the pair's inverse
-    without the public check.
+    largest representable parameter. On the unbounded-distance pairs
+    (vm/uniform, wc/uniform) that is a distance beyond d(max_param),
+    18.84 and 6.00, which a draw reaches with probability
+    exp(-lambda d(max_param)): 0.390 at lambda = 0.05 on vm/uniform,
+    6.6e-9 at lambda = 1. On vm/pointmass it is a distance that rounds
+    to 0, as a uniform draw near 1 does at small lambda. The distances
+    are made here, so they are clipped to the profile's ``domain`` and
+    go to the pair's inverse without the public check.
     """
     _require_normalized(prior, "sampling")
     n = _count(n)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     d = _quantile_distance(prior, rng.random(n))
-    return prior.profile.inverse(_saturated(prior.profile, d))
+    return prior.profile.inverse(np.clip(d, *prior.profile.domain))
 
 
 def tail_probability(prior: PcPrior, tail: TailSpec) -> float:

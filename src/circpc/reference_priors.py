@@ -19,7 +19,7 @@ from typing import Callable, Union
 import numpy as np
 from scipy.special import betaln
 
-from .distributions import TWO_PI, Family, wrap_angle
+from .distributions import FAMILIES, TWO_PI, Family, wrap_angle
 from .divergence import BaseModel, DistanceProfile, _checked_distance, inverse_distance
 from .pc_priors import PcPrior, _pc_density, _pc_log_density_fn, pc_pdf
 from .special import _FLOAT_MATH, _TINY, _checked, _count, _evaluate, _log_i0, _piecewise
@@ -259,6 +259,17 @@ def ref_pdf(prior, param):
     return _evaluate(prior.pdf, param, *prior.support, "parameter")
 
 
+def _check_support(prior, family):
+    """ValueError, naming both supports, unless ``prior.support`` is the
+    concentration support of ``family``."""
+    lo, hi = FAMILIES[family].support
+    if tuple(prior.support) != (lo, hi):
+        raise ValueError(
+            f"prior support {prior.support} does not match the "
+            f"{family.value} concentration support [{lo}, {hi})"
+        )
+
+
 def _log_density_fn(prior) -> Callable:
     """The log density of a univariate concentration prior at one float
     inside its support, unchecked, as the sampler and ``log_posterior``
@@ -313,7 +324,11 @@ def distance_scale_pdf(prior, profile: DistanceProfile, d):
     stays normal; any other prior gives pi(kappa) times kappa. kappa
     |d'| is the point-mass kernel's slope in log kappa, and kappa times
     |d'| on the uniform base, whose |d'| stays normal.
+    A prior with a ``support`` must have the profile family's; a bare
+    callable has none and is read on any pair.
     """
+    if hasattr(prior, "support"):
+        _check_support(prior, profile.family)
     if isinstance(prior, PcPrior) and prior.profile is profile:
         x = _checked_distance(profile, d)
         out = _pc_density(prior, x, 1.0)

@@ -124,10 +124,7 @@ def _piecewise(x, cuts, forms, *args):
     only arguments inside its own interval, so it must be finite, and
     raise nothing, there and nowhere else; every element gets the bits
     of its scalar call. A form may get a view of the caller's array, so
-    it must not write into its arguments. The exception is a form that
-    stands for an interval without values, such as the distances no
-    parameter reaches: it raises, for any element there, and returns on
-    an empty array, which runs the first form.
+    it must not write into its arguments.
     A table without cuts is one form over the whole line.
     """
     return _piecewise_table(cuts, forms)(x, args)

@@ -159,6 +159,17 @@ class TestAudit:
         payload = json.loads(out)
         assert payload["classification"] == "base_model_favoring"
 
+    @pytest.mark.parametrize("argv", [
+        ["audit", "--prior", "gamma", "--hypers", "1", "--profile", "cardioid:uniform"],
+        ["audit", "--prior", "beta", "--hypers", "2", "2", "--profile", "vm:uniform"],
+        ["ref-density", "--prior", "h2", "--grid", "0.1:0.5:3", "--profile", "wc:uniform"],
+    ], ids=["audit-gamma-cardioid", "audit-beta-vm", "ref-density-h2-wc"])
+    def test_prior_of_another_support_exits_1(self, capsys, argv):
+        # no verdict on a distance scale of another family
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1 and out == ""
+        assert "prior support" in err and "concentration support" in err
+
     @pytest.mark.parametrize("flag,value", [
         ("--grid-points", "1"), ("--d-cap", "5e-4"), ("--d-cap", "nan"),
     ])
@@ -387,6 +398,31 @@ class TestSimulate:
         code, _, err = run_cli(capsys, ["simulate", "--config", str(cfg_path), "--seed", "99"])
         assert code == 1
         assert "base_seed" in err
+
+    @pytest.mark.parametrize("key,mcmc", [
+        ("initial_concentration", {"initial_concentration": math.nan}),
+        ("initial_mu", {"initial_mu": math.inf}),
+        ("mu_true", {}),
+    ])
+    def test_non_finite_value_rejected_before_any_cell(self, capsys, tmp_path, key, mcmc):
+        config = {
+            "family": "vm",
+            "truths": [1.0],
+            "sample_sizes": [30],
+            "replicates": 1,
+            "priors": [{"kind": "gamma", "hypers": [1.0]}],
+            "mcmc": {"iterations": 2000, "burn_in": 1000, **mcmc},
+        }
+        if not mcmc:
+            config["mu_true"] = math.nan
+        cfg_path = tmp_path / "study.json"
+        cfg_path.write_text(json.dumps(config))
+        out_path = tmp_path / "result.csv"
+        code, out, err = run_cli(
+            capsys, ["simulate", "--config", str(cfg_path), "--seed", "99", "--out", str(out_path)]
+        )
+        assert code == 1 and out == "" and not out_path.exists()
+        assert f"{key} must be finite" in err
 
     def test_reduced_study_is_von_mises_only(self, capsys):
         code, _, err = run_cli(capsys, ["simulate", "--family", "cardioid", "--seed", "1"])

@@ -445,6 +445,32 @@ class TestInverseDistance:
         # the wrapped Cauchy closed form saturates at the largest rho below 1
         assert inverse_distance(WC_UNI, 100.0) == _RHO_MAX
 
+    # the closed interval of distances each pair's inverse takes: from 0
+    # (from the smallest positive float on the point mass, whose d = 0 no
+    # float kappa has) up to d(e^709) on the von Mises uniform base and
+    # d_max on the bounded pairs; the wrapped Cauchy takes every finite d
+    DOMAINS = {
+        VM_UNI: (0.0, 18.839292410629565),
+        VM_PM: (5e-324, 1.0),
+        CARD_UNI: (0.0, 0.5539429748990907),
+        CARD_CURVE: (0.0, 0.8325546111576977),
+        WC_UNI: (0.0, math.inf),
+    }
+
+    @pytest.mark.parametrize("profile", ALL_PROFILES, ids=lambda p: f"{p.family.value}-{p.base.value}")
+    def test_domain_ends(self, profile):
+        # both ends are inverted, as a scalar and in one array, and the
+        # next float beyond each raises
+        lo, hi = self.DOMAINS[profile]
+        assert profile.domain == (lo, hi)
+        top = min(hi, np.finfo(float).max)
+        with np.errstate(over="ignore"):
+            ends = [inverse_distance(profile, lo), inverse_distance(profile, top)]
+            assert np.array_equal(inverse_distance(profile, np.array([lo, top])), ends)
+        for past in (math.nextafter(lo, -math.inf), math.nextafter(top, math.inf)):
+            with pytest.raises(ValueError):
+                inverse_distance(profile, past)
+
     def test_out_of_range_raises(self):
         with pytest.raises(ValueError):
             inverse_distance(VM_PM, 1.5)

@@ -152,6 +152,12 @@ class TestSimStudyConfig:
                 tiny_config(base_seed=bad)
         assert tiny_config(base_seed=520.0).base_seed == 520
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_mu_true_must_be_finite(self, bad):
+        # checked when the config is built, not when a replicate's data is drawn
+        with pytest.raises(ValueError, match="^mu_true must be finite$"):
+            replace(desk_study_config(), mu_true=bad)
+
     def test_desk_and_full_configs_construct(self):
         desk = desk_study_config()
         assert desk.family is Family.VON_MISES

@@ -106,6 +106,15 @@ class TestMcmcConfigValidation:
         with pytest.raises(ValueError, match="iterations must be a positive integer"):
             McmcConfig(iterations=math.inf, burn_in=500, seed=1)
 
+    @pytest.mark.parametrize("name", ["initial_mu", "initial_concentration"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_initial_state_must_be_finite(self, name, bad):
+        # checked when the config is built, not when a chain starts
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            McmcConfig(iterations=2000, burn_in=500, seed=1, **{name: bad})
+        cfg = McmcConfig(iterations=2000, burn_in=500, seed=1, **{name: np.float64(0.5)})
+        assert getattr(cfg, name) == 0.5
+
     def test_seed_checked_not_truncated(self):
         # not read as seed 2, 1 or -1; 0 is a seed
         for bad in (2.5, True, -1):

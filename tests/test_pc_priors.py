@@ -248,6 +248,16 @@ class TestQuantile:
         with pytest.raises(ValueError, match="reachable"):
             pc_quantile(p, 1.0 - 1e-16)
 
+    def test_level_whose_distance_rounds_to_zero_raises(self):
+        # on the point mass at lambda = 0.05 this level's distance rounds
+        # to 0, which no float kappa has; there is no reachable level to name
+        p = PcPrior(Family.VON_MISES, BaseModel.POINT_MASS, 0.05)
+        assert pc_priors._quantile_distance(p, 1.0 - 2.0 ** -53) == 0.0
+        with pytest.raises(ValueError, match=r"^quantile level maps beyond the largest representable parameter$"):
+            pc_quantile(p, 1.0 - 2.0 ** -53)
+        with pytest.raises(ValueError, match=r"^quantile level maps beyond"):
+            pc_quantile(p, np.array([0.5, 1.0 - 2.0 ** -53]))
+
     @pytest.mark.parametrize("shape", [(0,), (0, 3)])
     def test_empty_levels(self, shape):
         for pair in PAIRS:
@@ -305,6 +315,19 @@ class TestSample:
         p = PcPrior(Family.VON_MISES, BaseModel.UNIFORM, 0.05)
         draws = pc_sample(p, 2000, seed=3)
         assert np.all(np.isfinite(draws))
+
+    def test_saturated_share(self):
+        # on the unbounded pairs a draw saturates at max_param with
+        # probability exp(-lambda d(max_param)): 0.390 at lambda = 0.05 on
+        # vm/uniform; the share of 100 000 draws lies within 5 binomial
+        # standard deviations of it
+        p = PcPrior(Family.VON_MISES, BaseModel.UNIFORM, 0.05)
+        cap = p.profile.max_param
+        prob = math.exp(-p.lam * distance(p.profile, cap))
+        assert prob == pytest.approx(0.390, abs=5e-4)
+        n = 100_000
+        saturated = int(np.count_nonzero(pc_sample(p, n, seed=1) == cap))
+        assert abs(saturated - n * prob) <= 5.0 * math.sqrt(n * prob * (1.0 - prob))
 
     def test_distance_rounding_to_zero_saturates_not_raises(self):
         # on the point mass at lambda = 0.05 a uniform of 1 - 2^-53 gives

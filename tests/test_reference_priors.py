@@ -1,6 +1,7 @@
 import hashlib
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
 from circpc.distributions import TWO_PI, Family
-from circpc.divergence import BaseModel, distance_deriv, inverse_distance, profile_for
+from circpc.divergence import BaseModel, distance, distance_deriv, inverse_distance, profile_for
 from circpc.harness import build_concentration_prior, full_study_config
 from circpc.pc_priors import PcPrior, TailSpec, attainable_alpha_range, calibrate_lambda, pc_pdf
 from circpc.reference_priors import (
@@ -195,7 +196,8 @@ class TestDistanceScale:
         # an empty grid gives an empty density of its shape on every pair,
         # for the pair's own PC prior and for another prior
         for prof in (VM_UNI, VM_PM, CARD_UNI, CARD_CURVE, WC_UNI):
-            other = GammaOneB(1.0) if prof.family is Family.VON_MISES else Beta(2.0, 2.0)
+            other = {Family.VON_MISES: GammaOneB(1.0), Family.CARDIOID: ScaledBetaHalf(2.0, 2.0),
+                     Family.WRAPPED_CAUCHY: Beta(2.0, 2.0)}[prof.family]
             for prior in (PcPrior(prof.family, prof.base, 1.3), other):
                 assert distance_scale_pdf(prior, prof, np.empty(shape)).shape == shape, (prof, prior)
 
@@ -204,6 +206,39 @@ class TestDistanceScale:
             distance_scale_pdf(Beta(2.0, 2.0), WC_UNI, -0.1)
         with pytest.raises(ValueError):
             distance_scale_pdf(GammaOneB(1.0), VM_PM, 1.5)
+
+    def test_wc_huge_distance(self):
+        # the closed form saturates at the largest rho below 1 without
+        # squaring a d that overflows (from d ~ 1.3e154)
+        top = distance(WC_UNI, math.nextafter(1.0, 0.0))
+        prior = Beta(2.0, 2.0)
+        want_rho, want_pdf = inverse_distance(WC_UNI, top), distance_scale_pdf(prior, WC_UNI, top)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for d in (1e200, 1e300):
+                assert inverse_distance(WC_UNI, d) == want_rho
+                assert distance_scale_pdf(prior, WC_UNI, d) == want_pdf
+                assert np.array_equal(inverse_distance(WC_UNI, np.array([top, d])), [want_rho] * 2)
+                assert np.array_equal(distance_scale_pdf(prior, WC_UNI, np.array([top, d])), [want_pdf] * 2)
+
+    @pytest.mark.parametrize("prior,prof", [
+        (GammaOneB(1.0), CARD_UNI),
+        (H2(), WC_UNI),
+        (Beta(2.0, 2.0), VM_UNI),
+        (ScaledBetaHalf(2.0, 2.0), WC_UNI),
+        (UniformHalf(), VM_PM),
+        (PcPrior("vm", "uniform", 1.0), CARD_UNI),
+        (PcPrior("wc", "uniform", 1.0), VM_UNI),
+    ], ids=["gamma-cardioid", "h2-wc", "beta-vm", "scaled_beta-wc", "uniform_half-vm", "pc_vm-cardioid", "pc_wc-vm"])
+    def test_rejects_a_prior_of_another_support(self, prior, prof):
+        # a prior is read on the distance scale of a pair of its own family
+        # only: both supports are named
+        lo, hi = prof.support_lo, prof.support_hi
+        match = rf"prior support \({prior.support[0]}, {prior.support[1]}\) does not match the {prof.family.value} concentration support \[{lo}, {hi}\)"
+        with pytest.raises(ValueError, match=match):
+            distance_scale_pdf(prior, prof, 0.1)
+        with pytest.raises(ValueError, match=match):
+            overfit_audit(prior, prof)
 
     def test_accepts_plain_callable(self):
         half_normal = lambda x: np.sqrt(2.0 / math.pi) * np.exp(-0.5 * x * x)
@@ -436,13 +471,12 @@ class TestAuditBits:
 def _own_pc_cases(prof):
     """Inputs of distance_scale_pdf for a pair's own PC prior: both ends
     of the attainable range, past them, bad values and every input type."""
-    inverse = prof.inverse
     if math.isfinite(prof.d_max):
         top, past = prof.d_max, math.nextafter(prof.d_max, math.inf)
     elif prof.family is Family.VON_MISES:
         # the largest distance a float kappa has, and the next float
-        past = inverse.cuts[-1]
-        top = math.nextafter(past, 0.0)
+        top = prof.domain[1]
+        past = math.nextafter(top, math.inf)
     else:
         top, past = 1e150, math.inf
     mid = 0.5 * min(top, 1.0)
