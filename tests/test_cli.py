@@ -7,7 +7,9 @@ import pytest
 from circpc.cli import main
 from circpc.distributions import Dataset, DistributionSpec, Family, sample
 from circpc.divergence import BaseModel, distance, distance_deriv, profile_for
+from circpc.harness import PriorSpec, build_concentration_prior
 from circpc.pc_priors import PcPrior, pc_cdf, pc_pdf
+from circpc.reference_priors import ref_pdf
 
 
 def run_cli(capsys, argv):
@@ -193,6 +195,29 @@ class TestRefDensity:
         assert lines[0] == "param,pdf"
         vals = [float(l.split(",")[1]) for l in lines[1:]]
         assert vals[0] == pytest.approx(2.0 * math.exp(-1.0), rel=1e-12)
+
+    # each grid straddles its density's cut: Gamma(1, 2)'s 746/b, H2's
+    # 2^511, H3's 2^341, and 0 for Beta and ScaledBetaHalf
+    @pytest.mark.parametrize("prior,hypers,grid", [
+        ("gamma", ["2.0"], "0:400:9"),
+        ("h2", [], "0:1e154:9"),
+        ("h3", [], "0:1e103:9"),
+        ("beta", ["0.5", "2.0"], "0:0.9:9"),
+        ("scaled-beta", ["2.0", "0.5"], "0:0.45:9"),
+        ("uniform-half", [], "0:0.45:9"),
+    ])
+    def test_parameter_scale_is_ref_pdf_per_point(self, capsys, prior, hypers, grid):
+        code, out, _ = run_cli(
+            capsys, ["ref-density", "--prior", prior, "--hypers", *hypers, "--grid", grid]
+        )
+        assert code == 0
+        model = build_concentration_prior(
+            PriorSpec(prior.replace("-", "_"), tuple(map(float, hypers))), Family.VON_MISES
+        )
+        rows = [tuple(map(float, line.split(","))) for line in out.strip().split("\n")[1:]]
+        assert len(rows) == 9
+        for x, density in rows:
+            assert density.hex() == float(ref_pdf(model, x)).hex()
 
     # wrong shape, an unknown family, an unsupported pair
     @pytest.mark.parametrize("profile", ["vm", "kent:uniform", "wc:pointmass"])

@@ -614,3 +614,24 @@ class TestOwnPcPriorTable:
             for name, d in _own_pc_cases(prof).items()
         }
         assert got == self.PINS
+
+
+class TestCrossBaseBits:
+    """distance_scale_pdf of a PC prior (lambda = 1.3) on the other base's
+    profile of its family, on 200 points across that profile's domain:
+    the sha256 of the result's bytes, pinned before the prior's density
+    was read through its own ``pdf``."""
+
+    PINS = {
+        ("vm", "uniform", "pointmass"): "f0b0781b0e7a66d82346c149c9486c04a389179cd35b7a24ab401c3e6daaca83",
+        ("vm", "pointmass", "uniform"): "7fc6c7a1061493bc1429587e42ccc8e41f170a1b04b533c3eb5bafff6049b88f",
+        ("cardioid", "uniform", "curve"): "f17d635645fa3c4bffa93730ff301266f82184b2fe7793d1f083595a09b3b1d4",
+        ("cardioid", "curve", "uniform"): "06fc295570efef63211004d1131f3bd2f5d0c2d576f4b2576346f7ace68cb702",
+    }
+
+    @pytest.mark.parametrize("family,base,on", sorted(PINS), ids="-".join)
+    def test_grid(self, family, base, on):
+        prof = profile_for(Family(family), BaseModel(on))
+        out = distance_scale_pdf(PcPrior(family, base, 1.3), prof, np.linspace(*prof.domain, 200))
+        assert out.shape == (200,)
+        assert hashlib.sha256(out.tobytes()).hexdigest() == self.PINS[(family, base, on)]
