@@ -118,8 +118,8 @@ def _cmd_ref_density(args):
         dens = distance_scale_pdf(prior, args.profile, args.grid)
         _emit_csv(["d", "pdf"], list(zip(map(float, args.grid), map(float, dens))), args.out)
     else:
-        dens = [float(ref_pdf(prior, float(x))) for x in args.grid]
-        _emit_csv(["param", "pdf"], list(zip(map(float, args.grid), dens)), args.out)
+        dens = ref_pdf(prior, args.grid)
+        _emit_csv(["param", "pdf"], list(zip(map(float, args.grid), map(float, dens))), args.out)
     return 0
 
 
@@ -219,23 +219,23 @@ def _cmd_fit(args):
 
 
 def _config_from_json(path):
+    """A study from a JSON file; a key the file leaves out takes its
+    default from SimStudyConfig or PriorSpec."""
     with open(path) as fh:
         raw = json.load(fh)
     priors = tuple(
-        PriorSpec(p["kind"], tuple(p.get("hypers", ())), U=p.get("U"),
-                  calibration=p.get("calibration", "numeric"))
+        PriorSpec(p["kind"], **{k: p[k] for k in ("hypers", "U", "calibration") if k in p})
         for p in raw["priors"]
     )
-    mcmc = McmcConfig(**raw.get("mcmc", {}))
+    optional = {k: raw[k] for k in ("base_seed", "mu_true") if k in raw}
     return SimStudyConfig(
         family=Family(raw["family"]),
         true_concentration_grid=tuple(raw["truths"]),
         sample_sizes=tuple(raw["sample_sizes"]),
         replicates=raw["replicates"],
         prior_specs=priors,
-        base_seed=raw.get("base_seed", 520),
-        mcmc=mcmc,
-        mu_true=float(raw.get("mu_true", np.pi)),
+        mcmc=McmcConfig(**raw.get("mcmc", {})),
+        **optional,
     )
 
 
@@ -248,8 +248,7 @@ def _cmd_simulate(args):
         if Family(args.family) is not Family.VON_MISES:
             raise ValueError("the reduced study is von Mises only; use --full or --config")
         config = desk_study_config()
-    if args.seed is not None:
-        config = replace(config, base_seed=args.seed)
+    config = replace(config, base_seed=args.seed)
     result = run_sim_study(config, workers=args.workers)
     if args.out:
         result.to_csv(args.out)
@@ -346,7 +345,7 @@ def build_parser():
     p.add_argument("--family", default="vm", choices=_CONC_FAMILY_NAMES)
     p.add_argument("--full", action="store_true", help="full-scale grids (slow)")
     p.add_argument("--config", help="JSON study config overriding the defaults")
-    p.add_argument("--seed", type=int, required=True, help="base seed for the study")
+    p.add_argument("--seed", type=int, required=True, help="base seed for the study; replaces a config file's base_seed")
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--out", help="write the result CSV here instead of stdout")
     p.set_defaults(fn=_cmd_simulate)

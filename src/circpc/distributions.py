@@ -388,13 +388,21 @@ def sample(spec, n, seed):
     return Dataset(angles, label=f"{spec.family.value}-sample")
 
 
+def _sample_angles(angles):
+    """Finite angles, at least one, as _checked returns them."""
+    arr = _checked(angles, -math.inf, math.inf, "angle")
+    if np.size(arr) == 0:
+        raise ValueError("sample must contain at least one angle")
+    return arr
+
+
 def circular_mean(angles):
     """Mean direction atan2(sum sin, sum cos), wrapped to [0, 2*pi)."""
-    arr = _checked(angles, -math.inf, math.inf, "angle")
+    arr = _sample_angles(angles)
     return wrap_angle(np.arctan2(np.sin(arr).sum(), np.cos(arr).sum()))
 
 
 def resultant_length(angles):
     """Mean resultant length of a sample of angles, in [0, 1]."""
-    arr = _checked(angles, -math.inf, math.inf, "angle")
+    arr = _sample_angles(angles)
     return float(np.hypot(np.sin(arr).mean(), np.cos(arr).mean()))

@@ -180,14 +180,14 @@ def _run_cell(task):
     never takes the study down. Unexpected errors are logged at WARNING
     with the cell, the replicate, its seeds and the traceback.
     """
-    family, prior, mu_true, truth, n, replicates, base_seed, mcmc = task
+    model, truth, n, replicates, base_seed, mcmc = task
     means = []
     failed = 0
     for r in range(replicates):
-        data = sample(DistributionSpec(family, mu_true, truth), n, seed=base_seed + r)
+        data = sample(truth, n, seed=base_seed + r)
         cfg = replace(mcmc, seed=base_seed + 10 ** 6 + r)
         try:
-            mean = float(run_mcmc(ModelSpec(family, prior), data, cfg).concentration.mean())
+            mean = float(run_mcmc(model, data, cfg).concentration.mean())
         except InitializationError:
             failed += 1
             continue
@@ -196,7 +196,8 @@ def _run_cell(task):
             _LOG.warning(
                 "replicate %d of cell (prior=%r, truth=%r, N=%d) failed; "
                 "data seed %d, chain seed %d",
-                r, prior, truth, n, base_seed + r, cfg.seed, exc_info=True,
+                r, model.concentration_prior, truth.concentration, n,
+                base_seed + r, cfg.seed, exc_info=True,
             )
             continue
         means.append(mean)
@@ -208,30 +209,27 @@ def run_sim_study(config: SimStudyConfig, *, workers: Optional[int] = None) -> S
 
     Worker count affects wall time only; the result table is identical
     for any scheduling because each replicate derives its own seeds.
+    Each prior is matched to the family once, before any chain runs.
     """
-    priors = [build_concentration_prior(s, config.family) for s in config.prior_specs]
-    tasks = []
-    meta = []
-    for spec, prior in zip(config.prior_specs, priors):
-        for truth in config.true_concentration_grid:
-            for n in config.sample_sizes:
-                tasks.append(
-                    (config.family, prior, config.mu_true, truth, n,
-                     config.replicates, config.base_seed, config.mcmc)
-                )
-                meta.append((spec.kind, spec.hyper_label, truth, n))
+    family = config.family
+    models = [ModelSpec(family, build_concentration_prior(s, family)) for s in config.prior_specs]
+    truths = [DistributionSpec(family, config.mu_true, t) for t in config.true_concentration_grid]
+    cells = [(spec, (model, truth, n, config.replicates, config.base_seed, config.mcmc))
+             for spec, model in zip(config.prior_specs, models)
+             for truth in truths
+             for n in config.sample_sizes]
     if workers is None or workers == 1:
-        outcomes = [_run_cell(t) for t in tasks]
+        outcomes = [_run_cell(task) for _, task in cells]
     else:
         # the package's attribute loads the pool's module, and multiprocessing,
         # on first use, so a serial run never imports them
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_cell, tasks))
+            outcomes = list(pool.map(_run_cell, [task for _, task in cells]))
     rows = []
-    for (kind, label, truth, n), (means, failed) in zip(meta, outcomes):
+    for (spec, (_, truth, n, *_)), (means, failed) in zip(cells, outcomes):
         avg = float(np.mean(means)) if means else math.nan
         sd = float(np.std(means, ddof=1)) if len(means) > 1 else 0.0
-        rows.append((kind, label, truth, n, avg, sd, failed))
+        rows.append((spec.kind, spec.hyper_label, truth.concentration, n, avg, sd, failed))
     return SimStudyResult(rows=tuple(rows))
 
 

@@ -30,7 +30,7 @@ from .distributions import (
     circular_mean,
     wrap_angle,
 )
-from .reference_priors import VonMisesConjugate, _check_support, _log_density_fn
+from .reference_priors import _check_support, _log_density_fn
 from .special import _checked, _count
 
 __all__ = [
@@ -65,10 +65,8 @@ class ModelSpec:
             raise ValueError("the uniform family has no concentration to infer")
         object.__setattr__(self, "family", fam)
         prior = self.concentration_prior
-        if isinstance(prior, VonMisesConjugate):
-            raise ValueError("the joint conjugate prior is evaluation-only here")
         if not hasattr(prior, "support"):
-            raise ValueError("concentration prior must be a PC or reference prior")
+            raise ValueError("concentration prior must be a univariate PC or reference prior")
         _check_support(prior, fam)
 
 

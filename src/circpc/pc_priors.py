@@ -99,6 +99,10 @@ class PcPrior:
         """The open interval of the parameter: the family's concentration support."""
         return (self.profile.support_lo, self.profile.support_hi)
 
+    def pdf(self, x):
+        """The density at x inside the support, unchecked; pc_pdf checks x."""
+        return _pc_density(self, *self.profile.dist_deriv(x))
+
     @property
     def is_normalized(self) -> bool:
         """True when the CDF runs from 0 to 1 over the support."""
@@ -223,11 +227,7 @@ def _tail(kern, cdf_at_crossing):
 
 def pc_pdf(prior: PcPrior, param):
     """Prior density at param; exponential in the distance scale."""
-    prof = prior.profile
-    return _evaluate(
-        lambda x: _pc_density(prior, *prof.dist_deriv(x)),
-        param, prof.support_lo, prof.support_hi, "parameter",
-    )
+    return _evaluate(prior.pdf, param, *prior.support, "parameter")
 
 
 def _pc_density(prior: PcPrior, d, slope):

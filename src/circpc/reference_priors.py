@@ -19,9 +19,10 @@ from typing import Callable, Union
 import numpy as np
 from scipy.special import betaln
 
-from .distributions import FAMILIES, TWO_PI, Family, wrap_angle
+from .distributions import FAMILIES, TWO_PI, wrap_angle
 from .divergence import BaseModel, DistanceProfile, _checked_distance, inverse_distance
-from .pc_priors import PcPrior, _pc_density, _pc_log_density_fn, pc_pdf
+# pc_pdf is not called here: the traced prior-elicit benchmark patches it by name
+from .pc_priors import PcPrior, _pc_density, _pc_log_density_fn, pc_pdf  # noqa: F401
 from .special import _FLOAT_MATH, _TINY, _checked, _count, _evaluate, _log_i0, _piecewise
 
 __all__ = [
@@ -214,14 +215,13 @@ class VonMisesConjugate:
 
     pdf evaluates exp(kappa*R0*cos(mu - mu0)) / I0(kappa)^c without the
     (intractable) normalizing constant; interpret c as a count of prior
-    observations with resultant component R0 toward mu0.
+    observations with resultant component R0 toward mu0. Having no
+    univariate ``support``, it is no concentration prior.
     """
 
     c: float
     R0: float
     mu0: float
-
-    support = (0.0, math.inf)  # kappa axis
 
     def __post_init__(self):
         if not (math.isfinite(self.c) and self.c > 0.0):
@@ -251,12 +251,13 @@ ReferencePrior = Union[
 def ref_pdf(prior, param):
     """Density of a comparison prior at param (domain-checked).
 
-    VonMisesConjugate is bivariate: pass param as a (mu, kappa) pair.
+    A prior without a ``support`` is bivariate (VonMisesConjugate): pass
+    param as a (mu, kappa) pair, which its pdf checks.
     """
-    if isinstance(prior, VonMisesConjugate):
-        out = prior.pdf(*param)
-        return float(out) if np.ndim(out) == 0 else out
-    return _evaluate(prior.pdf, param, *prior.support, "parameter")
+    if hasattr(prior, "support"):
+        return _evaluate(prior.pdf, param, *prior.support, "parameter")
+    out = prior.pdf(*param)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def _check_support(prior, family):
@@ -296,17 +297,6 @@ def _log_density_fn(prior) -> Callable:
     return log_density
 
 
-def _param_density(prior) -> Callable:
-    """Parameter-space density callable for any auditable prior."""
-    if isinstance(prior, PcPrior):
-        return lambda x: pc_pdf(prior, x)
-    if hasattr(prior, "pdf") and not isinstance(prior, VonMisesConjugate):
-        return lambda x: ref_pdf(prior, x)
-    if callable(prior):
-        return prior
-    raise TypeError("prior must expose a univariate density")
-
-
 def distance_scale_pdf(prior, profile: DistanceProfile, d):
     """Density of the prior pushed onto the distance scale.
 
@@ -324,20 +314,23 @@ def distance_scale_pdf(prior, profile: DistanceProfile, d):
     stays normal; any other prior gives pi(kappa) times kappa. kappa
     |d'| is the point-mass kernel's slope in log kappa, and kappa times
     |d'| on the uniform base, whose |d'| stays normal.
-    A prior with a ``support`` must have the profile family's; a bare
-    callable has none and is read on any pair.
+    A prior with a ``support`` must have the profile family's; its
+    unchecked ``pdf`` is read on the inverse's output, which lies inside
+    that support. A bare callable has none and is read on any pair.
     """
     if hasattr(prior, "support"):
         _check_support(prior, profile.family)
+    elif not callable(prior):
+        raise TypeError("prior must have a univariate support and pdf, or be a callable density")
     if isinstance(prior, PcPrior) and prior.profile is profile:
         x = _checked_distance(profile, d)
         out = _pc_density(prior, x, 1.0)
         return float(out) if isinstance(x, float) else out
     xi = inverse_distance(profile, d)  # checks d, and raises where no parameter has it
-    density = _param_density(prior)(xi)
+    density = prior.pdf(xi) if hasattr(prior, "support") else prior(xi)
     slope = profile.dist_deriv(xi)[1]
     far = xi >= _LOG_KAPPA_FROM
-    if profile.family is Family.VON_MISES and np.any(far):
+    if np.any(far):
         tail = getattr(prior, "_log_tail", None)
         # the floor keeps a tail form off the elements it does not hold for
         k_density = density * xi if tail is None else tail(np.maximum(xi, _LOG_KAPPA_FROM))

@@ -449,6 +449,24 @@ class TestSimulate:
         assert code == 1 and out == "" and not out_path.exists()
         assert f"{key} must be finite" in err
 
+    def test_prior_of_another_support_exits_before_any_cell(self, capsys, tmp_path):
+        config = {
+            "family": "cardioid",
+            "truths": [0.1],
+            "sample_sizes": [30],
+            "replicates": 2,
+            "priors": [{"kind": "gamma", "hypers": [1]}, {"kind": "beta", "hypers": [2, 2]}],
+            "mcmc": {"iterations": 2000, "burn_in": 1000},
+        }
+        cfg_path = tmp_path / "study.json"
+        cfg_path.write_text(json.dumps(config))
+        out_path = tmp_path / "result.csv"
+        code, out, err = run_cli(
+            capsys, ["simulate", "--config", str(cfg_path), "--seed", "99", "--out", str(out_path)]
+        )
+        assert code == 1 and out == "" and not out_path.exists()
+        assert "does not match the cardioid concentration support" in err
+
     def test_reduced_study_is_von_mises_only(self, capsys):
         code, _, err = run_cli(capsys, ["simulate", "--family", "cardioid", "--seed", "1"])
         assert code == 1

@@ -271,6 +271,12 @@ class TestCircularStats:
     def test_resultant_of_point_mass(self):
         assert resultant_length(np.full(10, 1.3)) == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("summary", [circular_mean, resultant_length])
+    @pytest.mark.parametrize("angles", [[], np.empty(0), np.empty((2, 0))], ids=["list", "array", "2x0"])
+    def test_empty_sample_raises(self, summary, angles):
+        with pytest.raises(ValueError, match="at least one angle"):
+            summary(angles)
+
     @given(st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=30))
     @settings(max_examples=50, deadline=None)
     def test_wrap_angle_range(self, xs):

@@ -290,6 +290,20 @@ class TestRunSimStudy:
         with pytest.raises(ValueError):
             run_sim_study(cfg)
 
+    # a prior of the family's support first, then one of another's
+    @pytest.mark.parametrize("family,good,bad", [
+        (Family.CARDIOID, PriorSpec("uniform_half"), PriorSpec("gamma", (1.0,))),
+        (Family.CARDIOID, PriorSpec("uniform_half"), PriorSpec("beta", (2.0, 2.0))),
+        (Family.WRAPPED_CAUCHY, PriorSpec("beta", (2.0, 2.0)), PriorSpec("uniform_half")),
+    ])
+    def test_prior_of_another_support_raises_before_any_chain(self, monkeypatch, family, good, bad):
+        chains = []
+        monkeypatch.setattr(harness, "run_mcmc", lambda *args, **kwargs: chains.append(args))
+        cfg = tiny_config(family=family, true_concentration_grid=(0.2,), prior_specs=(good, bad))
+        with pytest.raises(ValueError, match=f"does not match the {family.value} concentration support"):
+            run_sim_study(cfg)
+        assert chains == []
+
     def test_desk_study_bits(self):
         # the study's bits are pinned: a rewrite of the sampler or of a
         # prior must keep the same floating-point operations in the same

@@ -65,7 +65,7 @@ class TestModelSpecValidation:
             ModelSpec(Family.WRAPPED_CAUCHY, UniformHalf())
 
     def test_joint_conjugate_prior_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="univariate"):
             ModelSpec(Family.VON_MISES, VonMisesConjugate(1.0, 0.5, 0.0))
 
     def test_pc_prior_family_must_match(self):

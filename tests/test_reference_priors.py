@@ -93,6 +93,18 @@ class TestDensities:
         with pytest.raises(ValueError):
             vc.pdf(math.nan, 1.0)
 
+    @pytest.mark.parametrize("family,base", [
+        ("vm", "uniform"), ("vm", "pointmass"), ("cardioid", "uniform"), ("cardioid", "curve"), ("wc", "uniform"),
+    ])
+    def test_ref_pdf_of_a_pc_prior_is_pc_pdf(self, family, base):
+        prior = PcPrior(family, base, 1.3)
+        hi = min(prior.support[1], 50.0)
+        grid = np.linspace(0.0, np.nextafter(hi, 0.0), 201)
+        assert ref_pdf(prior, grid).tobytes() == pc_pdf(prior, grid).tobytes()
+        for x in (0.0, 0.25 * hi, 0.5 * hi):
+            got, want = ref_pdf(prior, x), pc_pdf(prior, x)
+            assert type(got) is float and got.hex() == want.hex()
+
     def test_ref_pdf_out_of_support_raises(self):
         with pytest.raises(ValueError):
             ref_pdf(GammaOneB(1.0), -0.5)
@@ -244,6 +256,13 @@ class TestDistanceScale:
         half_normal = lambda x: np.sqrt(2.0 / math.pi) * np.exp(-0.5 * x * x)
         v = distance_scale_pdf(half_normal, VM_UNI, 0.5)
         assert v > 0.0
+
+    # the joint conjugate prior has no univariate support, and is no callable
+    @pytest.mark.parametrize("prof", [VM_UNI, VM_PM, CARD_UNI, CARD_CURVE],
+                             ids=["vm-uniform", "vm-pointmass", "cardioid-uniform", "cardioid-curve"])
+    def test_rejects_the_joint_conjugate_prior(self, prof):
+        with pytest.raises(TypeError, match="univariate support and pdf"):
+            distance_scale_pdf(VonMisesConjugate(1.0, 0.5, 0.0), prof, 0.1)
 
 
 class TestOverfitAudit:
