@@ -345,7 +345,8 @@ def build_parser():
     p.add_argument("--family", default="vm", choices=_CONC_FAMILY_NAMES)
     p.add_argument("--full", action="store_true", help="full-scale grids (slow)")
     p.add_argument("--config", help="JSON study config overriding the defaults")
-    p.add_argument("--seed", type=int, required=True, help="base seed for the study; replaces a config file's base_seed")
+    p.add_argument("--seed", type=int, required=True,
+                   help="base seed for the study; replaces a config file's base_seed")
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--out", help="write the result CSV here instead of stdout")
     p.set_defaults(fn=_cmd_simulate)

@@ -211,13 +211,13 @@ class TestRefDensity:
             capsys, ["ref-density", "--prior", prior, "--hypers", *hypers, "--grid", grid]
         )
         assert code == 0
-        model = build_concentration_prior(
+        ref = build_concentration_prior(
             PriorSpec(prior.replace("-", "_"), tuple(map(float, hypers))), Family.VON_MISES
         )
         rows = [tuple(map(float, line.split(","))) for line in out.strip().split("\n")[1:]]
         assert len(rows) == 9
         for x, density in rows:
-            assert density.hex() == float(ref_pdf(model, x)).hex()
+            assert density.hex() == float(ref_pdf(ref, x)).hex()
 
     # wrong shape, an unknown family, an unsupported pair
     @pytest.mark.parametrize("profile", ["vm", "kent:uniform", "wc:pointmass"])
