@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -218,14 +218,42 @@ def _cmd_fit(args):
     return 0
 
 
+# a study file's keys: the required ones, then the optional ones; a
+# prior's and the mcmc block's are their dataclasses' fields
+_STUDY_KEYS = (("family", "truths", "sample_sizes", "replicates", "priors"),
+               ("base_seed", "mu_true", "mcmc"))
+_PRIOR_KEYS = (("kind",), tuple(f.name for f in fields(PriorSpec) if f.name != "kind"))
+_MCMC_KEYS = ((), tuple(f.name for f in fields(McmcConfig)))
+
+
+def _checked_keys(obj, keys, where):
+    """``obj`` as a dict whose keys are among ``keys`` = (required,
+    optional) and hold every required one, else ValueError naming the
+    keys at fault and ``where`` they are."""
+    required, optional = keys
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    unknown = [k for k in obj if k not in required + optional]
+    if unknown:
+        raise ValueError(f"unknown key(s) {', '.join(map(repr, unknown))} in {where}; "
+                         f"expected {', '.join(map(repr, required + optional))}")
+    missing = [k for k in required if k not in obj]
+    if missing:
+        raise ValueError(f"missing key(s) {', '.join(map(repr, missing))} in {where}")
+    return obj
+
+
 def _config_from_json(path):
     """A study from a JSON file; a key the file leaves out takes its
-    default from SimStudyConfig or PriorSpec."""
+    default from SimStudyConfig or PriorSpec. An unknown key, or a
+    missing required one, is a ValueError that names it."""
     with open(path) as fh:
-        raw = json.load(fh)
+        raw = _checked_keys(json.load(fh), _STUDY_KEYS, "the study config")
+    if not isinstance(raw["priors"], list):
+        raise ValueError("priors must be a JSON list")
     priors = tuple(
-        PriorSpec(p["kind"], **{k: p[k] for k in ("hypers", "U", "calibration") if k in p})
-        for p in raw["priors"]
+        PriorSpec(**_checked_keys(p, _PRIOR_KEYS, f"priors[{i}]"))
+        for i, p in enumerate(raw["priors"])
     )
     optional = {k: raw[k] for k in ("base_seed", "mu_true") if k in raw}
     return SimStudyConfig(
@@ -234,7 +262,7 @@ def _config_from_json(path):
         sample_sizes=tuple(raw["sample_sizes"]),
         replicates=raw["replicates"],
         prior_specs=priors,
-        mcmc=McmcConfig(**raw.get("mcmc", {})),
+        mcmc=McmcConfig(**_checked_keys(raw.get("mcmc", {}), _MCMC_KEYS, "mcmc")),
         **optional,
     )
 

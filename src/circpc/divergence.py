@@ -96,8 +96,10 @@ class DistanceProfile:
       array of distances in ``domain``, with a form for each end the
       pair's ``_Search`` does not reach and the search between them (the
       wrapped Cauchy's closed form needs none);
-    - ``max_param``: the largest float parameter, for the pairs whose d
-      is unbounded;
+    - ``d_top``: on the pairs whose d is unbounded, the largest distance
+      a float parameter has: vm/uniform's ``domain[1]``, and the wrapped
+      Cauchy's d(largest rho below 1), past which its closed inverse
+      saturates; None elsewhere;
     - ``paper_unnormalized``: the printed closed-form prior omits the
       truncation normalizer.
     """
@@ -109,7 +111,7 @@ class DistanceProfile:
     domain: tuple
     dist_deriv: Callable = field(repr=False, compare=False)
     inverse: Callable = field(repr=False, compare=False)
-    max_param: Optional[float] = field(default=None, repr=False, compare=False)
+    d_top: Optional[float] = field(default=None, repr=False, compare=False)
     paper_unnormalized: bool = field(default=False, repr=False, compare=False)
 
     support_lo = property(lambda self: FAMILIES[self.family].support[0])
@@ -616,9 +618,11 @@ def _wc_main(ns, rho):
 
 
 _wc = _piecewise_table((_LINEAR_CUT,), (lambda ns, r: (r, 1.0), _wc_main))
-# the distance of the largest rho below 1, where the closed inverse
+# the unbounded pairs' largest attained distances: d(e^709), and the
+# distance of the largest rho below 1, where the closed inverse
 # saturates; it clamps d there before squaring it, which overflows from
 # d ~ 1.3e154
+_VM_UNIFORM_D_TOP = float(_vm_uniform(_KAPPA_MAX)[0])
 _WC_D_TOP = float(_wc(_RHO_MAX)[0])
 
 
@@ -629,9 +633,9 @@ _PROFILES = {(p.family, p.base): p for p in (
     # no kappa up to _KAPPA_MAX reaches past d(_KAPPA_MAX)
     DistanceProfile(
         Family.VON_MISES, BaseModel.UNIFORM, np.inf, Direction.INCREASING,
-        (0.0, float(_vm_uniform(_KAPPA_MAX)[0])), _vm_uniform,
+        (0.0, _VM_UNIFORM_D_TOP), _vm_uniform,
         _piecewise_table((0.5 * _LINEAR_CUT,), (lambda ns, d: 2.0 * d, _VM_UNIFORM_SEARCH)),
-        max_param=_KAPPA_MAX,
+        d_top=_VM_UNIFORM_D_TOP,
     ),
     # d = 0 only as kappa -> inf, which no float kappa has; d = 1 at kappa = 0
     DistanceProfile(
@@ -655,7 +659,7 @@ _PROFILES = {(p.family, p.base): p for p in (
         (0.0, np.inf), _wc,
         _piecewise_table((_LINEAR_CUT,), (_same, lambda ns, d: np.minimum(
             np.sqrt(-np.expm1(-np.minimum(d, _WC_D_TOP) ** 2)), _RHO_MAX))),
-        max_param=_RHO_MAX,
+        d_top=_WC_D_TOP,
     ),
 )}
 

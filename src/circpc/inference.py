@@ -154,8 +154,11 @@ def log_posterior(model: ModelSpec, data: Dataset, mu, conc) -> float:
     """Unnormalized log posterior density at (mu, conc).
 
     Sum of the data log-likelihood, the concentration log-prior, and the
-    circular-uniform location term; -inf where the prior vanishes and
-    +inf where it diverges (a Beta with a < 1 at 0, say).
+    circular-uniform location term; -inf where the prior's density is 0
+    (H3 at 0, say) and +inf where it diverges (a Beta with a < 1 at 0).
+    A reference prior's log density is formed on the log scale, so it
+    reads -inf only where its density is truly 0, not where a float
+    density underflows (a Gamma past 746/b, the H2 and H3 tails).
     """
     if len(data) == 0:
         raise ValueError("dataset must contain at least one angle")

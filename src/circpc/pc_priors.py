@@ -304,10 +304,10 @@ def pc_quantile(prior: PcPrior, p):
     """Inverse CDF: the param whose pc_cdf equals p, for p in (0, 1).
 
     A level close enough to 1 can map beyond the largest float64
-    parameter: past d(max_param) on the unbounded-distance pairs
-    (vm/uniform, wc/uniform), or on vm/pointmass to a distance that
-    rounds to 0, below the profile's ``domain``. That is reported as a
-    ValueError rather than returned saturated.
+    parameter: past the profile's ``d_top`` on the unbounded-distance
+    pairs (vm/uniform, wc/uniform), or on vm/pointmass to a distance
+    that rounds to 0, below the profile's ``domain``. That is reported
+    as a ValueError rather than returned saturated.
     """
     _require_normalized(prior, "quantile")
     x = _checked(p, _TINY, 1.0, "quantile level")
@@ -316,9 +316,10 @@ def pc_quantile(prior: PcPrior, p):
     beyond = "quantile level maps beyond the largest representable parameter"
     if np.any(d < prof.domain[0]):
         raise ValueError(beyond)
-    cap = prof.max_param
-    if cap is not None and np.any(d > distance(prof, cap)):
-        raise ValueError(f"{beyond} (reachable up to p = {pc_cdf(prior, cap):.17g})")
+    top = prof.d_top
+    if top is not None and np.any(d > top):
+        reachable = float(_cdf(prior.lam, top, prof, prior.is_normalized))
+        raise ValueError(f"{beyond} (reachable up to p = {reachable:.17g})")
     return inverse_distance(prof, d)
 
 
@@ -327,9 +328,9 @@ def pc_sample(prior: PcPrior, n, seed):
 
     A draw whose distance no float parameter has saturates at the
     largest representable parameter. On the unbounded-distance pairs
-    (vm/uniform, wc/uniform) that is a distance beyond d(max_param),
-    18.84 and 6.00, which a draw reaches with probability
-    exp(-lambda d(max_param)): 0.390 at lambda = 0.05 on vm/uniform,
+    (vm/uniform, wc/uniform) that is a distance beyond the profile's
+    ``d_top``, 18.84 and 6.00, which a draw reaches with probability
+    exp(-lambda d_top): 0.390 at lambda = 0.05 on vm/uniform,
     6.6e-9 at lambda = 1. On vm/pointmass it is a distance that rounds
     to 0, as a uniform draw near 1 does at small lambda. The distances
     are made here, so they are clipped to the profile's ``domain`` and

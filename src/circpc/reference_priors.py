@@ -51,8 +51,18 @@ def _vanished(ns, x):
     return 0.0
 
 
+def _log_vanished(ns, x):
+    return -math.inf
+
+
+_LOG_2 = math.log(2.0)
+
+
 class _Tabled:
-    """A density given by the special._piecewise table ``_table()``."""
+    """A density given by the special._piecewise table ``_table()``, and
+    its log by ``_log_table()``: forms of their own, which stay finite
+    wherever the density is positive, though its float value underflows.
+    """
 
     def pdf(self, x):
         return _piecewise(_float_or_array(x), *self._table())
@@ -66,6 +76,7 @@ class GammaOneB(_Tabled):
     # from 746/b up exp(-b x) underflows to 0, and the density is 0
     # without forming b x, which overflows near the top of the floats
     _cuts: tuple = field(init=False, repr=False, compare=False)
+    _log_b: float = field(init=False, repr=False, compare=False)
 
     support = (0.0, math.inf)
 
@@ -73,9 +84,15 @@ class GammaOneB(_Tabled):
         if not (math.isfinite(self.b) and self.b > 0.0):
             raise ValueError("rate b must be positive and finite")
         object.__setattr__(self, "_cuts", (746.0 / self.b,))
+        object.__setattr__(self, "_log_b", math.log(self.b))
 
     def _table(self):
         return self._cuts, (self._positive, _vanished)
+
+    def _log_table(self):
+        # log b - b x holds on the whole support
+        log_b, b = self._log_b, self.b
+        return (), (lambda ns, x: log_b - b * x,)
 
     def _positive(self, ns, x):
         return self.b * ns.exp(-self.b * x)
@@ -103,6 +120,26 @@ _H3 = (
     (2.0 ** 341,),
     (lambda ns, x: x / ns.power(1.0 + x * x, 1.5), lambda ns, x: _h3_log_tail(x) / x),
 )
+# their logs take the same cuts, each form with one log: below them the
+# direct forms stay finite, above them the tail is -2 log x plus the
+# constant; H3's log is -inf at 0 alone
+_LOG_2_OVER_PI = math.log(2.0 / math.pi)
+_H2_LOG = (
+    _H2[0],
+    (lambda ns, x: ns.log(2.0 / (math.pi * (1.0 + x * x))),
+     lambda ns, x: _LOG_2_OVER_PI - 2.0 * ns.log(x)),
+)
+
+
+def _h3_log_direct(ns, x):
+    t = 1.0 + x * x
+    return ns.log(x / (t * ns.sqrt(t)))
+
+
+_H3_LOG = (
+    (_TINY,) + _H3[0],
+    (_log_vanished, _h3_log_direct, lambda ns, x: -2.0 * ns.log(x)),
+)
 # from here up distance_scale_pdf divides in log kappa on both von Mises
 # pairs: the point mass's |d'| is formed from a subnormal k r'(k) / k, and
 # the heavy tails' densities fall into the subnormals, where the uniform
@@ -120,6 +157,9 @@ class H2(_Tabled):
     def _table(self):
         return _H2
 
+    def _log_table(self):
+        return _H2_LOG
+
 
 @dataclass(frozen=True)
 class H3(_Tabled):
@@ -131,6 +171,9 @@ class H3(_Tabled):
     def _table(self):
         return _H3
 
+    def _log_table(self):
+        return _H3_LOG
+
 
 @dataclass(frozen=True)
 class Beta(_Tabled):
@@ -139,9 +182,10 @@ class Beta(_Tabled):
     a: float
     b: float
     # log B(a, b), and the density's limit at x = 0 (0, exp(-log B) or inf
-    # as a > 1, a = 1 or a < 1), fixed at construction
+    # as a > 1, a = 1 or a < 1) and its log's, fixed at construction
     _log_beta: float = field(init=False, repr=False, compare=False)
     _at_zero: float = field(init=False, repr=False, compare=False)
+    _log_at_zero: float = field(init=False, repr=False, compare=False)
 
     support = (0.0, 1.0)
 
@@ -151,19 +195,29 @@ class Beta(_Tabled):
         if not (math.isfinite(self.b) and self.b > 0.0):
             raise ValueError("shape b must be positive and finite")
         lb = float(betaln(self.a, self.b))
-        at_zero = math.exp(-lb) if self.a == 1.0 else (0.0 if self.a > 1.0 else math.inf)
+        log_at_zero = -lb if self.a == 1.0 else (-math.inf if self.a > 1.0 else math.inf)
         object.__setattr__(self, "_log_beta", lb)
-        object.__setattr__(self, "_at_zero", at_zero)
+        object.__setattr__(self, "_at_zero", math.exp(log_at_zero))
+        object.__setattr__(self, "_log_at_zero", log_at_zero)
 
     def _table(self):
         # [0, _TINY) holds only x = 0, where the limit stands in
         return (_TINY,), (self._zero, self._positive)
 
+    def _log_table(self):
+        return (_TINY,), (self._log_zero, self._log_positive)
+
     def _zero(self, ns, x):
         return self._at_zero
 
+    def _log_zero(self, ns, x):
+        return self._log_at_zero
+
     def _positive(self, ns, x):
-        return ns.exp((self.a - 1.0) * ns.log(x) + (self.b - 1.0) * ns.log1p(-x) - self._log_beta)
+        return ns.exp(self._log_positive(ns, x))
+
+    def _log_positive(self, ns, x):
+        return (self.a - 1.0) * ns.log(x) + (self.b - 1.0) * ns.log1p(-x) - self._log_beta
 
 
 @dataclass(frozen=True)
@@ -187,6 +241,13 @@ class ScaledBetaHalf(_Tabled):
             lambda ns, x: 2.0 * positive(ns, 2.0 * x),
         )
 
+    def _log_table(self):
+        zero, positive = self._beta._log_table()[1]
+        return (_TINY,), (
+            lambda ns, x: _LOG_2 + zero(ns, 2.0 * x),
+            lambda ns, x: _LOG_2 + positive(ns, 2.0 * x),
+        )
+
 
 @dataclass(frozen=True)
 class UniformHalf(_Tabled):
@@ -196,6 +257,9 @@ class UniformHalf(_Tabled):
 
     def _table(self):
         return (), (lambda ns, x: 2.0,)
+
+    def _log_table(self):
+        return (), (lambda ns, x: _LOG_2,)
 
 
 @dataclass(frozen=True)
@@ -278,21 +342,36 @@ def _log_density_fn(prior) -> Callable:
     likelihood's concentration term shares.
 
     A PC prior's comes from pc_priors and shares the von Mises Bessel
-    pass; any other prior's is the log of its density, which ignores the
-    pass. A density that diverges (a Beta with a < 1 at 0) gives +inf,
-    and only one that vanishes gives -inf.
+    pass. A reference prior's runs its log table, which ignores the
+    pass; any other prior's is the log of its pdf. A density that
+    diverges (a Beta with a < 1 at 0) gives +inf, and only one that is
+    0 gives -inf: a reference prior's log stays finite where its float
+    density underflows.
     """
     if isinstance(prior, PcPrior):
         return _pc_log_density_fn(prior)
-    log, inf = math.log, math.inf
+    if isinstance(prior, _Tabled):
+        cuts, forms = prior._log_table()
+    else:
+        pdf, log, inf = prior.pdf, math.log, math.inf
+
+        def log_pdf(ns, x):
+            v = pdf(x)
+            return log(v) if v > 0.0 else -inf
+
+        cuts, forms = (), (log_pdf,)
     # x is a Python float: place it among the table's cuts here, and run
-    # its form with float arithmetic; a density without a table is one form
-    pdf = prior.pdf
-    cuts, forms = prior._table() if isinstance(prior, _Tabled) else ((), (lambda ns, x: pdf(x),))
+    # its form with float arithmetic
+    if not cuts:
+        form = forms[0]
+
+        def log_density(x, shared=()):
+            return form(_FLOAT_MATH, x)
+
+        return log_density
 
     def log_density(x, shared=()):
-        v = forms[bisect_right(cuts, x)](_FLOAT_MATH, x)
-        return log(v) if v > 0.0 else -inf
+        return forms[bisect_right(cuts, x)](_FLOAT_MATH, x)
 
     return log_density
 

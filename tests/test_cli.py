@@ -467,6 +467,45 @@ class TestSimulate:
         assert code == 1 and out == "" and not out_path.exists()
         assert "does not match the cardioid concentration support" in err
 
+    # a study file with one key misspelt, left out or out of place: exit 1
+    # before any cell, with a message naming the key and where it is
+    @pytest.mark.parametrize("edit, message", [
+        (lambda c: c.update(mu_ture=0.5), "unknown key(s) 'mu_ture' in the study config"),
+        (lambda c: c["priors"][1].update(bogus=1), "unknown key(s) 'bogus' in priors[1]"),
+        (lambda c: c["mcmc"].update(iteration=3000), "unknown key(s) 'iteration' in mcmc"),
+        (lambda c: c.pop("priors"), "missing key(s) 'priors' in the study config"),
+        (lambda c: c["priors"][0].pop("kind"), "missing key(s) 'kind' in priors[0]"),
+        (lambda c: c.clear(), "missing key(s) 'family', 'truths', 'sample_sizes', 'replicates', "
+                              "'priors' in the study config"),
+        (lambda c: c.update(priors={"kind": "gamma"}), "priors must be a JSON list"),
+        (lambda c: c.update(mcmc=[2000]), "mcmc must be a JSON object"),
+    ])
+    def test_config_keys_checked_before_any_cell(self, capsys, tmp_path, edit, message):
+        config = {
+            "family": "vm",
+            "truths": [1.0],
+            "sample_sizes": [30],
+            "replicates": 1,
+            "priors": [{"kind": "gamma", "hypers": [1.0]}, {"kind": "h2"}],
+            "mcmc": {"iterations": 2000, "burn_in": 1000},
+        }
+        edit(config)
+        cfg_path = tmp_path / "study.json"
+        cfg_path.write_text(json.dumps(config))
+        out_path = tmp_path / "result.csv"
+        code, out, err = run_cli(
+            capsys, ["simulate", "--config", str(cfg_path), "--seed", "99", "--out", str(out_path)]
+        )
+        assert code == 1 and out == "" and not out_path.exists()
+        assert err.startswith(f"error: {message}")
+
+    def test_config_must_be_an_object(self, capsys, tmp_path):
+        cfg_path = tmp_path / "study.json"
+        cfg_path.write_text("[]")
+        code, _, err = run_cli(capsys, ["simulate", "--config", str(cfg_path), "--seed", "99"])
+        assert code == 1
+        assert err == "error: the study config must be a JSON object\n"
+
     def test_reduced_study_is_von_mises_only(self, capsys):
         code, _, err = run_cli(capsys, ["simulate", "--family", "cardioid", "--seed", "1"])
         assert code == 1

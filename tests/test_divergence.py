@@ -471,6 +471,19 @@ class TestInverseDistance:
             with pytest.raises(ValueError):
                 inverse_distance(profile, past)
 
+    # the largest distance a float parameter has, on the pairs whose d is
+    # unbounded: vm/uniform's domain top, and d(largest rho below 1),
+    # where the wrapped Cauchy's inverse saturates
+    TOPS = {VM_UNI: 18.839292410629565, WC_UNI: 6.003636680306125}
+
+    @pytest.mark.parametrize("profile", ALL_PROFILES, ids=lambda p: f"{p.family.value}-{p.base.value}")
+    def test_top_distance(self, profile):
+        top = self.TOPS.get(profile)
+        assert profile.d_top == top
+        if top is not None:
+            assert distance(profile, TOP_PARAM[profile.family]) == top
+            assert inverse_distance(profile, top) == TOP_PARAM[profile.family]
+
     def test_out_of_range_raises(self):
         with pytest.raises(ValueError):
             inverse_distance(VM_PM, 1.5)
@@ -529,8 +542,8 @@ class TestInverseDistance:
 
     @pytest.mark.parametrize("profile", ALL_PROFILES, ids=lambda p: f"{p.family.value}-{p.base.value}")
     def test_round_trip_at_support_edges(self, profile):
-        # 0 and the largest parameter (max_param, or the largest float below
-        # the open end) come back from their own distances; so do
+        # 0 and the largest parameter (e^709 for von Mises, or the largest
+        # float below the open end) come back from their own distances; so do
         # parameters deep inside the linear form of the uniform-base pairs
         edges = [0.0, TOP_PARAM[profile.family]]
         if profile.direction is Direction.INCREASING:

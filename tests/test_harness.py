@@ -311,7 +311,7 @@ class TestRunSimStudy:
         buf = io.StringIO()
         run_sim_study(replace(desk_study_config(), replicates=2)).write_csv(buf)
         digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
-        assert digest == "29ce619ba0c5a0a8bf3f611fdd969b34b307df821dc5983eb68f4e340c698b99"
+        assert digest == "538b509aa490e579484c9e1d30cfbfe239d8ed592ae0eded9efde5b9530ec704"
 
     def test_replicate_mean_is_summarized_mean_without_ess(self, monkeypatch):
         # a study reads only each chain's concentration mean: no replicate

@@ -243,10 +243,21 @@ class TestQuantile:
             with pytest.raises(ValueError):
                 pc_quantile(p, bad)
 
-    def test_level_beyond_float_cap_raises(self):
-        p = PcPrior(Family.VON_MISES, BaseModel.UNIFORM, 0.05)
-        with pytest.raises(ValueError, match="reachable"):
-            pc_quantile(p, 1.0 - 1e-16)
+    # the message names the CDF at the profile's d_top, to 17 digits
+    @pytest.mark.parametrize("family, lam, level, reachable", [
+        (Family.VON_MISES, 0.05, 1.0 - 1e-16, "0.61013884674069552"),
+        (Family.VON_MISES, 1.0, 1.0 - 1e-12, "0.99999999342040347"),
+        (Family.WRAPPED_CAUCHY, 1.0, 1.0 - 1e-3, "0.99753024588111161"),
+        (Family.WRAPPED_CAUCHY, 3.0, 1.0 - 1e-12, "0.99999998493527686"),
+    ])
+    def test_level_beyond_float_cap_raises(self, family, lam, level, reachable):
+        p = PcPrior(family, BaseModel.UNIFORM, lam)
+        message = ("quantile level maps beyond the largest representable parameter "
+                   f"(reachable up to p = {reachable})")
+        for levels in (level, np.array([0.5, level])):
+            with pytest.raises(ValueError) as info:
+                pc_quantile(p, levels)
+            assert str(info.value) == message
 
     def test_level_whose_distance_rounds_to_zero_raises(self):
         # on the point mass at lambda = 0.05 this level's distance rounds
@@ -317,13 +328,14 @@ class TestSample:
         assert np.all(np.isfinite(draws))
 
     def test_saturated_share(self):
-        # on the unbounded pairs a draw saturates at max_param with
-        # probability exp(-lambda d(max_param)): 0.390 at lambda = 0.05 on
-        # vm/uniform; the share of 100 000 draws lies within 5 binomial
-        # standard deviations of it
+        # on the unbounded pairs a draw saturates at the largest float
+        # parameter, e^709 on vm/uniform, with probability exp(-lambda
+        # d_top): 0.390 at lambda = 0.05 on vm/uniform; the share of
+        # 100 000 draws lies within 5 binomial standard deviations of it
         p = PcPrior(Family.VON_MISES, BaseModel.UNIFORM, 0.05)
-        cap = p.profile.max_param
-        prob = math.exp(-p.lam * distance(p.profile, cap))
+        cap = inverse_distance(p.profile, p.profile.d_top)
+        assert cap == math.exp(709.0) and distance(p.profile, cap) == p.profile.d_top
+        prob = math.exp(-p.lam * p.profile.d_top)
         assert prob == pytest.approx(0.390, abs=5e-4)
         n = 100_000
         saturated = int(np.count_nonzero(pc_sample(p, n, seed=1) == cap))
@@ -353,9 +365,9 @@ class TestSample:
         levels = np.concatenate([rng.random(3000), 1.0 - np.geomspace(2.0 ** -52, 0.5, 200),
                                  np.geomspace(1e-300, 0.5, 200), [0.0]])
         d = pc_priors._quantile_distance(p, levels)
-        cap = p.profile.max_param
-        if cap is not None:
-            d = np.minimum(d, distance(p.profile, cap))
+        top = p.profile.d_top
+        if top is not None:
+            d = np.minimum(d, top)
         want = inverse_distance(p.profile, d)
         got = pc_sample(p, levels.size, _Levels(levels))
         assert np.array_equal(got.view(np.int64), want.view(np.int64))

@@ -3,6 +3,7 @@ import math
 import struct
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,11 +22,12 @@ from circpc.reference_priors import (
     ScaledBetaHalf,
     UniformHalf,
     VonMisesConjugate,
+    _log_density_fn,
     distance_scale_pdf,
     overfit_audit,
     ref_pdf,
 )
-from circpc.special import log_bessel_i0
+from circpc.special import _piecewise, log_bessel_i0
 
 VM_UNI = profile_for(Family.VON_MISES, BaseModel.UNIFORM)
 VM_PM = profile_for(Family.VON_MISES, BaseModel.POINT_MASS)
@@ -409,6 +411,95 @@ class TestScalarAndArrayCalls:
         with np.errstate(all="raise", under="ignore"):
             for prior in (H2(), H3()):
                 assert prior.pdf(1.7e308) >= 0.0
+
+
+# the reference priors of the three full study grids
+STUDY_REFERENCE_PRIORS = tuple(
+    build_concentration_prior(spec, family)
+    for family in (Family.VON_MISES, Family.CARDIOID, Family.WRAPPED_CAUCHY)
+    for spec in full_study_config(family).prior_specs
+    if not spec.kind.startswith("pc_")
+)
+_FLOAT_MAX = float(np.finfo(float).max)
+
+
+def _log_density_40(prior, x):
+    """The prior's log density at x by mpmath at 40 digits, from the
+    density's own formula."""
+    with mp.workdps(40):
+        X = mp.mpf(x)
+        if isinstance(prior, GammaOneB):
+            return mp.log(mp.mpf(prior.b)) - mp.mpf(prior.b) * X
+        if isinstance(prior, H2):
+            return mp.log(2 / (mp.pi * (1 + X * X)))
+        if isinstance(prior, H3):
+            return mp.log(X / (1 + X * X) ** mp.mpf(1.5)) if x > 0.0 else -mp.inf
+        if isinstance(prior, UniformHalf):
+            return mp.log(2)
+        if isinstance(prior, ScaledBetaHalf):
+            return mp.log(2) + _log_density_40(Beta(prior.a, prior.b), 2.0 * x)
+        a, b = mp.mpf(prior.a), mp.mpf(prior.b)
+        if x == 0.0:
+            # the limit: 1 / B(a, b) at a = 1, 0 above, +inf below
+            return -mp.log(mp.beta(a, b)) if a == 1 else (-mp.inf if a > 1 else mp.inf)
+        return (a - 1) * mp.log(X) + (b - 1) * mp.log1p(-X) - mp.log(mp.beta(a, b))
+
+
+def _log_points(prior):
+    """x = 0, the floats either side of every cut of the prior's log and
+    pdf tables, both tails and an interior grid, inside the support."""
+    lo, hi = prior.support
+    cuts = prior._log_table()[0] + prior._table()[0]
+    xs = [0.0, 5e-324, 1e-300, 1e-10]
+    xs += [v for c in cuts for v in (math.nextafter(c, 0.0), c, math.nextafter(c, math.inf))]
+    if math.isinf(hi):
+        xs += [2.0 ** 26, 2.0 ** 27, 1e100, 2.0 ** 600, 1e300, 1.7e308]
+        xs += list(np.geomspace(1e-3, 1e4, 60))
+    else:
+        xs += [math.nextafter(hi, 0.0), hi * (1.0 - 1e-9), hi * 1e-9]
+        xs += list(np.linspace(0.0, hi, 61)[1:-1])
+    return sorted({float(x) for x in xs if lo <= x < hi})
+
+
+class TestLogDensity:
+    """Each reference prior's log table: its forms against mpmath, their
+    values where the float density underflows, and one formula for
+    scalars and arrays alike."""
+
+    @pytest.mark.parametrize("prior", STUDY_REFERENCE_PRIORS + (GammaOneB(0.34), GammaOneB(600.0)), ids=repr)
+    def test_against_mpmath(self, prior):
+        # the Beta forms at shapes (5, 5) sum terms as large as |log B| =
+        # 6.45 to a log density that crosses 0, so their rounding reaches
+        # about 1.1e-15 (Beta) and 1.2e-15 (scaled Beta) on a fine grid
+        # there: the error the pdf's exponent has too
+        shapes = (getattr(prior, "a", None), getattr(prior, "b", None))
+        rel = 2e-15 if shapes == (5.0, 5.0) else 1e-15
+        log_density = _log_density_fn(prior)
+        for x in _log_points(prior):
+            got, want = log_density(x), _log_density_40(prior, x)
+            if mp.isinf(want) or abs(want) > _FLOAT_MAX:
+                # 0, a divergence, or a log below the floats
+                assert got == float(mp.sign(want)) * math.inf, (prior, x, got)
+                continue
+            assert math.isfinite(got), (prior, x, got)
+            assert abs(mp.mpf(got) - want) <= rel * max(1.0, abs(want)), (prior, x, got, want)
+
+    @pytest.mark.parametrize("prior, x", [(GammaOneB(5.0), 1e3), (H2(), 2.0 ** 600), (H3(), 2.0 ** 600)],
+                             ids=repr)
+    def test_finite_where_density_underflows(self, prior, x):
+        assert prior.pdf(x) == 0.0
+        got = _log_density_fn(prior)(x)
+        assert got == pytest.approx(float(_log_density_40(prior, x)), rel=1e-15)
+
+    @pytest.mark.parametrize("prior", STUDY_REFERENCE_PRIORS, ids=repr)
+    def test_array_matches_scalar(self, prior):
+        # a batched caller runs the same forms with numpy's ufuncs: the
+        # same bits as the sampler's scalar call
+        xs = [x for x in _log_points(prior) if x < 1e300]
+        log_density = _log_density_fn(prior)
+        with np.errstate(all="raise", under="ignore"):
+            got = _piecewise(np.array(xs), *prior._log_table())
+        assert np.array_equal(_bits(got), _bits([log_density(x) for x in xs]))
 
 
 def _outcome(call):
