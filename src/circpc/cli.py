@@ -255,14 +255,16 @@ def _config_from_json(path):
         PriorSpec(**_checked_keys(p, _PRIOR_KEYS, f"priors[{i}]"))
         for i, p in enumerate(raw["priors"])
     )
-    optional = {k: raw[k] for k in ("base_seed", "mu_true") if k in raw}
+    # the optional keys are SimStudyConfig's own fields
+    optional = {k: raw[k] for k in _STUDY_KEYS[1] if k in raw}
+    if "mcmc" in optional:
+        optional["mcmc"] = McmcConfig(**_checked_keys(optional["mcmc"], _MCMC_KEYS, "mcmc"))
     return SimStudyConfig(
         family=Family(raw["family"]),
         true_concentration_grid=tuple(raw["truths"]),
         sample_sizes=tuple(raw["sample_sizes"]),
         replicates=raw["replicates"],
         prior_specs=priors,
-        mcmc=McmcConfig(**_checked_keys(raw.get("mcmc", {}), _MCMC_KEYS, "mcmc")),
         **optional,
     )
 

@@ -158,7 +158,8 @@ def log_posterior(model: ModelSpec, data: Dataset, mu, conc) -> float:
     (H3 at 0, say) and +inf where it diverges (a Beta with a < 1 at 0).
     A reference prior's log density is formed on the log scale, so it
     reads -inf only where its density is truly 0, not where a float
-    density underflows (a Gamma past 746/b, the H2 and H3 tails).
+    density underflows (a Gamma past 746/b, the H3 tail). H2's is the
+    log of its pdf, which leaves the normal floats only past 2^510.
     """
     if len(data) == 0:
         raise ValueError("dataset must contain at least one angle")

@@ -59,9 +59,11 @@ _LOG_2 = math.log(2.0)
 
 
 class _Tabled:
-    """A density given by the special._piecewise table ``_table()``, and
-    its log by ``_log_table()``: forms of their own, which stay finite
-    wherever the density is positive, though its float value underflows.
+    """A density given by the special._piecewise table ``_table()``. All
+    but H2 give its log by ``_log_table()``: forms of their own, which
+    stay finite wherever the density is positive, though its float value
+    underflows. H2's one log would cost more than the log of its pdf,
+    which keeps a normal float far beyond any chain's concentration.
     """
 
     def pdf(self, x):
@@ -120,17 +122,11 @@ _H3 = (
     (2.0 ** 341,),
     (lambda ns, x: x / ns.power(1.0 + x * x, 1.5), lambda ns, x: _h3_log_tail(x) / x),
 )
-# their logs take the same cuts, each form with one log: below them the
-# direct forms stay finite, above them the tail is -2 log x plus the
-# constant; H3's log is -inf at 0 alone
-_LOG_2_OVER_PI = math.log(2.0 / math.pi)
-_H2_LOG = (
-    _H2[0],
-    (lambda ns, x: ns.log(2.0 / (math.pi * (1.0 + x * x))),
-     lambda ns, x: _LOG_2_OVER_PI - 2.0 * ns.log(x)),
-)
 
 
+# H3's log takes the same cut, each form with one log: below it the
+# direct form stays finite, above it the tail is -2 log x; it is -inf at
+# 0 alone
 def _h3_log_direct(ns, x):
     t = 1.0 + x * x
     return ns.log(x / (t * ns.sqrt(t)))
@@ -156,9 +152,6 @@ class H2(_Tabled):
 
     def _table(self):
         return _H2
-
-    def _log_table(self):
-        return _H2_LOG
 
 
 @dataclass(frozen=True)
@@ -342,38 +335,33 @@ def _log_density_fn(prior) -> Callable:
     likelihood's concentration term shares.
 
     A PC prior's comes from pc_priors and shares the von Mises Bessel
-    pass. A reference prior's runs its log table, which ignores the
-    pass; any other prior's is the log of its pdf. A density that
-    diverges (a Beta with a < 1 at 0) gives +inf, and only one that is
-    0 gives -inf: a reference prior's log stays finite where its float
-    density underflows.
+    pass. A reference prior with a log table runs it, which ignores the
+    pass; any other prior's is the log of its density. A density that
+    diverges (a Beta with a < 1 at 0) gives +inf, and -inf comes only
+    where the density is 0: from a log table, only where the true
+    density is 0, though its float value underflows.
     """
     if isinstance(prior, PcPrior):
         return _pc_log_density_fn(prior)
-    if isinstance(prior, _Tabled):
-        cuts, forms = prior._log_table()
-    else:
-        pdf, log, inf = prior.pdf, math.log, math.inf
-
-        def log_pdf(ns, x):
-            v = pdf(x)
-            return log(v) if v > 0.0 else -inf
-
-        cuts, forms = (), (log_pdf,)
     # x is a Python float: place it among the table's cuts here, and run
     # its form with float arithmetic
-    if not cuts:
-        form = forms[0]
+    if hasattr(prior, "_log_table"):
+        cuts, forms = prior._log_table()
 
         def log_density(x, shared=()):
-            return form(_FLOAT_MATH, x)
+            return forms[bisect_right(cuts, x)](_FLOAT_MATH, x)
 
         return log_density
+    log, inf = math.log, math.inf
+    # a density without a table is one form
+    pdf = prior.pdf
+    cuts, forms = prior._table() if isinstance(prior, _Tabled) else ((), (lambda ns, x: pdf(x),))
 
-    def log_density(x, shared=()):
-        return forms[bisect_right(cuts, x)](_FLOAT_MATH, x)
+    def log_pdf(x, shared=()):
+        v = forms[bisect_right(cuts, x)](_FLOAT_MATH, x)
+        return log(v) if v > 0.0 else -inf
 
-    return log_density
+    return log_pdf
 
 
 def distance_scale_pdf(prior, profile: DistanceProfile, d):

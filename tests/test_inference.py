@@ -163,7 +163,6 @@ class TestLogPosterior:
 
     @pytest.mark.parametrize("prior, conc, log_prior", [
         (GammaOneB(5.0), 1e3, math.log(5.0) - 5e3),
-        (H2(), 2.0 ** 600, math.log(2.0 / math.pi) - 1200.0 * math.log(2.0)),
         (H3(), 2.0 ** 600, -1200.0 * math.log(2.0)),
     ])
     def test_finite_where_float_density_underflows(self, prior, conc, log_prior):
