@@ -38,7 +38,6 @@ from .harness import (
     PriorSpec,
     SimStudyConfig,
     SimStudyResult,
-    TailFromData,
     build_concentration_prior,
     desk_study_config,
     full_study_config,

@@ -243,26 +243,41 @@ def _checked_keys(obj, keys, where):
     return obj
 
 
+def _numbers(value, what):
+    """``value`` as a tuple if it is a JSON array of numbers (true and
+    false are not), else a ValueError naming ``what``: a string would
+    split into its characters."""
+    if not isinstance(value, list) or not all(type(v) in (int, float) for v in value):
+        raise ValueError(f"{what} must be a JSON array of numbers")
+    return tuple(value)
+
+
+def _prior_from_json(obj, where):
+    p = _checked_keys(obj, _PRIOR_KEYS, where)
+    if "hypers" in p:
+        p = {**p, "hypers": _numbers(p["hypers"], f"'hypers' in {where}")}
+    return PriorSpec(**p)
+
+
 def _config_from_json(path):
     """A study from a JSON file; a key the file leaves out takes its
-    default from SimStudyConfig or PriorSpec. An unknown key, or a
-    missing required one, is a ValueError that names it."""
+    default from SimStudyConfig or PriorSpec. An unknown key, a missing
+    required one, or a grid or hypers that is not an array of numbers, is
+    a ValueError that names it."""
     with open(path) as fh:
         raw = _checked_keys(json.load(fh), _STUDY_KEYS, "the study config")
     if not isinstance(raw["priors"], list):
         raise ValueError("priors must be a JSON list")
-    priors = tuple(
-        PriorSpec(**_checked_keys(p, _PRIOR_KEYS, f"priors[{i}]"))
-        for i, p in enumerate(raw["priors"])
-    )
+    truths, sizes = (_numbers(raw[k], repr(k)) for k in ("truths", "sample_sizes"))
+    priors = tuple(_prior_from_json(p, f"priors[{i}]") for i, p in enumerate(raw["priors"]))
     # the optional keys are SimStudyConfig's own fields
     optional = {k: raw[k] for k in _STUDY_KEYS[1] if k in raw}
     if "mcmc" in optional:
         optional["mcmc"] = McmcConfig(**_checked_keys(optional["mcmc"], _MCMC_KEYS, "mcmc"))
     return SimStudyConfig(
         family=Family(raw["family"]),
-        true_concentration_grid=tuple(raw["truths"]),
-        sample_sizes=tuple(raw["sample_sizes"]),
+        true_concentration_grid=truths,
+        sample_sizes=sizes,
         replicates=raw["replicates"],
         prior_specs=priors,
         **optional,

@@ -168,7 +168,8 @@ def _wc_log_density(x, mu, rho):
     return math.log1p(-rho) + math.log1p(rho) - _LOG_TWO_PI - np.log(denom)
 
 
-# from here up the log scale's concentration reads inf, outside the support
+# from here up the log scale's concentration reads inf, outside the support;
+# e^709 is also the largest kappa a distance inverts to
 _LOG_KAPPA_TOP = 709.0
 
 

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import expit
 
-from .distributions import FAMILIES, TWO_PI, Family, pdf
+from .distributions import _LOG_KAPPA_TOP, _LOG_TWO_PI, FAMILIES, TWO_PI, Family, pdf
 from .special import (
     _RATIO_TAIL_SWITCH,
     _TINY,
@@ -58,7 +58,6 @@ _LINEAR_CUT = 1.0e-150
 
 SQRT_LOG2 = float(np.sqrt(np.log(2.0)))
 SQRT_1M_LOG2 = float(np.sqrt(1.0 - np.log(2.0)))
-_LOG_TWO_PI = math.log(TWO_PI)
 
 
 class BaseModel(str, Enum):
@@ -247,10 +246,10 @@ _card_l3 = _piecewise_table(
 )
 
 
-# Newton window in log kappa; its top is the largest invertible kappa
+# Newton window in log kappa; its top, the sampler's cap, is the largest
+# invertible kappa
 _LOG_KAPPA_LO = -700.0
-_LOG_KAPPA_HI = 709.0
-_KAPPA_MAX = math.exp(_LOG_KAPPA_HI)
+_KAPPA_MAX = math.exp(_LOG_KAPPA_TOP)
 _ELL_MAX = float(np.nextafter(0.5, 0.0))
 _RHO_MAX = float(np.nextafter(1.0, 0.0))
 
@@ -276,7 +275,7 @@ _TABLE_T = np.arange(-960, 961) / 32.0
 # themselves, kappa |d'|, as the point mass's |d'| alone underflows past
 # kappa ~ 1e162. The window in t = logit(2 ell) = log(ell / (0.5 - ell))
 # runs from the smallest positive ell to _ELL_MAX.
-_LOG_KAPPA = (np.exp, lambda k, slope: slope, _LOG_KAPPA_LO, _LOG_KAPPA_HI)
+_LOG_KAPPA = (np.exp, lambda k, slope: slope, _LOG_KAPPA_LO, _LOG_KAPPA_TOP)
 _LOGIT_2ELL = (
     lambda t: np.minimum(0.5 * expit(t), _ELL_MAX),
     lambda ell, slope: 2.0 * ell * (0.5 - ell) * slope,

@@ -34,7 +34,6 @@ __all__ = [
     "PriorSpec",
     "SimStudyConfig",
     "SimStudyResult",
-    "TailFromData",
     "build_concentration_prior",
     "run_sim_study",
     "desk_study_config",
@@ -59,6 +58,14 @@ _REF_KINDS = {
 }
 
 
+def _sequence(value, name):
+    """``value`` as a tuple; a string, which would split into its
+    characters, raises ValueError."""
+    if isinstance(value, str):
+        raise ValueError(f"{name} must be a sequence, not a string")
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class PriorSpec:
     """Declarative prior description for a study grid.
@@ -74,7 +81,7 @@ class PriorSpec:
     calibration: str = "numeric"
 
     def __post_init__(self):
-        object.__setattr__(self, "hypers", tuple(float(h) for h in self.hypers))
+        object.__setattr__(self, "hypers", tuple(map(float, _sequence(self.hypers, "hypers"))))
         if self.kind in _PC_BASES:
             if len(self.hypers) != 1:
                 raise ValueError(f"{self.kind} takes exactly one hyperparameter (alpha)")
@@ -131,9 +138,10 @@ class SimStudyConfig:
         if support is None:
             raise ValueError("the uniform family has no concentration to study")
         object.__setattr__(self, "family", fam)
-        truths = tuple(float(t) for t in self.true_concentration_grid)
-        sizes = tuple(_count(n, "sample size") for n in self.sample_sizes)
-        specs = tuple(self.prior_specs)
+        grid, sizes, specs = (_sequence(getattr(self, name), name) for name in
+                              ("true_concentration_grid", "sample_sizes", "prior_specs"))
+        truths = tuple(map(float, grid))
+        sizes = tuple(_count(n, "sample size") for n in sizes)
         if not truths or not sizes or not specs:
             raise ValueError("grids must be non-empty")
         lo, hi = support
@@ -293,13 +301,7 @@ def full_study_config(family, base_seed: int = 520) -> SimStudyConfig:
     )
 
 
-@dataclass(frozen=True)
-class TailFromData:
-    U: float
-    alpha: float
-
-
-def tail_from_data(data: Dataset, U: float, *, center: str = "mean") -> TailFromData:
+def tail_from_data(data: Dataset, U: float, *, center: str = "mean") -> TailSpec:
     """Empirical tail statement: fraction of the sample further than U/2
     from the reference direction, clamped away from 0 and 1 so the
     statement stays calibratable.
@@ -323,4 +325,4 @@ def tail_from_data(data: Dataset, U: float, *, center: str = "mean") -> TailFrom
     dist = np.pi - np.abs(np.pi - gap)
     alpha = float(np.count_nonzero(dist > U / 2.0)) / n
     alpha = min(max(alpha, 0.5 / n), 1.0 - 0.5 / n)
-    return TailFromData(U=float(U), alpha=alpha)
+    return TailSpec(U, alpha)

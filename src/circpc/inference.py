@@ -24,6 +24,7 @@ import numpy as np
 from .distributions import (
     FAMILIES,
     TWO_PI,
+    _LOG_TWO_PI,
     Dataset,
     Family,
     _unconstrained,
@@ -44,8 +45,6 @@ __all__ = [
     "summarize",
     "effective_sample_size",
 ]
-
-_LOG_TWO_PI = math.log(TWO_PI)
 
 
 class InitializationError(RuntimeError):

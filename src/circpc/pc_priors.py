@@ -40,7 +40,7 @@ from .divergence import (
     inverse_distance,
     profile_for,
 )
-from .special import _FLOAT_MATH, _TINY, _checked, _count, _evaluate, _piecewise
+from .special import _FLOAT_MATH, _TINY, _checked, _count, _evaluate, _piecewise_table
 
 # the calibrations' first bracket for lambda, and the factor that widens it
 _BRACKET = (1.0e-8, 1.0e6)
@@ -203,21 +203,16 @@ def _cdf(lam, d, prof: DistanceProfile, normalized):
         # (e^x - e^x_max) / z, the CDF's distance from 1, is below 2^-50 for x - x_max < top
         e_max = math.exp(-lam * prof.d_max)
         top = math.log1p(_END_GAP * z / e_max)
-        return _piecewise(
-            x + lam * prof.d_max, (top,),
-            (
-                lambda ns, gap, x: 1.0 - e_max * ns.expm1(gap) / z,
-                lambda ns, gap, x: -ns.expm1(x) / z,
-            ),
-            x,
-        )
+        return _piecewise_table((top,), (
+            lambda ns, gap, x: 1.0 - e_max * ns.expm1(gap) / z,
+            lambda ns, gap, x: -ns.expm1(x) / z,
+        ))(x + lam * prof.d_max, (x,))
     if not normalized:
         return np.exp(x)
     e_max = math.exp(-lam * prof.d_max)
-    return _piecewise(
-        x + lam * prof.d_max, (_END_GAP,),
-        (lambda ns, gap, x: e_max * ns.expm1(gap), lambda ns, gap, x: ns.exp(x) - e_max), x,
-    ) / (1.0 - e_max)
+    return _piecewise_table((_END_GAP,), (
+        lambda ns, gap, x: e_max * ns.expm1(gap), lambda ns, gap, x: ns.exp(x) - e_max,
+    ))(x + lam * prof.d_max, (x,)) / (1.0 - e_max)
 
 
 def _tail(kern, cdf_at_crossing):

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import Callable, Union
+from dataclasses import dataclass, field, fields
+from typing import Callable
 
 import numpy as np
 from scipy.special import betaln
@@ -23,7 +23,7 @@ from .distributions import FAMILIES, TWO_PI, wrap_angle
 from .divergence import BaseModel, DistanceProfile, _checked_distance, inverse_distance
 # pc_pdf is not called here: the traced prior-elicit benchmark patches it by name
 from .pc_priors import PcPrior, _pc_density, _pc_log_density_fn, pc_pdf  # noqa: F401
-from .special import _FLOAT_MATH, _TINY, _checked, _count, _evaluate, _log_i0, _piecewise
+from .special import _FLOAT_MATH, _TINY, _checked, _count, _evaluate, _log_i0, _piecewise_table
 
 __all__ = [
     "GammaOneB",
@@ -59,15 +59,21 @@ _LOG_2 = math.log(2.0)
 
 
 class _Tabled:
-    """A density given by the special._piecewise table ``_table()``. All
-    but H2 give its log by ``_log_table()``: forms of their own, which
-    stay finite wherever the density is positive, though its float value
-    underflows. H2's one log would cost more than the log of its pdf,
-    which keeps a normal float far beyond any chain's concentration.
+    """A density given by its special._piecewise_table ``_pdf_table``,
+    made once. All but H2 give its log by the table ``_log_table``: forms
+    of their own, which stay finite wherever the density is positive,
+    though its float value underflows. H2's one log would cost more than
+    the log of its pdf, which keeps a normal float far beyond any chain's
+    concentration.
     """
 
     def pdf(self, x):
-        return _piecewise(_float_or_array(x), *self._table())
+        return self._pdf_table(_float_or_array(x))
+
+    def __reduce__(self):
+        # the tables are closures, which do not pickle: a copy is built
+        # again from the prior's hyperparameters
+        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
 
 @dataclass(frozen=True)
@@ -75,29 +81,22 @@ class GammaOneB(_Tabled):
     """Gamma(1, b): the exponential density b*exp(-b*x) on [0, inf)."""
 
     b: float
-    # from 746/b up exp(-b x) underflows to 0, and the density is 0
-    # without forming b x, which overflows near the top of the floats
-    _cuts: tuple = field(init=False, repr=False, compare=False)
-    _log_b: float = field(init=False, repr=False, compare=False)
+    _pdf_table: Callable = field(init=False, repr=False, compare=False)
+    _log_table: Callable = field(init=False, repr=False, compare=False)
 
     support = (0.0, math.inf)
 
     def __post_init__(self):
-        if not (math.isfinite(self.b) and self.b > 0.0):
+        b = self.b
+        if not (math.isfinite(b) and b > 0.0):
             raise ValueError("rate b must be positive and finite")
-        object.__setattr__(self, "_cuts", (746.0 / self.b,))
-        object.__setattr__(self, "_log_b", math.log(self.b))
-
-    def _table(self):
-        return self._cuts, (self._positive, _vanished)
-
-    def _log_table(self):
+        log_b = math.log(b)
+        # from 746/b up exp(-b x) underflows to 0, and the density is 0
+        # without forming b x, which overflows near the top of the floats
+        object.__setattr__(self, "_pdf_table", _piecewise_table(
+            (746.0 / b,), (lambda ns, x: b * ns.exp(-b * x), _vanished)))
         # log b - b x holds on the whole support
-        log_b, b = self._log_b, self.b
-        return (), (lambda ns, x: log_b - b * x,)
-
-    def _positive(self, ns, x):
-        return self.b * ns.exp(-self.b * x)
+        object.__setattr__(self, "_log_table", _piecewise_table((), (lambda ns, x: log_b - b * x,)))
 
 
 # The heavy-tailed densities' direct forms overflow in the denominator,
@@ -114,11 +113,11 @@ def _h3_log_tail(x):
     return 1.0 / x
 
 
-_H2 = (
+_H2_PDF = _piecewise_table(
     (2.0 ** 511,),
     (lambda ns, x: 2.0 / (math.pi * (1.0 + x * x)), lambda ns, x: _h2_log_tail(x) / x),
 )
-_H3 = (
+_H3_PDF = _piecewise_table(
     (2.0 ** 341,),
     (lambda ns, x: x / ns.power(1.0 + x * x, 1.5), lambda ns, x: _h3_log_tail(x) / x),
 )
@@ -132,8 +131,8 @@ def _h3_log_direct(ns, x):
     return ns.log(x / (t * ns.sqrt(t)))
 
 
-_H3_LOG = (
-    (_TINY,) + _H3[0],
+_H3_LOG = _piecewise_table(
+    (_TINY,) + _H3_PDF.cuts,
     (_log_vanished, _h3_log_direct, lambda ns, x: -2.0 * ns.log(x)),
 )
 # from here up distance_scale_pdf divides in log kappa on both von Mises
@@ -149,9 +148,7 @@ class H2(_Tabled):
 
     support = (0.0, math.inf)
     _log_tail = staticmethod(_h2_log_tail)
-
-    def _table(self):
-        return _H2
+    _pdf_table = staticmethod(_H2_PDF)
 
 
 @dataclass(frozen=True)
@@ -160,12 +157,8 @@ class H3(_Tabled):
 
     support = (0.0, math.inf)
     _log_tail = staticmethod(_h3_log_tail)
-
-    def _table(self):
-        return _H3
-
-    def _log_table(self):
-        return _H3_LOG
+    _pdf_table = staticmethod(_H3_PDF)
+    _log_table = staticmethod(_H3_LOG)
 
 
 @dataclass(frozen=True)
@@ -174,11 +167,8 @@ class Beta(_Tabled):
 
     a: float
     b: float
-    # log B(a, b), and the density's limit at x = 0 (0, exp(-log B) or inf
-    # as a > 1, a = 1 or a < 1) and its log's, fixed at construction
-    _log_beta: float = field(init=False, repr=False, compare=False)
-    _at_zero: float = field(init=False, repr=False, compare=False)
-    _log_at_zero: float = field(init=False, repr=False, compare=False)
+    _pdf_table: Callable = field(init=False, repr=False, compare=False)
+    _log_table: Callable = field(init=False, repr=False, compare=False)
 
     support = (0.0, 1.0)
 
@@ -187,30 +177,28 @@ class Beta(_Tabled):
             raise ValueError("shape a must be positive and finite")
         if not (math.isfinite(self.b) and self.b > 0.0):
             raise ValueError("shape b must be positive and finite")
-        lb = float(betaln(self.a, self.b))
+        a1, b1, lb = self.a - 1.0, self.b - 1.0, float(betaln(self.a, self.b))
+        # the density's limit at x = 0, and its log's: 0, exp(-log B) or
+        # inf as a > 1, a = 1 or a < 1
         log_at_zero = -lb if self.a == 1.0 else (-math.inf if self.a > 1.0 else math.inf)
-        object.__setattr__(self, "_log_beta", lb)
-        object.__setattr__(self, "_at_zero", math.exp(log_at_zero))
-        object.__setattr__(self, "_log_at_zero", log_at_zero)
+        at_zero = math.exp(log_at_zero)
 
-    def _table(self):
+        def log_positive(ns, x):
+            return a1 * ns.log(x) + b1 * ns.log1p(-x) - lb
+
         # [0, _TINY) holds only x = 0, where the limit stands in
-        return (_TINY,), (self._zero, self._positive)
+        object.__setattr__(self, "_pdf_table", _piecewise_table(
+            (_TINY,), (lambda ns, x: at_zero, lambda ns, x: ns.exp(log_positive(ns, x)))))
+        object.__setattr__(self, "_log_table", _piecewise_table(
+            (_TINY,), (lambda ns, x: log_at_zero, log_positive)))
 
-    def _log_table(self):
-        return (_TINY,), (self._log_zero, self._log_positive)
 
-    def _zero(self, ns, x):
-        return self._at_zero
+def _doubled(form):
+    return lambda ns, x: 2.0 * form(ns, 2.0 * x)
 
-    def _log_zero(self, ns, x):
-        return self._log_at_zero
 
-    def _positive(self, ns, x):
-        return ns.exp(self._log_positive(ns, x))
-
-    def _log_positive(self, ns, x):
-        return (self.a - 1.0) * ns.log(x) + (self.b - 1.0) * ns.log1p(-x) - self._log_beta
+def _log_doubled(form):
+    return lambda ns, x: _LOG_2 + form(ns, 2.0 * x)
 
 
 @dataclass(frozen=True)
@@ -219,27 +207,18 @@ class ScaledBetaHalf(_Tabled):
 
     a: float
     b: float
-    _beta: Beta = field(init=False, repr=False, compare=False)
+    _pdf_table: Callable = field(init=False, repr=False, compare=False)
+    _log_table: Callable = field(init=False, repr=False, compare=False)
 
     support = (0.0, 0.5)
 
     def __post_init__(self):
-        object.__setattr__(self, "_beta", Beta(self.a, self.b))
-
-    def _table(self):
         # 2 beta(2x): x = 0 alone is below _TINY, as 2x is below it for Beta
-        zero, positive = self._beta._table()[1]
-        return (_TINY,), (
-            lambda ns, x: 2.0 * zero(ns, 2.0 * x),
-            lambda ns, x: 2.0 * positive(ns, 2.0 * x),
-        )
-
-    def _log_table(self):
-        zero, positive = self._beta._log_table()[1]
-        return (_TINY,), (
-            lambda ns, x: _LOG_2 + zero(ns, 2.0 * x),
-            lambda ns, x: _LOG_2 + positive(ns, 2.0 * x),
-        )
+        beta = Beta(self.a, self.b)
+        object.__setattr__(self, "_pdf_table", _piecewise_table(
+            (_TINY,), tuple(map(_doubled, beta._pdf_table.forms))))
+        object.__setattr__(self, "_log_table", _piecewise_table(
+            (_TINY,), tuple(map(_log_doubled, beta._log_table.forms))))
 
 
 @dataclass(frozen=True)
@@ -247,12 +226,8 @@ class UniformHalf(_Tabled):
     """Uniform density 2 on [0, 0.5)."""
 
     support = (0.0, 0.5)
-
-    def _table(self):
-        return (), (lambda ns, x: 2.0,)
-
-    def _log_table(self):
-        return (), (lambda ns, x: _LOG_2,)
+    _pdf_table = staticmethod(_piecewise_table((), (lambda ns, x: 2.0,)))
+    _log_table = staticmethod(_piecewise_table((), (lambda ns, x: _LOG_2,)))
 
 
 @dataclass(frozen=True)
@@ -291,18 +266,6 @@ class VonMisesConjugate:
         k = _checked(kappa, what="kappa")
         m = _checked(mu, -math.inf, math.inf, "mu")
         return np.exp(k * self.R0 * np.cos(m - self.mu0) - self.c * _log_i0(k))
-
-
-ReferencePrior = Union[
-    GammaOneB,
-    H2,
-    H3,
-    Beta,
-    ScaledBetaHalf,
-    UniformHalf,
-    CircularUniformLocation,
-    VonMisesConjugate,
-]
 
 
 def ref_pdf(prior, param):
@@ -345,17 +308,19 @@ def _log_density_fn(prior) -> Callable:
         return _pc_log_density_fn(prior)
     # x is a Python float: place it among the table's cuts here, and run
     # its form with float arithmetic
-    if hasattr(prior, "_log_table"):
-        cuts, forms = prior._log_table()
+    table = getattr(prior, "_log_table", None)
+    if table is not None:
+        cuts, forms = table.cuts, table.forms
 
         def log_density(x, shared=()):
             return forms[bisect_right(cuts, x)](_FLOAT_MATH, x)
 
         return log_density
     log, inf = math.log, math.inf
-    # a density without a table is one form
     pdf = prior.pdf
-    cuts, forms = prior._table() if isinstance(prior, _Tabled) else ((), (lambda ns, x: pdf(x),))
+    # a density without a table is one form
+    table = getattr(prior, "_pdf_table", None) or _piecewise_table((), (lambda ns, x: pdf(x),))
+    cuts, forms = table.cuts, table.forms
 
     def log_pdf(x, shared=()):
         v = forms[bisect_right(cuts, x)](_FLOAT_MATH, x)

@@ -25,8 +25,8 @@ def _checked(x, lo=0.0, hi=math.inf, what="argument"):
     """The input check of every public numerical function.
 
     ``x`` must be finite and lie in [lo, hi). A scalar (Python number,
-    numpy scalar or 0-d array) comes back as a Python float, so the
-    kernels take _piecewise's scalar path and the caller tells a scalar
+    numpy scalar or 0-d array) comes back as a Python float, so a
+    kernel's table runs its float path and the caller tells a scalar
     result by ``isinstance(x, float)``; anything else comes back as a
     float array.
     """
@@ -68,8 +68,9 @@ def _float_of(ufunc):
     return call
 
 
-# The namespace _piecewise hands a form for a Python float, so the form runs
-# float arithmetic with numpy's bits. sqrt is correctly rounded in both
+# The namespace a _piecewise_table hands a form for a 0-d argument, made a
+# Python float, so the form runs float arithmetic with numpy's bits. sqrt is
+# correctly rounded in both
 # libraries, so math's is taken; numpy's log, exp, log1p, expm1 and power
 # can differ from libm's in the last bit (math.log at 61 of 20 000 uniform
 # points), so each stays one numpy call, converted to a float once. i0e and
@@ -83,8 +84,8 @@ _FLOAT_MATH = SimpleNamespace(
     **{name: _float_of(getattr(np, name)) for name in ("log", "exp", "log1p", "expm1")},
 )
 
-# The namespace of an array, a numpy scalar or a 0-d array: numpy's ufuncs,
-# and scipy's i0e and i1e, under the names of _FLOAT_MATH
+# The namespace of an array of at least one dimension: numpy's ufuncs, and
+# scipy's i0e and i1e, under the names of _FLOAT_MATH
 _ARRAY_MATH = SimpleNamespace(
     i0e=_sp.i0e,
     i1e=_sp.i1e,
@@ -92,8 +93,9 @@ _ARRAY_MATH = SimpleNamespace(
 )
 
 
-def _piecewise(x, cuts, forms, *args):
-    """Evaluate a function given piecewise, as ``form(ns, x, *args)``.
+def _piecewise_table(cuts, forms):
+    """A function given piecewise, as a function ``(x, args=())`` that
+    evaluates ``form(ns, x, *args)``.
 
     ``cuts`` increase and split the line into len(cuts) + 1 intervals;
     form i holds on [cuts[i-1], cuts[i]), the first one below cuts[0]
@@ -107,17 +109,17 @@ def _piecewise(x, cuts, forms, *args):
     written once for every caller. This is the one place where a scalar
     call and an array call part ways:
 
-    - a scalar is placed among the cuts by a bisection in Python and
-      runs only the form that holds it; a Python float gets
-      ``_FLOAT_MATH`` and so float arithmetic, a numpy scalar or 0-d
-      array gets ``_ARRAY_MATH``, numpy's ufuncs;
-    - an array is placed by its min() and max(). If one interval holds
-      every element, its form runs on x itself. Otherwise each form runs
-      once, with ``_ARRAY_MATH``, on the one contiguous run of x's sorted
-      elements that its interval holds: a non-decreasing x (in C order)
-      is sliced, so its forms get views of it and nothing is gathered;
-      any other x is ordered once by a stable argsort and its values
-      scattered back once. The values come back in arrays of x's shape.
+    - a 0-d x (a Python float, a numpy scalar or a 0-d array) is placed
+      among the cuts by a bisection in Python, and only the form that
+      holds it runs, on float(x), with ``_FLOAT_MATH``: float arithmetic;
+    - an array of at least one dimension is placed by its min() and
+      max(). If one interval holds every element, its form runs on x
+      itself. Otherwise each form runs once, with ``_ARRAY_MATH``, on
+      the one contiguous run of x's sorted elements that its interval
+      holds: a non-decreasing x (in C order) is sliced, so its forms get
+      views of it and nothing is gathered; any other x is ordered once
+      by a stable argsort and its values scattered back once. The values
+      come back in arrays of x's shape.
 
     ``args`` of x's shape travel with x: they are sliced with it, or
     ordered with it; any other argument is passed whole. A form sees
@@ -126,37 +128,29 @@ def _piecewise(x, cuts, forms, *args):
     of its scalar call. A form may get a view of the caller's array, so
     it must not write into its arguments.
     A table without cuts is one form over the whole line.
-    """
-    return _piecewise_table(cuts, forms)(x, args)
-
-
-def _piecewise_table(cuts, forms):
-    """A fixed table as a function ``(x, args=())``: _piecewise on it,
-    with the forms' extra arguments given as one tuple.
 
     The function is the selector itself and takes no ``*args``, so a
-    scalar call on a fixed table costs one plain Python call on the way
-    to its form. It carries its ``cuts`` and ``forms``, so a caller that
-    only ever passes Python floats, such as the sampler's log prior, can
-    place its argument and run the form itself.
+    scalar call costs one plain Python call on the way to its form. It
+    carries its ``cuts`` and ``forms``, so a caller that only ever
+    passes Python floats, such as the sampler's log prior, can place its
+    argument and run the form itself.
     """
 
     def table(x, args=()):
-        if type(x) is float:
-            form, ns = forms[bisect_right(cuts, x)], _FLOAT_MATH
-        elif not (isinstance(x, np.ndarray) and x.ndim):
-            form, ns = forms[bisect_right(cuts, x)], _ARRAY_MATH
-        else:
-            return _sorted_runs(x, cuts, forms, args)
+        if type(x) is not float:
+            if isinstance(x, np.ndarray) and x.ndim:
+                return _sorted_runs(x, cuts, forms, args)
+            x = float(x)
+        form = forms[bisect_right(cuts, x)]
         # a call without * unpacking takes the interpreter's fast path
-        return form(ns, x, *args) if args else form(ns, x)
+        return form(_FLOAT_MATH, x, *args) if args else form(_FLOAT_MATH, x)
 
     table.cuts, table.forms = cuts, forms
     return table
 
 
 def _sorted_runs(x, cuts, forms, args):
-    """_piecewise on an array x of at least one dimension."""
+    """A _piecewise_table on an array x of at least one dimension."""
     if not cuts or not x.size:
         # one form over the whole line, or nothing to place: form 0
         return _filled(forms[0](_ARRAY_MATH, x, *args), x.shape)
@@ -201,7 +195,7 @@ def _filled(vals, shape):
 # Unchecked kernels: arguments are floats, numpy scalars or float arrays,
 # already known to be finite and nonnegative. The public functions below
 # check once and call these; so do the distance kernels inside the
-# sampler. Kernels with several forms evaluate them through _piecewise.
+# sampler. Each kernel is a _piecewise_table.
 
 # smallest positive float: as a cut, [0, _TINY) holds only x = 0
 _TINY = 5e-324

@@ -479,6 +479,19 @@ class TestSimulate:
                               "'priors' in the study config"),
         (lambda c: c.update(priors={"kind": "gamma"}), "priors must be a JSON list"),
         (lambda c: c.update(mcmc=[2000]), "mcmc must be a JSON object"),
+        # a string is not split into its characters, and a bare number is no array
+        (lambda c: c.update(truths="13"), "'truths' must be a JSON array of numbers"),
+        (lambda c: c.update(truths=1.0), "'truths' must be a JSON array of numbers"),
+        (lambda c: c.update(truths=["a"]), "'truths' must be a JSON array of numbers"),
+        (lambda c: c.update(truths=[True]), "'truths' must be a JSON array of numbers"),
+        (lambda c: c.update(sample_sizes="30"), "'sample_sizes' must be a JSON array of numbers"),
+        (lambda c: c.update(sample_sizes=30), "'sample_sizes' must be a JSON array of numbers"),
+        (lambda c: c["priors"][0].update(hypers="5"),
+         "'hypers' in priors[0] must be a JSON array of numbers"),
+        (lambda c: c["priors"][0].update(hypers=1),
+         "'hypers' in priors[0] must be a JSON array of numbers"),
+        (lambda c: c["priors"][1].update(hypers=[None]),
+         "'hypers' in priors[1] must be a JSON array of numbers"),
     ])
     def test_config_keys_checked_before_any_cell(self, capsys, tmp_path, edit, message):
         config = {

@@ -24,7 +24,7 @@ from circpc.harness import (
     tail_from_data,
 )
 from circpc.inference import McmcConfig, summarize
-from circpc.pc_priors import PcPrior
+from circpc.pc_priors import PcPrior, TailSpec
 from circpc.reference_priors import Beta, GammaOneB, H2, UniformHalf
 
 TINY_MCMC = McmcConfig(iterations=2000, burn_in=1000, seed=0)
@@ -71,6 +71,11 @@ class TestPriorSpec:
     def test_calibration_mode_checked(self):
         with pytest.raises(ValueError):
             PriorSpec("pc_uniform", (0.5,), U=1.0, calibration="exact")
+
+    def test_hypers_must_be_a_sequence(self):
+        # "5" would otherwise be split into the hyperparameter 5.0
+        with pytest.raises(ValueError, match="hypers must be a sequence, not a string"):
+            PriorSpec("gamma", "5")
 
     def test_hyper_labels_are_shortest_exact(self):
         assert PriorSpec("h2").hyper_label == "-"
@@ -119,6 +124,12 @@ class TestSimStudyConfig:
             tiny_config(sample_sizes=())
         with pytest.raises(ValueError):
             tiny_config(prior_specs=())
+
+    def test_grids_must_be_sequences(self):
+        # "13" would otherwise run the truths 1.0 and 3.0
+        for name in ("true_concentration_grid", "sample_sizes", "prior_specs"):
+            with pytest.raises(ValueError, match=f"{name} must be a sequence, not a string"):
+                tiny_config(**{name: "13"})
 
     def test_truth_outside_support(self):
         with pytest.raises(ValueError):
@@ -361,6 +372,7 @@ class TestTailFromData:
     def test_uniform_sample_near_half(self):
         data = sample(DistributionSpec(Family.UNIFORM), 10000, seed=31)
         out = tail_from_data(data, math.pi)
+        assert type(out) is TailSpec
         assert out.U == pytest.approx(math.pi)
         assert out.alpha == pytest.approx(0.5, abs=0.02)
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import pickle
 import struct
 import warnings
 
@@ -27,7 +28,7 @@ from circpc.reference_priors import (
     overfit_audit,
     ref_pdf,
 )
-from circpc.special import _piecewise, log_bessel_i0
+from circpc.special import log_bessel_i0
 
 VM_UNI = profile_for(Family.VON_MISES, BaseModel.UNIFORM)
 VM_PM = profile_for(Family.VON_MISES, BaseModel.POINT_MASS)
@@ -447,11 +448,16 @@ def _log_density_40(prior, x):
         return (a - 1) * mp.log(X) + (b - 1) * mp.log1p(-X) - mp.log(mp.beta(a, b))
 
 
+def _tables(prior):
+    """The prior's pdf table, and its log table if it has one."""
+    return (prior._pdf_table,) + ((prior._log_table,) if hasattr(prior, "_log_table") else ())
+
+
 def _log_points(prior):
     """x = 0, the floats either side of every cut of the prior's log and
     pdf tables, both tails and an interior grid, inside the support."""
     lo, hi = prior.support
-    cuts = prior._log_table()[0] + prior._table()[0]
+    cuts = sum((table.cuts for table in _tables(prior)), ())
     xs = [0.0, 5e-324, 1e-300, 1e-10]
     xs += [v for c in cuts for v in (math.nextafter(c, 0.0), c, math.nextafter(c, math.inf))]
     if math.isinf(hi):
@@ -507,8 +513,32 @@ class TestLogDensity:
         xs = [x for x in _log_points(prior) if x < 1e300]
         log_density = _log_density_fn(prior)
         with np.errstate(all="raise", under="ignore"):
-            got = _piecewise(np.array(xs), *prior._log_table())
+            got = prior._log_table(np.array(xs))
         assert np.array_equal(_bits(got), _bits([log_density(x) for x in xs]))
+
+    @pytest.mark.parametrize("prior", STUDY_REFERENCE_PRIORS + (GammaOneB(0.34),), ids=repr)
+    def test_scalar_and_array_calls_agree(self, prior):
+        # a Python float, a numpy scalar and a 0-d array all take the
+        # tables' float path: the bits of that element of an array call
+        xs = [x for x in _log_points(prior) if x < 1e300]
+        for table in _tables(prior):
+            with np.errstate(all="raise", under="ignore"):
+                want = table(np.array(xs))
+            for i, x in enumerate(xs):
+                for form in (float, np.float64, lambda v: np.array(v)):
+                    got = table(form(x))
+                    assert type(got) is float, (prior, x, form)
+                    assert _bits(got) == _bits(want[i]), (prior, x, form)
+
+
+@pytest.mark.parametrize("prior", STUDY_REFERENCE_PRIORS, ids=repr)
+def test_pickle_builds_the_tables_again(prior):
+    # a study's process pool sends each cell's prior to its worker
+    copy = pickle.loads(pickle.dumps(prior))
+    assert type(copy) is type(prior) and copy == prior
+    xs = np.array([x for x in _log_points(prior) if x < 1e300])
+    for mine, theirs in zip(_tables(prior), _tables(copy)):
+        assert np.array_equal(_bits(mine(xs)), _bits(theirs(xs)))
 
 
 def _outcome(call):

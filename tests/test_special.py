@@ -12,7 +12,7 @@ from circpc.special import (
     _log_i0,
     _ratio,
     _one_minus_ratio,
-    _piecewise,
+    _piecewise_table,
     _ratio_deriv,
     bessel_i,
     bessel_ratio,
@@ -268,7 +268,7 @@ class TestPiecewiseSortedRuns:
         seen = []
         x = np.array([[12.0, 0.5, 3.0], [0.5, 1.0, 12.0]])  # unsorted, 2-d, repeats
         a = np.arange(6.0).reshape(2, 3)
-        v, w = _piecewise(x, *self.table(seen), a, 100.0)
+        v, w = _piecewise_table(*self.table(seen))(x, (a, 100.0))
         assert v.shape == w.shape == x.shape
         assert np.array_equal(v, x + np.searchsorted(self.CUTS, x, side="right") + 100.0)
         assert np.array_equal(w, 2.0 * a)
@@ -296,7 +296,7 @@ class TestPiecewiseSortedRuns:
                 return xs + i
             return f
 
-        out = _piecewise(x, self.CUTS, (form(0), form(1), form(2)), a)
+        out = _piecewise_table(self.CUTS, (form(0), form(1), form(2)))(x, (a,))
         assert shared == [(0, True, True), (1, True, True), (2, True, True)]
         assert np.array_equal(out, [0.0, 0.5, 2.0, 5.0, 12.0, 22.0])
 
@@ -306,8 +306,9 @@ class TestPiecewiseSortedRuns:
         x[0, 0], x[-1, -1] = 20.0, 0.25  # neither sorted nor in one interval
         a = rng.standard_normal(x.shape)
         order = np.argsort(x, axis=None, kind="stable")
-        v, w = _piecewise(x, *self.table([]), a, 0.5)
-        sv, sw = _piecewise(x.ravel()[order], *self.table([]), a.ravel()[order], 0.5)
+        table = _piecewise_table(*self.table([]))
+        v, w = table(x, (a, 0.5))
+        sv, sw = table(x.ravel()[order], (a.ravel()[order], 0.5))
         for got, want in ((v, sv), (w, sw)):
             back = np.empty(x.size)
             back[order] = want
@@ -318,43 +319,46 @@ class TestPiecewiseSortedRuns:
         for x in (np.array([12.0, 0.5, 3.0, 0.5]), np.array([0.5, 3.0, 12.0])):
             a = np.arange(float(x.size))
             before_x, before_a = x.copy(), a.copy()
-            _piecewise(x, *self.table([]), a, 0.0)
+            _piecewise_table(*self.table([]))(x, (a, 0.0))
             assert np.array_equal(x, before_x) and np.array_equal(a, before_a)
 
     def test_one_interval_runs_one_form_on_x_itself(self):
         seen = []
         x = np.array([[2.0, 3.0], [4.0, 2.0]])
         a = np.ones_like(x)
-        v, w = _piecewise(x, *self.table(seen), a, 0.0)
+        v, w = _piecewise_table(*self.table(seen))(x, (a, 0.0))
         assert [i for i, _, _ in seen] == [1]
         assert np.array_equal(seen[0][1], x) and np.array_equal(v, x + 1.0)
         assert np.array_equal(w, 2.0 * a)
 
     def test_empty_array(self):
         seen = []
-        v, w = _piecewise(np.empty((0, 3)), *self.table(seen), np.empty((0, 3)), 0.0)
+        v, w = _piecewise_table(*self.table(seen))(np.empty((0, 3)), (np.empty((0, 3)), 0.0))
         assert v.shape == w.shape == (0, 3)
         assert len(seen) <= 1
 
     def test_constant_forms_fill_the_shape(self):
-        cuts, forms = (0.0,), (lambda ns, x: (1.0, 2.0), lambda ns, x: (x, 3.0))
-        v, w = _piecewise(np.array([-1.0, 1.0, -2.0]), cuts, forms)
+        table = _piecewise_table((0.0,), (lambda ns, x: (1.0, 2.0), lambda ns, x: (x, 3.0)))
+        v, w = table(np.array([-1.0, 1.0, -2.0]))
         assert np.array_equal(v, [1.0, 1.0, 1.0]) and np.array_equal(w, [2.0, 3.0, 2.0])
-        v, w = _piecewise(np.full((2, 2), -1.0), cuts, forms)
+        v, w = table(np.full((2, 2), -1.0))
         assert np.array_equal(v, np.ones((2, 2))) and np.array_equal(w, np.full((2, 2), 2.0))
 
     def test_scalar_runs_only_its_form(self):
         seen = []
-        v, w = _piecewise(5.0, *self.table(seen), 3.0, 0.0)
+        v, w = _piecewise_table(*self.table(seen))(5.0, (3.0, 0.0))
         assert (v, w) == (6.0, 6.0) and [i for i, _, _ in seen] == [1]
 
     def test_namespace_follows_the_argument_type(self):
-        # a Python float gets float arithmetic; a numpy scalar, a 0-d array
-        # and an array keep numpy's ufuncs
-        forms = (lambda ns, x: ns,)
-        assert _piecewise(2.0, (), forms) is _FLOAT_MATH
-        for x in (np.float64(2.0), np.array(2.0)):
-            assert _piecewise(x, (), forms) is _ARRAY_MATH
+        # anything 0-d (a Python float, a numpy scalar or a 0-d array) gets
+        # float arithmetic on a Python float; only an array keeps numpy's ufuncs
+        seen = []
+        table = _piecewise_table((), (lambda ns, x: seen.append((ns, type(x))),))
+        for x in (2.0, np.float64(2.0), np.array(2.0)):
+            table(x)
+        table(np.array([2.0]))
+        assert all(ns is _FLOAT_MATH and kind is float for ns, kind in seen[:3])
+        assert seen[3][0] is _ARRAY_MATH and seen[3][1] is np.ndarray
 
 
 class TestFloatMath:
