@@ -6,19 +6,24 @@
 MCMC chains of 3000 iterations (1000 of them burn-in) per family x
 prior class at n = 300 and n = 1000, timed by the chain's own
 ``wall_s``, in microseconds per iteration; this is ROADMAP item 1's
-quick mode, and the only mode so far.  The checkout's tree is
+quick mode, and the only mode so far.  Each chain's time is also scaled
+to reference speed, as perfbench scales an operation: by
+``perfbench.workloads.PROBE_REF_S`` over the mean of the speed probe
+timed just before and just after the chain, so a slow phase of a shared
+core stretches the probe with the chain.  The checkout's tree is
 ``change``; with ``--against`` a second checkout is the ``parent``.
 Each tree runs in its own worker interpreter, which imports circpc
 from the tree's ``src``.  In every round each cell runs three times on
 every tree, the trees taking turns chain by chain (in alternating
 order), on the same data and seeds; a round keeps each tree's fastest
-chain, which drops the runs that a slow phase of a shared core caught.
-The JSON holds, per tree and cell, the median and interquartile range
-over the rounds, every round's value and a digest of each chain's
-draws, so a reader sees whether the trees drew the same bits; with
-``--against``, per cell the median over rounds of the paired speed-up
-and the number of rounds the change won; and the machine (cores, CPU,
-Python, numpy, scipy).
+chain at reference speed, which drops the runs that a slow phase of a
+shared core caught.  The JSON holds, per tree and cell, the median and
+interquartile range over the rounds at reference speed and raw, every
+round's scaled and raw value and a digest of each chain's draws, so a
+reader sees whether the trees drew the same bits; with ``--against``,
+per cell the median over rounds of the paired speed-up at reference
+speed and the number of rounds the change won; and the machine (cores,
+CPU, Python, numpy, scipy).
 
 Run from the root of a checkout.
 """
@@ -73,9 +78,14 @@ def machine():
 
 def serve(src):
     """Worker: import circpc from ``src``, then answer each stdin line
-    ``[cell, seed]`` with one stdout line ``[us_per_iter, draws digest]``."""
+    ``[cell, seed]`` with one stdout line ``[us_per_iter at reference
+    speed, raw us_per_iter, draws digest]``."""
     sys.path.insert(0, src)
     import circpc
+
+    # every tree's worker times this checkout's probe
+    sys.path.append(ROOT)
+    from perfbench.workloads import PROBE_REF_S, probe_s
 
     models = {}
     for family, truth, priors in CELLS:
@@ -88,9 +98,12 @@ def serve(src):
         cell, seed = json.loads(line)
         model, data = models[cell]
         config = circpc.McmcConfig(iterations=ITERATIONS, burn_in=BURN_IN, seed=seed)
+        before = probe_s()
         chain = circpc.run_mcmc(model, data, config)
+        after = probe_s()
         digest = hashlib.sha256(chain.draws.tobytes()).hexdigest()[:16]
-        print(json.dumps([1e6 * chain.wall_s / ITERATIONS, digest]), flush=True)
+        us = 1e6 * chain.wall_s / ITERATIONS
+        print(json.dumps([us * 2.0 * PROBE_REF_S / (before + after), us, digest]), flush=True)
 
 
 def quartiles(values):
@@ -122,8 +135,8 @@ def record(args):
                 best = {}
                 for _ in range(REPEATS):
                     for label, _ in order:
-                        us, digest = run(label, cell, r)
-                        best[label] = min(best.get(label, (us, digest)), (us, digest))
+                        value = tuple(run(label, cell, r))
+                        best[label] = min(best.get(label, value), value)
                 for label, value in best.items():
                     runs[label][cell].append(value)
     finally:
@@ -132,7 +145,8 @@ def record(args):
             worker.wait()
     result = {
         "bench": "quick",
-        "what": "inference.run_mcmc microseconds per iteration, per family x prior class",
+        "what": "inference.run_mcmc microseconds per iteration, per family x prior class, "
+                "at reference speed (probe-scaled) and raw",
         "iterations": ITERATIONS,
         "burn_in": BURN_IN,
         "repeats": REPEATS,
@@ -143,10 +157,12 @@ def record(args):
     for label, cells in runs.items():
         tree = {}
         for cell, values in cells.items():
-            times = [t for t, _ in values]
+            times, raw = [v[0] for v in values], [v[1] for v in values]
             median, iqr = quartiles(times)
+            raw_median, raw_iqr = quartiles(raw)
             tree[cell] = {"median_us": median, "iqr_us": iqr, "runs_us": times,
-                          "digests": [d for _, d in values]}
+                          "raw_median_us": raw_median, "raw_iqr_us": raw_iqr, "raw_runs_us": raw,
+                          "digests": [v[2] for v in values]}
         result["trees"][label] = tree
     if args.against:
         result["speedup"] = {}
@@ -155,7 +171,7 @@ def record(args):
             result["speedup"][cell] = {
                 "median": statistics.median(p[0] / c[0] for c, p in pairs),
                 "wins": sum(c[0] < p[0] for c, p in pairs),
-                "same_draws": all(c[1] == p[1] for c, p in pairs),
+                "same_draws": all(c[2] == p[2] for c, p in pairs),
             }
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=1)
@@ -178,7 +194,8 @@ def main():
     result = record(args)
     for label, tree in result["trees"].items():
         for cell, row in tree.items():
-            print(f"{label:8s} {cell:26s} {row['median_us']:8.2f} us/iter (IQR {row['iqr_us']:.2f})")
+            print(f"{label:8s} {cell:26s} {row['median_us']:8.2f} us/iter at reference speed "
+                  f"(IQR {row['iqr_us']:.2f}; raw {row['raw_median_us']:.2f})")
     return 0
 
 

@@ -13,9 +13,8 @@ from enum import Enum
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.special import expit
 
-from .special import _FLOAT_MATH, _checked, _count, _evaluate, _log_i0
+from .special import _FLOAT_MATH, _checked, _count, _evaluate, _log_i0, _real
 
 __all__ = [
     "TWO_PI",
@@ -87,11 +86,12 @@ class DistributionSpec:
     def __post_init__(self):
         family = Family(self.family)
         object.__setattr__(self, "family", family)
-        object.__setattr__(self, "mu", wrap_angle(float(self.mu)))
+        object.__setattr__(self, "mu", wrap_angle(_real(self.mu, "mu")))
         kern = FAMILIES[family]
         conc = 0.0
         if kern.support is not None:
-            conc = _checked(float(self.concentration), *kern.support, f"{kern.label} concentration")
+            conc = _checked(_real(self.concentration, "concentration"), *kern.support,
+                            f"{kern.label} concentration")
         object.__setattr__(self, "concentration", conc)
 
 
@@ -174,66 +174,84 @@ _LOG_KAPPA_TOP = 709.0
 
 
 def _unconstrained(support):
-    """``(to_theta, to_conc, log_jac, initial)`` for a concentration on ``support``,
-    log_jac(c) being log |d conc / d theta| at c: log c from 1 on (0, inf), and
-    t = logit(c / hi), so c = hi expit(t), from hi / 2 on (0, hi)."""
+    """``(to_theta, to_conc, log_jac, initial, top)`` for a concentration on
+    ``support``, log_jac(c) being log |d conc / d theta| at c: log c from 1
+    on (0, inf), and t = logit(c / hi), so c = hi expit(t), from hi / 2 on
+    (0, hi).
+
+    ``to_conc`` is float arithmetic, to be called only for theta below
+    ``top``; a theta from top up (or nan) maps outside the support. On the
+    log scale it is ``math.exp`` itself and top is ``_LOG_KAPPA_TOP``. On
+    the logit scale top is inf, and hi expit(t) is scipy's formula
+    1 / (1 + e^-t) with libm's exp: the ufunc's bits, and 0.0 exactly
+    where e^-t overflows (t below about -709.78), as the ufunc gives.
+    """
     hi = support[1]
     if math.isinf(hi):
-        return (math.log, lambda t: math.exp(t) if t < _LOG_KAPPA_TOP else math.inf,
-                math.log, 1.0)
+        return math.log, math.exp, math.log, 1.0, _LOG_KAPPA_TOP
     log_hi = math.log(hi)
-    return (lambda c: math.log(c / hi) - math.log1p(-c / hi), lambda t: hi * float(expit(t)),
-            lambda c: math.log(c / hi) + math.log1p(-c / hi) + log_hi, hi / 2.0)
+
+    def to_conc(t):
+        try:
+            return hi * (1.0 / (1.0 + math.exp(-t)))
+        except OverflowError:
+            return 0.0
+
+    return (lambda c: math.log(c / hi) - math.log1p(-c / hi), to_conc,
+            lambda c: math.log(c / hi) + math.log1p(-c / hi) + log_hi, hi / 2.0, math.inf)
 
 
 class LogLikelihood(NamedTuple):
-    """A family's log-likelihood, set up once per dataset and split into
-    three pure pieces for a component-wise sampler.
+    """A family's log-likelihood, set up once per dataset, as the pure
+    pieces a component-wise sampler calls: one call per move.
 
-    ``mu_term(mu)`` is the part that depends on mu alone, and
-    ``conc_term(conc) -> (c, shared)`` the part that depends on the
-    concentration alone, at a concentration of the closed support;
-    shared holds the values a concentration prior can take from it (the
-    von Mises Bessel pass, empty for the others). ``combine(m, conc, c)``
-    is the log-likelihood from the two. A sampler keeps the current
-    terms as chain state, so a mu step computes only ``mu_term`` and a
-    concentration step only ``conc_term``; the map from the sampler's
-    scale is the support's (``_unconstrained``), not the likelihood's.
-    Called as ``(mu, conc)``, it evaluates the log-likelihood whole.
-    Every piece takes Python floats and returns floats, or arrays for a
-    per-angle mu term.
+    ``mu_term(mu)`` is the part that depends on mu alone (a float, or a
+    per-angle array); a chain's start and ``log_posterior`` take it.
+    ``mu_move(mu, conc, c) -> (m, lik)`` is a mu move: the new mu's term
+    m and the log-likelihood at (mu, conc), given the current
+    concentration's term c. ``conc_move(m, conc) -> (c, shared, lik)`` is
+    a concentration move, at a concentration of the closed support: its
+    term c, the values a concentration prior can take from it (the von
+    Mises Bessel pass, empty for the others) and the log-likelihood at
+    the current mu's term m. A sampler keeps m and c as chain state; the
+    map from its scale is the support's (``_unconstrained``), not the
+    likelihood's. Called as ``(mu, conc)``, it evaluates the
+    log-likelihood whole, with the bits of either move. Every piece takes
+    Python floats and returns floats, or arrays for a per-angle mu term.
     """
 
     mu_term: Callable
-    conc_term: Callable
-    combine: Callable
+    mu_move: Callable
+    conc_move: Callable
 
     def __call__(self, mu, conc):
-        return self.combine(self.mu_term(mu), conc, self.conc_term(conc)[0])
+        return self.conc_move(self.mu_term(mu), conc)[2]
 
 
 def _vm_loglik(angles):
     # sufficient statistics: kappa T(mu) - n (log 2 pi + log I0 kappa) with
     # T(mu) = C cos mu + S sin mu; the Bessel pass (i0e, log i0e) of kappa
-    # is shared with the prior
+    # is shared with the prior. Each move writes the whole arithmetic out.
     n = angles.size
     c_sum = float(np.sum(np.cos(angles)))
     s_sum = float(np.sum(np.sin(angles)))
-    i0e, np_log = _FLOAT_MATH.i0e, np.log
+    i0e, np_log, cos, sin = _FLOAT_MATH.i0e, np.log, math.cos, math.sin
 
     def mu_term(mu):
-        return c_sum * math.cos(mu) + s_sum * math.sin(mu)
+        return c_sum * cos(mu) + s_sum * sin(mu)
 
-    def conc_term(kappa):
+    def mu_move(mu, kappa, log_norm):
+        trig = c_sum * cos(mu) + s_sum * sin(mu)
+        return trig, kappa * trig - log_norm
+
+    def conc_move(trig, kappa):
         i0 = i0e(kappa)
         # numpy's log, as _FLOAT_MATH.log gives it, without that wrapper's call
         log_i0e = float(np_log(i0))
-        return n * (_LOG_TWO_PI + (log_i0e + kappa)), (i0, log_i0e)
+        log_norm = n * (_LOG_TWO_PI + (log_i0e + kappa))
+        return log_norm, (i0, log_i0e), kappa * trig - log_norm
 
-    def combine(trig, kappa, log_norm):
-        return kappa * trig - log_norm
-
-    return LogLikelihood(mu_term, conc_term, combine)
+    return LogLikelihood(mu_term, mu_move, conc_move)
 
 
 def _cardioid_loglik(angles):
@@ -246,14 +264,20 @@ def _cardioid_loglik(angles):
         cos_dev += s * math.sin(mu)
         return cos_dev
 
-    def conc_term(ell):
-        return 2.0 * ell, ()
-
-    def combine(cos_dev, ell, two_ell):
+    def summed(cos_dev, two_ell):
         t = cos_dev * two_ell
         return float(np.add.reduce(np.log1p(t, out=t))) - n * _LOG_TWO_PI
 
-    return LogLikelihood(mu_term, conc_term, combine)
+    def mu_move(mu, ell, two_ell):
+        cos_dev = c * math.cos(mu)
+        cos_dev += s * math.sin(mu)
+        return cos_dev, summed(cos_dev, two_ell)
+
+    def conc_move(cos_dev, ell):
+        two_ell = 2.0 * ell
+        return two_ell, (), summed(cos_dev, two_ell)
+
+    return LogLikelihood(mu_term, mu_move, conc_move)
 
 
 def _wc_loglik(angles):
@@ -268,19 +292,26 @@ def _wc_loglik(angles):
         sin_dev -= c * math.sin(0.5 * mu)
         return np.square(sin_dev, out=sin_dev)
 
-    def conc_term(rho):
-        sq = 1.0 - rho
-        # log(1 - rho^2) from its two factors stays accurate as rho -> 1
-        log_norm = math.log1p(-rho) + math.log1p(rho) - _LOG_TWO_PI
-        return (4.0 * rho, sq * sq, n * log_norm), ()
-
-    def combine(sin2_dev, rho, terms):
+    def summed(sin2_dev, terms):
         four_rho, sq2, n_log_norm = terms
         t = sin2_dev * four_rho
         t += sq2
         return n_log_norm - float(np.add.reduce(np.log(t, out=t)))
 
-    return LogLikelihood(mu_term, conc_term, combine)
+    def mu_move(mu, rho, terms):
+        sin_dev = s * math.cos(0.5 * mu)
+        sin_dev -= c * math.sin(0.5 * mu)
+        sin2_dev = np.square(sin_dev, out=sin_dev)
+        return sin2_dev, summed(sin2_dev, terms)
+
+    def conc_move(sin2_dev, rho):
+        sq = 1.0 - rho
+        # log(1 - rho^2) from its two factors stays accurate as rho -> 1
+        log_norm = math.log1p(-rho) + math.log1p(rho) - _LOG_TWO_PI
+        terms = (4.0 * rho, sq * sq, n * log_norm)
+        return terms, (), summed(sin2_dev, terms)
+
+    return LogLikelihood(mu_term, mu_move, conc_move)
 
 
 def _sample_uniform(rng, mu, conc, n):

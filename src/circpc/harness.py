@@ -26,7 +26,7 @@ from .divergence import BaseModel
 from .inference import InitializationError, McmcConfig, ModelSpec, run_mcmc, summarize  # noqa: F401
 from .pc_priors import PcPrior, TailSpec, calibrate_lambda, calibrate_lambda_paper
 from .reference_priors import Beta, GammaOneB, H2, H3, ScaledBetaHalf, UniformHalf
-from .special import _checked, _count
+from .special import _checked, _count, _real
 
 _LOG = logging.getLogger(__name__)
 
@@ -81,7 +81,8 @@ class PriorSpec:
     calibration: str = "numeric"
 
     def __post_init__(self):
-        object.__setattr__(self, "hypers", tuple(map(float, _sequence(self.hypers, "hypers"))))
+        hypers = tuple(_real(h, "hypers") for h in _sequence(self.hypers, "hypers"))
+        object.__setattr__(self, "hypers", hypers)
         if self.kind in _PC_BASES:
             if len(self.hypers) != 1:
                 raise ValueError(f"{self.kind} takes exactly one hyperparameter (alpha)")
@@ -140,7 +141,7 @@ class SimStudyConfig:
         object.__setattr__(self, "family", fam)
         grid, sizes, specs = (_sequence(getattr(self, name), name) for name in
                               ("true_concentration_grid", "sample_sizes", "prior_specs"))
-        truths = tuple(map(float, grid))
+        truths = tuple(_real(t, "true_concentration_grid") for t in grid)
         sizes = tuple(_count(n, "sample size") for n in sizes)
         if not truths or not sizes or not specs:
             raise ValueError("grids must be non-empty")
@@ -153,7 +154,8 @@ class SimStudyConfig:
         object.__setattr__(self, "prior_specs", specs)
         object.__setattr__(self, "replicates", _count(self.replicates, "replicates"))
         object.__setattr__(self, "base_seed", _count(self.base_seed, "base_seed", allow_zero=True))
-        object.__setattr__(self, "mu_true", _checked(float(self.mu_true), -math.inf, math.inf, "mu_true"))
+        mu_true = _checked(_real(self.mu_true, "mu_true"), -math.inf, math.inf, "mu_true")
+        object.__setattr__(self, "mu_true", mu_true)
 
 
 @dataclass(frozen=True)

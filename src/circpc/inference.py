@@ -32,7 +32,7 @@ from .distributions import (
     wrap_angle,
 )
 from .reference_priors import _check_support, _log_density_fn
-from .special import _checked, _count
+from .special import _checked, _count, _real
 
 __all__ = [
     "InitializationError",
@@ -93,7 +93,7 @@ class McmcConfig:
         for name in ("initial_mu", "initial_concentration"):
             value = getattr(self, name)
             if value is not None:
-                object.__setattr__(self, name, _checked(float(value), -math.inf, math.inf, name))
+                object.__setattr__(self, name, _checked(_real(value, name), -math.inf, math.inf, name))
 
 
 @dataclass(frozen=True)
@@ -167,8 +167,7 @@ def log_posterior(model: ModelSpec, data: Dataset, mu, conc) -> float:
     if not lo <= conc < hi:
         raise ValueError("concentration outside the family support")
     lik = FAMILIES[model.family].loglik(data.angles)
-    c, shared = lik.conc_term(conc)
-    loglik = lik.combine(lik.mu_term(float(wrap_angle(mu))), conc, c)
+    _, shared, loglik = lik.conc_move(lik.mu_term(float(wrap_angle(mu))), conc)
     lp = _log_density_fn(model.concentration_prior)(conc, shared)
     if lp == -math.inf:
         return -math.inf
@@ -185,18 +184,32 @@ def run_mcmc(model: ModelSpec, data: Dataset, config: McmcConfig, *, trace_steps
     counts acceptances and writes each draw into the chain's preallocated
     array by index.  With ``trace_steps`` the steps after every burn-in
     iteration are recorded, and the kept rows repeat the frozen steps.
-    The chain keeps the likelihood's mu term and concentration term of
-    its current state, so a mu move evaluates only the new mu's term and
-    a concentration move only the new concentration's. A concentration
-    move maps its proposal back to the support, then calls the
-    likelihood's term and combine, the prior (which takes the values the
-    term shares: the von Mises Bessel pass) and the log-Jacobian.
+
+    Each move is one call to the likelihood (``LogLikelihood``): the
+    chain keeps the mu term and the concentration term of its current
+    state, so a mu move evaluates only the new mu's term and a
+    concentration move only the new concentration's.  A mu proposal is
+    wrapped onto [0, 2*pi) only when it leaves it.  A concentration
+    proposal theta maps back to the support in float arithmetic, and only
+    below the scale's top (``_unconstrained``); a proposal from the top up,
+    or one that maps outside the open support, is rejected and counted in
+    ``out_of_support``.  Otherwise the move calls the likelihood, the prior
+    (which takes the values the likelihood shares: the von Mises Bessel
+    pass) and the log-Jacobian.
+
+    Burn-in accepts a move when u < a, a = min(1, e^log_a) being the
+    acceptance probability it adapts on.  The kept loop takes the logs of
+    its uniforms once, before burn-in, and accepts when log u < log_a.
+    The two rules decide alike except where u and e^log_a round to the
+    same float, and at u = 0 with log_a <= -745, where e^log_a underflows
+    to 0 and only the log rule takes the move, as exact arithmetic does.
+    Both reject a nan or -inf log_a and accept a +inf one.
     """
     angles = data.angles
     kern = FAMILIES[model.family]
-    mu_term, conc_term, combine = kern.loglik(angles)
+    mu_term, mu_move, conc_move = kern.loglik(angles)
     log_prior = _log_density_fn(model.concentration_prior)
-    to_theta, to_conc, log_jac, initial = _unconstrained(kern.support)
+    to_theta, to_conc, log_jac, initial, top = _unconstrained(kern.support)
     lo, hi = kern.support
 
     mu = float(wrap_angle(config.initial_mu)) if config.initial_mu is not None \
@@ -206,8 +219,7 @@ def run_mcmc(model: ModelSpec, data: Dataset, config: McmcConfig, *, trace_steps
     if not lo < conc < hi:
         raise InitializationError("initial concentration outside the open support")
     m = mu_term(mu)
-    c, shared = conc_term(conc)
-    cur_lik = combine(m, conc, c)
+    c, shared, cur_lik = conc_move(m, conc)
     cur_pri = log_prior(conc, shared)
     if not np.isfinite(cur_lik + cur_pri):
         raise InitializationError("initial state has zero posterior density")
@@ -220,11 +232,15 @@ def run_mcmc(model: ModelSpec, data: Dataset, config: McmcConfig, *, trace_steps
     # draw everything up front: one fixed consumption pattern per config.
     # Both loops read each row (mu, concentration) as two Python floats
     # through one iterator taken twice, the kept loop where burn-in left
-    # off: no numpy scalar per iteration.
+    # off: no numpy scalar per iteration. The kept loop reads the logs of
+    # its uniforms, taken here; log 0 is -inf, without a warning.
     z_all = rng.standard_normal((iters, 2))
     u_all = rng.random((iters, 2))
+    with np.errstate(divide="ignore"):
+        log_u_all = np.log(u_all[burn:])
     z = iter(memoryview(z_all.reshape(-1)))
     u = iter(memoryview(u_all.reshape(-1)))
+    log_u = iter(memoryview(log_u_all.reshape(-1)))
     trace = np.empty((iters, 2)) if trace_steps else None
     exp, two_pi = math.exp, TWO_PI  # bound once for the loops
     step_mu = step_conc = 0.5
@@ -239,9 +255,10 @@ def run_mcmc(model: ModelSpec, data: Dataset, config: McmcConfig, *, trace_steps
 
         # location: wrapped Gaussian proposal, flat prior cancels; the
         # concentration's term c is the current one's
-        mu_prop = (mu + step_mu * z_mu) % two_pi
-        m_prop = mu_term(mu_prop)
-        lik_prop = combine(m_prop, conc, c)
+        mu_prop = mu + step_mu * z_mu
+        if not 0.0 <= mu_prop < two_pi:
+            mu_prop %= two_pi
+        m_prop, lik_prop = mu_move(mu_prop, conc, c)
         log_a = lik_prop - cur_lik
         a = 1.0 if log_a >= 0.0 else exp(log_a)
         if u_mu < a:
@@ -249,13 +266,12 @@ def run_mcmc(model: ModelSpec, data: Dataset, config: McmcConfig, *, trace_steps
         step_mu *= exp(gamma * (a - target))
 
         # concentration: Gaussian step on the unconstrained scale, mapped
-        # back; a proposal outside the open support (or whose map back
-        # overflowed) is rejected
+        # back below the top; a proposal from the top up or outside the
+        # open support is rejected
         th_prop = theta + step_conc * z_conc
-        conc_prop = to_conc(th_prop)
+        conc_prop = to_conc(th_prop) if th_prop < top else hi
         if lo < conc_prop < hi:
-            c_prop, shared = conc_term(conc_prop)
-            lik_prop = combine(m, conc_prop, c_prop)
+            c_prop, shared, lik_prop = conc_move(m, conc_prop)
             pri_prop = log_prior(conc_prop, shared)
             jac_prop = log_jac(conc_prop)
             log_a = (lik_prop + pri_prop + jac_prop) - (cur_lik + cur_pri + cur_jac)
@@ -272,37 +288,33 @@ def run_mcmc(model: ModelSpec, data: Dataset, config: McmcConfig, *, trace_steps
             trace[i] = step_mu, step_conc
 
     # kept: the same moves with the steps frozen, so the draws come from
-    # one fixed kernel; each draw is written by index into the chain's
-    # own array, through a view of each column
+    # one fixed kernel, each accepted on log u < log_a; each draw is
+    # written by index into the chain's own array, through a view of each
+    # column
     draws = np.empty((n_kept, 2))
     kept_mu, kept_conc = memoryview(draws[:, 0]), memoryview(draws[:, 1])
     accepted_mu = accepted_conc = 0
-    for j, z_mu, z_conc, u_mu, u_conc in zip(range(n_kept), z, z, u, u):
-        mu_prop = (mu + step_mu * z_mu) % two_pi
-        m_prop = mu_term(mu_prop)
-        lik_prop = combine(m_prop, conc, c)
-        log_a = lik_prop - cur_lik
-        a = 1.0 if log_a >= 0.0 else exp(log_a)
-        if u_mu < a:
+    for j, z_mu, z_conc, lu_mu, lu_conc in zip(range(n_kept), z, z, log_u, log_u):
+        mu_prop = mu + step_mu * z_mu
+        if not 0.0 <= mu_prop < two_pi:
+            mu_prop %= two_pi
+        m_prop, lik_prop = mu_move(mu_prop, conc, c)
+        if lu_mu < lik_prop - cur_lik:
             mu, m, cur_lik = mu_prop, m_prop, lik_prop
             accepted_mu += 1
 
         th_prop = theta + step_conc * z_conc
-        conc_prop = to_conc(th_prop)
+        conc_prop = to_conc(th_prop) if th_prop < top else hi
         if lo < conc_prop < hi:
-            c_prop, shared = conc_term(conc_prop)
-            lik_prop = combine(m, conc_prop, c_prop)
+            c_prop, shared, lik_prop = conc_move(m, conc_prop)
             pri_prop = log_prior(conc_prop, shared)
             jac_prop = log_jac(conc_prop)
-            log_a = (lik_prop + pri_prop + jac_prop) - (cur_lik + cur_pri + cur_jac)
-            a = 1.0 if log_a >= 0.0 else (exp(log_a) if log_a > -745.0 else 0.0)
+            if lu_conc < (lik_prop + pri_prop + jac_prop) - (cur_lik + cur_pri + cur_jac):
+                theta, conc, c = th_prop, conc_prop, c_prop
+                cur_lik, cur_pri, cur_jac = lik_prop, pri_prop, jac_prop
+                accepted_conc += 1
         else:
-            a = 0.0
             out_of_support += 1
-        if u_conc < a:
-            theta, conc, c = th_prop, conc_prop, c_prop
-            cur_lik, cur_pri, cur_jac = lik_prop, pri_prop, jac_prop
-            accepted_conc += 1
 
         kept_mu[j] = mu
         kept_conc[j] = conc

@@ -40,7 +40,7 @@ from .divergence import (
     inverse_distance,
     profile_for,
 )
-from .special import _FLOAT_MATH, _TINY, _checked, _count, _evaluate, _piecewise_table
+from .special import _FLOAT_MATH, _TINY, _checked, _count, _evaluate, _piecewise_table, _real
 
 # the calibrations' first bracket for lambda, and the factor that widens it
 _BRACKET = (1.0e-8, 1.0e6)
@@ -91,7 +91,7 @@ class PcPrior:
         object.__setattr__(self, "family", Family(self.family))
         object.__setattr__(self, "base", BaseModel(self.base))
         object.__setattr__(self, "normalization", Normalization(self.normalization))
-        object.__setattr__(self, "lam", _checked(float(self.lam), _TINY, math.inf, "lambda"))
+        object.__setattr__(self, "lam", _checked(_real(self.lam, "lambda"), _TINY, math.inf, "lambda"))
         object.__setattr__(self, "profile", profile_for(self.family, self.base))
 
     @property
@@ -134,8 +134,8 @@ class TailSpec:
     alpha: float
 
     def __post_init__(self):
-        object.__setattr__(self, "U", _checked(float(self.U), _TINY, math.inf, "U"))
-        object.__setattr__(self, "alpha", _checked(float(self.alpha), _TINY, 1.0, "alpha"))
+        object.__setattr__(self, "U", _checked(_real(self.U, "U"), _TINY, math.inf, "U"))
+        object.__setattr__(self, "alpha", _checked(_real(self.alpha, "alpha"), _TINY, 1.0, "alpha"))
 
     def validate_for(self, family) -> None:
         _crossing(family, self.U)
@@ -177,6 +177,13 @@ def _normalizer(lam, prof: DistanceProfile, normalized) -> float:
     return -math.expm1(-lam * prof.d_max)
 
 
+# the normalized decreasing pair's (e^x - e^x_max) at gap = x - x_max, made
+# once: x travels with gap, e_max = e^x_max is passed whole
+_DECREASING_CDF = _piecewise_table((_END_GAP,), (
+    lambda ns, gap, x, e_max: e_max * ns.expm1(gap), lambda ns, gap, x, e_max: ns.exp(x) - e_max,
+))
+
+
 def _cdf(lam, d, prof: DistanceProfile, normalized):
     """The PC CDF at distance(s) d: pc_cdf and the calibration residual
     both evaluate it, so each CDF formula is written once.
@@ -210,9 +217,7 @@ def _cdf(lam, d, prof: DistanceProfile, normalized):
     if not normalized:
         return np.exp(x)
     e_max = math.exp(-lam * prof.d_max)
-    return _piecewise_table((_END_GAP,), (
-        lambda ns, gap, x: e_max * ns.expm1(gap), lambda ns, gap, x: ns.exp(x) - e_max,
-    ))(x + lam * prof.d_max, (x,)) / (1.0 - e_max)
+    return _DECREASING_CDF(x + lam * prof.d_max, (x, e_max)) / (1.0 - e_max)
 
 
 def _tail(kern, cdf_at_crossing):

@@ -59,6 +59,14 @@ def _count(n, name="n", allow_zero=False):
     return int(n)
 
 
+def _real(x, name):
+    """A number ``x`` as a Python float. A bool raises ValueError naming
+    ``name`` rather than reading as 0.0 or 1.0."""
+    if isinstance(x, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a number, not a bool")
+    return float(x)
+
+
 def _float_of(ufunc):
     """``ufunc`` of one Python float as a Python float: numpy's bits, one conversion."""
 

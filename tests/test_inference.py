@@ -3,6 +3,7 @@ import hashlib
 import math
 import struct
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -653,7 +654,7 @@ def _straddle(support, cut):
     """The unconstrained points whose concentrations are the two floats the
     sampler reaches closest to ``cut``: the last below it and the first
     from it up."""
-    to_theta, to_conc, _, _ = inference._unconstrained(support)
+    to_theta, to_conc = inference._unconstrained(support)[:2]
     width = 1.0
     while not to_conc(to_theta(cut) - width) < cut <= to_conc(to_theta(cut) + width):
         width *= 2.0
@@ -686,8 +687,8 @@ STEP_CUTS = (_TINY, _LINEAR_CUT, 1e-3, _VM_RADICAND_SMALL, 0.3, float(np.nextaft
 
 class TestConcentrationStep:
     """The pieces a concentration move composes equal their references, bit
-    for bit: the support's map back, the likelihood's term and combine
-    against the one-expression log-likelihood, the prior's log density
+    for bit: the support's map back, the likelihood's move against the
+    one-expression log-likelihood, the prior's log density
     given the term's shared values against the same density evaluated on
     its own (without the likelihood's Bessel pass) and the log-Jacobian,
     on the floats either side of every cut; the prior's log density also
@@ -699,7 +700,7 @@ class TestConcentrationStep:
         lo, hi = kern.support
         angles = sample(DistributionSpec(family, 1.0, 0.3), 50, seed=3).angles
         lik = kern.loglik(angles)
-        to_conc, log_jac = inference._unconstrained(kern.support)[1:3]
+        to_conc, log_jac, _, top = inference._unconstrained(kern.support)[1:]
         mu = 0.7
         m = lik.mu_term(mu)
         visited = 0
@@ -710,12 +711,12 @@ class TestConcentrationStep:
                     continue
                 for theta in _straddle(kern.support, cut):
                     # the move as run_mcmc composes it
+                    assert theta < top
                     got_conc = to_conc(theta)
                     if not lo < got_conc < hi:
                         continue
                     visited += 1
-                    c, shared = lik.conc_term(got_conc)
-                    got_lik = lik.combine(m, got_conc, c)
+                    _, shared, got_lik = lik.conc_move(m, got_conc)
                     got_pri, got_jac = log_prior(got_conc, shared), log_jac(got_conc)
                     conc = _to_conc_reference(kern.support, theta)
                     assert all(type(v) is float for v in (got_conc, got_lik, got_pri, got_jac))
@@ -764,16 +765,16 @@ class TestConcentrationStep:
 # the Python frames one run_mcmc iteration opens, by family and prior,
 # for a chain started in the middle of the support (kappa = 2, ell = 0.25,
 # rho = 0.5, where each distance kernel takes a direct form) on data drawn
-# there, in burn-in and after it: the mu
-# move's mu_term and combine; the concentration move's map back (a
-# lambda on either scale), conc_term, combine, the prior's log density
-# and its form with the float namespace's numpy wrappers it calls (none
-# for Gamma's log b - b x), and for the logit families the log-Jacobian
-# (math.log itself, no frame, on the log scale)
+# there, in burn-in and after it: the mu move; the concentration move's
+# map back (math.exp itself, no frame, on the log scale), the
+# likelihood's move, the prior's log density and its form with the float
+# namespace's numpy wrappers it calls (none for Gamma's log b - b x), and
+# for the logit families the log-Jacobian (math.log itself on the log
+# scale); the cardioid and wc moves also open their O(n) sum
 STEP_CALLS = {
-    "vm+pc-uniform": (Family.VON_MISES, PcPrior("vm", "uniform", 0.9), 2.0, 7),
-    "vm+pc-pointmass": (Family.VON_MISES, PcPrior("vm", "pointmass", 0.3), 2.0, 7),
-    "vm+gamma": (Family.VON_MISES, GammaOneB(1.0), 2.0, 7),
+    "vm+pc-uniform": (Family.VON_MISES, PcPrior("vm", "uniform", 0.9), 2.0, 4),
+    "vm+pc-pointmass": (Family.VON_MISES, PcPrior("vm", "pointmass", 0.3), 2.0, 4),
+    "vm+gamma": (Family.VON_MISES, GammaOneB(1.0), 2.0, 4),
     "cardioid+pc": (Family.CARDIOID, PcPrior("cardioid", "uniform", 2.0), 0.25, 10),
     "wc+beta": (Family.WRAPPED_CAUCHY, Beta(2.0, 2.0), 0.5, 10),
 }
@@ -811,13 +812,110 @@ class TestProposalCallCount:
             if gc_was_enabled:
                 gc.enable()
         assert chain.out_of_support == 0
-        # each iteration opens with its mu move's mu_term; the first such
-        # call is the chain start's, and the last iteration runs into the
-        # frames after the loop
-        starts = [i for i, f in enumerate(frames) if f == ("mu_term", "run_mcmc")]
-        assert len(starts) == 1 + config.iterations
-        per_iteration = [b - a for a, b in zip(starts[1:], starts[2:])]
+        # each iteration opens with its mu move; the last iteration runs
+        # into the frames after the loop
+        starts = [i for i, f in enumerate(frames) if f == ("mu_move", "run_mcmc")]
+        assert len(starts) == config.iterations
+        per_iteration = [b - a for a, b in zip(starts, starts[1:])]
         # the same count in burn-in, where the steps adapt, and after it
         if burn_in:
-            assert set(per_iteration[:burn_in]) == {want}, frames[starts[1]:starts[2]]
+            assert set(per_iteration[:burn_in]) == {want}, frames[starts[0]:starts[1]]
         assert set(per_iteration[burn_in:]) == {want}, frames[starts[-2]:starts[-1]]
+
+
+class TestUnconstrainedMap:
+    """The map back from the sampler's scale is float arithmetic with the
+    bits the ufuncs give."""
+
+    @pytest.mark.parametrize("hi", (0.5, 1.0))
+    def test_logit_map_is_expit_bit_for_bit(self, hi):
+        # the overflow of e^-t and below it, the middle, and far above
+        top = 709.782712893384  # the largest t whose e^t is finite
+        t = np.concatenate([np.linspace(-746.0, -700.0, 46_001), np.linspace(-40.0, 40.0, 80_001),
+                            np.linspace(40.0, 750.0, 7_101), np.geomspace(750.0, 1e308, 300),
+                            [-top, math.nextafter(-top, -math.inf), math.inf, -math.inf, 0.0]])
+        to_conc, top_theta = inference._unconstrained((0.0, hi))[1::3]
+        assert top_theta == math.inf
+        got = np.array([to_conc(v) for v in t.tolist()])
+        want = hi * scipy_special.expit(t)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        # e^-t overflows below -top, where both read 0 exactly
+        assert to_conc(math.nextafter(-top, -math.inf)) == 0.0 < to_conc(-top)
+
+    def test_log_map_is_exp_below_its_top(self):
+        to_theta, to_conc, log_jac, initial, top = inference._unconstrained((0.0, math.inf))
+        assert (to_theta, to_conc, log_jac, initial) == (math.log, math.exp, math.log, 1.0)
+        assert top == 709.0 and math.isfinite(to_conc(math.nextafter(top, 0.0)))
+
+
+class _QueuedLogPrior:
+    """A von Mises concentration prior whose log density reads the next
+    value of a queue at every call, whatever the concentration."""
+
+    support = (0.0, math.inf)
+
+    def __init__(self, values):
+        values = iter(values)
+        self._log_table = special._piecewise_table((), (lambda ns, x: next(values),))
+
+
+class _StubRng:
+    """A generator that hands run_mcmc the given draws."""
+
+    def __init__(self, z, u):
+        self.z, self.u = z, u
+
+    def standard_normal(self, shape):
+        assert shape == self.z.shape
+        return self.z
+
+    def random(self, shape):
+        assert shape == self.u.shape
+        return self.u
+
+
+class TestKeptAcceptance:
+    """The kept loop takes a move when log u < log a: at u = 0 it takes a
+    move whose e^log_a underflows to 0, and it rejects a nan or -inf log
+    ratio and takes a +inf one, without a RuntimeWarning."""
+
+    def test_log_u_decisions(self, monkeypatch):
+        iters = 1000
+        data = sample(DistributionSpec("vm", 1.0, 50.0), 100, seed=2)
+        z, u = np.zeros((iters, 2)), np.full((iters, 2), 0.5)
+        # the concentration takes small steps up and down, so that each
+        # accepted move shows in the draws; each proposal's log prior is
+        # the next in the queue, after the start's 0
+        z[:, 1] = np.where(np.arange(iters) % 2, -1e-3, 1e-3)
+        cases = [  # (log prior of the proposal, u, taken)
+            (-1000.0, 0.0, True),      # e^log_a is 0 = u: only log u < log a takes it
+            (0.0, 0.5, True),          # back up by ~1000
+            (-1000.0, 1e-300, False),  # log u = -690.8 > log a
+            (-700.0, 0.0, True),
+            (math.nan, 0.0, False),
+            (-math.inf, 0.0, False),
+            (math.inf, 0.999999, True),
+        ]
+        # from the +inf state on every log ratio is -inf
+        rest = iters - len(cases)
+        log_priors = [0.0] + [c[0] for c in cases] + [0.0] * rest
+        taken = [c[2] for c in cases] + [False] * rest
+        u[:len(cases), 1] = [c[1] for c in cases]
+        # the mu move: half a turn away from the data's mean direction and
+        # back, each at u = 0; the first's log ratio is below -745
+        z[:2, 0] = TWO_PI, -TWO_PI  # the step is 0.5
+        u[:2, 0] = 0.0
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: _StubRng(z, u))
+        model = ModelSpec(Family.VON_MISES, _QueuedLogPrior(log_priors))
+        config = McmcConfig(iterations=iters, burn_in=0, initial_mu=1.0, initial_concentration=50.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            chain = run_mcmc(model, data, config)
+        gamma = ModelSpec(Family.VON_MISES, GammaOneB(1.0))
+        half_turn = log_posterior(gamma, data, 1.0 + math.pi, 50.0) - log_posterior(gamma, data, 1.0, 50.0)
+        assert half_turn < -745.0
+        conc = np.concatenate([[50.0], chain.concentration])
+        assert (conc[1:] != conc[:-1]).tolist() == taken
+        assert chain.acceptance_rates["concentration"] == sum(taken) / iters
+        assert chain.mu[0] == pytest.approx(1.0 + math.pi) and chain.mu[1] == pytest.approx(1.0)
+        assert chain.acceptance_rates["mu"] == 1.0

@@ -6,7 +6,9 @@ array holding one bad element next to a good one.
 """
 
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from circpc.distributions import (
@@ -28,6 +30,8 @@ from circpc.divergence import (
     profile_for,
     supported_pairs,
 )
+from circpc.harness import PriorSpec, desk_study_config
+from circpc.inference import McmcConfig
 from circpc.pc_priors import (
     PcPrior,
     TailSpec,
@@ -121,3 +125,32 @@ def test_rejects_nonfinite_and_out_of_domain(call, good, bad):
     call(good)  # the same call is accepted with a good argument
     with pytest.raises(ValueError):
         call(bad)
+
+
+
+def _desk_with(**changes):
+    return replace(desk_study_config(), **changes)
+
+
+# (the field the error names, a call with a value in that field, a good number)
+NUMBER_FIELDS = [
+    ("hypers", lambda x: PriorSpec("gamma", (x,)), 1),
+    ("true_concentration_grid", lambda x: _desk_with(true_concentration_grid=(x, 3.0)), 1),
+    ("mu_true", lambda x: _desk_with(mu_true=x), 1),
+    ("U", lambda x: TailSpec(x, 0.5), 1),
+    ("alpha", lambda x: TailSpec(1.0, x), 0.5),
+    ("lambda", lambda x: PcPrior("vm", "uniform", x), 1),
+    ("initial_mu", lambda x: McmcConfig(initial_mu=x), 1),
+    ("initial_concentration", lambda x: McmcConfig(initial_concentration=x), 1),
+    ("mu", lambda x: DistributionSpec("vm", x, 1.0), 1),
+    ("concentration", lambda x: DistributionSpec("vm", 0.0, x), 1),
+]
+
+
+@pytest.mark.parametrize("name, call, good", NUMBER_FIELDS, ids=[f[0] for f in NUMBER_FIELDS])
+@pytest.mark.parametrize("flag", (True, np.True_), ids=("bool", "numpy-bool"))
+def test_bool_is_not_a_number(name, call, good, flag):
+    """A bool is not read as 0 or 1 where a number is asked for."""
+    call(good)
+    with pytest.raises(ValueError, match=f"{name} must be a number, not a bool"):
+        call(flag)
