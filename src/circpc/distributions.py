@@ -66,7 +66,7 @@ class FamilyKernel:
 
     label: str                             # name used in messages
     log_density: Callable                  # (angles in [0, 2*pi), mu, conc) -> log density
-    draw: Callable                         # (rng, mu, conc > 0, n) -> angles in [0, 2*pi)
+    draw: Callable                         # (rng, mu, conc > 0, n) -> angles, wrapped by Dataset
     loglik: Optional[Callable] = None      # angles in [0, 2*pi) -> LogLikelihood
     support: Optional[tuple] = None        # open interval the concentration moves in
     q: Optional[Callable] = None           # user-scale transform Q(conc)
@@ -356,7 +356,7 @@ def _sample_von_mises(rng, mu, kappa, n):
         take = min(good.size, n - filled)
         out[filled : filled + take] = good[:take]
         filled += take
-    return wrap_angle(mu + out)
+    return mu + out
 
 
 def _cardioid_cdf_unit(x, mu, ell):
@@ -375,11 +375,11 @@ def _sample_cardioid(rng, mu, ell, n):
         below = _cardioid_cdf_unit(mid, mu, ell) < u
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
-    return wrap_angle(0.5 * (lo + hi))
+    return 0.5 * (lo + hi)
 
 
 def _sample_wc(rng, mu, rho, n):
-    return wrap_angle(mu - np.log(rho) * rng.standard_cauchy(n))
+    return mu - np.log(rho) * rng.standard_cauchy(n)
 
 
 FAMILIES = {

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -104,7 +104,6 @@ class Chain:
     acceptance_rates: dict            # per component, post-burn-in
     step_sizes: tuple                 # frozen (mu_step, concentration_step)
     first_iteration: int              # global index of the first kept draw
-    step_trace: Optional[np.ndarray] = field(default=None, repr=False)
     # concentration proposals, burn-in included, rejected because they
     # left the open support (or the transform back overflowed)
     out_of_support: int = 0
@@ -140,13 +139,7 @@ class PosteriorSummary:
     effective_sample_size: float
 
     def to_dict(self) -> dict:
-        return {
-            "concentration_mean": self.concentration_mean,
-            "concentration_ci_low": self.concentration_ci_low,
-            "concentration_ci_high": self.concentration_ci_high,
-            "mu_circular_mean": self.mu_circular_mean,
-            "effective_sample_size": self.effective_sample_size,
-        }
+        return asdict(self)
 
 
 def log_posterior(model: ModelSpec, data: Dataset, mu, conc) -> float:
@@ -174,7 +167,7 @@ def log_posterior(model: ModelSpec, data: Dataset, mu, conc) -> float:
     return loglik + lp - _LOG_TWO_PI
 
 
-def run_mcmc(model: ModelSpec, data: Dataset, config: McmcConfig, *, trace_steps=False) -> Chain:
+def run_mcmc(model: ModelSpec, data: Dataset, config: McmcConfig) -> Chain:
     """Component-wise adaptive random-walk Metropolis over (mu, concentration).
 
     Deterministic for a fixed config seed.  The chain runs in two loops
@@ -182,8 +175,7 @@ def run_mcmc(model: ModelSpec, data: Dataset, config: McmcConfig, *, trace_steps
     (Robbins-Monro on the log step toward target_acceptance) and keeps
     nothing; the kept loop makes the same moves with the steps frozen,
     counts acceptances and writes each draw into the chain's preallocated
-    array by index.  With ``trace_steps`` the steps after every burn-in
-    iteration are recorded, and the kept rows repeat the frozen steps.
+    array by index.
 
     Each move is one call to the likelihood (``LogLikelihood``): the
     chain keeps the mu term and the concentration term of its current
@@ -197,13 +189,12 @@ def run_mcmc(model: ModelSpec, data: Dataset, config: McmcConfig, *, trace_steps
     (which takes the values the likelihood shares: the von Mises Bessel
     pass) and the log-Jacobian.
 
-    Burn-in accepts a move when u < a, a = min(1, e^log_a) being the
-    acceptance probability it adapts on.  The kept loop takes the logs of
-    its uniforms once, before burn-in, and accepts when log u < log_a.
-    The two rules decide alike except where u and e^log_a round to the
-    same float, and at u = 0 with log_a <= -745, where e^log_a underflows
-    to 0 and only the log rule takes the move, as exact arithmetic does.
-    Both reject a nan or -inf log_a and accept a +inf one.
+    Both loops take a move when log u < log_a, the logs of the chain's
+    uniforms being taken once, before burn-in.  log 0 is -inf, so at
+    u = 0 a move is taken however small its finite log_a, as exact
+    arithmetic says; a nan or -inf log_a is rejected and a +inf one
+    taken.  Burn-in forms a = min(1, e^log_a) only to adapt the step on;
+    a concentration move's a is 0 for a nan log_a or one at or below -745.
     """
     angles = data.angles
     kern = FAMILIES[model.family]
@@ -229,19 +220,16 @@ def run_mcmc(model: ModelSpec, data: Dataset, config: McmcConfig, *, trace_steps
     rng = np.random.default_rng(config.seed)
     iters, burn = config.iterations, config.burn_in
     n_kept = iters - burn
-    # draw everything up front: one fixed consumption pattern per config.
-    # Both loops read each row (mu, concentration) as two Python floats
-    # through one iterator taken twice, the kept loop where burn-in left
-    # off: no numpy scalar per iteration. The kept loop reads the logs of
-    # its uniforms, taken here; log 0 is -inf, without a warning.
+    # draw everything up front: one fixed consumption pattern per config,
+    # the normals first. Both loops read each row (mu, concentration) as
+    # two Python floats through one iterator per array taken twice, the
+    # kept loop where burn-in left off: no numpy scalar per iteration.
+    # The uniforms are read as their logs; log 0 is -inf, without a warning.
     z_all = rng.standard_normal((iters, 2))
-    u_all = rng.random((iters, 2))
     with np.errstate(divide="ignore"):
-        log_u_all = np.log(u_all[burn:])
+        log_us = np.log(rng.random((iters, 2)))
     z = iter(memoryview(z_all.reshape(-1)))
-    u = iter(memoryview(u_all.reshape(-1)))
-    log_u = iter(memoryview(log_u_all.reshape(-1)))
-    trace = np.empty((iters, 2)) if trace_steps else None
+    log_u = iter(memoryview(log_us.reshape(-1)))
     exp, two_pi = math.exp, TWO_PI  # bound once for the loops
     step_mu = step_conc = 0.5
     target = config.target_acceptance
@@ -250,7 +238,7 @@ def run_mcmc(model: ModelSpec, data: Dataset, config: McmcConfig, *, trace_steps
     # burn-in: both steps adapt (Robbins-Monro, gain (i + 1)^-0.7) on the
     # acceptance probability a of each move; nothing is counted or kept
     start = time.perf_counter()
-    for i, z_mu, z_conc, u_mu, u_conc in zip(range(burn), z, z, u, u):
+    for i, z_mu, z_conc, lu_mu, lu_conc in zip(range(burn), z, z, log_u, log_u):
         gamma = (i + 1.0) ** -0.7
 
         # location: wrapped Gaussian proposal, flat prior cancels; the
@@ -260,9 +248,9 @@ def run_mcmc(model: ModelSpec, data: Dataset, config: McmcConfig, *, trace_steps
             mu_prop %= two_pi
         m_prop, lik_prop = mu_move(mu_prop, conc, c)
         log_a = lik_prop - cur_lik
-        a = 1.0 if log_a >= 0.0 else exp(log_a)
-        if u_mu < a:
+        if lu_mu < log_a:
             mu, m, cur_lik = mu_prop, m_prop, lik_prop
+        a = 1.0 if log_a >= 0.0 else exp(log_a)
         step_mu *= exp(gamma * (a - target))
 
         # concentration: Gaussian step on the unconstrained scale, mapped
@@ -275,22 +263,18 @@ def run_mcmc(model: ModelSpec, data: Dataset, config: McmcConfig, *, trace_steps
             pri_prop = log_prior(conc_prop, shared)
             jac_prop = log_jac(conc_prop)
             log_a = (lik_prop + pri_prop + jac_prop) - (cur_lik + cur_pri + cur_jac)
+            if lu_conc < log_a:
+                theta, conc, c = th_prop, conc_prop, c_prop
+                cur_lik, cur_pri, cur_jac = lik_prop, pri_prop, jac_prop
             a = 1.0 if log_a >= 0.0 else (exp(log_a) if log_a > -745.0 else 0.0)
         else:
             a = 0.0
             out_of_support += 1
-        if u_conc < a:
-            theta, conc, c = th_prop, conc_prop, c_prop
-            cur_lik, cur_pri, cur_jac = lik_prop, pri_prop, jac_prop
         step_conc *= exp(gamma * (a - target))
 
-        if trace is not None:
-            trace[i] = step_mu, step_conc
-
     # kept: the same moves with the steps frozen, so the draws come from
-    # one fixed kernel, each accepted on log u < log_a; each draw is
-    # written by index into the chain's own array, through a view of each
-    # column
+    # one fixed kernel; each draw is written by index into the chain's own
+    # array, through a view of each column
     draws = np.empty((n_kept, 2))
     kept_mu, kept_conc = memoryview(draws[:, 0]), memoryview(draws[:, 1])
     accepted_mu = accepted_conc = 0
@@ -320,8 +304,6 @@ def run_mcmc(model: ModelSpec, data: Dataset, config: McmcConfig, *, trace_steps
         kept_conc[j] = conc
     wall_s = time.perf_counter() - start
 
-    if trace is not None:
-        trace[burn:] = step_mu, step_conc  # the kept phase's frozen steps
     return Chain(
         draws=draws,
         acceptance_rates={
@@ -330,7 +312,6 @@ def run_mcmc(model: ModelSpec, data: Dataset, config: McmcConfig, *, trace_steps
         },
         step_sizes=(step_mu, step_conc),
         first_iteration=burn,
-        step_trace=trace,
         out_of_support=out_of_support,
         wall_s=wall_s,
     )

@@ -177,10 +177,16 @@ def _normalizer(lam, prof: DistanceProfile, normalized) -> float:
     return -math.expm1(-lam * prof.d_max)
 
 
-# the normalized decreasing pair's (e^x - e^x_max) at gap = x - x_max, made
-# once: x travels with gap, e_max = e^x_max is passed whole
+# the normalized pairs' CDF pieces at gap = x - x_max, made once: x travels
+# with gap, e_max = e^x_max (and the increasing pair's normalizer z) is
+# passed whole. The increasing pair's cut depends on lambda, so its table
+# is placed on gap - top, which is below 0 exactly when gap < top
 _DECREASING_CDF = _piecewise_table((_END_GAP,), (
     lambda ns, gap, x, e_max: e_max * ns.expm1(gap), lambda ns, gap, x, e_max: ns.exp(x) - e_max,
+))
+_INCREASING_CDF = _piecewise_table((0.0,), (
+    lambda ns, s, gap, x, e_max, z: 1.0 - e_max * ns.expm1(gap) / z,
+    lambda ns, s, gap, x, e_max, z: -ns.expm1(x) / z,
 ))
 
 
@@ -210,10 +216,8 @@ def _cdf(lam, d, prof: DistanceProfile, normalized):
         # (e^x - e^x_max) / z, the CDF's distance from 1, is below 2^-50 for x - x_max < top
         e_max = math.exp(-lam * prof.d_max)
         top = math.log1p(_END_GAP * z / e_max)
-        return _piecewise_table((top,), (
-            lambda ns, gap, x: 1.0 - e_max * ns.expm1(gap) / z,
-            lambda ns, gap, x: -ns.expm1(x) / z,
-        ))(x + lam * prof.d_max, (x,))
+        gap = x + lam * prof.d_max
+        return _INCREASING_CDF(gap - top, (gap, x, e_max, z))
     if not normalized:
         return np.exp(x)
     e_max = math.exp(-lam * prof.d_max)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -385,12 +385,7 @@ class AuditReport:
     classification: str
 
     def to_dict(self) -> dict:
-        return {
-            "density_at_zero": self.density_at_zero,
-            "monotone_decreasing": self.monotone_decreasing,
-            "argmax_d": self.argmax_d,
-            "classification": self.classification,
-        }
+        return asdict(self)
 
 
 # the audit grid starts just off d = 0, which the point-mass and curve

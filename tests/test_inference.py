@@ -268,17 +268,15 @@ class TestRunMcmc:
             s_base.concentration_mean, abs=0.05
         )
 
-    def test_step_adaptation_stops_after_burn_in(self):
+    def test_steps_adapt_only_in_burn_in(self):
+        # the kept loop leaves the steps as burn-in left them: without
+        # burn-in they are the initial ones, with it both have moved
         model = ModelSpec(Family.VON_MISES, pcu_vm_prior())
         data = sample(DistributionSpec(Family.VON_MISES, 1.0, 2.0), 100, seed=9)
-        cfg = McmcConfig(iterations=3000, burn_in=1000, seed=3)
-        chain = run_mcmc(model, data, cfg, trace_steps=True)
-        trace = np.asarray(chain.step_trace)
-        assert trace.shape[0] == 3000
-        post = trace[1000:]
-        assert np.all(post == post[0])
-        pre = trace[:1000]
-        assert np.any(pre[1:] != pre[:-1])
+        kept_only = run_mcmc(model, data, McmcConfig(iterations=1000, burn_in=0, seed=3))
+        assert kept_only.step_sizes == (0.5, 0.5)
+        adapted = run_mcmc(model, data, McmcConfig(iterations=3000, burn_in=1000, seed=3))
+        assert all(step != 0.5 for step in adapted.step_sizes)
 
     def test_initial_point_outside_support_raises(self):
         model = ModelSpec(Family.CARDIOID, UniformHalf())
@@ -454,30 +452,6 @@ class TestLogitScaleSamplerBits:
         model = ModelSpec(family, priors[prior])
         chain = run_mcmc(model, data, McmcConfig(iterations=2000, burn_in=500, seed=11))
         assert chain_digest(chain) == self.EXPECTED[family, prior, n]
-
-
-class TestStepTraceBits:
-    """The step-size trace's bits are pinned per family, adapted rows and
-    frozen rows alike: the first 16 hex digits of a SHA-256 over the
-    whole (iterations, 2) trace. Recorded with numpy 2.4 and scipy 1.17 on
-    x86-64 Linux."""
-
-    EXPECTED = {
-        Family.VON_MISES: (2.0, PcPrior("vm", "uniform", 0.9), "0f96ff56999c4f44"),
-        Family.CARDIOID: (0.3, PcPrior("cardioid", "uniform", 2.0), "12c6ce1dc194f825"),
-    }
-
-    @pytest.mark.parametrize("family", sorted(EXPECTED, key=lambda f: f.value))
-    def test_trace_hash(self, family):
-        truth, prior, want = self.EXPECTED[family]
-        data = sample(DistributionSpec(family, 1.0, truth), 100, seed=107)
-        config = McmcConfig(iterations=2000, burn_in=500, seed=11)
-        chain = run_mcmc(ModelSpec(family, prior), data, config, trace_steps=True)
-        trace = chain.step_trace
-        assert trace.shape == (2000, 2) and trace.dtype == np.float64
-        assert trace.flags["C_CONTIGUOUS"]
-        assert tuple(trace[-1]) == chain.step_sizes
-        assert hashlib.sha256(trace.tobytes()).hexdigest()[:16] == want
 
 
 def _collapsed_vm_posterior_mean(angles, prior):
@@ -874,10 +848,10 @@ class _StubRng:
         return self.u
 
 
-class TestKeptAcceptance:
-    """The kept loop takes a move when log u < log a: at u = 0 it takes a
-    move whose e^log_a underflows to 0, and it rejects a nan or -inf log
-    ratio and takes a +inf one, without a RuntimeWarning."""
+class TestLogUAcceptance:
+    """Burn-in and kept moves alike are taken when log u < log a: at u = 0
+    a move whose e^log_a underflows to 0 is taken, and a nan or -inf log
+    ratio is rejected and a +inf one taken, without a RuntimeWarning."""
 
     def test_log_u_decisions(self, monkeypatch):
         iters = 1000
@@ -919,3 +893,42 @@ class TestKeptAcceptance:
         assert chain.acceptance_rates["concentration"] == sum(taken) / iters
         assert chain.mu[0] == pytest.approx(1.0 + math.pi) and chain.mu[1] == pytest.approx(1.0)
         assert chain.acceptance_rates["mu"] == 1.0
+
+    @staticmethod
+    def _one_burn_in_row(monkeypatch, z_row, u_row, log_prior=0.0):
+        # a chain whose one burn-in row has the given draws, the
+        # concentration proposal's log prior being log_prior after the
+        # start's 0; the kept rows propose the current state again, so the
+        # first kept draw shows both burn-in decisions
+        iters = 1001
+        data = sample(DistributionSpec("vm", 1.0, 50.0), 100, seed=2)
+        z, u = np.zeros((iters, 2)), np.full((iters, 2), 0.5)
+        z[0], u[0] = z_row, u_row
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: _StubRng(z, u))
+        model = ModelSpec(Family.VON_MISES, _QueuedLogPrior([0.0, log_prior] + [0.0] * (iters - 1)))
+        config = McmcConfig(iterations=iters, burn_in=1, initial_mu=1.0, initial_concentration=50.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            chain = run_mcmc(model, data, config)
+        assert all(math.isfinite(step) and step > 0.0 for step in chain.step_sizes)
+        return chain
+
+    def test_burn_in_mu_move_at_u_zero(self, monkeypatch):
+        # half a turn away from the data's mean direction, a log ratio
+        # below -745 (see test_log_u_decisions), at u = 0; the step is 0.5
+        chain = self._one_burn_in_row(monkeypatch, (TWO_PI, 0.0), (0.0, 0.5))
+        assert chain.mu[0] == pytest.approx(1.0 + math.pi)
+
+    @pytest.mark.parametrize("log_prior, u_conc, taken", [
+        (-1000.0, 0.0, True),      # e^log_a is 0 = u: only log u < log a takes it
+        (-1000.0, 1e-300, False),  # log u = -690.8 > log a
+        (-700.0, 0.0, True),
+        (math.nan, 0.0, False),
+        (-math.inf, 0.0, False),
+        (math.inf, 0.999999, True),
+    ])
+    def test_burn_in_concentration_decisions(self, monkeypatch, log_prior, u_conc, taken):
+        # a step up by 0.5e-3 on the log scale: a taken one moves kappa by 0.025
+        chain = self._one_burn_in_row(monkeypatch, (0.0, 1e-3), (0.5, u_conc), log_prior)
+        assert chain.mu[0] == 1.0
+        assert (abs(chain.concentration[0] - 50.0) > 0.01) == taken

@@ -214,12 +214,14 @@ class TestCdf:
             assert pc_cdf(p, x) == pytest.approx(val, abs=max(1e-10, 10 * err))
 
     def test_decreasing_pair_makes_no_table_per_call(self, monkeypatch):
-        # its table is made once, at import; a calibration calls the CDF
-        # once per Brent step
+        # the normalized pairs' tables, decreasing and increasing, are made
+        # once, at import; a calibration calls the CDF once per Brent step
         made = []
         monkeypatch.setattr(pc_priors, "_piecewise_table", lambda *a: made.append(a))
         calibrate_lambda(Family.VON_MISES, BaseModel.POINT_MASS, TailSpec(math.pi / 2, 0.3))
         pc_cdf(PcPrior(Family.VON_MISES, BaseModel.POINT_MASS, 1.3), np.linspace(0.1, 2.0, 7))
+        calibrate_lambda(Family.CARDIOID, BaseModel.UNIFORM, TailSpec(0.5, 0.3))
+        pc_cdf(PcPrior(Family.CARDIOID, BaseModel.UNIFORM, 1.3), np.linspace(0.05, 0.45, 7))
         assert made == []
 
 
