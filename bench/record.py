@@ -15,15 +15,16 @@ core stretches the probe with the chain.  The checkout's tree is
 Each tree runs in its own worker interpreter, which imports circpc
 from the tree's ``src``.  In every round each cell runs three times on
 every tree, the trees taking turns chain by chain (in alternating
-order), on the same data and seeds; a round keeps each tree's fastest
-chain at reference speed, which drops the runs that a slow phase of a
-shared core caught.  The JSON holds, per tree and cell, the median and
-interquartile range over the rounds at reference speed and raw, every
-round's scaled and raw value and a digest of each chain's draws, so a
-reader sees whether the trees drew the same bits; with ``--against``,
-per cell the median over rounds of the paired speed-up at reference
-speed and the number of rounds the change won; and the machine (cores,
-CPU, Python, numpy, scipy).
+order), on the same data and seeds; a round keeps, per tree, the median
+of its three chains' times at reference speed and, apart, the median of
+their raw times.  (The smallest scaled time would also pick the chain
+whose probe happened to read slowest.)  The JSON holds, per tree and
+cell, the median and interquartile range over the rounds at reference
+speed and raw, every round's scaled and raw value and a digest of each
+round's draws, so a reader sees whether the trees drew the same bits;
+with ``--against``, per cell the median over rounds of the paired
+speed-up at reference speed and the number of rounds the change won;
+and the machine (cores, CPU, Python, numpy, scipy).
 
 Run from the root of a checkout.
 """
@@ -40,7 +41,7 @@ import sys
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 ITERATIONS, BURN_IN = 3000, 1000
-REPEATS = 3  # chains per cell, checkout and round; the fastest counts
+REPEATS = 3  # chains per cell, checkout and round; their medians count
 SIZES = (300, 1000)
 # family, the true concentration of its data, and its prior classes as
 # (label, constructor name, arguments)
@@ -132,13 +133,15 @@ def record(args):
         for r in range(args.rounds):
             for i, cell in enumerate(CELL_NAMES):
                 order = trees if (r + i) % 2 == 0 else trees[::-1]
-                best = {}
+                repeats = {label: [] for label, _ in trees}
                 for _ in range(REPEATS):
                     for label, _ in order:
-                        value = tuple(run(label, cell, r))
-                        best[label] = min(best.get(label, value), value)
-                for label, value in best.items():
-                    runs[label][cell].append(value)
+                        repeats[label].append(run(label, cell, r))
+                # every repeat runs the round's seed, so draws the same digest
+                for label, values in repeats.items():
+                    runs[label][cell].append((statistics.median(v[0] for v in values),
+                                              statistics.median(v[1] for v in values),
+                                              values[0][2]))
     finally:
         for worker in workers.values():
             worker.stdin.close()

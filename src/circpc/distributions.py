@@ -203,7 +203,7 @@ def _unconstrained(support):
 
 class LogLikelihood(NamedTuple):
     """A family's log-likelihood, set up once per dataset, as the pure
-    pieces a component-wise sampler calls: one call per move.
+    pieces of a component-wise sampler's moves.
 
     ``mu_term(mu)`` is the part that depends on mu alone (a float, or a
     per-angle array); a chain's start and ``log_posterior`` take it.
@@ -218,11 +218,18 @@ class LogLikelihood(NamedTuple):
     likelihood's. Called as ``(mu, conc)``, it evaluates the
     log-likelihood whole, with the bits of either move. Every piece takes
     Python floats and returns floats, or arrays for a per-angle mu term.
+
+    ``stats`` is (n, C, S) = (n, sum cos x, sum sin x) where the
+    likelihood is the von Mises one on these sufficient statistics, and
+    None otherwise. Such a likelihood has no ``mu_move``: a sampler runs
+    both moves inline from ``stats``, with the operations of ``mu_term``
+    and ``conc_move`` in their order, and so their bits.
     """
 
     mu_term: Callable
-    mu_move: Callable
+    mu_move: Optional[Callable]
     conc_move: Callable
+    stats: Optional[tuple] = None
 
     def __call__(self, mu, conc):
         return self.conc_move(self.mu_term(mu), conc)[2]
@@ -231,7 +238,8 @@ class LogLikelihood(NamedTuple):
 def _vm_loglik(angles):
     # sufficient statistics: kappa T(mu) - n (log 2 pi + log I0 kappa) with
     # T(mu) = C cos mu + S sin mu; the Bessel pass (i0e, log i0e) of kappa
-    # is shared with the prior. Each move writes the whole arithmetic out.
+    # is shared with the prior. run_mcmc writes both moves out from (n, C, S)
+    # with these operations.
     n = angles.size
     c_sum = float(np.sum(np.cos(angles)))
     s_sum = float(np.sum(np.sin(angles)))
@@ -240,10 +248,6 @@ def _vm_loglik(angles):
     def mu_term(mu):
         return c_sum * cos(mu) + s_sum * sin(mu)
 
-    def mu_move(mu, kappa, log_norm):
-        trig = c_sum * cos(mu) + s_sum * sin(mu)
-        return trig, kappa * trig - log_norm
-
     def conc_move(trig, kappa):
         i0 = i0e(kappa)
         # numpy's log, as _FLOAT_MATH.log gives it, without that wrapper's call
@@ -251,7 +255,7 @@ def _vm_loglik(angles):
         log_norm = n * (_LOG_TWO_PI + (log_i0e + kappa))
         return log_norm, (i0, log_i0e), kappa * trig - log_norm
 
-    return LogLikelihood(mu_term, mu_move, conc_move)
+    return LogLikelihood(mu_term, None, conc_move, (n, c_sum, s_sum))
 
 
 def _cardioid_loglik(angles):

@@ -17,6 +17,7 @@ import csv
 import math
 import time
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -32,7 +33,7 @@ from .distributions import (
     wrap_angle,
 )
 from .reference_priors import _check_support, _log_density_fn
-from .special import _checked, _count, _real
+from .special import _FLOAT_MATH, _checked, _count, _real
 
 __all__ = [
     "InitializationError",
@@ -167,6 +168,13 @@ def log_posterior(model: ModelSpec, data: Dataset, mu, conc) -> float:
     return loglik + lp - _LOG_TWO_PI
 
 
+@lru_cache(maxsize=8)
+def _gains(burn):
+    """The burn-in's Robbins-Monro gains (i + 1)^-0.7 for i < burn, as
+    Python floats: made once per burn-in length, for every chain of it."""
+    return tuple([(i + 1.0) ** -0.7 for i in range(burn)])
+
+
 def run_mcmc(model: ModelSpec, data: Dataset, config: McmcConfig) -> Chain:
     """Component-wise adaptive random-walk Metropolis over (mu, concentration).
 
@@ -175,19 +183,26 @@ def run_mcmc(model: ModelSpec, data: Dataset, config: McmcConfig) -> Chain:
     (Robbins-Monro on the log step toward target_acceptance) and keeps
     nothing; the kept loop makes the same moves with the steps frozen,
     counts acceptances and writes each draw into the chain's preallocated
-    array by index.
+    array by index.  Its steps' products with the normals are taken once,
+    as one array: numpy's product of two floats is Python's.
 
-    Each move is one call to the likelihood (``LogLikelihood``): the
-    chain keeps the mu term and the concentration term of its current
-    state, so a mu move evaluates only the new mu's term and a
-    concentration move only the new concentration's.  A mu proposal is
-    wrapped onto [0, 2*pi) only when it leaves it.  A concentration
-    proposal theta maps back to the support in float arithmetic, and only
-    below the scale's top (``_unconstrained``); a proposal from the top up,
-    or one that maps outside the open support, is rejected and counted in
-    ``out_of_support``.  Otherwise the move calls the likelihood, the prior
-    (which takes the values the likelihood shares: the von Mises Bessel
-    pass) and the log-Jacobian.
+    The chain keeps the mu term and the concentration term of its
+    current state (``LogLikelihood``), so a mu move evaluates only the
+    new mu's term and a concentration move only the new concentration's.
+    A von Mises likelihood carries its sufficient statistics (n, C, S),
+    and both its moves run inline in the loop, with the operations of
+    its ``mu_term`` and ``conc_move``: T = C cos mu + S sin mu, and the
+    Bessel pass i0e, its log and n (log 2 pi + (log i0e + kappa)).  Any
+    other likelihood's move is one call, ``mu_move`` or ``conc_move``;
+    the choice is made once per chain, and the loops are the same for
+    every family.  A mu proposal is wrapped onto [0, 2*pi) only when it
+    leaves it.  A concentration proposal theta maps back to the support
+    in float arithmetic, and only below the scale's top
+    (``_unconstrained``); a proposal from the top up, or one that maps
+    outside the open support, is rejected and counted in
+    ``out_of_support``.  Otherwise the move evaluates the likelihood,
+    the prior (which takes the values the likelihood shares: the von
+    Mises Bessel pass) and the log-Jacobian.
 
     Both loops take a move when log u < log_a, the logs of the chain's
     uniforms being taken once, before burn-in.  log 0 is -inf, so at
@@ -198,7 +213,11 @@ def run_mcmc(model: ModelSpec, data: Dataset, config: McmcConfig) -> Chain:
     """
     angles = data.angles
     kern = FAMILIES[model.family]
-    mu_term, mu_move, conc_move = kern.loglik(angles)
+    mu_term, mu_move, conc_move, stats = kern.loglik(angles)
+    # von Mises: both moves inline, from the sufficient statistics
+    inline = stats is not None
+    n, c_sum, s_sum = stats if inline else (0, 0.0, 0.0)
+    cos, sin, i0e, np_log = math.cos, math.sin, _FLOAT_MATH.i0e, np.log
     log_prior = _log_density_fn(model.concentration_prior)
     to_theta, to_conc, log_jac, initial, top = _unconstrained(kern.support)
     lo, hi = kern.support
@@ -221,16 +240,17 @@ def run_mcmc(model: ModelSpec, data: Dataset, config: McmcConfig) -> Chain:
     iters, burn = config.iterations, config.burn_in
     n_kept = iters - burn
     # draw everything up front: one fixed consumption pattern per config,
-    # the normals first. Both loops read each row (mu, concentration) as
-    # two Python floats through one iterator per array taken twice, the
-    # kept loop where burn-in left off: no numpy scalar per iteration.
-    # The uniforms are read as their logs; log 0 is -inf, without a warning.
+    # the normals first. Each loop reads a row (mu, concentration) as two
+    # Python floats through one iterator per array taken twice: no numpy
+    # scalar per iteration. Burn-in reads the normals, the kept loop their
+    # products with the frozen steps; both read the uniforms as their logs,
+    # the kept loop where burn-in left off. log 0 is -inf, without a warning.
     z_all = rng.standard_normal((iters, 2))
     with np.errstate(divide="ignore"):
         log_us = np.log(rng.random((iters, 2)))
     z = iter(memoryview(z_all.reshape(-1)))
     log_u = iter(memoryview(log_us.reshape(-1)))
-    exp, two_pi = math.exp, TWO_PI  # bound once for the loops
+    exp, two_pi, log_two_pi = math.exp, TWO_PI, _LOG_TWO_PI  # bound once for the loops
     step_mu = step_conc = 0.5
     target = config.target_acceptance
     out_of_support = 0
@@ -238,15 +258,17 @@ def run_mcmc(model: ModelSpec, data: Dataset, config: McmcConfig) -> Chain:
     # burn-in: both steps adapt (Robbins-Monro, gain (i + 1)^-0.7) on the
     # acceptance probability a of each move; nothing is counted or kept
     start = time.perf_counter()
-    for i, z_mu, z_conc, lu_mu, lu_conc in zip(range(burn), z, z, log_u, log_u):
-        gamma = (i + 1.0) ** -0.7
-
+    for gamma, z_mu, z_conc, lu_mu, lu_conc in zip(_gains(burn), z, z, log_u, log_u):
         # location: wrapped Gaussian proposal, flat prior cancels; the
         # concentration's term c is the current one's
         mu_prop = mu + step_mu * z_mu
         if not 0.0 <= mu_prop < two_pi:
             mu_prop %= two_pi
-        m_prop, lik_prop = mu_move(mu_prop, conc, c)
+        if inline:
+            m_prop = c_sum * cos(mu_prop) + s_sum * sin(mu_prop)
+            lik_prop = conc * m_prop - c
+        else:
+            m_prop, lik_prop = mu_move(mu_prop, conc, c)
         log_a = lik_prop - cur_lik
         if lu_mu < log_a:
             mu, m, cur_lik = mu_prop, m_prop, lik_prop
@@ -259,7 +281,14 @@ def run_mcmc(model: ModelSpec, data: Dataset, config: McmcConfig) -> Chain:
         th_prop = theta + step_conc * z_conc
         conc_prop = to_conc(th_prop) if th_prop < top else hi
         if lo < conc_prop < hi:
-            c_prop, shared, lik_prop = conc_move(m, conc_prop)
+            if inline:
+                i0 = i0e(conc_prop)
+                log_i0e = float(np_log(i0))
+                c_prop = n * (log_two_pi + (log_i0e + conc_prop))
+                shared = (i0, log_i0e)
+                lik_prop = conc_prop * m - c_prop
+            else:
+                c_prop, shared, lik_prop = conc_move(m, conc_prop)
             pri_prop = log_prior(conc_prop, shared)
             jac_prop = log_jac(conc_prop)
             log_a = (lik_prop + pri_prop + jac_prop) - (cur_lik + cur_pri + cur_jac)
@@ -275,22 +304,34 @@ def run_mcmc(model: ModelSpec, data: Dataset, config: McmcConfig) -> Chain:
     # kept: the same moves with the steps frozen, so the draws come from
     # one fixed kernel; each draw is written by index into the chain's own
     # array, through a view of each column
+    steps = iter(memoryview((z_all[burn:] * (step_mu, step_conc)).reshape(-1)))
     draws = np.empty((n_kept, 2))
     kept_mu, kept_conc = memoryview(draws[:, 0]), memoryview(draws[:, 1])
     accepted_mu = accepted_conc = 0
-    for j, z_mu, z_conc, lu_mu, lu_conc in zip(range(n_kept), z, z, log_u, log_u):
-        mu_prop = mu + step_mu * z_mu
+    for j, d_mu, d_conc, lu_mu, lu_conc in zip(range(n_kept), steps, steps, log_u, log_u):
+        mu_prop = mu + d_mu
         if not 0.0 <= mu_prop < two_pi:
             mu_prop %= two_pi
-        m_prop, lik_prop = mu_move(mu_prop, conc, c)
+        if inline:
+            m_prop = c_sum * cos(mu_prop) + s_sum * sin(mu_prop)
+            lik_prop = conc * m_prop - c
+        else:
+            m_prop, lik_prop = mu_move(mu_prop, conc, c)
         if lu_mu < lik_prop - cur_lik:
             mu, m, cur_lik = mu_prop, m_prop, lik_prop
             accepted_mu += 1
 
-        th_prop = theta + step_conc * z_conc
+        th_prop = theta + d_conc
         conc_prop = to_conc(th_prop) if th_prop < top else hi
         if lo < conc_prop < hi:
-            c_prop, shared, lik_prop = conc_move(m, conc_prop)
+            if inline:
+                i0 = i0e(conc_prop)
+                log_i0e = float(np_log(i0))
+                c_prop = n * (log_two_pi + (log_i0e + conc_prop))
+                shared = (i0, log_i0e)
+                lik_prop = conc_prop * m - c_prop
+            else:
+                c_prop, shared, lik_prop = conc_move(m, conc_prop)
             pri_prop = log_prior(conc_prop, shared)
             jac_prop = log_jac(conc_prop)
             if lu_conc < (lik_prop + pri_prop + jac_prop) - (cur_lik + cur_pri + cur_jac):

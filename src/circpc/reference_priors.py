@@ -311,6 +311,15 @@ def _log_density_fn(prior) -> Callable:
     table = getattr(prior, "_log_table", None)
     if table is not None:
         cuts, forms = table.cuts, table.forms
+        if not cuts:
+            # one form over the whole support (Gamma(1, b), UniformHalf):
+            # nothing to place
+            form = forms[0]
+
+            def log_density(x, shared=()):
+                return form(_FLOAT_MATH, x)
+
+            return log_density
 
         def log_density(x, shared=()):
             return forms[bisect_right(cuts, x)](_FLOAT_MATH, x)

@@ -126,8 +126,10 @@ def _piecewise_table(cuts, forms):
       the one contiguous run of x's sorted elements that its interval
       holds: a non-decreasing x (in C order) is sliced, so its forms get
       views of it and nothing is gathered; any other x is ordered once
-      by a stable argsort and its values scattered back once. The values
-      come back in arrays of x's shape.
+      by an argsort and its values scattered back once through the same
+      permutation; every form is elementwise, so the order it gives
+      equal elements moves no bit. The values come back in arrays of
+      x's shape.
 
     ``args`` of x's shape travel with x: they are sliced with it, or
     ordered with it; any other argument is passed whole. A form sees
@@ -170,7 +172,7 @@ def _sorted_runs(x, cuts, forms, args):
     args = [np.ravel(a) if m else a for a, m in zip(args, moves)]
     order = None
     if (flat[1:] < flat[:-1]).any():
-        order = np.argsort(flat, kind="stable")
+        order = np.argsort(flat)
         flat = flat[order]
         args = [a[order] if m else a for a, m in zip(args, moves)]
     # form i runs on the sorted elements from its lower cut to its upper one

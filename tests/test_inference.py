@@ -739,16 +739,17 @@ class TestConcentrationStep:
 # the Python frames one run_mcmc iteration opens, by family and prior,
 # for a chain started in the middle of the support (kappa = 2, ell = 0.25,
 # rho = 0.5, where each distance kernel takes a direct form) on data drawn
-# there, in burn-in and after it: the mu move; the concentration move's
-# map back (math.exp itself, no frame, on the log scale), the
-# likelihood's move, the prior's log density and its form with the float
-# namespace's numpy wrappers it calls (none for Gamma's log b - b x), and
-# for the logit families the log-Jacobian (math.log itself on the log
-# scale); the cardioid and wc moves also open their O(n) sum
+# there, in burn-in and after it: the mu move (inline, no frame, on von
+# Mises); the concentration move's map back (math.exp itself, no frame,
+# on the log scale), the likelihood's move (inline on von Mises), the
+# prior's log density and its form with the float namespace's numpy
+# wrappers it calls (none for Gamma's log b - b x), and for the logit
+# families the log-Jacobian (math.log itself on the log scale); the
+# cardioid and wc moves also open their O(n) sum
 STEP_CALLS = {
-    "vm+pc-uniform": (Family.VON_MISES, PcPrior("vm", "uniform", 0.9), 2.0, 4),
-    "vm+pc-pointmass": (Family.VON_MISES, PcPrior("vm", "pointmass", 0.3), 2.0, 4),
-    "vm+gamma": (Family.VON_MISES, GammaOneB(1.0), 2.0, 4),
+    "vm+pc-uniform": (Family.VON_MISES, PcPrior("vm", "uniform", 0.9), 2.0, 2),
+    "vm+pc-pointmass": (Family.VON_MISES, PcPrior("vm", "pointmass", 0.3), 2.0, 2),
+    "vm+gamma": (Family.VON_MISES, GammaOneB(1.0), 2.0, 2),
     "cardioid+pc": (Family.CARDIOID, PcPrior("cardioid", "uniform", 2.0), 0.25, 10),
     "wc+beta": (Family.WRAPPED_CAUCHY, Beta(2.0, 2.0), 0.5, 10),
 }
@@ -786,15 +787,17 @@ class TestProposalCallCount:
             if gc_was_enabled:
                 gc.enable()
         assert chain.out_of_support == 0
-        # each iteration opens with its mu move; the last iteration runs
-        # into the frames after the loop
-        starts = [i for i, f in enumerate(frames) if f == ("mu_move", "run_mcmc")]
-        assert len(starts) == config.iterations
-        per_iteration = [b - a for a, b in zip(starts, starts[1:])]
+        # the chain's start and then each iteration call the prior's log
+        # density from run_mcmc once; a period runs from one iteration's
+        # call to the next's, so the start's own frames and the last
+        # iteration's, which run into the frames after the loop, are left out
+        marks = [i for i, f in enumerate(frames) if f == ("log_density", "run_mcmc")]
+        assert len(marks) == config.iterations + 1
+        per_iteration = [b - a for a, b in zip(marks[1:], marks[2:])]
         # the same count in burn-in, where the steps adapt, and after it
         if burn_in:
-            assert set(per_iteration[:burn_in]) == {want}, frames[starts[0]:starts[1]]
-        assert set(per_iteration[burn_in:]) == {want}, frames[starts[-2]:starts[-1]]
+            assert set(per_iteration[:burn_in]) == {want}, frames[marks[1]:marks[2]]
+        assert set(per_iteration[burn_in:]) == {want}, frames[marks[-2]:marks[-1]]
 
 
 class TestUnconstrainedMap:
@@ -823,13 +826,12 @@ class TestUnconstrainedMap:
 
 
 class _QueuedLogPrior:
-    """A von Mises concentration prior whose log density reads the next
-    value of a queue at every call, whatever the concentration."""
+    """A concentration prior on ``support`` whose log density reads the
+    next value of a queue at every call, whatever the concentration."""
 
-    support = (0.0, math.inf)
-
-    def __init__(self, values):
+    def __init__(self, values, support):
         values = iter(values)
+        self.support = support
         self._log_table = special._piecewise_table((), (lambda ns, x: next(values),))
 
 
@@ -848,14 +850,31 @@ class _StubRng:
         return self.u
 
 
+# the two move paths a chain can take, each on data concentrated enough
+# that half a turn away from their mean direction has a log ratio below
+# -745: von Mises, whose moves run inline on the log scale, and wrapped
+# Cauchy, whose moves are calls on the logit scale. Per family: the data's
+# concentration and the chain's start, the data's size, a prior that
+# checks the half turn's log ratio, and half the change in the
+# concentration of a step of 0.5e-3 on its scale
+LOG_U_CASES = {
+    "vm": (Family.VON_MISES, 50.0, 100, GammaOneB(1.0), 0.01),
+    "wc": (Family.WRAPPED_CAUCHY, 0.9, 300, Beta(2.0, 2.0), 2e-5),
+}
+
+
 class TestLogUAcceptance:
     """Burn-in and kept moves alike are taken when log u < log a: at u = 0
     a move whose e^log_a underflows to 0 is taken, and a nan or -inf log
-    ratio is rejected and a +inf one taken, without a RuntimeWarning."""
+    ratio is rejected and a +inf one taken, without a RuntimeWarning; on
+    the von Mises inline moves and on the calls of a logit-scale family
+    alike."""
 
-    def test_log_u_decisions(self, monkeypatch):
+    @pytest.mark.parametrize("case", sorted(LOG_U_CASES))
+    def test_log_u_decisions(self, monkeypatch, case):
+        family, conc0, n, check_prior, _ = LOG_U_CASES[case]
         iters = 1000
-        data = sample(DistributionSpec("vm", 1.0, 50.0), 100, seed=2)
+        data = sample(DistributionSpec(family, 1.0, conc0), n, seed=2)
         z, u = np.zeros((iters, 2)), np.full((iters, 2), 0.5)
         # the concentration takes small steps up and down, so that each
         # accepted move shows in the draws; each proposal's log prior is
@@ -880,45 +899,48 @@ class TestLogUAcceptance:
         z[:2, 0] = TWO_PI, -TWO_PI  # the step is 0.5
         u[:2, 0] = 0.0
         monkeypatch.setattr(np.random, "default_rng", lambda seed: _StubRng(z, u))
-        model = ModelSpec(Family.VON_MISES, _QueuedLogPrior(log_priors))
-        config = McmcConfig(iterations=iters, burn_in=0, initial_mu=1.0, initial_concentration=50.0)
+        model = ModelSpec(family, _QueuedLogPrior(log_priors, check_prior.support))
+        config = McmcConfig(iterations=iters, burn_in=0, initial_mu=1.0, initial_concentration=conc0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             chain = run_mcmc(model, data, config)
-        gamma = ModelSpec(Family.VON_MISES, GammaOneB(1.0))
-        half_turn = log_posterior(gamma, data, 1.0 + math.pi, 50.0) - log_posterior(gamma, data, 1.0, 50.0)
+        check = ModelSpec(family, check_prior)
+        half_turn = log_posterior(check, data, 1.0 + math.pi, conc0) - log_posterior(check, data, 1.0, conc0)
         assert half_turn < -745.0
-        conc = np.concatenate([[50.0], chain.concentration])
+        conc = np.concatenate([[conc0], chain.concentration])
         assert (conc[1:] != conc[:-1]).tolist() == taken
         assert chain.acceptance_rates["concentration"] == sum(taken) / iters
         assert chain.mu[0] == pytest.approx(1.0 + math.pi) and chain.mu[1] == pytest.approx(1.0)
         assert chain.acceptance_rates["mu"] == 1.0
 
     @staticmethod
-    def _one_burn_in_row(monkeypatch, z_row, u_row, log_prior=0.0):
+    def _one_burn_in_row(monkeypatch, case, z_row, u_row, log_prior=0.0):
         # a chain whose one burn-in row has the given draws, the
         # concentration proposal's log prior being log_prior after the
         # start's 0; the kept rows propose the current state again, so the
         # first kept draw shows both burn-in decisions
+        family, conc0, n, check_prior, _ = LOG_U_CASES[case]
         iters = 1001
-        data = sample(DistributionSpec("vm", 1.0, 50.0), 100, seed=2)
+        data = sample(DistributionSpec(family, 1.0, conc0), n, seed=2)
         z, u = np.zeros((iters, 2)), np.full((iters, 2), 0.5)
         z[0], u[0] = z_row, u_row
         monkeypatch.setattr(np.random, "default_rng", lambda seed: _StubRng(z, u))
-        model = ModelSpec(Family.VON_MISES, _QueuedLogPrior([0.0, log_prior] + [0.0] * (iters - 1)))
-        config = McmcConfig(iterations=iters, burn_in=1, initial_mu=1.0, initial_concentration=50.0)
+        prior = _QueuedLogPrior([0.0, log_prior] + [0.0] * (iters - 1), check_prior.support)
+        config = McmcConfig(iterations=iters, burn_in=1, initial_mu=1.0, initial_concentration=conc0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            chain = run_mcmc(model, data, config)
+            chain = run_mcmc(ModelSpec(family, prior), data, config)
         assert all(math.isfinite(step) and step > 0.0 for step in chain.step_sizes)
         return chain
 
-    def test_burn_in_mu_move_at_u_zero(self, monkeypatch):
+    @pytest.mark.parametrize("case", sorted(LOG_U_CASES))
+    def test_burn_in_mu_move_at_u_zero(self, monkeypatch, case):
         # half a turn away from the data's mean direction, a log ratio
         # below -745 (see test_log_u_decisions), at u = 0; the step is 0.5
-        chain = self._one_burn_in_row(monkeypatch, (TWO_PI, 0.0), (0.0, 0.5))
+        chain = self._one_burn_in_row(monkeypatch, case, (TWO_PI, 0.0), (0.0, 0.5))
         assert chain.mu[0] == pytest.approx(1.0 + math.pi)
 
+    @pytest.mark.parametrize("case", sorted(LOG_U_CASES))
     @pytest.mark.parametrize("log_prior, u_conc, taken", [
         (-1000.0, 0.0, True),      # e^log_a is 0 = u: only log u < log a takes it
         (-1000.0, 1e-300, False),  # log u = -690.8 > log a
@@ -927,8 +949,10 @@ class TestLogUAcceptance:
         (-math.inf, 0.0, False),
         (math.inf, 0.999999, True),
     ])
-    def test_burn_in_concentration_decisions(self, monkeypatch, log_prior, u_conc, taken):
-        # a step up by 0.5e-3 on the log scale: a taken one moves kappa by 0.025
-        chain = self._one_burn_in_row(monkeypatch, (0.0, 1e-3), (0.5, u_conc), log_prior)
+    def test_burn_in_concentration_decisions(self, monkeypatch, case, log_prior, u_conc, taken):
+        # a step up by 0.5e-3 on the concentration's scale: a taken one
+        # moves it by twice the case's half change (kappa by 0.025, rho by 4.5e-5)
+        conc0, half_change = LOG_U_CASES[case][1], LOG_U_CASES[case][4]
+        chain = self._one_burn_in_row(monkeypatch, case, (0.0, 1e-3), (0.5, u_conc), log_prior)
         assert chain.mu[0] == 1.0
-        assert (abs(chain.concentration[0] - 50.0) > 0.01) == taken
+        assert (abs(chain.concentration[0] - conc0) > half_change) == taken
