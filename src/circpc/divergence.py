@@ -93,8 +93,9 @@ class DistanceProfile:
       value;
     - ``inverse(d) -> param``: a ``special._piecewise_table`` over a 1-d
       array of distances in ``domain``, with a form for each end the
-      pair's ``_Search`` does not reach and the search between them (the
-      wrapped Cauchy's closed form needs none);
+      pair's ``_Search`` does not reach, one for vm/uniform's ``d_top``
+      (the search would run on a subnormal 1/kappa there), and the
+      search between them (the wrapped Cauchy's closed form needs none);
     - ``d_top``: on the pairs whose d is unbounded, the largest distance
       a float parameter has: vm/uniform's ``domain[1]``, and the wrapped
       Cauchy's d(largest rho below 1), past which its closed inverse
@@ -377,9 +378,20 @@ def _solve_increasing(search, target):
 
 
 def _solve_block(g, target, t, lo, hi):
-    # lo and hi are each element's bracket. out holds every element's
-    # latest point, idx the places of the live ones; a block whose
-    # elements all finish on the first step returns that step's points
+    """The roots of g(t) = target for one block, from the starts ``t``
+    and each element's bracket ``(lo, hi)``.
+
+    A step evaluates g once on the live elements, then takes every
+    element's Newton point t - f / slope in one array pass. The Newton
+    test (the point strictly inside the bracket and at most half the last
+    step away) picks out the rare elements whose point is not taken: one
+    that fails it bisects its bracket, and an exact root, f = 0, keeps
+    its t. Those are patched in by index, with the same comparisons as
+    when every element picks its branch, so no decision or bit moves.
+    ``out`` holds every element's latest point and ``idx`` the places of
+    the live ones; a block whose elements all finish on the first step
+    returns that step's points.
+    """
     t = np.minimum(np.maximum(t, lo), hi)
     last = hi - lo
     idx = None
@@ -388,18 +400,23 @@ def _solve_block(g, target, t, lo, hi):
         f = val - target
         lo = np.where(f < 0.0, t, lo)
         hi = np.where(f > 0.0, t, hi)
-        # the Newton point lies strictly inside the bracket and at most half
-        # the last step away; a zero slope never passes, so never divides
+        # a zero slope never passes the test; the quotients of the elements
+        # that fail it are replaced below, so their warnings are not raised
         newton = (
             ((t - hi) * slope < f)
             & (f < (t - lo) * slope)
             & (np.abs(2.0 * f) <= last * slope)
         )
-        step = f / np.where(newton, slope, 1.0)
-        t_new = np.where(newton, t - step, 0.5 * (lo + hi))
-        root = f == 0.0
-        done = root | np.where(newton, np.abs(step) <= _NEWTON_TOL, hi - lo <= _NEWTON_TOL)
-        t_new = np.where(root, t, t_new)
+        with np.errstate(all="ignore"):
+            step = f / slope
+            t_new = t - step
+        done = np.abs(step) <= _NEWTON_TOL
+        rare = np.flatnonzero(~newton | (f == 0.0))
+        if rare.size:
+            root = f[rare] == 0.0
+            rare_lo, rare_hi = lo[rare], hi[rare]
+            t_new[rare] = np.where(root, t[rare], 0.5 * (rare_lo + rare_hi))
+            done[rare] = root | (rare_hi - rare_lo <= _NEWTON_TOL)
         if idx is None:
             out = t_new
         else:
@@ -407,8 +424,9 @@ def _solve_block(g, target, t, lo, hi):
         if done.all():
             return out
         live = np.flatnonzero(~done)
-        last = np.abs(t_new - t).take(live)
-        t, lo, hi, target = t_new.take(live), lo.take(live), hi.take(live), target.take(live)
+        t_prev, t = t.take(live), t_new.take(live)
+        last = np.abs(t - t_prev)
+        lo, hi, target = lo.take(live), hi.take(live), target.take(live)
         idx = live if idx is None else idx.take(live)
     return out
 
@@ -629,11 +647,16 @@ _WC_D_TOP = float(_wc(_RHO_MAX)[0])
 # open end of the support is reported as the largest float below it: at
 # the cardioid's d_max, to which d(_ELL_MAX) rounds, and the curve's d = 0.
 _PROFILES = {(p.family, p.base): p for p in (
-    # no kappa up to _KAPPA_MAX reaches past d(_KAPPA_MAX)
+    # no kappa up to _KAPPA_MAX reaches past d(_KAPPA_MAX); d_top itself
+    # is _KAPPA_MAX without a search, where the large-kappa series would
+    # run on a subnormal 1/kappa
     DistanceProfile(
         Family.VON_MISES, BaseModel.UNIFORM, np.inf, Direction.INCREASING,
         (0.0, _VM_UNIFORM_D_TOP), _vm_uniform,
-        _piecewise_table((0.5 * _LINEAR_CUT,), (lambda ns, d: 2.0 * d, _VM_UNIFORM_SEARCH)),
+        _piecewise_table(
+            (0.5 * _LINEAR_CUT, _VM_UNIFORM_D_TOP),
+            (lambda ns, d: 2.0 * d, _VM_UNIFORM_SEARCH, lambda ns, d: _KAPPA_MAX),
+        ),
         d_top=_VM_UNIFORM_D_TOP,
     ),
     # d = 0 only as kappa -> inf, which no float kappa has; d = 1 at kappa = 0

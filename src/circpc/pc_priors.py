@@ -338,7 +338,10 @@ def pc_sample(prior: PcPrior, n, seed):
     6.6e-9 at lambda = 1. On vm/pointmass it is a distance that rounds
     to 0, as a uniform draw near 1 does at small lambda. The distances
     are made here, so they are clipped to the profile's ``domain`` and
-    go to the pair's inverse without the public check.
+    go to the pair's inverse without the public check. A draw clipped
+    to ``d_top`` takes the cap without a Newton solve: vm/uniform's
+    inverse has a form for d_top, and the wrapped Cauchy's closed form
+    clamps there.
     """
     _require_normalized(prior, "sampling")
     n = _count(n)

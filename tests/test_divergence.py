@@ -625,6 +625,34 @@ class TestInverseDistance:
             assert np.all(np.diff(target) >= 0.0) and calls == 1
         assert np.array_equal(got, search.param(divergence._TABLE_T[nodes]))
 
+    def test_exact_root_keeps_its_point(self):
+        # on g(t) = t, an element started on its root keeps its t, even
+        # -0.0, whose Newton point -0.0 - (-0.0 / 1) would be +0.0; 0.25
+        # and -0.5 take one Newton step to the root and stop on the next
+        g = lambda t: (t * 1.0, np.ones_like(t))
+        t = np.array([-0.0, 0.0, 0.25, -0.5])
+        got = divergence._solve_block(g, np.zeros(4), t, -1.0, 1.0)
+        assert np.array_equal(np.signbit(got), [True, False, False, False]) and not got.any()
+
+    def test_vm_uniform_top_skips_the_search(self, monkeypatch):
+        # d_top, where pc_sample clips every draw beyond it, is e^709 from
+        # the inverse's top form, with no block solved; the search agrees
+        # there bit for bit, so the cut moves no element
+        d = np.full(3 * divergence._NEWTON_BLOCK + 1, VM_UNI.d_top)
+        solve, blocks = divergence._solve_block, []
+
+        def spy(g, target, t, lo, hi):
+            blocks.append(target.size)
+            return solve(g, target, t, lo, hi)
+
+        monkeypatch.setattr(divergence, "_solve_block", spy)
+        got = inverse_distance(VM_UNI, d)
+        assert blocks == []
+        assert np.array_equal(got.view(np.int64), np.full(d.size, _KAPPA_MAX).view(np.int64))
+        searched = divergence._VM_UNIFORM_SEARCH(special._ARRAY_MATH, d)
+        assert len(blocks) == 4
+        assert np.array_equal(searched.view(np.int64), got.view(np.int64))
+
     @pytest.mark.parametrize("profile", ALL_PROFILES, ids=lambda p: f"{p.family.value}-{p.base.value}")
     @pytest.mark.parametrize("shape", [(0,), (0, 3)])
     def test_empty_input(self, profile, shape):

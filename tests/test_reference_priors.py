@@ -778,7 +778,7 @@ class TestCrossBaseBits:
         ("cardioid", "curve", "uniform"): "06fc295570efef63211004d1131f3bd2f5d0c2d576f4b2576346f7ace68cb702",
     }
 
-    @pytest.mark.parametrize("family,base,on", sorted(PINS), ids="-".join)
+    @pytest.mark.parametrize("family,base,on", sorted(PINS), ids=str)
     def test_grid(self, family, base, on):
         prof = profile_for(Family(family), BaseModel(on))
         out = distance_scale_pdf(PcPrior(family, base, 1.3), prof, np.linspace(*prof.domain, 200))
