@@ -24,7 +24,8 @@ speed and raw, every round's scaled and raw value and a digest of each
 round's draws, so a reader sees whether the trees drew the same bits;
 with ``--against``, per cell the median over rounds of the paired
 speed-up at reference speed and the number of rounds the change won;
-and the machine (cores, CPU, Python, numpy, scipy).
+and the machine (cores, CPU, Python, numpy, scipy, and numpy's dispatch
+probe, which tells the CPU dispatch the chains' bits came from).
 
 Run from the root of a checkout.
 """
@@ -62,6 +63,20 @@ CELL_NAMES = [f"{family}-{label}.n{n}" for family, _, priors in CELLS
               for n in SIZES for label, _, _ in priors]
 
 
+def dispatch_probe():
+    """SHA-256 of numpy's log, exp and log1p on a fixed input. Their bits
+    depend on the CPU dispatch numpy takes (its AVX-512 kernels or the
+    baseline ones), and so do a chain's; the timings and digests of a
+    record hold for the probe value it gives."""
+    import numpy
+
+    x = numpy.linspace(1e-3, 700.0, 300_000)
+    h = hashlib.sha256()
+    for ufunc in (numpy.log, numpy.exp, numpy.log1p):
+        h.update(ufunc(x).tobytes())
+    return h.hexdigest()
+
+
 def machine():
     import numpy
     import scipy
@@ -74,7 +89,8 @@ def machine():
     except OSError:
         pass
     return {"nproc": os.cpu_count(), "cpu": cpu, "python": platform.python_version(),
-            "numpy": numpy.__version__, "scipy": scipy.__version__}
+            "numpy": numpy.__version__, "scipy": scipy.__version__,
+            "numpy_dispatch": dispatch_probe()}
 
 
 def serve(src):

@@ -32,7 +32,7 @@ from .distributions import (
     circular_mean,
     wrap_angle,
 )
-from .reference_priors import _check_support, _log_density_fn
+from .reference_priors import _InlineLogPrior, _check_support, _inline_log_prior, _log_density_fn
 from .special import _FLOAT_MATH, _checked, _count, _real
 
 __all__ = [
@@ -202,7 +202,14 @@ def run_mcmc(model: ModelSpec, data: Dataset, config: McmcConfig) -> Chain:
     outside the open support, is rejected and counted in
     ``out_of_support``.  Otherwise the move evaluates the likelihood,
     the prior (which takes the values the likelihood shares: the von
-    Mises Bessel pass) and the log-Jacobian.
+    Mises Bessel pass) and the log-Jacobian.  On von Mises two priors
+    run inline as well, from constants read once per chain
+    (``reference_priors._inline_log_prior``): a vm/uniform PC prior's
+    mid form on 0.02 <= kappa < 1e3, with the operations of
+    ``divergence._vm_uniform_mid`` on the Bessel pass and of
+    ``pc_priors._pc_log_density_fn``, and a Gamma(1, b)'s log b - b kappa
+    on its whole support.  Any other prior, and a PC kappa outside that
+    interval, calls the prior's log density.
 
     Both loops take a move when log u < log_a, the logs of the chain's
     uniforms being taken once, before burn-in.  log 0 is -inf, so at
@@ -219,6 +226,12 @@ def run_mcmc(model: ModelSpec, data: Dataset, config: McmcConfig) -> Chain:
     n, c_sum, s_sum = stats if inline else (0, 0.0, 0.0)
     cos, sin, i0e, np_log = math.cos, math.sin, _FLOAT_MATH.i0e, np.log
     log_prior = _log_density_fn(model.concentration_prior)
+    # on von Mises, a PC-uniform prior's mid form or a Gamma(1, b)'s log
+    # density runs inline too; any other prior, and a PC kappa outside the
+    # mid form's interval, calls log_prior
+    pc_lo, pc_hi, lam, log_lam_norm, is_gamma, log_b, b = (
+        _inline_log_prior(model.concentration_prior) or _InlineLogPrior())
+    i1e, sqrt, log, inf = _FLOAT_MATH.i1e, _FLOAT_MATH.sqrt, math.log, math.inf
     to_theta, to_conc, log_jac, initial, top = _unconstrained(kern.support)
     lo, hi = kern.support
 
@@ -285,11 +298,21 @@ def run_mcmc(model: ModelSpec, data: Dataset, config: McmcConfig) -> Chain:
                 i0 = i0e(conc_prop)
                 log_i0e = float(np_log(i0))
                 c_prop = n * (log_two_pi + (log_i0e + conc_prop))
-                shared = (i0, log_i0e)
                 lik_prop = conc_prop * m - c_prop
+                if pc_lo <= conc_prop < pc_hi:
+                    # _vm_uniform_mid on the Bessel pass, then the log density
+                    r = i1e(conc_prop) / i0
+                    v = 1.0 - r
+                    d = sqrt(conc_prop * r - (log_i0e + conc_prop))
+                    g = conc_prop * (v * (2.0 - v) - r / conc_prop) / (2.0 * d)
+                    pri_prop = log_lam_norm - lam * d + log(g) if 0.0 < g < inf else -inf
+                elif is_gamma:
+                    pri_prop = log_b - b * conc_prop
+                else:
+                    pri_prop = log_prior(conc_prop, (i0, log_i0e))
             else:
                 c_prop, shared, lik_prop = conc_move(m, conc_prop)
-            pri_prop = log_prior(conc_prop, shared)
+                pri_prop = log_prior(conc_prop, shared)
             jac_prop = log_jac(conc_prop)
             log_a = (lik_prop + pri_prop + jac_prop) - (cur_lik + cur_pri + cur_jac)
             if lu_conc < log_a:
@@ -328,11 +351,21 @@ def run_mcmc(model: ModelSpec, data: Dataset, config: McmcConfig) -> Chain:
                 i0 = i0e(conc_prop)
                 log_i0e = float(np_log(i0))
                 c_prop = n * (log_two_pi + (log_i0e + conc_prop))
-                shared = (i0, log_i0e)
                 lik_prop = conc_prop * m - c_prop
+                if pc_lo <= conc_prop < pc_hi:
+                    # _vm_uniform_mid on the Bessel pass, then the log density
+                    r = i1e(conc_prop) / i0
+                    v = 1.0 - r
+                    d = sqrt(conc_prop * r - (log_i0e + conc_prop))
+                    g = conc_prop * (v * (2.0 - v) - r / conc_prop) / (2.0 * d)
+                    pri_prop = log_lam_norm - lam * d + log(g) if 0.0 < g < inf else -inf
+                elif is_gamma:
+                    pri_prop = log_b - b * conc_prop
+                else:
+                    pri_prop = log_prior(conc_prop, (i0, log_i0e))
             else:
                 c_prop, shared, lik_prop = conc_move(m, conc_prop)
-            pri_prop = log_prior(conc_prop, shared)
+                pri_prop = log_prior(conc_prop, shared)
             jac_prop = log_jac(conc_prop)
             if lu_conc < (lik_prop + pri_prop + jac_prop) - (cur_lik + cur_pri + cur_jac):
                 theta, conc, c = th_prop, conc_prop, c_prop

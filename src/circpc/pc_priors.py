@@ -240,6 +240,13 @@ def _pc_density(prior: PcPrior, d, slope):
     return prior.lam * np.exp(-prior.lam * d) * slope / z
 
 
+def _pc_log_lam_norm(prior: PcPrior) -> float:
+    """log(lam / z), the constant of the prior's log density, z being its
+    normalizer."""
+    z = _normalizer(prior.lam, prior.profile, prior.is_normalized)
+    return math.log(prior.lam) - math.log(z)
+
+
 def _pc_log_density_fn(prior: PcPrior):
     """The prior's log density at one float inside its support, unchecked.
 
@@ -253,9 +260,7 @@ def _pc_log_density_fn(prior: PcPrior):
     """
     table = prior.profile.dist_deriv
     cuts, forms = table.cuts, table.forms
-    lam = prior.lam
-    z = _normalizer(lam, prior.profile, prior.is_normalized)
-    log_lam_norm = math.log(lam) - math.log(z)
+    lam, log_lam_norm = prior.lam, _pc_log_lam_norm(prior)
     log, inf = math.log, math.inf
 
     def log_density(x, shared=()):

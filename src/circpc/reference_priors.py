@@ -14,15 +14,15 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field, fields
-from typing import Callable
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy.special import betaln
 
 from .distributions import FAMILIES, TWO_PI, wrap_angle
-from .divergence import BaseModel, DistanceProfile, _checked_distance, inverse_distance
+from .divergence import BaseModel, DistanceProfile, _checked_distance, _vm_uniform_mid, inverse_distance
 # pc_pdf is not called here: the traced prior-elicit benchmark patches it by name
-from .pc_priors import PcPrior, _pc_density, _pc_log_density_fn, pc_pdf  # noqa: F401
+from .pc_priors import PcPrior, _pc_density, _pc_log_density_fn, _pc_log_lam_norm, pc_pdf  # noqa: F401
 from .special import _FLOAT_MATH, _TINY, _checked, _count, _evaluate, _log_i0, _piecewise_table
 
 __all__ = [
@@ -303,6 +303,11 @@ def _log_density_fn(prior) -> Callable:
     diverges (a Beta with a < 1 at 0) gives +inf, and -inf comes only
     where the density is 0: from a log table, only where the true
     density is 0, though its float value underflows.
+
+    run_mcmc's von Mises loops call the function this returns only where
+    they write out no form of their own (``_inline_log_prior``): not for
+    a vm/uniform PC prior on [0.02, 1e3), nor for a Gamma(1, b). Every
+    other prior, and a PC prior's other forms, are called there.
     """
     if isinstance(prior, PcPrior):
         return _pc_log_density_fn(prior)
@@ -336,6 +341,43 @@ def _log_density_fn(prior) -> Callable:
         return log(v) if v > 0.0 else -inf
 
     return log_pdf
+
+
+class _InlineLogPrior(NamedTuple):
+    """The constants of a log prior that run_mcmc's von Mises loops write
+    out in float arithmetic. A vm/uniform PC prior's mid form holds on
+    [pc_lo, pc_hi) and reads log_lam_norm - lam d + log |d'| there; a
+    Gamma(1, b) reads log_b - b x everywhere. The defaults are no Gamma
+    and an empty interval, whose test fails at its first comparison."""
+
+    pc_lo: float = math.inf
+    pc_hi: float = math.inf
+    lam: float = 0.0
+    log_lam_norm: float = 0.0
+    is_gamma: bool = False
+    log_b: float = 0.0
+    b: float = 0.0
+
+
+def _inline_log_prior(prior) -> Optional[_InlineLogPrior]:
+    """The constants, read from the prior, of its log density where
+    run_mcmc evaluates it inline, or None for any other prior.
+
+    A PC prior whose distance table has the vm/uniform mid form
+    ``divergence._vm_uniform_mid`` gives the interval that form holds on,
+    the table's cuts [0.02, 1e3), with lam and log(lam / z) of
+    ``pc_priors._pc_log_density_fn``. A Gamma(1, b) gives b and log b of
+    its ``_log_table``. The loops repeat those functions' operations in
+    their order, so the bits are theirs (``TestInlineCopies``).
+    """
+    if isinstance(prior, GammaOneB):
+        return _InlineLogPrior(is_gamma=True, log_b=math.log(prior.b), b=prior.b)
+    if isinstance(prior, PcPrior):
+        table = prior.profile.dist_deriv
+        if _vm_uniform_mid in table.forms:
+            i = table.forms.index(_vm_uniform_mid)
+            return _InlineLogPrior(table.cuts[i - 1], table.cuts[i], prior.lam, _pc_log_lam_norm(prior))
+    return None
 
 
 def distance_scale_pdf(prior, profile: DistanceProfile, d):

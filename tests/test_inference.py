@@ -10,7 +10,7 @@ import pytest
 
 from scipy import special as scipy_special
 
-from circpc import inference, special
+from circpc import divergence, inference, special
 from circpc.distributions import (
     FAMILIES,
     TWO_PI,
@@ -20,6 +20,7 @@ from circpc.distributions import (
     log_pdf,
     sample,
 )
+from circpc.harness import build_concentration_prior, desk_study_config, full_study_config
 from circpc.inference import (
     Chain,
     InitializationError,
@@ -742,14 +743,15 @@ class TestConcentrationStep:
 # there, in burn-in and after it: the mu move (inline, no frame, on von
 # Mises); the concentration move's map back (math.exp itself, no frame,
 # on the log scale), the likelihood's move (inline on von Mises), the
-# prior's log density and its form with the float namespace's numpy
-# wrappers it calls (none for Gamma's log b - b x), and for the logit
-# families the log-Jacobian (math.log itself on the log scale); the
-# cardioid and wc moves also open their O(n) sum
+# prior's log density (inline on von Mises for a PC-uniform prior's mid
+# form and a Gamma's log b - b x, so no frame) and its form with the
+# float namespace's numpy wrappers it calls, and for the logit families
+# the log-Jacobian (math.log itself on the log scale); the cardioid and
+# wc moves also open their O(n) sum
 STEP_CALLS = {
-    "vm+pc-uniform": (Family.VON_MISES, PcPrior("vm", "uniform", 0.9), 2.0, 2),
+    "vm+pc-uniform": (Family.VON_MISES, PcPrior("vm", "uniform", 0.9), 2.0, 0),
     "vm+pc-pointmass": (Family.VON_MISES, PcPrior("vm", "pointmass", 0.3), 2.0, 2),
-    "vm+gamma": (Family.VON_MISES, GammaOneB(1.0), 2.0, 2),
+    "vm+gamma": (Family.VON_MISES, GammaOneB(1.0), 2.0, 0),
     "cardioid+pc": (Family.CARDIOID, PcPrior("cardioid", "uniform", 2.0), 0.25, 10),
     "wc+beta": (Family.WRAPPED_CAUCHY, Beta(2.0, 2.0), 0.5, 10),
 }
@@ -769,11 +771,16 @@ class TestProposalCallCount:
                             initial_mu=1.0, initial_concentration=initial)
         # data at the start's concentration hold an adapting chain near it
         data = sample(DistributionSpec(family, 1.0, initial), 300, seed=13)
-        frames = []
+        # each frame opened, and None at each call of math.sin: the mu
+        # term's, which every family's mu move makes once, inline or not
+        events = []
+        sin = math.sin
 
         def profile(frame, event, arg):
             if event == "call":
-                frames.append((frame.f_code.co_name, frame.f_back.f_code.co_name))
+                events.append((frame.f_code.co_name, frame.f_back.f_code.co_name))
+            elif event == "c_call" and arg is sin:
+                events.append(None)
 
         # a collection would run any gc.callbacks another library set
         # (hypothesis times its collections) inside some iteration
@@ -787,17 +794,119 @@ class TestProposalCallCount:
             if gc_was_enabled:
                 gc.enable()
         assert chain.out_of_support == 0
-        # the chain's start and then each iteration call the prior's log
-        # density from run_mcmc once; a period runs from one iteration's
-        # call to the next's, so the start's own frames and the last
-        # iteration's, which run into the frames after the loop, are left out
-        marks = [i for i, f in enumerate(frames) if f == ("log_density", "run_mcmc")]
+        # the chain's start and then each iteration's mu move take the mu
+        # term once; a period runs from one iteration's sin to the next's,
+        # so the start's own frames and the last iteration's, which run
+        # into the frames after the loop, are left out
+        marks = [i for i, e in enumerate(events) if e is None]
         assert len(marks) == config.iterations + 1
-        per_iteration = [b - a for a, b in zip(marks[1:], marks[2:])]
+        per_iteration = [b - a - 1 for a, b in zip(marks[1:], marks[2:])]
         # the same count in burn-in, where the steps adapt, and after it
         if burn_in:
-            assert set(per_iteration[:burn_in]) == {want}, frames[marks[1]:marks[2]]
-        assert set(per_iteration[burn_in:]) == {want}, frames[marks[-2]:marks[-1]]
+            assert set(per_iteration[:burn_in]) == {want}, events[marks[1]:marks[2]]
+        assert set(per_iteration[burn_in:]) == {want}, events[marks[-2]:marks[-1]]
+
+
+def _floats_around(cut, count):
+    """The ``count`` floats just below ``cut`` and the ``count`` from it up."""
+    bits = int(np.float64(cut).view(np.int64))
+    return (np.arange(bits - count, bits + count, dtype=np.int64).view(np.float64)).tolist()
+
+
+# the vm PC-uniform and Gamma priors of the desk and full study grids
+INLINE_PRIOR_SPECS = {
+    f"{spec.kind}-{spec.hypers[0]}": spec
+    for spec in desk_study_config().prior_specs + full_study_config(Family.VON_MISES).prior_specs
+    if spec.kind in ("pc_uniform", "gamma")
+}
+
+
+class TestInlineCopies:
+    """run_mcmc's von Mises loops write out the mu move, the concentration
+    move and, for a PC-uniform prior's mid form and a Gamma(1, b), the
+    prior's log density; each copy, in burn-in and in the kept loop,
+    equals its source bit for bit: ``_vm_loglik``'s ``mu_term`` and
+    ``conc_move``, and the prior's log density given the Bessel pass.
+    The chain proposes a fixed list of concentrations, each in both
+    loops, and the log-Jacobian, called right after the prior, reads the
+    loop's values."""
+
+    @pytest.mark.parametrize("spec", sorted(INLINE_PRIOR_SPECS))
+    def test_inline_forms_equal_their_sources(self, monkeypatch, spec):
+        prior = build_concentration_prior(INLINE_PRIOR_SPECS[spec], Family.VON_MISES)
+        table = PcPrior("vm", "uniform", 1.0).profile.dist_deriv
+        mid = table.forms.index(divergence._vm_uniform_mid)
+        pc_lo, pc_hi = table.cuts[mid - 1], table.cuts[mid]
+        assert (pc_lo, pc_hi) == (_VM_RADICAND_SMALL, _RATIO_TAIL_SWITCH) == (0.02, 1e3)
+        # a dense grid over the mid interval, and the floats either side of
+        # its cuts, the ones below the first and from the second up outside
+        grid = np.geomspace(pc_lo, pc_hi, 2001)[:-1].tolist()
+        grid += _floats_around(pc_lo, 4000) + _floats_around(pc_hi, 4000)
+        # a Gamma's form holds on the whole support
+        gamma_grid = grid + np.geomspace(1e-300, 1e300, 601).tolist()
+        angles = sample(DistributionSpec(Family.VON_MISES, 1.0, 2.0), 100, seed=3).angles
+        source = FAMILIES[Family.VON_MISES].loglik(angles)
+        is_pc = isinstance(prior, PcPrior)
+        kappas = grid if is_pc else gamma_grid
+        proposals = iter(kappas + kappas)
+        seen, fallback = [], []
+
+        def to_conc(theta):
+            return next(proposals)
+
+        def log_jac(conc):
+            loop = sys._getframe(1).f_locals
+            if "pri_prop" in loop:  # not the chain's start
+                seen.append((loop["conc_prop"], loop["pri_prop"], loop["c_prop"], loop["lik_prop"],
+                             loop["mu_prop"], loop["m_prop"], loop["mu"], loop["m"], loop["conc"],
+                             loop["c"], loop["cur_lik"], len(fallback)))
+            return math.log(conc)
+
+        def counted_log_density_fn(p):
+            log_prior = _log_density_fn(p)
+
+            def counted(x, shared=()):
+                fallback.append(x)
+                return log_prior(x, shared)
+
+            return counted
+
+        monkeypatch.setattr(inference, "_unconstrained",
+                            lambda support: (math.log, to_conc, log_jac, 1.0, math.inf))
+        monkeypatch.setattr(inference, "_log_density_fn", counted_log_density_fn)
+        # every mu move is taken (log u = -inf), so each one's likelihood
+        # becomes the chain's and shows in cur_lik
+        z = np.random.default_rng(1).standard_normal((2 * len(kappas), 2))
+        u = np.full(z.shape, 0.5)
+        u[:, 0] = 0.0
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: _StubRng(z, u))
+        config = McmcConfig(iterations=2 * len(kappas), burn_in=len(kappas),
+                            initial_mu=1.0, initial_concentration=2.0)
+        run_mcmc(ModelSpec(Family.VON_MISES, prior), Dataset(angles), config)
+        monkeypatch.undo()
+
+        # each proposal once in burn-in, then once in the kept loop
+        assert [v[0] for v in seen] == kappas + kappas
+        log_prior = _log_density_fn(prior)
+        i0e = special._FLOAT_MATH.i0e
+        got, want, took_fallback = [], [], []
+        calls = 1  # the chain's start calls the prior once
+        for x, pri, c_prop, lik_prop, mu_prop, m_prop, mu, m, conc, c, cur_lik, n_calls in seen:
+            took_fallback.append(n_calls > calls)
+            calls = n_calls
+            i0 = i0e(x)
+            want_c, _, want_lik = source.conc_move(m, x)
+            cur_c, _, cur_want = source.conc_move(m, conc)
+            got += [pri, c_prop, lik_prop, m_prop, m, c, cur_lik]
+            want += [log_prior(x, (i0, float(np.log(i0)))), want_c, want_lik,
+                     source.mu_term(mu_prop), source.mu_term(mu), cur_c, cur_want]
+        got, want = np.array(got), np.array(want)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        # a PC prior calls its log density off the mid interval: on the
+        # floats below it and from its top up; a Gamma never does
+        outside = [is_pc and not pc_lo <= x < pc_hi for x in kappas + kappas]
+        assert took_fallback == outside
+        assert any(outside) == is_pc
 
 
 class TestUnconstrainedMap:
