@@ -23,7 +23,7 @@ from .distributions import FAMILIES, TWO_PI, wrap_angle
 from .divergence import BaseModel, DistanceProfile, _checked_distance, _vm_uniform_mid, inverse_distance
 # pc_pdf is not called here: the traced prior-elicit benchmark patches it by name
 from .pc_priors import PcPrior, _pc_density, _pc_log_density_fn, _pc_log_lam_norm, pc_pdf  # noqa: F401
-from .special import _FLOAT_MATH, _TINY, _checked, _count, _evaluate, _log_i0, _piecewise_table
+from .special import _FLOAT_MATH, _TINY, _checked, _count, _evaluate, _log_i0, _piecewise_table, _real
 
 __all__ = [
     "GammaOneB",
@@ -380,14 +380,55 @@ def _inline_log_prior(prior) -> Optional[_InlineLogPrior]:
     return None
 
 
+def _check_prior(prior, profile):
+    """ValueError unless a prior with a ``support`` has the profile
+    family's; TypeError for anything else that is not a callable."""
+    if hasattr(prior, "support"):
+        _check_support(prior, profile.family)
+    elif not callable(prior):
+        raise TypeError("prior must have a univariate support and pdf, or be a callable density")
+
+
+def _parameter_terms(profile, d):
+    """The parameter half of distance_scale_pdf, which no prior enters:
+    ``(xi, slope, far)`` with xi = inverse_distance(profile, d) and slope
+    = |d'(xi)|. ``far`` is None unless some xi is at least
+    _LOG_KAPPA_FROM; then it is the mask of those elements, and slope
+    holds kappa |d'| there: the point-mass kernel's log_slope flag gives
+    it, and kappa times |d'| on the uniform base."""
+    xi = inverse_distance(profile, d)  # checks d, and raises where no parameter has it
+    slope = profile.dist_deriv(xi)[1]
+    far = xi >= _LOG_KAPPA_FROM
+    if not np.any(far):
+        return xi, slope, None
+    k_slope = (profile.dist_deriv(xi, (None, True))[1]
+               if profile.base is BaseModel.POINT_MASS else xi * slope)
+    return xi, np.where(far, k_slope, slope), far
+
+
+def _pushed_density(prior, xi, slope, far):
+    """The density half of distance_scale_pdf: the prior read on xi and
+    divided by the slope of _parameter_terms; where ``far``, the prior
+    gives kappa pi(kappa)."""
+    density = prior.pdf(xi) if hasattr(prior, "support") else prior(xi)
+    if far is not None:
+        tail = getattr(prior, "_log_tail", None)
+        # the floor keeps a tail form off the elements it does not hold for
+        k_density = density * xi if tail is None else tail(np.maximum(xi, _LOG_KAPPA_FROM))
+        density = np.where(far, k_density, density)
+    out = density / slope
+    return float(out) if isinstance(xi, float) else out
+
+
 def distance_scale_pdf(prior, profile: DistanceProfile, d):
     """Density of the prior pushed onto the distance scale.
 
     Evaluates pi(xi(d)) / |d'(xi(d))| with xi(d) from inverse_distance
-    and the analytic derivative of the profile's distance map. A PC
-    prior on the same pair is exactly lambda e^(-lambda d) / Z there,
-    which needs no parameter: d is checked as inverse_distance checks
-    it, and raises where it does, but nothing is inverted.
+    and the analytic derivative of the profile's distance map: the
+    parameter half, which no prior enters, then the prior's density over
+    it. A PC prior on the same pair is exactly lambda e^(-lambda d) / Z
+    there, which needs no parameter: d is checked as inverse_distance
+    checks it, and raises where it does, but nothing is inverted.
     From kappa = 2^511 up, on both von Mises pairs, the quotient is
     taken in log kappa, the coordinate their inverses solve in: kappa
     pi(kappa) over kappa |d'|. There the point-mass profile's |d'| loses
@@ -400,30 +441,15 @@ def distance_scale_pdf(prior, profile: DistanceProfile, d):
     A prior with a ``support`` must have the profile family's; its
     unchecked ``pdf`` is read on the inverse's output, which lies inside
     that support. A bare callable has none and is read on any pair.
+    Each call inverts d afresh; overfit_audit reuses the parameter half
+    of its grid.
     """
-    if hasattr(prior, "support"):
-        _check_support(prior, profile.family)
-    elif not callable(prior):
-        raise TypeError("prior must have a univariate support and pdf, or be a callable density")
+    _check_prior(prior, profile)
     if isinstance(prior, PcPrior) and prior.profile is profile:
         x = _checked_distance(profile, d)
         out = _pc_density(prior, x, 1.0)
         return float(out) if isinstance(x, float) else out
-    xi = inverse_distance(profile, d)  # checks d, and raises where no parameter has it
-    density = prior.pdf(xi) if hasattr(prior, "support") else prior(xi)
-    slope = profile.dist_deriv(xi)[1]
-    far = xi >= _LOG_KAPPA_FROM
-    if np.any(far):
-        tail = getattr(prior, "_log_tail", None)
-        # the floor keeps a tail form off the elements it does not hold for
-        k_density = density * xi if tail is None else tail(np.maximum(xi, _LOG_KAPPA_FROM))
-        density = np.where(far, k_density, density)
-        # the point-mass kernel's log_slope flag gives kappa |d'|
-        k_slope = (profile.dist_deriv(xi, (None, True))[1]
-                   if profile.base is BaseModel.POINT_MASS else xi * slope)
-        slope = np.where(far, k_slope, slope)
-    out = density / slope
-    return float(out) if isinstance(xi, float) else out
+    return _pushed_density(prior, *_parameter_terms(profile, d))
 
 
 @dataclass(frozen=True)
@@ -458,6 +484,41 @@ def _density_at_zero_limit(v_half, v_step):
     return max(2.0 * v_half - v_step, 0.0)
 
 
+# overfit_audit's abscissae and their _parameter_terms, which no prior
+# enters, by (id(profile), grid_points, grid top): a profile's grid is
+# inverted once in a process. Each entry holds its profile, so that id
+# names no other object while the entry stands; a copy made by
+# dataclasses.replace, which compares equal, gets its own. Every array is
+# read-only, so a prior that writes into its argument raises rather than
+# changing later audits. The oldest entry goes first past _AUDIT_GRIDS_SIZE,
+# which holds the default grid of all five pairs; an entry is ~24 KB
+_AUDIT_GRIDS = {}
+_AUDIT_GRIDS_SIZE = 8
+
+
+def _audit_abscissae(n, hi):
+    """d = _ZERO_STEP / 2 and _ZERO_STEP, then the grid of n points from
+    _GRID_START to hi."""
+    return np.concatenate(((0.5 * _ZERO_STEP, _ZERO_STEP), np.linspace(_GRID_START, hi, n)))
+
+
+def _audit_grid(profile, n, hi):
+    """The abscissae of an audit on profile and their _parameter_terms,
+    from _AUDIT_GRIDS; a grid that raises enters nothing there."""
+    key = (id(profile), n, hi)
+    entry = _AUDIT_GRIDS.get(key)
+    if entry is None:
+        at = _audit_abscissae(n, hi)
+        terms = _parameter_terms(profile, at)
+        for a in (at,) + terms:
+            if a is not None:
+                a.setflags(write=False)
+        if len(_AUDIT_GRIDS) >= _AUDIT_GRIDS_SIZE:
+            del _AUDIT_GRIDS[next(iter(_AUDIT_GRIDS))]
+        entry = _AUDIT_GRIDS[key] = (profile, at, terms)
+    return entry[1], entry[2]
+
+
 def overfit_audit(prior, profile: DistanceProfile, *, grid_points=1000, d_cap=4.0):
     """Classify a prior's attitude toward complexity on the distance scale.
 
@@ -466,9 +527,15 @@ def overfit_audit(prior, profile: DistanceProfile, *, grid_points=1000, d_cap=4.
     whose distance-scale density peaks at the base model (first grid
     point) is base-model-favoring; anything else rewards complexity.
     The grid runs from 1e-3 to min(d_max, d_cap) in ``grid_points``
-    points, at least 2; its top must be finite and above its start. The
-    limit's two abscissae and the grid are evaluated in one call.
+    points, at least 2; its top must be finite and above its start, and
+    d_cap a number, not a bool. The limit's two abscissae and the grid
+    are evaluated in one call, as distance_scale_pdf evaluates them.
+    A PC prior on its own pair inverts nothing. Any other prior reads
+    the inverse and slope of the grid from a cache: they are solved once
+    per (profile, grid) in a process, and the cached arrays are
+    read-only, so a prior that writes into its argument raises.
     """
+    d_cap = _real(d_cap, "d_cap")
     n = _count(grid_points, "grid_points")
     if n < 2:
         raise ValueError("grid_points must be at least 2")
@@ -480,16 +547,21 @@ def overfit_audit(prior, profile: DistanceProfile, *, grid_points=1000, d_cap=4.
         raise ValueError(
             f"d_cap must be a number such that min(d_max, d_cap) is finite and above {_GRID_START}"
         )
-    grid = np.linspace(_GRID_START, hi, n)
-    at = np.concatenate(((0.5 * _ZERO_STEP, _ZERO_STEP), grid))
-    vals = np.asarray(distance_scale_pdf(prior, profile, at), dtype=float)
+    _check_prior(prior, profile)
+    if isinstance(prior, PcPrior) and prior.profile is profile:
+        at = _audit_abscissae(n, hi)
+        vals = distance_scale_pdf(prior, profile, at)
+    else:
+        at, terms = _audit_grid(profile, n, hi)
+        vals = _pushed_density(prior, *terms)
+    vals = np.asarray(vals, dtype=float)
     v_half, v_step, vals = float(vals[0]), float(vals[1]), vals[2:]
     increases = vals[1:] > vals[:-1] * (1.0 + 1e-9) + 1e-300
     argmax = int(np.argmax(vals))
     return AuditReport(
         density_at_zero=_density_at_zero_limit(v_half, v_step),
         monotone_decreasing=bool(not np.any(increases)),
-        argmax_d=float(grid[argmax]),
+        argmax_d=float(at[2 + argmax]),
         classification=(
             "base_model_favoring" if argmax == 0 else "complexity_favoring"
         ),

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import pickle
@@ -13,6 +14,7 @@ from scipy import integrate, stats
 from circpc.distributions import TWO_PI, Family
 from circpc.divergence import BaseModel, distance, distance_deriv, inverse_distance, profile_for
 from circpc.harness import build_concentration_prior, full_study_config
+from circpc import reference_priors
 from circpc.pc_priors import PcPrior, TailSpec, attainable_alpha_range, calibrate_lambda, pc_pdf
 from circpc.reference_priors import (
     Beta,
@@ -337,6 +339,16 @@ class TestOverfitAudit:
         with pytest.raises(ValueError, match="d_cap"):
             overfit_audit(H2(), prof, d_cap=d_cap)
 
+    @pytest.mark.parametrize("d_cap", [True, np.bool_(False)])
+    def test_rejects_bool_d_cap(self, d_cap):
+        # True ran as d_cap = 1.0
+        with pytest.raises(ValueError, match="d_cap"):
+            overfit_audit(H2(), VM_UNI, d_cap=d_cap)
+
+    def test_d_cap_is_read_as_a_float(self):
+        # a string died with a TypeError from min()
+        assert overfit_audit(H3(), VM_UNI, d_cap="3") == overfit_audit(H3(), VM_UNI, d_cap=3.0)
+
     def test_smallest_grid_and_cap(self):
         # two points are an audit, and so is a cap just above the start
         report = overfit_audit(H3(), VM_UNI, grid_points=2, d_cap=0.01)
@@ -615,6 +627,119 @@ class TestAuditBits:
     @pytest.mark.parametrize("family", ["vm", "cardioid", "wc"])
     def test_reference_priors(self, family):
         assert self.reference_digest(family) == self.REFERENCE[family]
+
+
+def _study_reference_priors(family):
+    return [build_concentration_prior(spec, family)
+            for spec in full_study_config(family).prior_specs if not spec.kind.startswith("pc_")]
+
+
+def _cross_pair_cases():
+    """Each elicitation PC prior with the other profile of its family."""
+    other = {"vm-uniform": VM_PM, "vm-pointmass": VM_UNI, "cardioid-uniform": CARD_CURVE,
+             "cardioid-curve": CARD_UNI}
+    cases = []
+    for prof, U in ELICIT_PAIRS:
+        lo, hi = attainable_alpha_range(prof.family, prof.base, U)
+        for alpha in ELICIT_ALPHAS:
+            if _pair_id(prof) in other and lo < alpha < hi:
+                lam = calibrate_lambda(prof.family, prof.base, TailSpec(U, alpha))
+                cases.append((PcPrior(prof.family, prof.base, lam), other[_pair_id(prof)], {}))
+    return cases
+
+
+@pytest.fixture
+def inverse_calls(monkeypatch):
+    """The profiles reference_priors inverts on, one per inverse_distance
+    call, with the audit cache emptied before and after the test."""
+    calls = []
+
+    def spy(profile, d):
+        calls.append(profile)
+        return inverse_distance(profile, d)
+
+    monkeypatch.setattr(reference_priors, "inverse_distance", spy)
+    reference_priors._AUDIT_GRIDS.clear()
+    yield calls
+    reference_priors._AUDIT_GRIDS.clear()
+
+
+class TestAuditGridCache:
+    """overfit_audit reads a profile's grid, its inverse and its slope
+    from a cache filled on the first audit: the same bits as a cold
+    audit, one inverse per profile and grid, and nothing a prior can
+    write into."""
+
+    CASES = (
+        [(prior, profile_for(family, BaseModel.UNIFORM), {})
+         for family in (Family.VON_MISES, Family.CARDIOID, Family.WRAPPED_CAUCHY)
+         for prior in _study_reference_priors(family)]
+        + _cross_pair_cases()
+        + [(H2(), VM_UNI, {"grid_points": 17, "d_cap": 2.5}),
+           (Beta(2.0, 2.0), WC_UNI, {"grid_points": 17, "d_cap": 2.5})]
+    )
+
+    def test_cold_and_warm_bits(self, inverse_calls):
+        cold = []
+        for prior, prof, kw in self.CASES:
+            reference_priors._AUDIT_GRIDS.clear()
+            cold.append(_report_bytes(overfit_audit(prior, prof, **kw)))
+        assert len(inverse_calls) == len(self.CASES)
+        for (prior, prof, kw), want in zip(self.CASES, cold):
+            overfit_audit(prior, prof, **kw)
+            calls = len(inverse_calls)
+            assert _report_bytes(overfit_audit(prior, prof, **kw)) == want, (prior, _pair_id(prof), kw)
+            assert len(inverse_calls) == calls
+
+    @pytest.mark.parametrize("family", ["vm", "cardioid", "wc"])
+    def test_one_inverse_per_profile(self, inverse_calls, family):
+        prof = profile_for(family, BaseModel.UNIFORM)
+        for prior in _study_reference_priors(family):
+            overfit_audit(prior, prof)
+        assert inverse_calls == [prof]
+
+    def test_own_pair_pc_prior_inverts_nothing(self, inverse_calls):
+        for prof in (VM_UNI, VM_PM, CARD_UNI, CARD_CURVE, WC_UNI):
+            overfit_audit(PcPrior(prof.family, prof.base, 1.3), prof)
+        assert inverse_calls == [] and not reference_priors._AUDIT_GRIDS
+
+    def test_cached_arrays_are_read_only(self, inverse_calls):
+        overfit_audit(GammaOneB(0.34), VM_UNI)
+        (_, at, terms), = reference_priors._AUDIT_GRIDS.values()
+        arrays = [a for a in (at,) + terms if a is not None]
+        assert len(arrays) >= 3 and not any(a.flags.writeable for a in arrays)
+
+    def test_prior_writing_its_argument_raises(self, inverse_calls):
+        want = _report_bytes(overfit_audit(H3(), VM_UNI))
+
+        def writes(x):
+            x *= 2.0
+            return np.exp(-x)
+
+        with pytest.raises(ValueError, match="read-only"):
+            overfit_audit(writes, VM_UNI)
+        assert _report_bytes(overfit_audit(H3(), VM_UNI)) == want
+        assert inverse_calls == [VM_UNI]
+
+    def test_replaced_profile_has_its_own_entry(self, inverse_calls):
+        # inverse and dist_deriv do not take part in ==, so a copy with
+        # another inverse compares equal to the profile
+        copy = dataclasses.replace(VM_UNI)
+        assert copy == VM_UNI and copy is not VM_UNI
+        overfit_audit(H2(), VM_UNI)
+        overfit_audit(H2(), copy)
+        assert inverse_calls == [VM_UNI, copy] and len(reference_priors._AUDIT_GRIDS) == 2
+
+    def test_raising_grid_enters_nothing(self, inverse_calls):
+        # past d_top = 18.84 no float kappa has the grid's top distance
+        with pytest.raises(ValueError):
+            overfit_audit(H2(), VM_UNI, d_cap=30.0)
+        assert inverse_calls == [VM_UNI] and not reference_priors._AUDIT_GRIDS
+
+    def test_bounded(self, inverse_calls):
+        for n in range(2, 40):
+            overfit_audit(H2(), VM_UNI, grid_points=n)
+        assert len(reference_priors._AUDIT_GRIDS) == reference_priors._AUDIT_GRIDS_SIZE
 
 
 def _own_pc_cases(prof):
