@@ -102,6 +102,8 @@ class DistanceProfile:
       saturates; None elsewhere;
     - ``paper_unnormalized``: the printed closed-form prior omits the
       truncation normalizer.
+
+    ``==`` and ``hash`` take in both kernels: equal profiles compute one map.
     """
 
     family: Family
@@ -109,8 +111,8 @@ class DistanceProfile:
     d_max: float
     direction: Direction
     domain: tuple
-    dist_deriv: Callable = field(repr=False, compare=False)
-    inverse: Callable = field(repr=False, compare=False)
+    dist_deriv: Callable = field(repr=False)
+    inverse: Callable = field(repr=False)
     d_top: Optional[float] = field(default=None, repr=False, compare=False)
     paper_unnormalized: bool = field(default=False, repr=False, compare=False)
 

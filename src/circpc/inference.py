@@ -32,7 +32,7 @@ from .distributions import (
     circular_mean,
     wrap_angle,
 )
-from .reference_priors import _InlineLogPrior, _check_support, _inline_log_prior, _log_density_fn
+from .reference_priors import _check_support, _inline_log_prior, _log_density_fn
 from .special import _FLOAT_MATH, _checked, _count, _real
 
 __all__ = [
@@ -227,10 +227,9 @@ def run_mcmc(model: ModelSpec, data: Dataset, config: McmcConfig) -> Chain:
     cos, sin, i0e, np_log = math.cos, math.sin, _FLOAT_MATH.i0e, np.log
     log_prior = _log_density_fn(model.concentration_prior)
     # on von Mises, a PC-uniform prior's mid form or a Gamma(1, b)'s log
-    # density runs inline too; any other prior, and a PC kappa outside the
-    # mid form's interval, calls log_prior
-    pc_lo, pc_hi, lam, log_lam_norm, is_gamma, log_b, b = (
-        _inline_log_prior(model.concentration_prior) or _InlineLogPrior())
+    # density runs inline too (b > 0 marks a Gamma); any other prior, and a
+    # PC kappa outside the mid form's interval, calls log_prior
+    pc_lo, pc_hi, lam, log_lam_norm, log_b, b = _inline_log_prior(model.concentration_prior)
     i1e, sqrt, log, inf = _FLOAT_MATH.i1e, _FLOAT_MATH.sqrt, math.log, math.inf
     to_theta, to_conc, log_jac, initial, top = _unconstrained(kern.support)
     lo, hi = kern.support
@@ -306,7 +305,7 @@ def run_mcmc(model: ModelSpec, data: Dataset, config: McmcConfig) -> Chain:
                     d = sqrt(conc_prop * r - (log_i0e + conc_prop))
                     g = conc_prop * (v * (2.0 - v) - r / conc_prop) / (2.0 * d)
                     pri_prop = log_lam_norm - lam * d + log(g) if 0.0 < g < inf else -inf
-                elif is_gamma:
+                elif b:
                     pri_prop = log_b - b * conc_prop
                 else:
                     pri_prop = log_prior(conc_prop, (i0, log_i0e))
@@ -359,7 +358,7 @@ def run_mcmc(model: ModelSpec, data: Dataset, config: McmcConfig) -> Chain:
                     d = sqrt(conc_prop * r - (log_i0e + conc_prop))
                     g = conc_prop * (v * (2.0 - v) - r / conc_prop) / (2.0 * d)
                     pri_prop = log_lam_norm - lam * d + log(g) if 0.0 < g < inf else -inf
-                elif is_gamma:
+                elif b:
                     pri_prop = log_b - b * conc_prop
                 else:
                     pri_prop = log_prior(conc_prop, (i0, log_i0e))

@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field, fields
-from typing import Callable, NamedTuple, Optional
+from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 from scipy.special import betaln
@@ -316,15 +317,6 @@ def _log_density_fn(prior) -> Callable:
     table = getattr(prior, "_log_table", None)
     if table is not None:
         cuts, forms = table.cuts, table.forms
-        if not cuts:
-            # one form over the whole support (Gamma(1, b), UniformHalf):
-            # nothing to place
-            form = forms[0]
-
-            def log_density(x, shared=()):
-                return form(_FLOAT_MATH, x)
-
-            return log_density
 
         def log_density(x, shared=()):
             return forms[bisect_right(cuts, x)](_FLOAT_MATH, x)
@@ -343,41 +335,29 @@ def _log_density_fn(prior) -> Callable:
     return log_pdf
 
 
-class _InlineLogPrior(NamedTuple):
-    """The constants of a log prior that run_mcmc's von Mises loops write
-    out in float arithmetic. A vm/uniform PC prior's mid form holds on
-    [pc_lo, pc_hi) and reads log_lam_norm - lam d + log |d'| there; a
-    Gamma(1, b) reads log_b - b x everywhere. The defaults are no Gamma
-    and an empty interval, whose test fails at its first comparison."""
-
-    pc_lo: float = math.inf
-    pc_hi: float = math.inf
-    lam: float = 0.0
-    log_lam_norm: float = 0.0
-    is_gamma: bool = False
-    log_b: float = 0.0
-    b: float = 0.0
+_NO_INLINE = (math.inf, math.inf, 0.0, 0.0, 0.0, 0.0)
 
 
-def _inline_log_prior(prior) -> Optional[_InlineLogPrior]:
-    """The constants, read from the prior, of its log density where
-    run_mcmc evaluates it inline, or None for any other prior.
+def _inline_log_prior(prior) -> tuple:
+    """The constants ``(pc_lo, pc_hi, lam, log_lam_norm, log_b, b)`` of a
+    log prior run_mcmc evaluates inline; _NO_INLINE (an empty interval,
+    b = 0) for any other prior.
 
     A PC prior whose distance table has the vm/uniform mid form
     ``divergence._vm_uniform_mid`` gives the interval that form holds on,
     the table's cuts [0.02, 1e3), with lam and log(lam / z) of
-    ``pc_priors._pc_log_density_fn``. A Gamma(1, b) gives b and log b of
-    its ``_log_table``. The loops repeat those functions' operations in
-    their order, so the bits are theirs (``TestInlineCopies``).
+    ``pc_priors._pc_log_density_fn``. A Gamma(1, b) gives log b and b > 0
+    of its ``_log_table``. The loops repeat those functions' operations
+    in their order, so the bits are theirs (``TestInlineCopies``).
     """
     if isinstance(prior, GammaOneB):
-        return _InlineLogPrior(is_gamma=True, log_b=math.log(prior.b), b=prior.b)
+        return (math.inf, math.inf, 0.0, 0.0, math.log(prior.b), prior.b)
     if isinstance(prior, PcPrior):
         table = prior.profile.dist_deriv
         if _vm_uniform_mid in table.forms:
             i = table.forms.index(_vm_uniform_mid)
-            return _InlineLogPrior(table.cuts[i - 1], table.cuts[i], prior.lam, _pc_log_lam_norm(prior))
-    return None
+            return (table.cuts[i - 1], table.cuts[i], prior.lam, _pc_log_lam_norm(prior), 0.0, 0.0)
+    return _NO_INLINE
 
 
 def _check_prior(prior, profile):
@@ -484,39 +464,22 @@ def _density_at_zero_limit(v_half, v_step):
     return max(2.0 * v_half - v_step, 0.0)
 
 
-# overfit_audit's abscissae and their _parameter_terms, which no prior
-# enters, by (id(profile), grid_points, grid top): a profile's grid is
-# inverted once in a process. Each entry holds its profile, so that id
-# names no other object while the entry stands; a copy made by
-# dataclasses.replace, which compares equal, gets its own. Every array is
-# read-only, so a prior that writes into its argument raises rather than
-# changing later audits. The oldest entry goes first past _AUDIT_GRIDS_SIZE,
-# which holds the default grid of all five pairs; an entry is ~24 KB
-_AUDIT_GRIDS = {}
-_AUDIT_GRIDS_SIZE = 8
-
-
 def _audit_abscissae(n, hi):
     """d = _ZERO_STEP / 2 and _ZERO_STEP, then the grid of n points from
     _GRID_START to hi."""
     return np.concatenate(((0.5 * _ZERO_STEP, _ZERO_STEP), np.linspace(_GRID_START, hi, n)))
 
 
+@lru_cache(maxsize=8)  # the default grid of all five pairs; an entry is ~24 KB
 def _audit_grid(profile, n, hi):
-    """The abscissae of an audit on profile and their _parameter_terms,
-    from _AUDIT_GRIDS; a grid that raises enters nothing there."""
-    key = (id(profile), n, hi)
-    entry = _AUDIT_GRIDS.get(key)
-    if entry is None:
-        at = _audit_abscissae(n, hi)
-        terms = _parameter_terms(profile, at)
-        for a in (at,) + terms:
-            if a is not None:
-                a.setflags(write=False)
-        if len(_AUDIT_GRIDS) >= _AUDIT_GRIDS_SIZE:
-            del _AUDIT_GRIDS[next(iter(_AUDIT_GRIDS))]
-        entry = _AUDIT_GRIDS[key] = (profile, at, terms)
-    return entry[1], entry[2]
+    """The abscissae of an audit on profile and their _parameter_terms, as
+    read-only arrays, so a prior that writes into its argument raises."""
+    at = _audit_abscissae(n, hi)
+    terms = _parameter_terms(profile, at)
+    for a in (at,) + terms:
+        if a is not None:
+            a.setflags(write=False)
+    return at, terms
 
 
 def overfit_audit(prior, profile: DistanceProfile, *, grid_points=1000, d_cap=4.0):
@@ -528,12 +491,12 @@ def overfit_audit(prior, profile: DistanceProfile, *, grid_points=1000, d_cap=4.
     point) is base-model-favoring; anything else rewards complexity.
     The grid runs from 1e-3 to min(d_max, d_cap) in ``grid_points``
     points, at least 2; its top must be finite and above its start, and
-    d_cap a number, not a bool. The limit's two abscissae and the grid
+    d_cap a number, not a bool or str. The limit's two abscissae and the grid
     are evaluated in one call, as distance_scale_pdf evaluates them.
     A PC prior on its own pair inverts nothing. Any other prior reads
-    the inverse and slope of the grid from a cache: they are solved once
-    per (profile, grid) in a process, and the cached arrays are
-    read-only, so a prior that writes into its argument raises.
+    the inverse and slope of the grid from an lru_cache: they are solved
+    once per (equal profile, grid) in a process, and the cached arrays
+    are read-only, so a prior that writes into its argument raises.
     """
     d_cap = _real(d_cap, "d_cap")
     n = _count(grid_points, "grid_points")

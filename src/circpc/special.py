@@ -60,11 +60,14 @@ def _count(n, name="n", allow_zero=False):
 
 
 def _real(x, name):
-    """A number ``x`` as a Python float. A bool raises ValueError naming
-    ``name`` rather than reading as 0.0 or 1.0."""
-    if isinstance(x, (bool, np.bool_)):
-        raise ValueError(f"{name} must be a number, not a bool")
-    return float(x)
+    """A number ``x`` as a Python float; a bool, a string, bytes, a numpy
+    complex or anything float() cannot take raises ValueError naming ``name``."""
+    if isinstance(x, (bool, np.bool_, str, bytes, bytearray, np.complexfloating)):
+        raise ValueError(f"{name} must be a number, not a {type(x).__name__}")
+    try:
+        return float(x)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ValueError(f"{name} must be a number: {err}") from None
 
 
 def _float_of(ufunc):

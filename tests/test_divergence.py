@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -233,6 +234,17 @@ class TestDistance:
         assert len(supported_pairs()) == 5
         with pytest.raises(ValueError):
             profile_for(Family.WRAPPED_CAUCHY, BaseModel.POINT_MASS)
+
+    def test_profiles_equal_when_their_maps_are(self):
+        # == and hash take the kernels in: a copy computes the same map, and
+        # one with another inverse does not
+        copy = dataclasses.replace(VM_UNI)
+        assert copy is not VM_UNI and copy == VM_UNI and hash(copy) == hash(VM_UNI)
+        other = dataclasses.replace(VM_UNI, inverse=lambda d, args=(): VM_UNI.inverse(d, args))
+        assert other != VM_UNI
+        profiles = list(divergence._PROFILES.values())
+        assert len(profiles) == 5 and len(set(profiles)) == 5
+        assert all(p != q for i, p in enumerate(profiles) for q in profiles[i + 1:])
 
     def test_anchor_values(self):
         assert distance(VM_UNI, 0.0) == 0.0

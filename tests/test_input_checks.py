@@ -41,7 +41,7 @@ from circpc.pc_priors import (
     pc_quantile,
     q_transform,
 )
-from circpc.reference_priors import Beta, GammaOneB, VonMisesConjugate, distance_scale_pdf, ref_pdf
+from circpc.reference_priors import Beta, GammaOneB, VonMisesConjugate, distance_scale_pdf, overfit_audit, ref_pdf
 from circpc.special import (
     bessel_i,
     bessel_ratio,
@@ -144,6 +144,7 @@ NUMBER_FIELDS = [
     ("initial_concentration", lambda x: McmcConfig(initial_concentration=x), 1),
     ("mu", lambda x: DistributionSpec("vm", x, 1.0), 1),
     ("concentration", lambda x: DistributionSpec("vm", 0.0, x), 1),
+    ("d_cap", lambda x: overfit_audit(GammaOneB(1.0), VM_PM, grid_points=10, d_cap=x), 1),
 ]
 
 
@@ -154,3 +155,18 @@ def test_bool_is_not_a_number(name, call, good, flag):
     call(good)
     with pytest.raises(ValueError, match=f"{name} must be a number, not a bool"):
         call(flag)
+
+
+@pytest.mark.parametrize("name, call, good", NUMBER_FIELDS, ids=[f[0] for f in NUMBER_FIELDS])
+@pytest.mark.parametrize("value", ("3", b"3", "abc", None, 1j, np.complex128(1.0)),
+                         ids=("str", "bytes", "word", "none", "complex", "numpy-complex"))
+def test_non_number_is_rejected(name, call, good, value):
+    """A string, even one that spells a number, bytes, None and a complex
+    raise a ValueError that names the field, not a TypeError or a float.
+    McmcConfig's initial state takes None as its default."""
+    call(good)
+    if value is None and name in ("initial_mu", "initial_concentration"):
+        call(value)
+        return
+    with pytest.raises(ValueError, match=f"{name} must be a number"):
+        call(value)

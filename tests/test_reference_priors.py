@@ -25,6 +25,7 @@ from circpc.reference_priors import (
     ScaledBetaHalf,
     UniformHalf,
     VonMisesConjugate,
+    _audit_grid,
     _log_density_fn,
     distance_scale_pdf,
     overfit_audit,
@@ -345,9 +346,10 @@ class TestOverfitAudit:
         with pytest.raises(ValueError, match="d_cap"):
             overfit_audit(H2(), VM_UNI, d_cap=d_cap)
 
-    def test_d_cap_is_read_as_a_float(self):
-        # a string died with a TypeError from min()
-        assert overfit_audit(H3(), VM_UNI, d_cap="3") == overfit_audit(H3(), VM_UNI, d_cap=3.0)
+    def test_d_cap_string_is_rejected(self):
+        # a string is no number, even one that spells one
+        with pytest.raises(ValueError, match="d_cap must be a number"):
+            overfit_audit(H3(), VM_UNI, d_cap="3")
 
     def test_smallest_grid_and_cap(self):
         # two points are an audit, and so is a cap just above the start
@@ -659,9 +661,9 @@ def inverse_calls(monkeypatch):
         return inverse_distance(profile, d)
 
     monkeypatch.setattr(reference_priors, "inverse_distance", spy)
-    reference_priors._AUDIT_GRIDS.clear()
+    _audit_grid.cache_clear()
     yield calls
-    reference_priors._AUDIT_GRIDS.clear()
+    _audit_grid.cache_clear()
 
 
 class TestAuditGridCache:
@@ -682,30 +684,32 @@ class TestAuditGridCache:
     def test_cold_and_warm_bits(self, inverse_calls):
         cold = []
         for prior, prof, kw in self.CASES:
-            reference_priors._AUDIT_GRIDS.clear()
+            _audit_grid.cache_clear()
             cold.append(_report_bytes(overfit_audit(prior, prof, **kw)))
         assert len(inverse_calls) == len(self.CASES)
         for (prior, prof, kw), want in zip(self.CASES, cold):
             overfit_audit(prior, prof, **kw)
-            calls = len(inverse_calls)
+            calls, hits = len(inverse_calls), _audit_grid.cache_info().hits
             assert _report_bytes(overfit_audit(prior, prof, **kw)) == want, (prior, _pair_id(prof), kw)
-            assert len(inverse_calls) == calls
+            assert len(inverse_calls) == calls and _audit_grid.cache_info().hits == hits + 1
 
     @pytest.mark.parametrize("family", ["vm", "cardioid", "wc"])
     def test_one_inverse_per_profile(self, inverse_calls, family):
         prof = profile_for(family, BaseModel.UNIFORM)
         for prior in _study_reference_priors(family):
             overfit_audit(prior, prof)
-        assert inverse_calls == [prof]
+        assert inverse_calls == [prof] and _audit_grid.cache_info().misses == 1
 
     def test_own_pair_pc_prior_inverts_nothing(self, inverse_calls):
         for prof in (VM_UNI, VM_PM, CARD_UNI, CARD_CURVE, WC_UNI):
             overfit_audit(PcPrior(prof.family, prof.base, 1.3), prof)
-        assert inverse_calls == [] and not reference_priors._AUDIT_GRIDS
+        assert inverse_calls == [] and _audit_grid.cache_info().misses == 0
 
     def test_cached_arrays_are_read_only(self, inverse_calls):
         overfit_audit(GammaOneB(0.34), VM_UNI)
-        (_, at, terms), = reference_priors._AUDIT_GRIDS.values()
+        # the default grid: 1000 points up to d_cap = 4
+        at, terms = _audit_grid(VM_UNI, 1000, 4.0)
+        assert _audit_grid.cache_info().hits == 1 and inverse_calls == [VM_UNI]
         arrays = [a for a in (at,) + terms if a is not None]
         assert len(arrays) >= 3 and not any(a.flags.writeable for a in arrays)
 
@@ -721,25 +725,37 @@ class TestAuditGridCache:
         assert _report_bytes(overfit_audit(H3(), VM_UNI)) == want
         assert inverse_calls == [VM_UNI]
 
-    def test_replaced_profile_has_its_own_entry(self, inverse_calls):
-        # inverse and dist_deriv do not take part in ==, so a copy with
-        # another inverse compares equal to the profile
+    def test_profile_with_another_map_has_its_own_entry(self, inverse_calls):
+        # a copy computes the same map and shares the entry; one with
+        # another inverse kernel does not
         copy = dataclasses.replace(VM_UNI)
-        assert copy == VM_UNI and copy is not VM_UNI
-        overfit_audit(H2(), VM_UNI)
-        overfit_audit(H2(), copy)
-        assert inverse_calls == [VM_UNI, copy] and len(reference_priors._AUDIT_GRIDS) == 2
+        other = dataclasses.replace(VM_UNI, inverse=lambda d, args=(): VM_UNI.inverse(d, args))
+        for prof in (VM_UNI, copy, other):
+            overfit_audit(H2(), prof)
+        assert inverse_calls == [VM_UNI, other] and _audit_grid.cache_info().currsize == 2
 
     def test_raising_grid_enters_nothing(self, inverse_calls):
         # past d_top = 18.84 no float kappa has the grid's top distance
         with pytest.raises(ValueError):
             overfit_audit(H2(), VM_UNI, d_cap=30.0)
-        assert inverse_calls == [VM_UNI] and not reference_priors._AUDIT_GRIDS
+        assert inverse_calls == [VM_UNI] and _audit_grid.cache_info().currsize == 0
+
+    def test_own_pair_pc_grid_past_d_top_raises(self, inverse_calls):
+        # the same grid, read without an inverse, is checked as
+        # distance_scale_pdf checks it
+        with pytest.raises(ValueError, match="not attained"):
+            overfit_audit(PcPrior("vm", "uniform", 1.0), VM_UNI, d_cap=30.0)
+        assert inverse_calls == [] and _audit_grid.cache_info().misses == 0
 
     def test_bounded(self, inverse_calls):
         for n in range(2, 40):
             overfit_audit(H2(), VM_UNI, grid_points=n)
-        assert len(reference_priors._AUDIT_GRIDS) == reference_priors._AUDIT_GRIDS_SIZE
+        info = _audit_grid.cache_info()
+        assert info.currsize == info.maxsize == 8
+        # the least recent grid was dropped, the most recent is kept
+        overfit_audit(H2(), VM_UNI, grid_points=39)
+        overfit_audit(H2(), VM_UNI, grid_points=2)
+        assert len(inverse_calls) == 39
 
 
 def _own_pc_cases(prof):
