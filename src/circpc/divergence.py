@@ -10,6 +10,7 @@ parameter range: near the base model the raw formulas subtract nearly
 equal quantities, so series or rearranged forms take over there.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -122,6 +123,11 @@ class DistanceProfile:
     def dist(self, param):
         """d alone: the first value of ``dist_deriv``."""
         return self.dist_deriv(param)[0]
+
+    def __hash__(self):
+        # equal profiles have the same kernels; hashing the two alone skips
+        # the Enum fields' Python-level __hash__
+        return hash((self.dist_deriv, self.inverse))
 
     def __reduce__(self):
         # a profile is its pair's entry in _PROFILES, so it pickles by
@@ -264,12 +270,43 @@ _NEWTON_TOL = 2.0 ** -26
 # bisections alone end the widest window (log kappa, 1409 wide) in 37
 # steps; the cap only bounds inputs whose d is not smooth in floats
 _NEWTON_MAX_STEPS = 100
-# elements per block of _solve_increasing
+# sorted keys per block of _solve_increasing
 _NEWTON_BLOCK = 4096
 # the nodes of every start table, in the solver's coordinate t (log kappa
 # or logit(2 ell)): [-30, 30] in steps of 1/32. Beyond |t| = 30 the small-
 # and large-parameter series start each element to ~1e-13 or better
 _TABLE_T = np.arange(-960, 961) / 32.0
+# The fit of t on each interval of a start table: t = t_j + sum_k c_k u^k,
+# k = 1 ... _FIT_DEGREE, with u = (target - v_j) / h_j. It is the least-
+# squares fit to g at the 31 Chebyshev-Lobatto points of [t_j, t_j+1]
+# past t_j (_LOBATTO, as fractions of the width; the last is 1), made
+# in the Chebyshev polynomials T_k(2u - 1) and kept as monomials in u
+# (_CHEB_TO_MONOMIAL). 31 values for 7 coefficients average the
+# kernel's rounding noise, which an interpolant would carry to every
+# target. The fit is made _FIT_CHUNK intervals at a time.
+_FIT_DEGREE = 7
+_LOBATTO = 0.5 * (1.0 - np.cos(np.pi * np.arange(1, 32) / 31))
+
+
+def _chebyshev_monomials(n):
+    """The monomial coefficients in u of T_k(2u - 1) for k < n, one row
+    per k, from T_k+1 = 2 (2u - 1) T_k - T_k-1."""
+    rows = np.zeros((n, n))
+    rows[0, 0] = 1.0
+    rows[1, :2] = -1.0, 2.0
+    for k in range(1, n - 1):
+        rows[k + 1, 1:] = 4.0 * rows[k, :-1]
+        rows[k + 1] -= 2.0 * rows[k] + rows[k - 1]
+    return rows
+
+
+_CHEB_TO_MONOMIAL = _chebyshev_monomials(_FIT_DEGREE)
+# the slope in u of sum_k c_k u^k on 257 points of [0, 1]: row k - 1 is k u^(k - 1)
+_SLOPE_BASIS = (
+    np.arange(1, _FIT_DEGREE + 1)[:, None]
+    * np.linspace(0.0, 1.0, 257) ** np.arange(_FIT_DEGREE)[:, None]
+)
+_FIT_CHUNK = 256
 
 
 # The coordinates t a search solves in, each as (the parameter at t,
@@ -293,19 +330,22 @@ class _Search:
 
     ``kernel(x)`` gives d and its slope at the parameter x; the
     coordinate (_LOG_KAPPA or _LOGIT_2ELL) carries x to the solver's t
-    and back. The solver inverts g(t) = sign * d, signed by the pair's
-    ``direction`` so that g increases, and ``series(sign * d)`` starts
-    the targets beyond the table. At import, g is evaluated once on
-    _TABLE_T; a target inside the table's values starts from the
-    cubic-Hermite inverse on its interval, from the values and slopes at
-    both ends, and keeps the interval's two nodes as its bracket. The
-    table keeps one column per interval, (v_j, 1/h_j, c1, c2, c3, t_j,
-    t_j+1). The starts of a sorted run of targets search only the nodes
-    between its first and last target, and repeat each interval's column
-    over the targets it holds.
+    and back. The search inverts g(t) = sign * d, signed by the pair's
+    ``direction`` so that g increases. At import, g is evaluated once on
+    _TABLE_T; its first and last values bound the start table, and
+    ``root(target)`` is a table with a form on each side. A target inside
+    the start table is read off the fit of its interval (``_fit``), with
+    no distance evaluated and no Newton step. The intervals are
+    _TABLE_T's, each split at any of ``cuts``, the coordinates t of the
+    kernel's own cuts, so no fit spans two of the kernel's forms. The
+    value is clamped at t_j+1; each interval's fit starts at t_j, so t is
+    continuous and increasing across the nodes. A target beyond the
+    table starts from ``series(target)`` and runs safeguarded Newton in
+    the whole window. The fit is made on the search's first inverse,
+    never at import.
     """
 
-    def __init__(self, kernel, coordinate, direction, series):
+    def __init__(self, kernel, coordinate, direction, series, cuts=()):
         self.kernel, self.series = kernel, series
         self.param, self.slope_in_t, self.lo, self.hi = coordinate
         self.sign = 1.0 if direction is Direction.INCREASING else -1.0
@@ -313,17 +353,9 @@ class _Search:
         if not (np.all(np.diff(v) > 0.0) and np.all(s > 0.0) and np.all(np.isfinite(s))):
             raise RuntimeError("a start table must increase strictly, with finite positive slopes")
         self.values = v
-        # t = t_j + u (c1 + u (c2 + u c3)) with u = (target - v_j) / h_j:
-        # the Hermite cubic through (v_j, t_j) and (v_j+1, t_j+1) whose
-        # slopes are 1/s_j and 1/s_j+1
-        h = np.diff(v)
-        m0, m1, span = h / s[:-1], h / s[1:], np.diff(_TABLE_T)
-        self._rows = np.array((
-            v[:-1], 1.0 / h, m0, 3.0 * span - 2.0 * m0 - m1, m0 + m1 - 2.0 * span,
-            _TABLE_T[:-1], _TABLE_T[1:],
-        ))
-        # each element's start and bracket (t, lo, hi), from its own target alone
-        self.start = _piecewise_table((v[0], v[-1]), (self._beyond, self._inside, self._beyond))
+        self.cuts = tuple(float(t) for t in cuts if _TABLE_T[0] < t < _TABLE_T[-1])
+        # each element's root t, from its own target alone
+        self.root = _piecewise_table((v[0], v[-1]), (self._beyond, self._inside, self._beyond))
 
     def __call__(self, ns, d):
         return self.param(_solve_increasing(self, self.sign * d))
@@ -334,47 +366,117 @@ class _Search:
         d, slope = self.kernel(x)
         return self.sign * d, self.slope_in_t(x, slope)
 
+    @functools.cached_property
+    def _fit(self):
+        """(nodes, rows): g at the fit's nodes, and one column per
+        interval, (v_j, 1/h_j, t_j, t_j+1, c_1, ..., c_7)."""
+        t = np.union1d(_TABLE_T, self.cuts)
+        nodes = self.g(t)[0]
+        rows = np.empty((4 + _FIT_DEGREE, t.size - 1))
+        rows[:4] = nodes[:-1], 1.0 / np.diff(nodes), t[:-1], t[1:]
+        for s in range(0, t.size - 1, _FIT_CHUNK):
+            stop = s + _FIT_CHUNK + 1
+            rows[4:, s : stop - 1] = self._fit_coefs(t[s:stop], nodes[s:stop]).T
+        return nodes, rows
+
+    def _fit_coefs(self, t, v):
+        """c_1 ... c_7 on each interval between the nodes t, whose values of g are v."""
+        t0, t1, h = t[:-1], t[1:], np.diff(v)
+        inner = t0[:, None] + (t1 - t0)[:, None] * _LOBATTO[:-1]
+        u = np.column_stack([self.g(inner.ravel())[0].reshape(inner.shape), v[1:]])
+        u = (u - v[:-1, None]) / h[:, None]
+        # u q(u) = t - t_j, with q in the T_k(2u - 1)
+        x = 2.0 * u - 1.0
+        cheb = [np.ones_like(x), x]
+        while len(cheb) < _FIT_DEGREE:
+            cheb.append(2.0 * x * cheb[-1] - cheb[-2])
+        cheb = _least_squares([u * c for c in cheb], np.column_stack([inner, t1]) - t0[:, None])
+        coefs = _combine(cheb, _CHEB_TO_MONOMIAL)
+        # where g moves in rounding steps (d near 1 on the point mass, and
+        # ell = 0.5 expit(t) near 0.5, in ulps of 0.5, on the cardioid) a
+        # fit follows the steps, and its slope strays from the interval's
+        # mean slope t_j+1 - t_j; such an interval is read linearly
+        span = (t1 - t0)[:, None]
+        slope = _combine(coefs, _SLOPE_BASIS)
+        rough = ((slope < 0.5 * span) | (slope > 2.0 * span)).any(axis=1)
+        coefs[rough] = 0.0
+        coefs[rough, :1] = span[rough]
+        return coefs
+
     def _beyond(self, ns, target):
-        return self.series(target), self.lo, self.hi
+        return _solve_block(self.g, target, self.series(target), self.lo, self.hi)
 
     def _inside(self, ns, target):
-        # target is a sorted run (_solve_increasing sorts, and the start
+        # target is a sorted run (_solve_increasing sorts, and the root
         # table slices its runs), held by intervals first to last: node
         # first + i falls at edges[i] among the targets, so interval
         # first + i holds the targets from edges[i] up to edges[i + 1]
-        values = self.values
-        first = int(np.searchsorted(values, target[0], side="right")) - 1
-        last = int(np.searchsorted(values, target[-1], side="right")) - 1
-        edges = np.searchsorted(target, values[first : last + 2])
-        v, inv_h, c1, c2, c3, t0, t1 = np.repeat(
-            self._rows[:, first : last + 1], edges[1:] - edges[:-1], axis=1
+        nodes, rows = self._fit
+        first = int(np.searchsorted(nodes, target[0], side="right")) - 1
+        last = int(np.searchsorted(nodes, target[-1], side="right")) - 1
+        edges = np.searchsorted(target, nodes[first : last + 2])
+        v, inv_h, t0, t1, *coefs = np.repeat(
+            rows[:, first : last + 1], edges[1:] - edges[:-1], axis=1
         )
         u = (target - v) * inv_h
-        return t0 + u * (c1 + u * (c2 + u * c3)), t0, t1
+        t = coefs.pop()
+        for c in reversed(coefs):
+            t *= u
+            t += c
+        t *= u
+        t += t0
+        return np.minimum(t, t1, out=t)
+
+
+def _combine(x, rows):
+    """sum_k x[:, k, None] * rows[k]: a product of matrices in elementwise
+    arithmetic, as no BLAS kernel, whose bits can vary with the CPU,
+    enters a fit."""
+    return sum(x[:, k, None] * rows[k] for k in range(len(rows)))
+
+
+def _least_squares(columns, b):
+    """For each row n, the x[n] minimizing |sum_k x[n, k] columns[k][n] -
+    b[n]|: modified Gram-Schmidt on the columns and b, then back
+    substitution, in elementwise arithmetic (see _combine)."""
+    cols, k = [*columns, b], len(columns)
+    r = [[None] * (k + 1) for _ in range(k)]
+    for i in range(k):
+        q = cols[i] / np.sqrt(np.sum(cols[i] * cols[i], axis=1, keepdims=True))
+        for j in range(i, k + 1):
+            r[i][j] = np.sum(q * cols[j], axis=1)
+            if j > i:
+                cols[j] = cols[j] - r[i][j][:, None] * q
+    x = [None] * k
+    for i in reversed(range(k)):
+        x[i] = (r[i][k] - sum(r[i][j] * x[j] for j in range(i + 1, k))) / r[i][i]
+    return np.stack(x, axis=1)
 
 
 def _solve_increasing(search, target):
-    """Safeguarded Newton for search.g(t) = target, from the search's starts.
+    """The roots of search.g(t) = target, g increasing, through the
+    search's ``root`` table: the fit inside the start table, safeguarded
+    Newton from the series beyond it.
 
-    ``g(t)`` returns the value and the slope. Every element starts from
-    its table interval, or from the series beyond the table, and keeps
-    its own bracket; a Newton step that would leave it, or that does
-    not halve the step before it, becomes a bisection. Each element
-    stops on its own, so its bits do not depend on the rest of the
-    array. The targets are sorted once, solved in contiguous blocks of
-    _NEWTON_BLOCK sorted keys, and the roots scattered back once: the
-    order changes no bit, the blocks keep the temporaries of the
-    kernels cache-sized, and on sorted keys the start table searches
-    only the nodes a block spans and every kernel slices its forms'
-    runs instead of gathering them.
+    The targets are sorted once, unless they already are (a run the
+    inverse's table has sorted), solved in contiguous blocks of
+    _NEWTON_BLOCK sorted keys, and the roots scattered back once. Each
+    element's root depends on its own target alone, so the order changes
+    no bit. The blocks keep the temporaries cache-sized, and on sorted
+    keys the fit's lookup places only the nodes a block spans, and every
+    kernel of a Newton block slices its forms' runs instead of gathering
+    them.
     """
-    order = np.argsort(target)
-    keys = target[order]
-    roots = np.empty_like(keys)
-    for s in range(0, keys.size, _NEWTON_BLOCK):
-        block = keys[s : s + _NEWTON_BLOCK]
-        roots[s : s + _NEWTON_BLOCK] = _solve_block(search.g, block, *search.start(block))
-    out = np.empty_like(target)
+    order = None
+    if (target[1:] < target[:-1]).any():
+        order = np.argsort(target)
+        target = target[order]
+    roots = np.empty_like(target)
+    for s in range(0, target.size, _NEWTON_BLOCK):
+        roots[s : s + _NEWTON_BLOCK] = search.root(target[s : s + _NEWTON_BLOCK])
+    if order is None:
+        return roots
+    out = np.empty_like(roots)
     out[order] = roots
     return out
 
@@ -524,7 +626,8 @@ def _vm_uniform_series(d):
 
 
 _VM_UNIFORM_SEARCH = _Search(
-    _vm_uniform_log_slope, _LOG_KAPPA, Direction.INCREASING, _vm_uniform_series
+    _vm_uniform_log_slope, _LOG_KAPPA, Direction.INCREASING, _vm_uniform_series,
+    np.log(_vm_uniform.cuts),
 )
 
 
@@ -573,7 +676,8 @@ def _vm_pointmass_series(target):
 
 
 _VM_POINTMASS_SEARCH = _Search(
-    _vm_pointmass_log_slope, _LOG_KAPPA, Direction.DECREASING, _vm_pointmass_series
+    _vm_pointmass_log_slope, _LOG_KAPPA, Direction.DECREASING, _vm_pointmass_series,
+    np.log(_vm_pointmass.cuts),
 )
 
 
@@ -626,8 +730,12 @@ def _card_curve_series(target):
     )
 
 
+# the curve's one form takes _card_l3's series below s = _CARD_L3_SERIES,
+# that is above this ell, where s = sqrt(1 - 4 ell^2)
+_CARD_L3_ELL = math.sqrt((1.0 - _CARD_L3_SERIES) * (1.0 + _CARD_L3_SERIES)) / 2.0
 _CARD_CURVE_SEARCH = _Search(
-    _card_curve, _LOGIT_2ELL, Direction.DECREASING, _card_curve_series
+    _card_curve, _LOGIT_2ELL, Direction.DECREASING, _card_curve_series,
+    (math.log(_CARD_L3_ELL / (0.5 - _CARD_L3_ELL)),),
 )
 
 
@@ -725,13 +833,15 @@ def inverse_distance(profile, d):
     """The parameter whose distance equals ``d``.
 
     Vectorized, through the pair's inverse table. Wrapped Cauchy inverts
-    in closed form; the others run safeguarded Newton on the monotone
-    distance map, in log kappa for von Mises and in logit(2 ell) for the
-    cardioid. Each element starts from a table of the map built at
-    import (nodes 1/32 apart in that coordinate, from -30 to 30), inside
-    the bracket of its two nodes; distances beyond the table start from
-    the small- and large-parameter series. Every element gets the bits
-    of its scalar call, whatever the input's shape.
+    in closed form. The others map d to a coordinate t (log kappa for
+    von Mises, logit(2 ell) for the cardioid) through a table of the
+    distance map g made at import, at t = -30 ... 30 in steps of 1/32. A
+    distance inside it is read off a degree-7 polynomial in d on its
+    interval, fitted to the map on the pair's first inverse (about 20 ms
+    per pair), with no distance evaluated; one beyond it runs
+    safeguarded Newton from the small- and large-parameter series. Every
+    element gets the bits of its scalar call, whatever the input's shape
+    and order.
     Distances outside [0, d_max] raise, and so do those outside the
     profile's ``domain``, which no float parameter has: d = 0 for the
     point-mass base and, for the von Mises uniform base, d beyond

@@ -344,9 +344,14 @@ def pc_sample(prior: PcPrior, n, seed):
     to 0, as a uniform draw near 1 does at small lambda. The distances
     are made here, so they are clipped to the profile's ``domain`` and
     go to the pair's inverse without the public check. A draw clipped
-    to ``d_top`` takes the cap without a Newton solve: vm/uniform's
-    inverse has a form for d_top, and the wrapped Cauchy's closed form
-    clamps there.
+    to ``d_top`` takes the cap without a search: vm/uniform's inverse
+    has a form for d_top, and the wrapped Cauchy's closed form clamps
+    there. On the searched pairs, a draw whose parameter's coordinate
+    (log kappa or logit(2 ell)) lies in [-30, 30] is read off the
+    inverse's fitted table, with no distance evaluated; only draws
+    beyond it run Newton steps. The draws are sorted once for the
+    lookup: by the search, or by the inverse's table when they reach
+    two of its forms.
     """
     _require_normalized(prior, "sampling")
     n = _count(n)

@@ -61,7 +61,11 @@ def _count(n, name="n", allow_zero=False):
 
 def _real(x, name):
     """A number ``x`` as a Python float; a bool, a string, bytes, a numpy
-    complex or anything float() cannot take raises ValueError naming ``name``."""
+    complex, an array of bools, strings, bytes or objects (float() reads a
+    0-d one as its element) or anything float() cannot take raises
+    ValueError naming ``name``."""
+    if isinstance(x, np.ndarray) and x.dtype.kind in "bUSO":
+        raise ValueError(f"{name} must be a number, not a {x.dtype} array")
     if isinstance(x, (bool, np.bool_, str, bytes, bytearray, np.complexfloating)):
         raise ValueError(f"{name} must be a number, not a {type(x).__name__}")
     try:

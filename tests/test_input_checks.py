@@ -158,12 +158,19 @@ def test_bool_is_not_a_number(name, call, good, flag):
 
 
 @pytest.mark.parametrize("name, call, good", NUMBER_FIELDS, ids=[f[0] for f in NUMBER_FIELDS])
-@pytest.mark.parametrize("value", ("3", b"3", "abc", None, 1j, np.complex128(1.0)),
-                         ids=("str", "bytes", "word", "none", "complex", "numpy-complex"))
+@pytest.mark.parametrize(
+    "value",
+    ("3", b"3", "abc", None, 1j, np.complex128(1.0),
+     np.array("3"), np.array(b"3"), np.array(True), np.array(3.0, dtype=object)),
+    ids=("str", "bytes", "word", "none", "complex", "numpy-complex",
+         "0d-str", "0d-bytes", "0d-bool", "0d-object"),
+)
 def test_non_number_is_rejected(name, call, good, value):
     """A string, even one that spells a number, bytes, None and a complex
-    raise a ValueError that names the field, not a TypeError or a float.
-    McmcConfig's initial state takes None as its default."""
+    raise a ValueError that names the field, not a TypeError or a float;
+    so does a 0-d array of strings, bytes, bools or objects, which float()
+    would read as its element. McmcConfig's initial state takes None as
+    its default."""
     call(good)
     if value is None and name in ("initial_mu", "initial_concentration"):
         call(value)

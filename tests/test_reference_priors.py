@@ -910,13 +910,14 @@ class TestCrossBaseBits:
     """distance_scale_pdf of a PC prior (lambda = 1.3) on the other base's
     profile of its family, on 200 points across that profile's domain:
     the sha256 of the result's bytes, pinned before the prior's density
-    was read through its own ``pdf``."""
+    was read through its own ``pdf`` and re-recorded when the inverse
+    came to read targets inside its start table off fitted polynomials."""
 
     PINS = {
-        ("vm", "uniform", "pointmass"): "f0b0781b0e7a66d82346c149c9486c04a389179cd35b7a24ab401c3e6daaca83",
-        ("vm", "pointmass", "uniform"): "7fc6c7a1061493bc1429587e42ccc8e41f170a1b04b533c3eb5bafff6049b88f",
-        ("cardioid", "uniform", "curve"): "f17d635645fa3c4bffa93730ff301266f82184b2fe7793d1f083595a09b3b1d4",
-        ("cardioid", "curve", "uniform"): "06fc295570efef63211004d1131f3bd2f5d0c2d576f4b2576346f7ace68cb702",
+        ("vm", "uniform", "pointmass"): "de670b1efcdb43737883feceba20851aac49de07a1e710708f646b4016f884ab",
+        ("vm", "pointmass", "uniform"): "9e9def565214a9b22bcb04cad4bf8cce85de4ad1a4954f39608abc212409d52c",
+        ("cardioid", "uniform", "curve"): "cddac4a9721ab97a1dc18194a13239eac737399f3991f4c0109be73b9a0b425d",
+        ("cardioid", "curve", "uniform"): "5e345ca39ee15f20ff084c3a9f62408d8e82567e3475c665cd793e0af084c5d9",
     }
 
     @pytest.mark.parametrize("family,base,on", sorted(PINS), ids=str)
